@@ -26,7 +26,6 @@ from .params import AffineParams, SymOperator
 from .riccati import RiccatiTrajectory, riccati_F, solve_riccati
 from .symcone import (
     frobenius,
-    inner,
     is_psd,
     mat_exp,
     min_eigval,
@@ -159,8 +158,8 @@ class InvariantLaw:
     The transform is ``exp(-I(u))`` with ``I(u)`` the running cost
     integrated along the Riccati flow from ``u``; the integration horizon
     is chosen from the certified decay rate so the neglected tail is
-    below tolerance.  Computed exponents are cached under a quantized
-    key; ``c_hat`` records the largest observed prefactor of the
+    below tolerance.  Computed exponents are cached per probe under a
+    rounded key; ``c_hat`` records the largest observed prefactor of the
     exponential cost decay and feeds the metric bound.
     """
 
@@ -174,46 +173,70 @@ class InvariantLaw:
         self.mean = invariant_mean(self.params, self.cert)
 
     def _key(self, u, tol):
-        q = np.round(np.asarray(u, dtype=float) / 1e-12).astype(np.int64)
+        # rounding to 1e-12 absolute merges roundoff-level copies of a
+        # probe; adding 0.0 turns -0.0 into 0.0 so both share a key
+        q = np.round(np.asarray(u, dtype=float), 12) + 0.0
         return (q.tobytes(), float(tol))
 
     def exponent(self, u, tol: float = 1e-8) -> float:
         """Truncated integral of the running cost along the flow from ``u``."""
         u = symmetrize(u)
-        nrm = frobenius(u)
-        if nrm == 0.0:
+        if frobenius(u) == 0.0:
             return 0.0
         key = self._key(u, tol)
-        if key in self._cache:
-            return self._cache[key]
+        if key not in self._cache:
+            self._integrate([u], tol)
+        return self._cache[key]
+
+    def exponents(self, us, tol: float = 1e-8) -> np.ndarray:
+        """:meth:`exponent` for every probe of ``us``; the probes not yet
+        cached are integrated together as one stacked Riccati flow."""
+        us = [symmetrize(u) for u in us]
+        todo = {}
+        for u in us:
+            key = self._key(u, tol)
+            if frobenius(u) > 0.0 and key not in self._cache:
+                todo.setdefault(key, u)
+        if todo:
+            self._integrate(list(todo.values()), tol)
+        return np.array([self.exponent(u, tol) for u in us])
+
+    def _integrate(self, us, tol: float) -> None:
+        """Fill the cache for nonzero probes ``us``.
+
+        Each pass solves the probes whose tail bound is still at least
+        ``tol``, as one stack, to the largest horizon any of them needs;
+        the first pass estimates each probe's cost-decay prefactor.
+        """
+        us = np.asarray(us, dtype=float)
+        norms = np.linalg.norm(us, axis=(1, 2))
         delta = self.cert.delta
         solver_tol = min(1e-10, tol * 1e-2)
         solver_tol = max(solver_tol, 1e-12)
+        vals = np.empty(len(us))
 
-        # first pass estimates the cost-decay prefactor, second pass (if
-        # needed) extends the horizon until the tail bound is below tol
+        todo = np.arange(len(us))
         T = max(1.0, 5.0 / delta)
         for _ in range(8):
-            traj = solve_riccati(self.params, u, T, tol=solver_tol)
-            cost = np.array([riccati_F(self.params, ps) for ps in traj.psi])
-            c_est = float(np.max(cost * np.exp(delta * traj.times))) / nrm
-            c_hat = 2.0 * max(c_est, 1e-300)
-            self.c_hat = max(self.c_hat, c_hat)
-            tail = c_hat * nrm * np.exp(-delta * T) / delta
-            if tail < tol:
+            traj = solve_riccati(self.params, us[todo], T, tol=solver_tol)
+            cost = riccati_F(self.params, traj.psi)
+            c_est = np.max(cost * np.exp(delta * traj.times)[:, None], axis=0) / norms[todo]
+            c_hat = 2.0 * np.maximum(c_est, 1e-300)
+            self.c_hat = max(self.c_hat, float(np.max(c_hat)))
+            vals[todo] = traj.phi[-1]
+            tail = c_hat * norms[todo] * np.exp(-delta * T) / delta
+            short = tail >= tol
+            if not np.any(short):
                 break
-            T = max(T * 1.5, np.log(c_hat * nrm / (delta * tol)) / delta)
-        val = float(traj.phi[-1])
-        self._cache[key] = val
-        return val
+            need = np.log(c_hat[short] * norms[todo][short] / (delta * tol)) / delta
+            T = max(T * 1.5, float(np.max(need)))
+            todo = todo[short]
+        for u, val in zip(us, vals):
+            self._cache[self._key(u, tol)] = float(val)
 
     def laplace(self, u, tol: float = 1e-8) -> float:
         """Stationary Laplace transform at ``u``; equals 1 at ``u = 0``."""
         return float(np.exp(-self.exponent(u, tol)))
-
-
-def invariant_laplace(law: InvariantLaw, u, tol: float = 1e-8) -> float:
-    return law.laplace(u, tol)
 
 
 # --- Laplace-metric diagnostics -----------------------------------------
@@ -240,21 +263,32 @@ def standard_u_grid(
     return [float(r) * v for r in radii for v in dirs]
 
 
-def transient_laplace(p: AffineParams, x, u, times, tol: float = 1e-10) -> np.ndarray:
-    """``exp(-phi(t,u) - <x, psi(t,u)>)`` at the requested times."""
+def transient_laplace(
+    p: AffineParams, x, u, times, tol: float = 1e-10, flow: RiccatiTrajectory | None = None
+) -> np.ndarray:
+    """``exp(-phi(t,u) - <x, psi(t,u)>)`` at the requested times.
+
+    ``u`` is one matrix (result shape ``(len(times),)``) or a stack of
+    ``n`` probes (result ``(len(times), n)``), solved as one flow.
+    ``flow``, when given, is that flow already solved from ``u`` at the
+    positive entries of ``times``, and is read instead of solving again.
+    """
     x = symmetrize(x)
-    u = symmetrize(u)
+    u = np.asarray(u, dtype=float)
+    u = 0.5 * (u + np.swapaxes(u, -1, -2))
     times = np.asarray(times, dtype=float)
-    out = np.empty(times.size)
     positive = np.unique(times[times > 0.0])
-    if positive.size:
-        traj = solve_riccati(p, u, float(positive[-1]), tol=tol, t_eval=positive)
+    if flow is None and positive.size:
+        flow = solve_riccati(p, u, float(positive[-1]), tol=tol, t_eval=positive)
+    if flow is not None and not np.array_equal(flow.u0, u):
+        raise ValueError("flow was not solved from these probes")
+    out = np.empty(times.shape + u.shape[:-2])
     for i, t in enumerate(times):
         if t == 0.0:
             ps, ph = u, 0.0
         else:
-            ps, ph = traj.psi_at(t), traj.phi_at(t)
-        out[i] = np.exp(-ph - inner(x, ps))
+            ps, ph = flow.psi_at(t), flow.phi_at(t)
+        out[i] = np.exp(-ph - np.sum(x * ps, axis=(-2, -1)))
     return out
 
 
@@ -265,28 +299,27 @@ def dL_table(
     times,
     u_grid=None,
     tol: float = 1e-8,
+    flow: RiccatiTrajectory | None = None,
 ) -> np.ndarray:
     """Laplace-metric values at each time: the grid maximum of
     ``|L_t(u) - L_pi(u)| / ||u||``.  A lower approximation of the sup
-    over the cone, relative to the documented grid."""
+    over the cone, relative to the documented grid.
+
+    The grid's transient flows are solved as one stack (or read from
+    ``flow``, see :func:`transient_laplace`) and its stationary exponents
+    as another (:meth:`InvariantLaw.exponents`, at tolerance ``tol``).
+    """
     if u_grid is None:
         u_grid = standard_u_grid(p.dim)
     if not len(u_grid):
         raise ValueError("u_grid must be nonempty")
-    times = np.asarray(times, dtype=float)
-    best = np.zeros(times.size)
-    for u in u_grid:
-        nrm = frobenius(u)
-        if nrm == 0.0:
-            raise ValueError("grid directions must be nonzero")
-        lt = transient_laplace(p, x, u, times)
-        lp = law.laplace(u, tol)
-        np.maximum(best, np.abs(lt - lp) / nrm, out=best)
-    return best
-
-
-def dL_distance(p: AffineParams, law: InvariantLaw, x, t: float, u_grid=None) -> float:
-    return float(dL_table(p, law, x, [t], u_grid=u_grid)[0])
+    us = np.asarray(u_grid, dtype=float)
+    norms = np.linalg.norm(us, axis=(1, 2))
+    if np.any(norms == 0.0):
+        raise ValueError("grid directions must be nonzero")
+    lt = transient_laplace(p, x, us, times, flow=flow)
+    lp = np.exp(-law.exponents(us, tol))
+    return np.max(np.abs(lt - lp) / norms, axis=1)
 
 
 def dL_bound(cert: DecayCertificate, C_hat: float, x, t) -> np.ndarray | float:

@@ -71,7 +71,8 @@ class SymOperator:
         return cls(dim, np.eye(sym_dim(dim)))
 
     def apply(self, x) -> np.ndarray:
-        return unvectorize(self.matrix @ vectorize(x))
+        """Apply to one symmetric matrix or a stack ``(..., d, d)``."""
+        return unvectorize(vectorize(x) @ self.matrix.T)
 
     def adjoint(self) -> "SymOperator":
         return SymOperator(self.dim, self.matrix.T)
@@ -198,13 +199,16 @@ class LinearDrift:
         return SymOperator.from_map(dim, self.apply)
 
     def adjoint_apply(self, u) -> np.ndarray:
-        """Apply the adjoint map (closed form for the structured kinds)."""
+        """Apply the adjoint map (closed form for the structured kinds) to
+        one symmetric matrix or a stack ``(..., d, d)``."""
         u = np.asarray(u, dtype=float)
         if self.kind == "lyapunov":
-            return symmetrize(self.beta.T @ u + u @ self.beta)
-        if self.kind == "congruence":
-            return symmetrize(self.beta.T @ u @ self.beta)
-        return SymOperator(u.shape[0], self.operator_matrix).adjoint().apply(u)
+            out = self.beta.T @ u + u @ self.beta
+        elif self.kind == "congruence":
+            out = self.beta.T @ u @ self.beta
+        else:
+            return SymOperator(u.shape[-1], self.operator_matrix).adjoint().apply(u)
+        return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 @dataclass

@@ -17,6 +17,17 @@ Both equations are integrated jointly on the vectorized state, which
 keeps ``psi`` exactly symmetric by construction and keeps ``phi``
 consistent with the adaptive steps without interpolation.
 
+Batches: ``F``, ``R`` and :func:`solve_riccati` take one symmetric
+matrix ``(d, d)`` or a stack of ``n`` probes ``(n, d, d)``.  A stack is
+integrated as one ODE on ``[vec(u_1), ..., vec(u_n), phi_1, ..., phi_n]``
+whose vector field is evaluated on all probes at once; a single matrix is
+the stack of one.  Trajectories of a stack put the probe axis after the
+time axis: ``psi`` is ``(N, n, d, d)`` and ``phi`` is ``(N, n)``.  The
+integrator's error norm is the RMS over the whole state, so ``rtol`` and
+``atol`` are both scaled by ``1/sqrt(n)``: every probe then meets the
+local error test of a lone solve, and ``n = 1`` keeps the unscaled
+tolerances.
+
 The pure-diffusion (Wishart) family admits closed forms for ``psi`` and
 ``phi``, implemented here in an inversion-free symmetric form; these
 serve as independent oracles for the numeric solver.
@@ -36,12 +47,9 @@ from .symcone import (
     inner,
     mat_exp,
     min_eigval,
-    psd_tol,
     sqrt_psd,
-    sym_dim,
+    sym_index,
     symmetrize,
-    unvectorize,
-    vectorize,
 )
 
 
@@ -56,22 +64,36 @@ class SolverFailureError(RuntimeError):
 # --- F, R and their derivatives ----------------------------------------
 
 
-def riccati_F(p: AffineParams, u) -> float:
-    """Running-cost function ``F``; nonnegative on the cone, ``F(0) = 0``."""
-    u = symmetrize(u)
-    val = inner(p.b, u)
+def _pair(u, site) -> np.ndarray:
+    """Trace inner products ``<u_k, site>`` over the leading axes of ``u``
+    (``site`` symmetric)."""
+    return u.reshape(u.shape[:-2] + (-1,)) @ site.ravel()
+
+
+def riccati_F(p: AffineParams, u):
+    """Running-cost function ``F``; nonnegative on the cone, ``F(0) = 0``.
+
+    ``u`` is one symmetric matrix (a float is returned) or a stack
+    ``(..., d, d)`` (an array of shape ``(...)`` is returned).
+    """
+    u = np.asarray(u, dtype=float)
+    val = _pair(u, p.b)
     for site, mass in p.m.atoms:
-        val += mass * (1.0 - np.exp(-inner(u, site)))
+        val = val + mass * (1.0 - np.exp(-_pair(u, site)))
     return val
 
 
 def riccati_R(p: AffineParams, u) -> np.ndarray:
-    """Right-hand side of the matrix Riccati equation; ``R(0) = 0``."""
-    u = symmetrize(u)
-    out = -2.0 * symmetrize(u @ p.alpha @ u) + p.drift.adjoint_apply(u)
+    """Right-hand side of the matrix Riccati equation; ``R(0) = 0``.
+
+    ``u`` is one symmetric matrix or a stack ``(..., d, d)``; the result
+    has the same shape and is exactly symmetric.
+    """
+    u = np.asarray(u, dtype=float)
+    out = -2.0 * (u @ p.alpha @ u) + p.drift.adjoint_apply(u)
     for site, weight in p.mu.atoms:
-        out = out + (1.0 - np.exp(-inner(u, site))) * weight
-    return out
+        out = out + (1.0 - np.exp(-_pair(u, site)))[..., None, None] * weight
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def riccati_DR(p: AffineParams, u) -> SymOperator:
@@ -108,28 +130,38 @@ def riccati_DF(p: AffineParams, u) -> np.ndarray:
 
 @dataclass
 class RiccatiTrajectory:
-    """Joint (psi, phi) flow for one initial condition on a time grid."""
+    """Joint (psi, phi) flow for one initial condition, or for a stack of
+    ``n`` of them, on a shared time grid.
+
+    For one start value ``u0`` is ``(d, d)``, ``psi`` is ``(N, d, d)`` and
+    ``phi`` is ``(N,)``; for a stack they carry a probe axis after the time
+    axis: ``u0`` is ``(n, d, d)``, ``psi`` is ``(N, n, d, d)`` and ``phi``
+    is ``(N, n)``.
+    """
 
     u0: np.ndarray
     times: np.ndarray
-    psi: np.ndarray  # (N, d, d)
-    phi: np.ndarray  # (N,)
+    psi: np.ndarray
+    phi: np.ndarray
     tol: float
 
-    def psi_at(self, t: float) -> np.ndarray:
+    def _index(self, t: float) -> int:
         i = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
             raise KeyError(f"time {t} not on trajectory grid")
-        return self.psi[i]
+        return i
 
-    def phi_at(self, t: float) -> float:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise KeyError(f"time {t} not on trajectory grid")
-        return float(self.phi[i])
+    def psi_at(self, t: float) -> np.ndarray:
+        return self.psi[self._index(t)]
+
+    def phi_at(self, t: float) -> float | np.ndarray:
+        """``phi`` at a grid time: a float, or an ``(n,)`` array for a stack."""
+        return self.phi[self._index(t)]
 
     def to_csv(self, path) -> None:
         """Columns: t, phi, then the upper triangle of psi row-major."""
+        if self.psi.ndim != 3:
+            raise ValueError("CSV output holds a single-probe trajectory")
         d = self.psi.shape[1]
         iu = np.triu_indices(d)
         header = ["t", "phi"] + [f"psi_{i + 1}{j + 1}" for i, j in zip(*iu)]
@@ -153,30 +185,60 @@ def solve_riccati(
 ) -> RiccatiTrajectory:
     """Integrate the joint (psi, phi) system on ``[0, T]``.
 
+    ``u0`` is one start value ``(d, d)`` or a stack of ``n`` probes
+    ``(n, d, d)``; a single matrix is solved as a stack of one.  The
+    stacked state ``[vec(u_1), ..., vec(u_n), phi_1, ..., phi_n]`` is
+    integrated in one call, so all probes share the accepted steps.
+
     Adaptive embedded Runge-Kutta (Dormand-Prince 5(4)); on step-size
     underflow one retry is made with an implicit stiff stepper before
-    failing.  Output times are the accepted steps unless ``t_eval`` is
-    given.  Cone membership of every output ``psi`` is enforced within
-    the shared tolerance plus a solver-accuracy allowance.
+    failing.  The solver's error norm is the RMS over the whole state, so
+    both ``rtol`` and ``atol`` are scaled by ``1/sqrt(n)``: a step is then
+    accepted only if every probe's own RMS error passes the test a lone
+    solve would apply.  Output times are the accepted steps unless
+    ``t_eval`` is given.  Cone membership of every output ``psi`` is
+    enforced within the shared tolerance plus a solver-accuracy allowance
+    scaled by that probe's start norm.
     """
     if not (T > 0):
         raise ValueError("horizon T must be positive")
     if not (1e-12 <= tol <= 1e-3):
         raise ValueError("tol must lie in [1e-12, 1e-3]")
-    u0 = symmetrize(u0)
-    y0 = np.concatenate([vectorize(u0), [0.0]])
+    u0 = np.asarray(u0, dtype=float)
+    single = u0.ndim == 2
+    stack = u0[None] if single else u0
+    d = p.dim
+    if stack.ndim != 3 or stack.shape[1:] != (d, d) or not len(stack):
+        raise ValueError(f"u0 must be ({d}, {d}) or a nonempty stack (n, {d}, {d})")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("matrix entries must be finite")
+    stack = 0.5 * (stack + np.swapaxes(stack, -1, -2))
+    n = len(stack)
+    rows, cols, scale = sym_index(d)
+    nD = n * rows.size
+    y0 = np.concatenate([(stack[:, rows, cols] * scale).ravel(), np.zeros(n)])
+
+    def to_matrices(coords):
+        w = coords.reshape(coords.shape[:-1] + (n, rows.size)) / scale
+        u = np.empty(w.shape[:-1] + (d, d))
+        u[..., rows, cols] = w
+        u[..., cols, rows] = w
+        return u
 
     def rhs(t, y):
-        u = unvectorize(y[:-1])
-        return np.concatenate([vectorize(riccati_R(p, u)), [riccati_F(p, u)]])
+        u = to_matrices(y[:nD])
+        du = riccati_R(p, u)[:, rows, cols] * scale
+        return np.concatenate([du.ravel(), riccati_F(p, u)])
 
     def at_fixed_point(t, y):
-        return float(np.linalg.norm(y[:-1])) - _FIXED_POINT_NORM
+        return float(np.linalg.norm(y[:nD])) - _FIXED_POINT_NORM
 
     at_fixed_point.terminal = True
     at_fixed_point.direction = -1
 
-    kwargs = dict(rtol=tol, atol=tol * 1e-2, dense_output=False, events=at_fixed_point)
+    shrink = 1.0 / np.sqrt(n)
+    kwargs = dict(rtol=tol * shrink, atol=tol * 1e-2 * shrink, dense_output=False,
+                  events=at_fixed_point)
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
         kwargs["t_eval"] = t_eval
@@ -189,31 +251,37 @@ def solve_riccati(
             raise SolverFailureError(f"integration failed: {sol.message}", last)
 
     times = sol.t
-    ys = sol.y.T
+    ys = sol.y.T.reshape(-1, y0.size)
     if sol.status == 1 and (not times.size or times[-1] < T):
-        # flow reached the fixed point; pad with exact zeros / constant phi
-        phi_end = ys[-1, -1] if times.size else float(sol.y_events[0][-1][-1])
+        # the whole stack reached the fixed point; pad with exact zeros and
+        # the phi values at the event
         if t_eval is not None:
             done = times[-1] if times.size else -np.inf
             rest = t_eval[t_eval > done]
         else:
             rest = np.array([T])
         pad = np.zeros((rest.size, y0.size))
-        pad[:, -1] = phi_end
+        pad[:, nD:] = sol.y_events[0][-1][nD:]
         times = np.concatenate([times, rest])
-        ys = np.vstack([ys.reshape(-1, y0.size), pad])
+        ys = np.vstack([ys, pad])
 
-    psi = np.array([unvectorize(y[:-1]) for y in ys])
-    phi = ys[:, -1].copy()
+    psi = to_matrices(ys[:, :nD])
+    phi = ys[:, nD:].copy()
 
-    cone_slack = 10.0 * tol
-    for k, mat in enumerate(psi):
-        floor = min_eigval(mat)
-        if floor < -(psd_tol(mat) + cone_slack * max(1.0, frobenius(u0))):
-            raise ConeViolationError(
-                f"psi left the cone at t = {times[k]:.6g} (min eigenvalue {floor:.3e})"
-            )
-    return RiccatiTrajectory(u0=u0, times=times, psi=psi, phi=phi, tol=tol)
+    floors = np.linalg.eigvalsh(psi)[..., 0]
+    allowed = 1e-10 * np.maximum(1.0, np.linalg.norm(psi, axis=(-2, -1)))
+    allowed = allowed + 10.0 * tol * np.maximum(1.0, np.linalg.norm(stack, axis=(-2, -1)))
+    bad = np.argwhere(floors < -allowed)
+    if bad.size:
+        k, i = bad[0]
+        probe = "" if single else f" for probe {i}"
+        raise ConeViolationError(
+            f"psi left the cone{probe} at t = {times[k]:.6g} "
+            f"(min eigenvalue {floors[k, i]:.3e})"
+        )
+    if single:
+        return RiccatiTrajectory(u0=stack[0], times=times, psi=psi[:, 0], phi=phi[:, 0], tol=tol)
+    return RiccatiTrajectory(u0=stack, times=times, psi=psi, phi=phi, tol=tol)
 
 
 def semiflow_check(p: AffineParams, u, t: float, s: float, tol: float = 1e-9) -> float:

@@ -161,29 +161,43 @@ def sym_dim(d: int) -> int:
 _SQRT2 = np.sqrt(2.0)
 
 
+def sym_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays of the fixed basis: entry ``k`` of a coordinate vector
+    is ``scale[k] * x[rows[k], cols[k]]`` (``scale`` is 1 on the diagonal
+    and ``sqrt(2)`` off it)."""
+    iu = np.triu_indices(d, k=1)
+    rows = np.concatenate([np.arange(d), iu[0]])
+    cols = np.concatenate([np.arange(d), iu[1]])
+    scale = np.concatenate([np.ones(d), np.full(iu[0].size, _SQRT2)])
+    return rows, cols, scale
+
+
 def vectorize(x) -> np.ndarray:
     """Coordinates of a symmetric matrix in the fixed orthonormal basis.
 
     The map is a linear isometry: dot products of coordinate vectors
-    equal trace inner products of the matrices.
+    equal trace inner products of the matrices.  A stack ``(..., d, d)``
+    maps to ``(..., D)``.
     """
     x = np.asarray(x, dtype=float)
-    d = x.shape[0]
-    iu = np.triu_indices(d, k=1)
-    return np.concatenate([np.diagonal(x), _SQRT2 * x[iu]])
+    rows, cols, scale = sym_index(x.shape[-1])
+    return x[..., rows, cols] * scale
 
 
 def unvectorize(v) -> np.ndarray:
-    """Inverse of :func:`vectorize`; the dimension is implied by the length."""
+    """Inverse of :func:`vectorize`; the dimension is implied by the length
+    of the last axis."""
     v = np.asarray(v, dtype=float)
-    d = int(round((np.sqrt(8 * v.size + 1) - 1) / 2))
-    if sym_dim(d) != v.size:
-        raise ValueError(f"length {v.size} is not d(d+1)/2 for any integer d")
-    x = np.zeros((d, d))
-    np.fill_diagonal(x, v[:d])
-    iu = np.triu_indices(d, k=1)
-    x[iu] = v[d:] / _SQRT2
-    return x + np.triu(x, k=1).T
+    n = v.shape[-1]
+    d = int(round((np.sqrt(8 * n + 1) - 1) / 2))
+    if sym_dim(d) != n:
+        raise ValueError(f"length {n} is not d(d+1)/2 for any integer d")
+    rows, cols, scale = sym_index(d)
+    w = v / scale
+    x = np.zeros(v.shape[:-1] + (d, d))
+    x[..., rows, cols] = w
+    x[..., cols, rows] = w
+    return x
 
 
 def sym_basis(d: int) -> list[np.ndarray]:

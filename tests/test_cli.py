@@ -6,7 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from affinecone import ScalarJumpMeasure, WishartSpec
+from affinecone import (
+    ConeViolationError,
+    ScalarJumpMeasure,
+    SolverFailureError,
+    WishartSpec,
+    cli,
+    ergodicity,
+)
 from affinecone.cli import main
 
 
@@ -117,6 +124,36 @@ def test_verify_bounds_and_manifest(config_file, tmp_path):
         assert digest == entry["sha256"]
     table = np.loadtxt(out_dir / "dL_table.csv", delimiter=",", skiprows=1)
     assert np.all(table[:, 1] <= table[:, 2])
+
+
+def test_verify_tol_reaches_dL_table(config_file, tmp_path, monkeypatch):
+    seen = []
+    real = cli.dL_table
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["tol"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "dL_table", spy)
+    code = main(["verify", "--config", str(config_file), "--out-dir", str(tmp_path / "v"),
+                 "--tol", "3e-7"])
+    assert code == 0
+    assert seen == [3e-7]
+
+
+@pytest.mark.parametrize("error", [SolverFailureError("step size underflow", 0.5),
+                                   ConeViolationError("psi left the cone")])
+@pytest.mark.parametrize("command", ["stationary", "verify"])
+def test_solver_failure_exit_code(config_file, tmp_path, monkeypatch, command, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "solve_riccati", fail)
+    monkeypatch.setattr(ergodicity, "solve_riccati", fail)
+    argv = [command, "--config", str(config_file)]
+    if command == "verify":
+        argv += ["--out-dir", str(tmp_path / "v")]
+    assert main(argv) == 3
 
 
 def test_verify_inflated_rate_self_test_fails(config_file, tmp_path):

@@ -1,5 +1,7 @@
 """Long-time behavior: certificates, moments, stationary law, bounds."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -21,6 +23,7 @@ from affinecone import (
     log_moment_gate,
     random_psd,
     spectral_abscissa,
+    solve_riccati,
     sqrt_psd,
     standard_u_grid,
     symmetrize,
@@ -185,6 +188,38 @@ def test_invariant_laplace_monotone_in_u(rng):
     assert law.laplace(2 * u) < law.laplace(u) <= 1.0
 
 
+def test_exponents_match_per_probe_exponent(rng):
+    spec = random_wishart(2, rng)
+    p = spec.to_params()
+    cert = decay_certificate(p)
+    grid = standard_u_grid(2)
+    tol = 1e-8
+    batched = InvariantLaw(p, cert).exponents(grid, tol)
+    lone = InvariantLaw(p, cert)
+    per_probe = [lone.exponent(u, tol) for u in grid]
+    assert np.max(np.abs(batched - per_probe)) <= tol
+
+
+def test_exponents_fill_the_cache_and_skip_zero():
+    p = zero_diffusion_params()
+    law = InvariantLaw(p, decay_certificate(p))
+    us = [np.diag([0.5, 0.2]), np.zeros((2, 2)), np.diag([0.5, 0.2])]
+    vals = law.exponents(us)
+    assert vals[1] == 0.0 and vals[0] == vals[2]
+    assert len(law._cache) == 1
+    assert law.exponent(us[0]) == vals[0]
+
+
+def test_cache_key_does_not_overflow():
+    p = zero_diffusion_params()
+    law = InvariantLaw(p, decay_certificate(p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = law._key(1e7 * np.eye(2), 1e-8)
+        b = law._key(2e7 * np.eye(2), 1e-8)
+    assert a != b
+
+
 # --- metric diagnostics --------------------------------------------------
 
 
@@ -205,6 +240,15 @@ def test_transient_laplace_values(rng):
     vals = transient_laplace(p, x, u, [0.0, 0.5, 1.0])
     assert vals[0] == pytest.approx(np.exp(-float(np.sum(x * u))), rel=1e-12)
     assert np.all(vals > 0)
+    # a stack of probes gives one column per probe, within the solver tolerance
+    stack = np.array([u, 2.0 * u, random_psd(2, rng)])
+    cols = transient_laplace(p, x, stack, [0.0, 0.5, 1.0])
+    assert cols.shape == (3, 3)
+    assert np.allclose(cols[:, 0], vals, rtol=0.0, atol=1e-9)
+    flow = solve_riccati(p, stack, 1.0, tol=1e-10, t_eval=[0.5, 1.0])
+    assert np.array_equal(transient_laplace(p, x, stack, [0.0, 0.5, 1.0], flow=flow), cols)
+    with pytest.raises(ValueError):
+        transient_laplace(p, x, 2.0 * stack, [0.5, 1.0], flow=flow)
 
 
 def test_dL_below_bound_and_decaying(rng):

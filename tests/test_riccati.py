@@ -25,7 +25,7 @@ from affinecone import (
     solve_riccati,
     symmetrize,
 )
-from conftest import random_wishart, scalar_phi, scalar_psi
+from conftest import random_wishart, scalar_phi, scalar_psi, zero_diffusion_params
 
 
 def _jump_params(rng, d=2):
@@ -228,3 +228,67 @@ def test_wishart_spec_rejects_inadmissible():
     with pytest.raises(ValueError):
         # k below the (d-1)/2 threshold breaks b >= (d-1) alpha
         WishartSpec(alpha=np.eye(3), beta=-np.eye(3), k=0.5)
+
+
+# --- stacked probes ------------------------------------------------------
+
+
+def _wishart_d3(rng):
+    spec = random_wishart(3, rng)
+    return spec, spec.to_params(), [random_psd(3, rng, scale=s) for s in (0.1, 1.0, 5.0)]
+
+
+def _zero_diffusion_m(rng):
+    return None, zero_diffusion_params(), [np.eye(2), np.diag([2.0, 0.5]), random_psd(2, rng)]
+
+
+def _mu_atoms(rng):
+    return None, _jump_params(rng), [random_psd(2, rng, scale=s) for s in (0.5, 1.0, 3.0)]
+
+
+@pytest.mark.parametrize("build", [_wishart_d3, _zero_diffusion_m, _mu_atoms])
+def test_stacked_solve_matches_per_probe_solves(rng, build):
+    spec, p, probes = build(rng)
+    tol = 1e-10
+    times = np.linspace(0.25, 4.0, 16)
+    flow = solve_riccati(p, np.array(probes), 4.0, tol=tol, t_eval=times)
+    n, d = len(probes), p.dim
+    assert flow.psi.shape == (times.size, n, d, d)
+    assert flow.phi.shape == (times.size, n)
+    assert flow.phi_at(1.0).shape == (n,)
+    for i, u in enumerate(probes):
+        lone = solve_riccati(p, u, 4.0, tol=tol, t_eval=times)
+        assert np.max(np.abs(flow.psi[:, i] - lone.psi)) <= 10 * tol
+        assert np.max(np.abs(flow.phi[:, i] - lone.phi)) <= 10 * tol
+        if spec is not None:
+            for k, t in enumerate(times):
+                assert frobenius(flow.psi[k, i] - psi_closed_form_wishart(spec, u, t)) <= 100 * tol
+                assert abs(flow.phi[k, i] - phi_closed_form_mbajd(spec, u, t)) <= 100 * tol
+
+
+def test_batch_of_one_takes_the_single_matrix_steps(rng):
+    p = _jump_params(rng)
+    u = random_psd(2, rng)
+    lone = solve_riccati(p, u, 3.0, tol=1e-10)
+    batch = solve_riccati(p, u[None], 3.0, tol=1e-10)
+    assert np.array_equal(batch.times, lone.times)
+    assert np.array_equal(batch.psi[:, 0], lone.psi)
+    assert np.array_equal(batch.phi[:, 0], lone.phi)
+    assert lone.psi.shape == (lone.times.size, 2, 2)
+    with pytest.raises(ValueError):
+        batch.to_csv("unused.csv")
+
+
+def test_stacked_vector_fields_match_per_matrix(rng):
+    p = _jump_params(rng)
+    us = np.array([random_psd(2, rng) for _ in range(4)])
+    assert np.allclose(riccati_R(p, us), [riccati_R(p, u) for u in us], atol=1e-14)
+    assert np.allclose(riccati_F(p, us), [riccati_F(p, u) for u in us], atol=1e-14)
+
+
+def test_solver_rejects_misshapen_stacks(rng):
+    p = _jump_params(rng)
+    with pytest.raises(ValueError):
+        solve_riccati(p, np.zeros((0, 2, 2)), 1.0)
+    with pytest.raises(ValueError):
+        solve_riccati(p, np.zeros((2, 3, 3)), 1.0)
