@@ -373,11 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, tol_default=1e-9):
+    def common(sp, tol_default=1e-9, seed=False, threads=False):
         sp.add_argument("--config", required=True, help="model config (JSON)")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--tol", type=float, default=tol_default)
+        if seed:
+            sp.add_argument("--seed", type=int, default=None,
+                            help="Monte Carlo seed (overrides the config's sim.seed)")
+        if threads:
+            sp.add_argument("--threads", type=int, default=1,
+                            help="worker threads for the path blocks")
 
     sp = sub.add_parser("validate", help="check parameter admissibility")
     common(sp)
@@ -400,14 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_stationary)
 
     sp = sub.add_parser("verify", help="verify convergence bounds on a time grid")
-    common(sp, tol_default=1e-8)
+    common(sp, tol_default=1e-8, seed=True)
     sp.add_argument("--out-dir", required=True)
     sp.add_argument("--inflate-delta", type=float, default=1.0,
                     help="self-test: multiply the decay rate (must cause exit 5)")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("simulate", help="run a Monte Carlo ensemble")
-    common(sp)
+    common(sp, seed=True, threads=True)
     sp.add_argument("--snapshots", required=True, help="comma-separated times")
     sp.add_argument("--out-dir", required=True)
     sp.set_defaults(fn=cmd_simulate)

@@ -12,7 +12,12 @@ Two schemes:
   transport of the start point plus the exact drift integral plus the
   transported jumps, with jump times drawn exactly (uniform order
   statistics given a Poisson count).  The path law is exact, which makes
-  this scheme the preferred statistical oracle.
+  this scheme the preferred statistical oracle.  Cost model: per path
+  only the random draws and the jump log; per block of paths and
+  snapshot one deterministic part shared by all paths, one transport
+  ``J -> E J E.T`` of the carried jump mass (``E = e^{(t_k - t_{k-1})
+  beta}``) and one stacked matrix exponential of the jumps that arrived
+  since the previous snapshot, so each jump is exponentiated once.
 
 Every path owns an RNG stream keyed by (seed, path index) through a
 counter-based generator, so results are bit-identical regardless of how
@@ -59,6 +64,8 @@ class SimConfig:
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=float)
         self.x0 = symmetrize(self.x0)
+        if self.x0.shape != (self.params.dim, self.params.dim):
+            raise ValueError("x0 must be dim x dim")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (self.dt > 0):
@@ -91,16 +98,14 @@ class PathEnsemble:
 
     def snapshots_to_csv(self, path) -> None:
         """Columns: path_id, t, upper triangle of the state row-major."""
-        d = self.states.shape[-1]
+        n_times, n_paths, d, _ = self.states.shape
         iu = np.triu_indices(d)
         header = ["path_id", "t"] + [f"x_{i + 1}{j + 1}" for i, j in zip(*iu)]
-        rows = []
-        for ti, t in enumerate(self.snapshot_times):
-            for pi in range(self.states.shape[1]):
-                rows.append(
-                    [pi, t] + list(self.states[ti, pi][iu])
-                )
-        np.savetxt(path, np.asarray(rows), delimiter=",",
+        rows = np.empty((n_times * n_paths, 2 + iu[0].size))
+        rows[:, 0] = np.tile(np.arange(n_paths), n_times)
+        rows[:, 1] = np.repeat(self.snapshot_times, n_paths)
+        rows[:, 2:] = self.states[:, :, iu[0], iu[1]].reshape(n_times * n_paths, -1)
+        np.savetxt(path, rows, delimiter=",",
                    header=",".join(header), comments="")
 
     def jumps_to_csv(self, path) -> None:
@@ -209,39 +214,58 @@ def _euler_block(config: SimConfig, path_ids, n_steps, snap_steps, out, jump_log
 
 
 def _ou_block(config: SimConfig, path_ids, snapshot_times, out, jump_log):
+    """Exact zero-diffusion paths for one block, computed snapshot by snapshot.
+
+    ``X(t) = e^{t beta} x0 e^{t beta.T} + 1/2 congruence_integral(beta, b, t)
+    + J(t)`` with ``J(t) = sum_{tau <= t} E(t - tau) S_a E(t - tau).T`` and
+    ``E(s) = e^{s beta}``.  The deterministic part is shared by every path.
+    The jump mass is carried between snapshots, ``J_k = E(t_k - t_{k-1})
+    J_{k-1} E(.).T + (jumps in (t_{k-1}, t_k])``, so each jump is
+    exponentiated once, in one stacked ``mat_exp`` per snapshot.
+    """
     p = config.params
     d = p.dim
     beta = p.drift.beta
     T = config.horizon
-    m_sites = [s for s, _ in p.m.atoms]
+    m_sites = np.array([s for s, _ in p.m.atoms]).reshape(-1, d, d)
     m_rates = np.array([w for _, w in p.m.atoms])
     m_total = float(m_rates.sum()) if len(p.m) else 0.0
 
-    drift_part = {
-        float(t): 0.5 * congruence_integral(beta, p.b, float(t)) for t in snapshot_times
-    }
-    transport = {float(t): mat_exp(float(t) * beta) for t in snapshot_times}
-
-    for pid in path_ids:
-        rng = _path_rng(config.seed, pid)
-        if m_total > 0.0:
+    # per-path randomness in a fixed order; the block's jumps go into flat
+    # arrays, path by path and in time order within a path
+    owners, taus, atoms = [np.empty(0, dtype=int)], [np.empty(0)], [np.empty(0, dtype=int)]
+    if m_total > 0.0:
+        for j, pid in enumerate(path_ids):
+            rng = _path_rng(config.seed, pid)
             count = int(rng.poisson(m_total * T))
             times = np.sort(rng.random(count)) * T
-            atoms = rng.choice(len(m_sites), size=count, p=m_rates / m_total)
-        else:
-            times = np.empty(0)
-            atoms = np.empty(0, dtype=int)
-        for t, a in zip(times, atoms):
-            jump_log[pid].append((float(t), "m", int(a)))
-        for ti, t in enumerate(snapshot_times):
-            t = float(t)
-            e = transport[t]
-            x = e @ config.x0 @ e.T + drift_part[t]
-            for tau, a in zip(times, atoms):
-                if tau <= t:
-                    ej = mat_exp((t - tau) * beta)
-                    x = x + ej @ m_sites[a] @ ej.T
-            out[ti, pid] = symmetrize(x)
+            picks = rng.choice(len(m_sites), size=count, p=m_rates / m_total)
+            jump_log[pid].extend(
+                (float(t), "m", int(a)) for t, a in zip(times, picks))
+            owners.append(np.full(count, j))
+            taus.append(times)
+            atoms.append(picks)
+    owner, tau, atom = (np.concatenate(x) for x in (owners, taus, atoms))
+    # a jump enters at the first snapshot at or after its time
+    first = np.searchsorted(snapshot_times, tau, side="left")
+
+    J = np.zeros((len(path_ids), d, d))
+    t_prev = 0.0
+    for ti, t in enumerate(snapshot_times):
+        t = float(t)
+        if t > t_prev:
+            step = mat_exp((t - t_prev) * beta)
+            J = step @ J @ step.T
+        new = first == ti
+        if np.any(new):
+            lag = mat_exp((t - tau[new])[:, None, None] * beta)
+            # unbuffered and in index order: a path's jumps are summed in
+            # time order, untouched by the other paths of the block
+            np.add.at(J, owner[new], lag @ m_sites[atom[new]] @ np.swapaxes(lag, -1, -2))
+        e = mat_exp(t * beta)
+        base = e @ config.x0 @ e.T + 0.5 * congruence_integral(beta, p.b, t)
+        out[ti, path_ids] = symmetrize(base + J)
+        t_prev = t
 
 
 def simulate(config: SimConfig, snapshot_times, threads: int = 1) -> PathEnsemble:

@@ -33,14 +33,15 @@ def symmetrize(a) -> np.ndarray:
 
     Construction-time symmetrization: upstream ODE steps and matrix
     products introduce asymmetry at roundoff level, which we remove
-    rather than reject.
+    rather than reject.  A stack ``(..., d, d)`` is symmetrized matrix by
+    matrix.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    return (a + a.T) / 2.0
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
 def inner(x, y) -> float:
@@ -65,7 +66,10 @@ def psd_tol(x) -> float:
 
 def min_eigval(x) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
-    return float(np.linalg.eigvalsh(symmetrize(x))[0])
+    x = symmetrize(x)
+    if x.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {x.shape}")
+    return float(np.linalg.eigvalsh(x)[0])
 
 
 def is_psd(x, tol: float | None = None) -> bool:
@@ -109,10 +113,13 @@ def trace_norm_bracket(x) -> tuple[bool, bool]:
 
 
 def mat_exp(a) -> np.ndarray:
-    """Matrix exponential of a real square matrix.
+    """Matrix exponential of a real square matrix, or of each matrix in a
+    stack ``(..., d, d)``.
 
-    Evaluated by scaling and squaring (Pade approximant).  Overflow for
-    extreme norms is reported, never silently saturated.
+    Evaluated by scaling and squaring (Pade approximant), chosen per
+    matrix, so each matrix of a stack gets exactly the value a call on it
+    alone returns.  Overflow for extreme norms is reported, never silently
+    saturated.
     """
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):

@@ -193,3 +193,26 @@ def test_simulate_requires_sim_section(tmp_path, config_file):
          "--out-dir", str(tmp_path / "s")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("validate", "--seed"), ("validate", "--threads"),
+    ("riccati", "--seed"), ("riccati", "--threads"),
+    ("stationary", "--seed"), ("stationary", "--threads"),
+    ("verify", "--threads"),
+])
+def test_unused_flags_are_rejected(config_file, tmp_path, command, flag, capsys):
+    argv = [command, "--config", str(config_file), flag, "2"]
+    if command == "verify":
+        argv += ["--out-dir", str(tmp_path / "v")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_verify_records_seed(config_file, tmp_path):
+    out_dir = tmp_path / "v"
+    assert main(["verify", "--config", str(config_file), "--out-dir", str(out_dir),
+                 "--seed", "41"]) == 0
+    assert json.loads((out_dir / "manifest.json").read_text())["seed"] == 41

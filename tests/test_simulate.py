@@ -15,6 +15,9 @@ from affinecone import (
     simulate,
     transient_mean,
 )
+from affinecone.riccati import congruence_integral
+from affinecone.simulate import _path_rng
+from affinecone.symcone import mat_exp
 from conftest import zero_diffusion_params
 
 
@@ -106,6 +109,14 @@ def test_config_rejects_unknown_scheme():
         )
 
 
+def test_config_rejects_misshapen_start_point():
+    cfg = _jump_config()
+    for x0 in (np.eye(3), np.broadcast_to(np.eye(2), (4, 2, 2))):
+        with pytest.raises(ValueError):
+            SimConfig(params=cfg.params, sigma=cfg.sigma, x0=x0, horizon=2.0, dt=0.01,
+                      n_paths=8, seed=0, scheme="ou_exact")
+
+
 def test_simulate_rejects_off_grid_snapshot():
     cfg = _diffusion_config(n_paths=4)
     with pytest.raises(ValueError):
@@ -144,6 +155,101 @@ def test_path_count_extension_is_consistent():
     small = simulate(_diffusion_config(n_paths=100), [1.0])
     large = simulate(_diffusion_config(n_paths=300), [1.0])
     assert np.array_equal(small.states, large.states[:, :100])
+
+
+# --- exact scheme against the per-path reference loop ---------------------
+
+
+def _ou_reference(config, snapshot_times):
+    """The exact scheme path by path: one expm per jump per snapshot."""
+    p = config.params
+    beta = p.drift.beta
+    T = config.horizon
+    m_sites = [s for s, _ in p.m.atoms]
+    m_rates = np.array([w for _, w in p.m.atoms])
+    m_total = float(m_rates.sum()) if len(p.m) else 0.0
+    out = np.empty((len(snapshot_times), config.n_paths, p.dim, p.dim))
+    jump_log = [[] for _ in range(config.n_paths)]
+    for pid in range(config.n_paths):
+        rng = _path_rng(config.seed, pid)
+        if m_total > 0.0:
+            count = int(rng.poisson(m_total * T))
+            times = np.sort(rng.random(count)) * T
+            atoms = rng.choice(len(m_sites), size=count, p=m_rates / m_total)
+        else:
+            times = np.empty(0)
+            atoms = np.empty(0, dtype=int)
+        for t, a in zip(times, atoms):
+            jump_log[pid].append((float(t), "m", int(a)))
+        for ti, t in enumerate(snapshot_times):
+            e = mat_exp(t * beta)
+            x = e @ config.x0 @ e.T + 0.5 * congruence_integral(beta, p.b, t)
+            for tau, a in zip(times, atoms):
+                if tau <= t:
+                    ej = mat_exp((t - tau) * beta)
+                    x = x + ej @ m_sites[a] @ ej.T
+            out[ti, pid] = (x + x.T) / 2.0
+    return out, jump_log
+
+
+def _two_atom_config(n_paths=300, seed=5):
+    d = 2
+    p = AffineParams(
+        dim=d,
+        alpha=np.zeros((d, d)),
+        b=0.3 * np.eye(d),
+        drift=LinearDrift.lyapunov(np.array([[-0.9, 0.3], [-0.2, -0.6]])),
+        m=ScalarJumpMeasure([(np.diag([0.5, 0.25]), 0.8),
+                             (np.array([[0.3, 0.2], [0.2, 0.4]]), 1.1)]),
+    )
+    return SimConfig(params=p, sigma=np.zeros((d, d)), x0=np.diag([2.0, 0.5]),
+                     horizon=2.0, dt=0.01, n_paths=n_paths, seed=seed, scheme="ou_exact")
+
+
+@pytest.mark.parametrize("make", [lambda: _jump_config(n_paths=700), _two_atom_config])
+def test_exact_scheme_matches_reference_loop(make):
+    cfg = make()
+    times = [0.0, 0.25, 0.25, 1.0, 1.7, 2.0]
+    ens = simulate(cfg, times)
+    ref, ref_log = _ou_reference(cfg, times)
+    assert np.max(np.abs(ens.states - ref)) <= 1e-12
+    assert ens.jump_log == ref_log
+
+
+def test_exact_scheme_bit_identical_across_thread_counts():
+    cfg = _jump_config(n_paths=1200)
+    one = simulate(cfg, [0.5, 2.0], threads=1)
+    four = simulate(cfg, [0.5, 2.0], threads=4)
+    assert np.array_equal(one.states, four.states)
+    assert one.jump_log == four.jump_log
+
+
+def test_exact_scheme_path_count_extension_is_consistent():
+    small = simulate(_jump_config(n_paths=100), [0.5, 2.0])
+    large = simulate(_jump_config(n_paths=300), [0.5, 2.0])
+    assert np.array_equal(small.states, large.states[:, :100])
+    assert small.jump_log == large.jump_log[:100]
+
+
+def test_exact_scheme_without_jump_atoms():
+    jumpy = _jump_config(n_paths=16)
+    p = AffineParams(dim=2, alpha=jumpy.params.alpha, b=jumpy.params.b,
+                     drift=jumpy.params.drift)
+    cfg = SimConfig(params=p, sigma=jumpy.sigma, x0=jumpy.x0, horizon=2.0, dt=0.01,
+                    n_paths=16, seed=3, scheme="ou_exact")
+    ens = simulate(cfg, [0.5, 2.0])
+    ref, _ = _ou_reference(cfg, [0.5, 2.0])
+    assert ens.jump_log == [[] for _ in range(16)]
+    assert np.max(np.abs(ens.states - ref)) <= 1e-12
+    # with no jumps every path is the deterministic mean
+    for ti, t in enumerate((0.5, 2.0)):
+        assert np.allclose(ens.states[ti], transient_mean(p, cfg.x0, t), atol=1e-12)
+
+
+def test_exact_scheme_snapshot_at_zero_is_start_point():
+    cfg = _jump_config(n_paths=64)
+    ens = simulate(cfg, [0.0, 1.0])
+    assert np.array_equal(ens.states[0], np.broadcast_to(cfg.x0, (64, 2, 2)))
 
 
 # --- statistical agreement ----------------------------------------------
@@ -213,6 +319,27 @@ def test_jump_log_and_csv_output(tmp_path):
     data = np.loadtxt(snap, delimiter=",", skiprows=1)
     assert data.shape == (2 * 64, 2 + 3)
     assert jumps.read_text().startswith("path_id,time,source,atom_index")
+
+
+def _snapshots_csv_reference(ens, path):
+    """The snapshot writer row by row."""
+    d = ens.states.shape[-1]
+    iu = np.triu_indices(d)
+    header = ["path_id", "t"] + [f"x_{i + 1}{j + 1}" for i, j in zip(*iu)]
+    rows = []
+    for ti, t in enumerate(ens.snapshot_times):
+        for pi in range(ens.states.shape[1]):
+            rows.append([pi, t] + list(ens.states[ti, pi][iu]))
+    np.savetxt(path, np.asarray(rows), delimiter=",", header=",".join(header), comments="")
+
+
+@pytest.mark.parametrize("make", [lambda: _jump_config(n_paths=300),
+                                  lambda: _diffusion_config(n_paths=40, dt=0.05)])
+def test_snapshot_csv_matches_row_writer(tmp_path, make):
+    ens = simulate(make(), [0.0, 0.5, 1.0])
+    ens.snapshots_to_csv(tmp_path / "fast.csv")
+    _snapshots_csv_reference(ens, tmp_path / "rows.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_ergodic_sweep_reports_w1_columns():

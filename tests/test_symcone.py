@@ -37,6 +37,26 @@ def test_symmetrize_rejects_nonsquare():
         symmetrize(np.zeros((2, 3)))
 
 
+def test_symmetrize_broadcasts_over_a_stack(rng):
+    a = rng.standard_normal((5, 3, 3))
+    s = symmetrize(a)
+    assert s.shape == (5, 3, 3)
+    for k in range(5):
+        assert np.array_equal(s[k], symmetrize(a[k]))
+    a[2, 0, 1] = np.nan
+    with pytest.raises(ValueError):
+        symmetrize(a)
+    with pytest.raises(ValueError):
+        symmetrize(np.zeros((4, 2, 3)))
+
+
+def test_single_matrix_checks_reject_a_stack():
+    with pytest.raises(ValueError):
+        min_eigval(np.broadcast_to(np.eye(2), (3, 2, 2)))
+    with pytest.raises(ValueError):
+        check_cone(np.broadcast_to(np.eye(2), (3, 2, 2)))
+
+
 def test_inner_is_trace_product(rng):
     x = symmetrize(rng.standard_normal((3, 3)))
     y = symmetrize(rng.standard_normal((3, 3)))
@@ -110,9 +130,28 @@ def test_mat_exp_matches_eigendecomposition(rng):
     assert np.allclose(mat_exp(b), scipy.linalg.expm(b), atol=1e-12)
 
 
+def test_mat_exp_stack_equals_per_matrix_calls(rng):
+    # a (..., d, d) stack is exponentiated matrix by matrix, bit for bit;
+    # the scales span several scaling-and-squaring regimes
+    beta = np.array([[-0.9, 0.3], [-0.2, -0.6]])
+    stack = np.geomspace(1e-6, 40.0, 300)[:, None, None] * beta
+    stack[7] = 0.0
+    got = mat_exp(stack)
+    assert got.shape == stack.shape
+    for a, e in zip(stack, got):
+        assert np.array_equal(e, mat_exp(a))
+    assert np.array_equal(got[7], np.eye(2))
+    grid = rng.standard_normal((2, 4, 3, 3))
+    got = mat_exp(grid)
+    assert got.shape == (2, 4, 3, 3)
+    assert np.array_equal(got[1, 2], mat_exp(grid[1, 2]))
+
+
 def test_mat_exp_overflow():
     with pytest.raises(OverflowError):
         mat_exp(np.eye(2) * 1e6)
+    with pytest.raises(OverflowError):
+        mat_exp(np.stack([np.eye(2), np.eye(2) * 1e6]))
 
 
 def test_psd_tol_scales_with_norm():
