@@ -373,9 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, tol_default=1e-9, seed=False, threads=False):
+    def common(sp, tol=None, seed=False, threads=False):
         sp.add_argument("--config", required=True, help="model config (JSON)")
-        sp.add_argument("--tol", type=float, default=tol_default)
+        if tol is not None:
+            sp.add_argument("--tol", type=float, default=tol)
         if seed:
             sp.add_argument("--seed", type=int, default=None,
                             help="Monte Carlo seed (overrides the config's sim.seed)")
@@ -389,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_validate)
 
     sp = sub.add_parser("riccati", help="solve the Riccati flow for one start value")
-    common(sp)
+    common(sp, tol=1e-9)
     sp.add_argument("--u", default="identity", help="'identity' or a JSON matrix file")
     sp.add_argument("--T", type=float, default=5.0)
     sp.add_argument("--out", default=None, help="trajectory CSV path")
@@ -398,13 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_riccati)
 
     sp = sub.add_parser("stationary", help="stationary law report")
-    common(sp, tol_default=1e-8)
+    common(sp, tol=1e-8)
     sp.add_argument("--out", default=None, help="JSON report path")
     sp.add_argument("--table", default=None, help="Laplace-transform table CSV path")
     sp.set_defaults(fn=cmd_stationary)
 
     sp = sub.add_parser("verify", help="verify convergence bounds on a time grid")
-    common(sp, tol_default=1e-8, seed=True)
+    common(sp, tol=1e-8, seed=True)
     sp.add_argument("--out-dir", required=True)
     sp.add_argument("--inflate-delta", type=float, default=1.0,
                     help="self-test: multiply the decay rate (must cause exit 5)")

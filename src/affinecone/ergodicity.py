@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import AffineParams, SymOperator
-from .riccati import RiccatiTrajectory, riccati_F, solve_riccati
+from .riccati import RiccatiTrajectory, riccati_DF, solve_riccati
 from .symcone import (
     frobenius,
     is_psd,
@@ -155,21 +155,33 @@ class InvariantLaw:
     """Stationary distribution, queried through its Laplace transform.
 
     The transform is ``exp(-I(u))`` with ``I(u)`` the running cost
-    integrated along the Riccati flow from ``u``; the integration horizon
-    is chosen from the certified decay rate so the neglected tail is
-    below tolerance.  Computed exponents are cached per probe under a
-    rounded key; ``c_hat`` records the largest observed prefactor of the
-    exponential cost decay and feeds the metric bound.
+    integrated along the Riccati flow from ``u``, up to a horizon fixed in
+    advance from the closed-form cost-decay constant :attr:`c_hat` so the
+    neglected tail is below tolerance.  Computed exponents are cached per
+    probe under a rounded key.
     """
 
     params: AffineParams
     cert: DecayCertificate
     mean: np.ndarray = field(init=False)
-    c_hat: float = field(init=False, default=0.0)
     _cache: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         self.mean = invariant_mean(self.params, self.cert)
+
+    @property
+    def c_hat(self) -> float:
+        """Cost-decay constant ``C = ||DF(0)|| M``.
+
+        On the cone ``R(u) <= B_eff*(u)`` (``-2 u alpha u <= 0`` and
+        ``1 - e^{-x} <= x``), and ``e^{t B_eff*}`` preserves the cone, so by
+        comparison ``psi(t, u) <= e^{t B_eff*} u``.  ``F`` is concave and
+        ``DF(0) = b + sum_i w_i site_i`` lies in the cone, hence
+        ``F(psi(t, u)) <= <DF(0), psi(t, u)> <= C ||u|| e^{-delta t}``.  It
+        is as certified as ``M`` is: on the certificate's time grid.
+        """
+        zero = np.zeros((self.params.dim, self.params.dim))
+        return frobenius(riccati_DF(self.params, zero)) * self.cert.M
 
     def _key(self, u, tol):
         # rounding to 1e-12 absolute merges roundoff-level copies of a
@@ -203,34 +215,20 @@ class InvariantLaw:
     def _integrate(self, us, tol: float) -> None:
         """Fill the cache for nonzero probes ``us``.
 
-        Each pass solves the probes whose tail bound is still at least
-        ``tol``, as one stack, to the largest horizon any of them needs;
-        the first pass estimates each probe's cost-decay prefactor.
+        Probe ``u`` needs the horizon
+        ``T = max(1, 5/delta, log(max(C ||u|| / (delta tol), 2)) / delta)``,
+        past which the tail ``C ||u|| e^{-delta T} / delta`` of its cost
+        integral is below ``tol`` (``C`` is :attr:`c_hat`).  All probes are
+        solved as one stack to the largest of these horizons.
         """
         us = np.asarray(us, dtype=float)
         norms = np.linalg.norm(us, axis=(1, 2))
         delta = self.cert.delta
-        solver_tol = min(1e-10, tol * 1e-2)
-        solver_tol = max(solver_tol, 1e-12)
-        vals = np.empty(len(us))
-
-        todo = np.arange(len(us))
-        T = max(1.0, 5.0 / delta)
-        for _ in range(8):
-            traj = solve_riccati(self.params, us[todo], T, tol=solver_tol)
-            cost = riccati_F(self.params, traj.psi)
-            c_est = np.max(cost * np.exp(delta * traj.times)[:, None], axis=0) / norms[todo]
-            c_hat = 2.0 * np.maximum(c_est, 1e-300)
-            self.c_hat = max(self.c_hat, float(np.max(c_hat)))
-            vals[todo] = traj.phi[-1]
-            tail = c_hat * norms[todo] * np.exp(-delta * T) / delta
-            short = tail >= tol
-            if not np.any(short):
-                break
-            need = np.log(c_hat[short] * norms[todo][short] / (delta * tol)) / delta
-            T = max(T * 1.5, float(np.max(need)))
-            todo = todo[short]
-        for u, val in zip(us, vals):
+        need = np.log(np.maximum(self.c_hat * norms / (delta * tol), 2.0)) / delta
+        T = max(1.0, 5.0 / delta, float(np.max(need)))
+        solver_tol = max(min(1e-10, tol * 1e-2), 1e-12)
+        phi = solve_riccati(self.params, us, T, tol=solver_tol, t_eval=[T]).phi[-1]
+        for u, val in zip(us, phi):
             self._cache[self._key(u, tol)] = float(val)
 
     def laplace(self, u, tol: float = 1e-8) -> float:
@@ -322,9 +320,10 @@ def dL_table(
 
 
 def dL_bound(cert: DecayCertificate, C_hat: float, x, t) -> np.ndarray | float:
-    """Exponential upper bound ``C (1 + ||x||) e^{-delta t}`` with the
-    constant assembled from the certificate and the cost prefactor:
-    ``C = 2 max(M, C_hat / delta)``."""
+    """Exponential upper bound ``C (1 + ||x||) e^{-delta t}`` on the
+    Laplace metric, with ``C = 2 max(M, C_hat / delta)`` and ``C_hat`` the
+    cost-decay constant ``||DF(0)|| M`` (:attr:`InvariantLaw.c_hat`); like
+    ``M``, it is certified on the certificate's time grid."""
     C = 2.0 * max(cert.M, C_hat / cert.delta)
     t = np.asarray(t, dtype=float)
     out = C * (1.0 + frobenius(x)) * np.exp(-cert.delta * t)

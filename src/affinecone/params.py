@@ -66,10 +66,6 @@ class SymOperator:
         cols = [vectorize(fn(e)) for e in sym_basis(dim)]
         return cls(dim, np.column_stack(cols))
 
-    @classmethod
-    def identity(cls, dim: int) -> "SymOperator":
-        return cls(dim, np.eye(sym_dim(dim)))
-
     def apply(self, x) -> np.ndarray:
         """Apply to one symmetric matrix or a stack ``(..., d, d)``."""
         return unvectorize(vectorize(x) @ self.matrix.T)
@@ -102,8 +98,6 @@ class ScalarJumpMeasure:
             check_cone(site)
             if not (mass > 0.0 and np.isfinite(mass)):
                 raise ValueError(f"jump masses must be positive and finite, got {mass}")
-        # finite by atomicity; asserted for the record
-        assert np.isfinite(sum(w * min(frobenius(s), 1.0) for s, w in self.atoms) or 0.0)
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -137,9 +131,6 @@ class MatrixJumpMeasure:
                 raise ValueError("jump sites must be nonzero")
             check_cone(site)
             check_cone(weight)
-        assert np.isfinite(
-            sum(frobenius(s) * np.trace(w) for s, w in self.atoms) or 0.0
-        )
 
     def __len__(self) -> int:
         return len(self.atoms)

@@ -200,11 +200,14 @@ def test_simulate_requires_sim_section(tmp_path, config_file):
     ("riccati", "--seed"), ("riccati", "--threads"),
     ("stationary", "--seed"), ("stationary", "--threads"),
     ("verify", "--threads"),
+    ("validate", "--tol"), ("simulate", "--tol"),
 ])
 def test_unused_flags_are_rejected(config_file, tmp_path, command, flag, capsys):
     argv = [command, "--config", str(config_file), flag, "2"]
     if command == "verify":
         argv += ["--out-dir", str(tmp_path / "v")]
+    if command == "simulate":
+        argv += ["--snapshots", "1.0", "--out-dir", str(tmp_path / "s")]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

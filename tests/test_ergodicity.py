@@ -7,6 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+import affinecone.ergodicity as ergodicity
 from affinecone import (
     AffineParams,
     HypothesisViolatedError,
@@ -22,6 +23,8 @@ from affinecone import (
     invariant_mean,
     log_moment_gate,
     random_psd,
+    riccati_DF,
+    riccati_F,
     spectral_abscissa,
     solve_riccati,
     sqrt_psd,
@@ -32,6 +35,7 @@ from affinecone import (
     w1_mean_gap_check,
 )
 from conftest import random_wishart, zero_diffusion_params
+from test_acceptance import _random_subcritical
 
 
 # --- decay certificate ---------------------------------------------------
@@ -247,6 +251,78 @@ def test_cache_key_does_not_overflow():
         a = law._key(1e7 * np.eye(2), 1e-8)
         b = law._key(2e7 * np.eye(2), 1e-8)
     assert a != b
+
+
+def test_c_hat_is_closed_form_and_query_independent():
+    p = zero_diffusion_params(rate=0.7)
+    cert = decay_certificate(p)
+    expect = frobenius(riccati_DF(p, np.zeros((2, 2)))) * cert.M
+    small, large = np.diag([0.05, 0.02]), np.diag([80.0, 30.0])
+    forward, backward = InvariantLaw(p, cert), InvariantLaw(p, cert)
+    assert forward.c_hat == expect
+    forward.exponent(small)
+    forward.exponent(large)
+    backward.exponent(large)
+    backward.exponent(small)
+    assert forward.c_hat == backward.c_hat == expect
+
+
+def test_exponents_make_one_solve_that_meets_tol(monkeypatch):
+    p = zero_diffusion_params(rate=0.7)
+    cert = decay_certificate(p)
+    law = InvariantLaw(p, cert)
+    horizons = []
+
+    def spy(params, u0, T, **kwargs):
+        horizons.append(T)
+        return solve_riccati(params, u0, T, **kwargs)
+
+    monkeypatch.setattr(ergodicity, "solve_riccati", spy)
+    grid = standard_u_grid(2)
+    tol = 1e-8
+    law.exponents(grid, tol)
+    assert len(horizons) == 1
+    norms = np.linalg.norm(grid, axis=(1, 2))
+    tail = law.c_hat * norms * np.exp(-cert.delta * horizons[0]) / cert.delta
+    # the largest probe sets the horizon, so its tail meets tol up to roundoff
+    assert np.all(tail <= tol * (1.0 + 1e-12))
+
+
+def _criterion_3_models():
+    # the models of acceptance criterion 3, drawn in the same order
+    rng = np.random.default_rng(303)
+    models = []
+    for build in (lambda: random_wishart(2, rng).to_params(),
+                  lambda: _random_subcritical(rng)):
+        for _ in range(3):
+            models.append(build())
+            random_psd(2, rng)
+            random_psd(2, rng, 5.0)
+    return models + [zero_diffusion_params(rate=0.7)]
+
+
+@pytest.mark.parametrize("p", _criterion_3_models())
+def test_flow_is_dominated_by_the_linearized_flow(p):
+    # psi(t, u) <= e^{t B_eff*} u in the cone order, hence
+    # F(psi(t, u)) <= c_hat ||u|| e^{-delta t}
+    cert = decay_certificate(p)
+    law = InvariantLaw(p, cert)
+    rng = np.random.default_rng(11)
+    dirs = [np.eye(2) / np.sqrt(2), np.diag([1.0, 0.0])]
+    for _ in range(2):
+        v = rng.standard_normal(2)
+        dirs.append(np.outer(v, v) / (v @ v))
+    us = np.array([r * v for r in (0.1, 1.0, 10.0, 100.0) for v in dirs])
+    times = np.linspace(0.0, 6.0 / cert.delta, 13)[1:]
+    traj = solve_riccati(p, us, float(times[-1]), tol=1e-10, t_eval=times)
+    adj = p.effective_drift().adjoint()
+    norms = np.linalg.norm(us, axis=(1, 2))
+    for t, psi in zip(times, traj.psi):
+        linear = adj.expm(t).apply(us)
+        floor = np.linalg.eigvalsh(linear - psi)[:, 0]
+        assert np.all(floor >= -1e-9 * np.maximum(1.0, norms))
+        cost = riccati_F(p, psi)
+        assert np.all(cost <= law.c_hat * norms * np.exp(-cert.delta * t))
 
 
 # --- metric diagnostics --------------------------------------------------
