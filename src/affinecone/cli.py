@@ -5,9 +5,19 @@ Every command is a pure function of its config file and flags; output
 files are hashed into a run manifest so reruns can be compared byte for
 byte.  Exit codes partition failure causes disjointly:
 
-    2  malformed config        1  admissibility failure
-    3  solver failure          4  not subcritical
-    5  bound violation         6  simulation failure
+    2  malformed config, or a flag the model cannot honour
+    1  admissibility failure   3  solver failure
+    4  not subcritical         5  bound violation
+    6  simulation failure
+
+Exit 2 covers a config that cannot be read or parsed into a parameter
+set; a ``--u`` matrix or ``sim.x0`` that is unreadable, not
+``dim x dim``, non-finite or outside the cone; a ``sim`` section that is
+missing or malformed, or snapshot times past the horizon or off the step
+grid; and ``--closed-form`` on a model outside the Wishart family.  Each
+command raises; ``main`` maps the exception to its code in one table,
+``FAILURES``.  Only ``validate`` (clauses failed) and ``verify`` (a bound
+violated) return a nonzero code themselves.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from .ergodicity import (
     standard_u_grid,
     w1_mean_gap_check,
 )
-from .params import AdmissibilityError, AffineParams
+from .params import AdmissibilityError, AffineParams, ConfigError, load_params
 from .riccati import (
     SolverFailureError,
     WishartSpec,
@@ -42,7 +52,7 @@ from .riccati import (
     solve_riccati,
 )
 from .simulate import PathFailureError, SimConfig, mc_vs_formula, simulate
-from .symcone import ConeViolationError, frobenius, symmetrize
+from .symcone import ConeViolationError, check_cone, frobenius, symmetrize
 
 EXIT_ADMISSIBILITY = 1
 EXIT_PARSE = 2
@@ -50,6 +60,16 @@ EXIT_SOLVER = 3
 EXIT_CRITICALITY = 4
 EXIT_BOUND = 5
 EXIT_SIMULATION = 6
+
+# the only exception -> exit-code map: (exception type, exit code, stderr prefix)
+FAILURES = (
+    (ConfigError, EXIT_PARSE, "config error"),
+    (AdmissibilityError, EXIT_ADMISSIBILITY, "admissibility failure"),
+    (NotSubcriticalError, EXIT_CRITICALITY, "not subcritical"),
+    (SolverFailureError, EXIT_SOLVER, "solver failure"),
+    (ConeViolationError, EXIT_SOLVER, "solver failure"),
+    (PathFailureError, EXIT_SIMULATION, "simulation failure"),
+)
 
 
 def _sha256(path: Path) -> str:
@@ -69,35 +89,31 @@ def _write_manifest(out_dir: Path, command: str, config_path: str, seed, outputs
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _load_config(path: str, force: bool = False) -> tuple[AffineParams, dict]:
-    with open(path) as fh:
-        data = json.load(fh)
-    p = AffineParams.from_dict(data)
-    report = p.validate()
-    if not report.passed and not force:
-        raise AdmissibilityError(
-            f"parameter set fails clauses: {', '.join(report.failures())}"
-        )
-    return p, data
-
-
-def _matrix_arg(spec: str, dim: int) -> np.ndarray:
-    if spec == "identity":
-        return np.eye(dim)
-    with open(spec) as fh:
-        return symmetrize(np.asarray(json.load(fh), dtype=float))
+def _cone_matrix(value, dim: int, name: str) -> np.ndarray:
+    """A ``dim x dim`` matrix on the cone, symmetrized, from a nested list
+    or (given a ``Path``) a JSON file holding one; ``ConfigError`` if not."""
+    try:
+        if isinstance(value, Path):
+            value = json.loads(value.read_text())
+        x = symmetrize(np.asarray(value, dtype=float))
+        if x.shape != (dim, dim):
+            raise ValueError(f"expected shape ({dim}, {dim}), got {x.shape}")
+        check_cone(x)
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+    return x
 
 
 def _wishart_spec(p: AffineParams) -> WishartSpec:
     """Recover the pure-diffusion closed-form family from a parameter set."""
     if len(p.mu) or p.drift.kind != "lyapunov":
-        raise ValueError("closed form requires a lyapunov drift and no matrix jumps")
+        raise ConfigError("--closed-form requires a lyapunov drift and no matrix jumps")
     denom = 2.0 * float(np.sum(p.alpha * p.alpha))
     if denom == 0.0:
-        raise ValueError("closed form requires a nonzero diffusion matrix")
+        raise ConfigError("--closed-form requires a nonzero diffusion matrix")
     k = float(np.sum(p.b * p.alpha)) / denom
     if frobenius(p.b - 2.0 * k * p.alpha) > 1e-10 * max(1.0, frobenius(p.b)):
-        raise ValueError("closed form requires b proportional to alpha")
+        raise ConfigError("--closed-form requires b proportional to alpha")
     return WishartSpec(alpha=p.alpha, beta=p.drift.beta, k=k, m=p.m)
 
 
@@ -105,11 +121,7 @@ def _wishart_spec(p: AffineParams) -> WishartSpec:
 
 
 def cmd_validate(args) -> int:
-    try:
-        p, _ = _load_config(args.config, force=True)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"config parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    p, _ = load_params(args.config, force=True)
     report = p.validate()
     gate = log_moment_gate(p)
     payload = {"validation": report.to_dict(), "hypotheses": gate.to_dict()}
@@ -125,32 +137,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_riccati(args) -> int:
-    try:
-        p, _ = _load_config(args.config)
-    except AdmissibilityError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_ADMISSIBILITY
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"config parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    u0 = _matrix_arg(args.u, p.dim)
-    try:
-        traj = solve_riccati(p, u0, args.T, tol=args.tol)
-    except (SolverFailureError, ConeViolationError) as exc:
-        last = getattr(exc, "last_t", None)
-        where = f" (last good t = {last:.6g})" if last is not None else ""
-        print(f"solver failure: {exc}{where}", file=sys.stderr)
-        return EXIT_SOLVER
+    p, _ = load_params(args.config)
+    u0 = np.eye(p.dim) if args.u == "identity" else _cone_matrix(Path(args.u), p.dim, "--u")
+    spec = _wishart_spec(p) if args.closed_form else None
+    traj = solve_riccati(p, u0, args.T, tol=args.tol)
     if args.out:
         traj.to_csv(args.out)
     print(f"|psi(T, u)| = {frobenius(traj.psi[-1]):.12g}")
     print(f"phi(T, u)   = {traj.phi[-1]:.12g}")
-    if args.closed_form:
-        try:
-            spec = _wishart_spec(p)
-        except ValueError as exc:
-            print(f"closed-form check unavailable: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+    if spec is not None:
         dev = max(
             frobenius(traj.psi[i] - psi_closed_form_wishart(spec, u0, t))
             for i, t in enumerate(traj.times)
@@ -162,28 +157,13 @@ def cmd_riccati(args) -> int:
 
 
 def cmd_stationary(args) -> int:
-    try:
-        p, _ = _load_config(args.config)
-    except AdmissibilityError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_ADMISSIBILITY
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"config parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        cert = decay_certificate(p)
-    except NotSubcriticalError as exc:
-        print(f"not subcritical: {exc}", file=sys.stderr)
-        return EXIT_CRITICALITY
+    p, _ = load_params(args.config)
+    cert = decay_certificate(p)
     law = InvariantLaw(p, cert)
     gate = log_moment_gate(p)
 
     grid = standard_u_grid(p.dim)
-    try:
-        exponents = law.exponents(grid, args.tol)
-    except (SolverFailureError, ConeViolationError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    exponents = law.exponents(grid, args.tol)
     table = [(frobenius(u), float(np.exp(-e))) for u, e in zip(grid, exponents)]
 
     report = {
@@ -210,19 +190,10 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        p, data = _load_config(args.config)
-    except AdmissibilityError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_ADMISSIBILITY
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"config parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        cert = decay_certificate(p)
-    except NotSubcriticalError as exc:
-        print(f"not subcritical: {exc}", file=sys.stderr)
-        return EXIT_CRITICALITY
+    p, data = load_params(args.config)
+    sim = data.get("sim", {})
+    x = _cone_matrix(sim["x0"], p.dim, "sim.x0") if "x0" in sim else np.eye(p.dim)
+    cert = decay_certificate(p)
     if args.inflate_delta != 1.0:
         # self-test hook: an overstated decay rate must make the bounds fail
         cert = DecayCertificate(
@@ -236,25 +207,16 @@ def cmd_verify(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    x = np.eye(p.dim)
-    sim = data.get("sim", {})
-    if "x0" in sim:
-        x = symmetrize(np.asarray(sim["x0"], dtype=float))
-
     delta = cert.delta
     times = np.arange(0.0, 6.01, 0.5) / delta
     grid = standard_u_grid(p.dim)
 
     violation = None
 
-    try:
-        # one stacked flow of the probe grid feeds both tables
-        flow = solve_riccati(p, np.array(grid), float(times[-1]), tol=1e-10,
-                             t_eval=times[times > 0])
-        dl = dL_table(p, law, x, times, u_grid=grid, tol=args.tol, flow=flow)
-    except (SolverFailureError, ConeViolationError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    # one stacked flow of the probe grid feeds both tables
+    flow = solve_riccati(p, np.array(grid), float(times[-1]), tol=1e-10,
+                         t_eval=times[times > 0])
+    dl = dL_table(p, law, x, times, u_grid=grid, tol=args.tol, flow=flow)
     bounds = dL_bound(cert, law.c_hat, x, times)
     dl_path = out_dir / "dL_table.csv"
     with open(dl_path, "w", newline="") as fh:
@@ -309,18 +271,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        p, data = _load_config(args.config)
-    except AdmissibilityError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_ADMISSIBILITY
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"config parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    p, data = load_params(args.config)
     sim = data.get("sim")
-    if sim is None:
-        print("config has no 'sim' section", file=sys.stderr)
-        return EXIT_PARSE
+    if not isinstance(sim, dict):
+        raise ConfigError("config has no 'sim' section")
     try:
         seed = args.seed if args.seed is not None else int(sim.get("seed", 0))
         config = SimConfig(
@@ -333,17 +287,15 @@ def cmd_simulate(args) -> int:
             seed=seed,
             scheme=sim.get("scheme", "euler_project"),
         )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"sim: {type(exc).__name__}: {exc}") from exc
+    try:
         snapshots = [float(s) for s in args.snapshots.split(",")]
-    except (KeyError, ValueError) as exc:
-        print(f"config parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        ens = simulate(config, snapshots, threads=args.threads)
+    except ValueError as exc:  # not numbers, past the horizon or off the step grid
+        raise ConfigError(f"--snapshots: {exc}") from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        ens = simulate(config, snapshots, threads=args.threads)
-    except PathFailureError as exc:
-        print(f"simulation failure: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
     snap_path = out_dir / "snapshots.csv"
     jump_path = out_dir / "jumps.csv"
     z_path = out_dir / "zscores.csv"
@@ -421,7 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except tuple(kind for kind, _, _ in FAILURES) as exc:
+        code, prefix = next((c, pre) for kind, c, pre in FAILURES if isinstance(exc, kind))
+        last = getattr(exc, "last_t", None)
+        where = f" (last good t = {last:.6g})" if last is not None else ""
+        print(f"{prefix}: {exc}{where}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

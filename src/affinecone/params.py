@@ -46,6 +46,10 @@ class AdmissibilityError(ValueError):
     """A parameter set failed validation."""
 
 
+class ConfigError(ValueError):
+    """A config could not be read, or does not describe a parameter set."""
+
+
 @dataclass
 class SymOperator:
     """A linear map on symmetric ``d x d`` matrices, stored as its matrix
@@ -244,8 +248,14 @@ class AffineParams:
     def __post_init__(self):
         self.alpha = symmetrize(self.alpha)
         self.b = symmetrize(self.b)
-        if self.alpha.shape != (self.dim, self.dim) or self.b.shape != (self.dim, self.dim):
-            raise ValueError("alpha and b must be dim x dim")
+        matrices = [self.alpha, self.b, *(s for s, _ in self.m.atoms),
+                    *(x for atom in self.mu.atoms for x in atom)]
+        if self.drift.kind != "general":
+            matrices.append(self.drift.beta)
+        elif self.drift.operator_matrix.shape != (sym_dim(self.dim),) * 2:
+            raise ValueError("a general drift operator must be D x D, D = dim (dim + 1) / 2")
+        if any(x.shape != (self.dim, self.dim) for x in matrices):
+            raise ValueError("alpha, b, beta and every jump site and weight must be dim x dim")
 
     def validate(self, n_boundary_samples: int = 500, seed: int = 20210) -> ValidationReport:
         """Check each admissibility clause; failures are reported, not raised.
@@ -370,18 +380,28 @@ class AffineParams:
             json.dump(self.to_dict(), fh, indent=2)
 
 
-def load_params(path, force: bool = False) -> AffineParams:
+def load_params(path, force: bool = False) -> tuple[AffineParams, dict]:
     """Load a parameter file, symmetrize its matrices, and validate.
 
-    Fails hard on clause violations unless ``force`` is set.
+    Returns the parameter set and the parsed JSON object (which may carry
+    sections other than the model, such as ``sim``).  Any read or parse
+    failure raises ``ConfigError``; clause violations raise
+    ``AdmissibilityError``.  With ``force`` the set is not validated, so
+    a caller that reports the clauses validates it once.
     """
-    with open(path) as fh:
-        data = json.load(fh)
-    p = AffineParams.from_dict(data)
-    report = p.validate()
-    if not report.passed and not force:
-        raise AdmissibilityError(f"parameter set fails clauses: {', '.join(report.failures())}")
-    return p
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        p = AffineParams.from_dict(data)
+    except (OSError, AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {type(exc).__name__}: {exc}") from exc
+    if not force:
+        report = p.validate()
+        if not report.passed:
+            raise AdmissibilityError(
+                f"parameter set fails clauses: {', '.join(report.failures())}"
+            )
+    return p, data
 
 
 def is_subdominant_psd(x, y) -> bool:

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from affinecone import (
+    AffineParams,
     ConeViolationError,
+    LinearDrift,
     ScalarJumpMeasure,
     SolverFailureError,
     WishartSpec,
@@ -62,6 +64,77 @@ def test_parse_error_exit_code(tmp_path):
     broken.write_text("{not json")
     assert main(["validate", "--config", str(broken)]) == 2
     assert main(["riccati", "--config", str(broken)]) == 2
+
+
+def _with(**entries):
+    return lambda data: {**data, **entries}
+
+
+def _with_x0(x0):
+    return lambda data: {**data, "sim": {**data["sim"], "x0": x0}}
+
+
+NOT_PSD = [[1.0, 0.0], [0.0, -1.0]]
+
+
+@pytest.mark.parametrize("argv, edit, u", [
+    pytest.param(["validate"], _with(dim=None), None, id="dim-null"),
+    pytest.param(["validate"], lambda data: [data], None, id="top-level-list"),
+    pytest.param(["validate"], _with(drift="lyapunov"), None, id="drift-string"),
+    pytest.param(["riccati"], None, "missing", id="u-missing-file"),
+    pytest.param(["riccati"], None, np.eye(3).tolist(), id="u-wrong-shape"),
+    pytest.param(["simulate", "--snapshots", "2.0"], None, None, id="snapshot-past-horizon"),
+    pytest.param(["simulate", "--snapshots", "0.005"], None, None, id="snapshot-off-grid"),
+    pytest.param(["verify"], _with_x0(np.eye(3).tolist()), None, id="x0-wrong-shape"),
+    pytest.param(["riccati"], None, NOT_PSD, id="u-not-psd"),
+    pytest.param(["riccati"], None, [[1.0, float("nan")], [float("nan"), 1.0]],
+                 id="u-not-finite"),
+    pytest.param(["verify"], _with_x0(NOT_PSD), None, id="x0-not-psd"),
+    pytest.param(["validate"], _with(drift={"kind": "lyapunov", "beta": [[-1.0]]}), None,
+                 id="beta-wrong-shape"),
+])
+def test_bad_input_exits_2_without_traceback(config_file, tmp_path, capsys, argv, edit, u):
+    cfg = config_file
+    if edit is not None:
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(edit(json.loads(config_file.read_text()))))
+    argv = argv + ["--config", str(cfg)]
+    if u is not None:
+        u_path = tmp_path / "u.json"
+        if u != "missing":
+            u_path.write_text(json.dumps(u))
+        argv += ["--u", str(u_path)]
+    if argv[0] in ("verify", "simulate"):
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_closed_form_unavailable_writes_nothing(tmp_path, capsys):
+    d = 2
+    p = AffineParams(dim=d, alpha=np.zeros((d, d)), b=np.zeros((d, d)),
+                     drift=LinearDrift.lyapunov(-np.eye(d)),
+                     m=ScalarJumpMeasure([(np.diag([0.3, 0.1]), 0.5)]))
+    cfg = tmp_path / "jumps.json"
+    p.save(cfg)
+    out = tmp_path / "f.csv"
+    assert main(["riccati", "--config", str(cfg), "--closed-form", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_validate_validates_once(config_file, monkeypatch):
+    calls = []
+    real = AffineParams.validate
+
+    def spy(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(AffineParams, "validate", spy)
+    assert main(["validate", "--config", str(config_file)]) == 0
+    assert len(calls) == 1
 
 
 def test_inadmissible_blocks_computation(tmp_path, config_file):

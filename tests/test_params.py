@@ -17,6 +17,7 @@ from affinecone import (
     sym_dim,
     symmetrize,
 )
+from affinecone.params import ConfigError
 
 
 def _random_params(d, rng, kind="lyapunov"):
@@ -235,7 +236,7 @@ def test_json_roundtrip(tmp_path, rng):
     p.mu = MatrixJumpMeasure([(np.eye(d), 0.05 * np.eye(d))])
     path = tmp_path / "model.json"
     p.save(path)
-    q = load_params(path)
+    q, _ = load_params(path)
     assert q.dim == p.dim
     assert np.allclose(q.alpha, p.alpha)
     assert np.allclose(q.b, p.b)
@@ -254,8 +255,32 @@ def test_load_params_rejects_inadmissible(tmp_path):
     p.save(path)
     with pytest.raises(AdmissibilityError):
         load_params(path)
-    q = load_params(path, force=True)
+    q, _ = load_params(path, force=True)
     assert not q.validate().passed
+
+
+@pytest.mark.parametrize("text", [
+    None,  # no such file
+    "{not json",
+    "[1, 2]",
+    '{"dim": null, "alpha": [[1]], "b": [[1]], "drift": {"kind": "lyapunov", "beta": [[-1]]}}',
+    '{"dim": 1, "alpha": [[1]], "b": [[1]], "drift": "lyapunov"}',
+    '{"dim": 2, "alpha": [[1, 0], [0, 1]], "b": [[1, 0], [0, 1]],'
+    ' "drift": {"kind": "lyapunov", "beta": [[-1]]}}',
+    '{"dim": 1, "alpha": [[1]], "b": [[1]], "drift": {"kind": "lyapunov", "beta": [[-1]]},'
+    ' "m": {"atoms": [{"site": [[-1]], "mass": 1}]}}',
+    '{"dim": 1, "alpha": [[1]], "b": [[1]], "drift": {"kind": "lyapunov", "beta": [[-1]]},'
+    ' "m": []}',
+    '{"dim": Infinity, "alpha": [[1]], "b": [[1]], "drift": {"kind": "lyapunov", "beta": [[-1]]}}',
+    '{"dim": 2, "alpha": [[1, 0], [0, 1]], "b": [[1, 0], [0, 1]],'
+    ' "drift": {"kind": "general", "operator": [[-1]]}}',
+])
+def test_load_params_rejects_malformed_file(tmp_path, text):
+    path = tmp_path / "malformed.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError):
+        load_params(path)
 
 
 def test_is_subdominant_psd():
