@@ -14,10 +14,15 @@ Exit 2 covers a config that cannot be read or parsed into a parameter
 set; a ``--u`` matrix or ``sim.x0`` that is unreadable, not
 ``dim x dim``, non-finite or outside the cone; a ``sim`` section that is
 missing or malformed, or snapshot times past the horizon or off the step
-grid; and ``--closed-form`` on a model outside the Wishart family.  Each
+grid; ``--closed-form`` on a model outside the Wishart family; a
+``--tol`` outside ``riccati.TOL_RANGE`` (``[1e-12, 1e-3]``); and a
+``--T`` or ``--inflate-delta`` that is not positive and finite.  Each
 command raises; ``main`` maps the exception to its code in one table,
 ``FAILURES``.  Only ``validate`` (clauses failed) and ``verify`` (a bound
 violated) return a nonzero code themselves.
+
+``verify`` solves its probe grid as one flow, which serves the transient
+Laplace table, the ``psi`` decay envelope and the stationary exponents.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .ergodicity import (
 )
 from .params import AdmissibilityError, AffineParams, ConfigError, load_params
 from .riccati import (
+    TOL_RANGE,
     SolverFailureError,
     WishartSpec,
     phi_closed_form_mbajd,
@@ -87,6 +93,17 @@ def _write_manifest(out_dir: Path, command: str, config_path: str, seed, outputs
         "outputs": [{"path": str(p), "sha256": _sha256(Path(p))} for p in outputs],
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def _check_flags(args) -> None:
+    """``ConfigError`` for ``--tol`` outside ``TOL_RANGE``, or ``--T`` or
+    ``--inflate-delta`` not positive and finite (NaN fails both tests)."""
+    lo, hi = TOL_RANGE
+    if not lo <= getattr(args, "tol", lo) <= hi:
+        raise ConfigError(f"--tol must lie in [{lo:g}, {hi:g}], got {args.tol:g}")
+    for flag, name in (("--T", "T"), ("--inflate-delta", "inflate_delta")):
+        if not 0.0 < getattr(args, name, 1.0) < np.inf:
+            raise ConfigError(f"{flag} must be positive and finite, got {getattr(args, name):g}")
 
 
 def _cone_matrix(value, dim: int, name: str) -> np.ndarray:
@@ -209,14 +226,12 @@ def cmd_verify(args) -> int:
 
     delta = cert.delta
     times = np.arange(0.0, 6.01, 0.5) / delta
-    grid = standard_u_grid(p.dim)
 
     violation = None
 
-    # one stacked flow of the probe grid feeds both tables
-    flow = solve_riccati(p, np.array(grid), float(times[-1]), tol=1e-10,
-                         t_eval=times[times > 0])
-    dl = dL_table(p, law, x, times, u_grid=grid, tol=args.tol, flow=flow)
+    # one stacked flow of the probe grid feeds both tables and the exponents
+    flow = law.flow(standard_u_grid(p.dim), args.tol, times)
+    dl = dL_table(p, law, x, times, tol=args.tol, flow=flow)
     bounds = dL_bound(cert, law.c_hat, x, times)
     dl_path = out_dir / "dL_table.csv"
     with open(dl_path, "w", newline="") as fh:
@@ -374,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.fn(args)
     except tuple(kind for kind, _, _ in FAILURES) as exc:
         code, prefix = next((c, pre) for kind, c, pre in FAILURES if isinstance(exc, kind))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import AffineParams, SymOperator
-from .riccati import RiccatiTrajectory, riccati_DF, solve_riccati
+from .riccati import TOL_RANGE, RiccatiTrajectory, riccati_DF, solve_riccati
 from .symcone import (
     frobenius,
     is_psd,
@@ -158,7 +158,10 @@ class InvariantLaw:
     integrated along the Riccati flow from ``u``, up to a horizon fixed in
     advance from the closed-form cost-decay constant :attr:`c_hat` so the
     neglected tail is below tolerance.  Computed exponents are cached per
-    probe under a rounded key.
+    probe under a rounded key.  One flow per probe grid (:meth:`flow`)
+    serves the transient transform ``exp(-phi(t,u) - <x, psi(t,u)>)`` and
+    the ``psi`` envelope at its requested times, and the exponents at its
+    end.
     """
 
     params: AffineParams
@@ -196,7 +199,7 @@ class InvariantLaw:
             return 0.0
         key = self._key(u, tol)
         if key not in self._cache:
-            self._integrate([u], tol)
+            self.flow([u], tol)
         return self._cache[key]
 
     def exponents(self, us, tol: float = 1e-8) -> np.ndarray:
@@ -209,27 +212,33 @@ class InvariantLaw:
             if frobenius(u) > 0.0 and key not in self._cache:
                 todo.setdefault(key, u)
         if todo:
-            self._integrate(list(todo.values()), tol)
+            self.flow(list(todo.values()), tol)
         return np.array([self.exponent(u, tol) for u in us])
 
-    def _integrate(self, us, tol: float) -> None:
-        """Fill the cache for nonzero probes ``us``.
+    def flow(self, us, tol: float = 1e-8, times=()) -> RiccatiTrajectory:
+        """One stacked Riccati flow of the probes ``us``; caches their exponents.
 
         Probe ``u`` needs the horizon
         ``T = max(1, 5/delta, log(max(C ||u|| / (delta tol), 2)) / delta)``,
         past which the tail ``C ||u|| e^{-delta T} / delta`` of its cost
-        integral is below ``tol`` (``C`` is :attr:`c_hat`).  All probes are
-        solved as one stack to the largest of these horizons.
+        integral is below ``tol`` (``C`` is :attr:`c_hat`).  The stack is
+        solved to the largest of these horizons, or to ``max(times)`` if
+        later, at solver tolerance ``tol/100`` clipped to ``[1e-12, 1e-10]``,
+        and kept at the positive ``times`` and at its end, whose ``phi``
+        fills the cache.  Pass it as ``flow`` to :func:`dL_table`.
         """
         us = np.asarray(us, dtype=float)
         norms = np.linalg.norm(us, axis=(1, 2))
         delta = self.cert.delta
         need = np.log(np.maximum(self.c_hat * norms / (delta * tol), 2.0)) / delta
-        T = max(1.0, 5.0 / delta, float(np.max(need)))
-        solver_tol = max(min(1e-10, tol * 1e-2), 1e-12)
-        phi = solve_riccati(self.params, us, T, tol=solver_tol, t_eval=[T]).phi[-1]
-        for u, val in zip(us, phi):
+        times = np.asarray(times, dtype=float)
+        T = max(1.0, 5.0 / delta, float(np.max(need)), float(np.max(times, initial=0.0)))
+        solver_tol = max(min(1e-10, tol * 1e-2), TOL_RANGE[0])
+        t_eval = np.union1d(times[times > 0.0], [T])
+        traj = solve_riccati(self.params, us, T, tol=solver_tol, t_eval=t_eval)
+        for u, val in zip(us, traj.phi[-1]):
             self._cache[self._key(u, tol)] = float(val)
+        return traj
 
     def laplace(self, u, tol: float = 1e-8) -> float:
         """Stationary Laplace transform at ``u``; equals 1 at ``u = 0``."""
@@ -237,27 +246,27 @@ class InvariantLaw:
 
 
 # --- Laplace-metric diagnostics -----------------------------------------
+_GRID_RADII = np.logspace(-2.0, 2.0, 9)
+_GRID_RANDOM_DIRECTIONS = 3
+_GRID_SEED = 1234
 
 
-def standard_u_grid(
-    dim: int, n_random: int = 3, radii=None, seed: int = 1234
-) -> list[np.ndarray]:
-    """Documented deterministic probe grid: log-spaced radii times
-    unit-norm cone directions (normalized identity, coordinate units,
-    seeded random rank-one)."""
-    if radii is None:
-        radii = np.logspace(-2.0, 2.0, 9)
+def standard_u_grid(dim: int) -> list[np.ndarray]:
+    """Documented deterministic probe grid: the radii ``_GRID_RADII``
+    (nine, log-spaced over ``[1e-2, 1e2]``) times unit-norm cone directions
+    (normalized identity, coordinate units, ``_GRID_RANDOM_DIRECTIONS``
+    random rank-one from seed ``_GRID_SEED``)."""
     dirs = [np.eye(dim) / np.sqrt(dim)]
     for i in range(dim):
         e = np.zeros((dim, dim))
         e[i, i] = 1.0
         dirs.append(e)
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
+    rng = np.random.default_rng(_GRID_SEED)
+    for _ in range(_GRID_RANDOM_DIRECTIONS):
         v = rng.standard_normal(dim)
         w = np.outer(v, v)
         dirs.append(w / frobenius(w))
-    return [float(r) * v for r in radii for v in dirs]
+    return [float(r) * v for r in _GRID_RADII for v in dirs]
 
 
 def transient_laplace(
@@ -294,26 +303,24 @@ def dL_table(
     law: InvariantLaw,
     x,
     times,
-    u_grid=None,
     tol: float = 1e-8,
     flow: RiccatiTrajectory | None = None,
 ) -> np.ndarray:
-    """Laplace-metric values at each time: the grid maximum of
-    ``|L_t(u) - L_pi(u)| / ||u||``.  A lower approximation of the sup
-    over the cone, relative to the documented grid.
+    """Laplace-metric values at each time: the maximum over
+    :func:`standard_u_grid` of ``|L_t(u) - L_pi(u)| / ||u||``.  A lower
+    approximation of the sup over the cone, relative to the documented
+    grid.
 
-    The grid's transient flows are solved as one stack (or read from
-    ``flow``, see :func:`transient_laplace`) and its stationary exponents
-    as another (:meth:`InvariantLaw.exponents`, at tolerance ``tol``).
+    One stacked flow of the grid serves both transforms: ``flow``, or else
+    ``law.flow(grid, tol, times)``.  The transient transform is read at
+    ``times`` (:func:`transient_laplace`) and the stationary exponents, at
+    tolerance ``tol``, come back through the law's cache
+    (:meth:`InvariantLaw.exponents`).
     """
-    if u_grid is None:
-        u_grid = standard_u_grid(p.dim)
-    if not len(u_grid):
-        raise ValueError("u_grid must be nonempty")
-    us = np.asarray(u_grid, dtype=float)
+    us = np.asarray(standard_u_grid(p.dim))
     norms = np.linalg.norm(us, axis=(1, 2))
-    if np.any(norms == 0.0):
-        raise ValueError("grid directions must be nonzero")
+    if flow is None:
+        flow = law.flow(us, tol, times)
     lt = transient_laplace(p, x, us, times, flow=flow)
     lp = np.exp(-law.exponents(us, tol))
     return np.max(np.abs(lt - lp) / norms, axis=1)
@@ -359,6 +366,9 @@ def w1_mean_gap_check(
 
 
 # --- hypothesis gate -----------------------------------------------------
+_K_MAX = 1e6
+_GATE_RANDOM_DIRECTIONS = 20
+_GATE_SEED = 99
 
 
 @dataclass
@@ -377,12 +387,12 @@ class GateReport:
         }
 
 
-def _min_K_for_direction(drift_apply, xi, tol: float, k_max: float = 1e6) -> float | None:
+def _min_K_for_direction(drift_apply, xi, tol: float) -> float | None:
     """Smallest ``K >= 0`` with ``K xi + B(xi)`` PSD, by bisection.
 
     The smallest eigenvalue is nondecreasing in ``K`` (the increment is a
     PSD multiple of ``xi``), so bisection is valid.  Returns None when
-    even ``k_max`` fails: no finite constant works along this direction.
+    even ``_K_MAX`` fails: no finite constant works along this direction.
     """
     bxi = drift_apply(xi)
 
@@ -391,9 +401,9 @@ def _min_K_for_direction(drift_apply, xi, tol: float, k_max: float = 1e6) -> flo
 
     if ok(0.0):
         return 0.0
-    if not ok(k_max):
+    if not ok(_K_MAX):
         return None
-    lo, hi = 0.0, k_max
+    lo, hi = 0.0, _K_MAX
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if ok(mid):
@@ -403,11 +413,12 @@ def _min_K_for_direction(drift_apply, xi, tol: float, k_max: float = 1e6) -> flo
     return hi
 
 
-def log_moment_gate(p: AffineParams, n_random: int = 20, seed: int = 99) -> GateReport:
+def log_moment_gate(p: AffineParams) -> GateReport:
     """Report the jump log-moment (always finite for atomic measures),
     whether the diffusion vanishes, and a sampled inward-coupling
     constant ``K`` such that ``K xi + B(xi)`` stays in the cone on the
-    test directions (identity, coordinate units, random rank-one);
+    test directions (identity, coordinate units,
+    ``_GATE_RANDOM_DIRECTIONS`` random rank-one from seed ``_GATE_SEED``);
     inflated by 10 percent.  Sampled on finitely many directions only,
     never a global certificate."""
     dirs = [np.eye(p.dim)]
@@ -415,8 +426,8 @@ def log_moment_gate(p: AffineParams, n_random: int = 20, seed: int = 99) -> Gate
         e = np.zeros((p.dim, p.dim))
         e[i, i] = 1.0
         dirs.append(e)
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
+    rng = np.random.default_rng(_GATE_SEED)
+    for _ in range(_GATE_RANDOM_DIRECTIONS):
         v = rng.standard_normal(p.dim)
         w = np.outer(v, v)
         dirs.append(w / frobenius(w))

@@ -174,6 +174,8 @@ class RiccatiTrajectory:
 # below this norm the flow is numerically at the fixed point 0 and the
 # remaining phi increments vanish with it
 _FIXED_POINT_NORM = 1e-14
+# the tolerances solve_riccati accepts; the CLI checks --tol against it
+TOL_RANGE = (1e-12, 1e-3)
 
 
 def solve_riccati(
@@ -200,10 +202,10 @@ def solve_riccati(
     enforced within the shared tolerance plus a solver-accuracy allowance
     scaled by that probe's start norm.
     """
-    if not (T > 0):
-        raise ValueError("horizon T must be positive")
-    if not (1e-12 <= tol <= 1e-3):
-        raise ValueError("tol must lie in [1e-12, 1e-3]")
+    if not 0.0 < T < np.inf:
+        raise ValueError("horizon T must be positive and finite")
+    if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
+        raise ValueError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
     u0 = np.asarray(u0, dtype=float)
     single = u0.ndim == 2
     stack = u0[None] if single else u0
@@ -298,6 +300,7 @@ def semiflow_check(p: AffineParams, u, t: float, s: float, tol: float = 1e-9) ->
 
 
 # --- closed forms for the pure-diffusion family -------------------------
+_QUAD_TOL = 1e-9  # absolute and relative, of phi_closed_form_mbajd's quadrature
 
 
 @dataclass
@@ -376,10 +379,10 @@ def psi_closed_form_wishart(w: WishartSpec, u, t: float) -> np.ndarray:
     return symmetrize(e.T @ middle @ e)
 
 
-def phi_closed_form_mbajd(w: WishartSpec, u, t: float, quad_tol: float = 1e-9) -> float:
+def phi_closed_form_mbajd(w: WishartSpec, u, t: float) -> float:
     """Closed-form ``phi(t, u)``: ``k log det(I + u^{1/2} S_t u^{1/2})``
     (the symmetric determinant form) plus adaptive quadrature of the jump
-    term along the closed-form ``psi`` flow."""
+    term along the closed-form ``psi`` flow, to ``_QUAD_TOL``."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     u = symmetrize(u)
@@ -397,6 +400,6 @@ def phi_closed_form_mbajd(w: WishartSpec, u, t: float, quad_tol: float = 1e-9) -
                 mass * (1.0 - np.exp(-inner(ps, site))) for site, mass in w.m.atoms
             )
 
-        part, _ = scipy.integrate.quad(jump_rate, 0.0, t, epsabs=quad_tol, epsrel=quad_tol)
+        part, _ = scipy.integrate.quad(jump_rate, 0.0, t, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
         val += part
     return float(val)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ergodicity import InvariantLaw, decay_certificate, transient_mean, w1_mean_gap_check
 from .params import AffineParams
 from .riccati import congruence_integral
 from .symcone import frobenius, mat_exp, symmetrize
@@ -330,8 +331,6 @@ def mc_vs_formula(ens: PathEnsemble, p: AffineParams, t: float) -> np.ndarray:
     (z = 0); a zero standard error with a larger gap is flagged as a
     deterministic mismatch (z = inf).
     """
-    from .ergodicity import transient_mean
-
     mean, stderr = mc_mean(ens, t)
     target = transient_mean(p, ens.config.x0, t)
     gap = mean - target
@@ -349,14 +348,6 @@ def ergodic_sweep(p: AffineParams, x0, times, config: SimConfig, threads: int = 
     Returns one row per time with the Monte Carlo mean gap, the analytic
     mean gap, and the transport-bound sandwich when the diffusion is zero.
     """
-    from .ergodicity import (
-        DecayCertificate,
-        InvariantLaw,
-        decay_certificate,
-        transient_mean,
-        w1_mean_gap_check,
-    )
-
     cert = decay_certificate(p)
     law = InvariantLaw(p, cert)
     ens = simulate(config, times, threads=threads)

@@ -15,6 +15,7 @@ from affinecone import (
     WishartSpec,
     cli,
     ergodicity,
+    solve_riccati,
 )
 from affinecone.cli import main
 
@@ -92,6 +93,19 @@ NOT_PSD = [[1.0, 0.0], [0.0, -1.0]]
     pytest.param(["verify"], _with_x0(NOT_PSD), None, id="x0-not-psd"),
     pytest.param(["validate"], _with(drift={"kind": "lyapunov", "beta": [[-1.0]]}), None,
                  id="beta-wrong-shape"),
+    pytest.param(["riccati", "--T", "-1"], None, None, id="T-negative"),
+    pytest.param(["riccati", "--T", "inf"], None, None, id="T-inf"),
+    pytest.param(["riccati", "--T", "nan"], None, None, id="T-nan"),
+    pytest.param(["riccati", "--tol", "1"], None, None, id="riccati-tol-1"),
+    pytest.param(["riccati", "--tol", "1e-13"], None, None, id="riccati-tol-1e-13"),
+    pytest.param(["stationary", "--tol", "0"], None, None, id="stationary-tol-0"),
+    pytest.param(["stationary", "--tol", "1"], None, None, id="stationary-tol-1"),
+    pytest.param(["verify", "--tol", "0"], None, None, id="verify-tol-0"),
+    pytest.param(["verify", "--tol", "nan"], None, None, id="verify-tol-nan"),
+    pytest.param(["verify", "--inflate-delta", "0"], None, None, id="inflate-delta-0"),
+    pytest.param(["verify", "--inflate-delta", "-1"], None, None, id="inflate-delta-negative"),
+    pytest.param(["verify", "--inflate-delta", "nan"], None, None, id="inflate-delta-nan"),
+    pytest.param(["verify", "--inflate-delta", "inf"], None, None, id="inflate-delta-inf"),
 ])
 def test_bad_input_exits_2_without_traceback(config_file, tmp_path, capsys, argv, edit, u):
     cfg = config_file
@@ -212,6 +226,20 @@ def test_verify_tol_reaches_dL_table(config_file, tmp_path, monkeypatch):
                  "--tol", "3e-7"])
     assert code == 0
     assert seen == [3e-7]
+
+
+def test_verify_solves_its_grid_once(config_file, tmp_path, monkeypatch):
+    # the transient tables and the stationary exponents share one flow
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return solve_riccati(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_riccati", spy)
+    monkeypatch.setattr(ergodicity, "solve_riccati", spy)
+    assert main(["verify", "--config", str(config_file), "--out-dir", str(tmp_path / "v")]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("error", [SolverFailureError("step size underflow", 0.5),

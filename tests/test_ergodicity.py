@@ -369,6 +369,46 @@ def test_dL_below_bound_and_decaying(rng):
     assert dl[1] > dl[3]
 
 
+def test_dL_table_solves_its_grid_once(monkeypatch):
+    p = zero_diffusion_params()
+    cert = decay_certificate(p)
+    law = InvariantLaw(p, cert)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return solve_riccati(*args, **kwargs)
+
+    monkeypatch.setattr(ergodicity, "solve_riccati", spy)
+    dL_table(p, law, np.diag([3.0, 1.0]), np.array([0.0, 1.0, 3.0]) / cert.delta)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("late", [0.5, 2.0])
+def test_flow_stops_at_times_and_ends_at_the_later_horizon(late):
+    p = zero_diffusion_params()
+    law = InvariantLaw(p, decay_certificate(p))
+    grid = standard_u_grid(2)
+    horizon = law.flow(grid).times[-1]
+    times = np.array([0.0, 0.1, late]) * horizon
+    traj = law.flow(grid, 1e-8, times)
+    assert np.all(np.isin(times[times > 0], traj.times))
+    assert traj.times[-1] == max(horizon, times[-1])
+    assert traj.psi.shape == (len(traj.times), len(grid), 2, 2)
+
+
+def test_exponents_after_a_verify_flow_match_a_fresh_law(rng):
+    p = random_wishart(2, rng, with_jumps=True).to_params()
+    cert = decay_certificate(p)
+    grid = standard_u_grid(2)
+    tol = 1e-8
+    law = InvariantLaw(p, cert)
+    law.flow(grid, tol, np.arange(0.0, 6.01, 0.5) / cert.delta)
+    read = law.exponents(grid, tol)
+    fresh = InvariantLaw(p, cert).exponents(grid, tol)
+    assert np.max(np.abs(read - fresh)) <= tol
+
+
 def test_w1_sandwich_zero_diffusion():
     p = zero_diffusion_params()
     cert = decay_certificate(p)
