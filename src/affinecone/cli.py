@@ -15,11 +15,12 @@ set; a ``--u`` matrix or ``sim.x0`` that is unreadable, not
 ``dim x dim``, non-finite or outside the cone; a ``sim`` section that is
 missing or malformed, or snapshot times past the horizon or off the step
 grid; ``--closed-form`` on a model outside the Wishart family; a
-``--tol`` outside ``riccati.TOL_RANGE`` (``[1e-12, 1e-3]``); and a
-``--T`` or ``--inflate-delta`` that is not positive and finite.  Each
-command raises; ``main`` maps the exception to its code in one table,
-``FAILURES``.  Only ``validate`` (clauses failed) and ``verify`` (a bound
-violated) return a nonzero code themselves.
+``--tol`` outside ``riccati.TOL_RANGE`` (``[1e-12, 1e-3]``); a ``--T``
+or ``--inflate-delta`` that is not positive and finite; and a
+``--threads`` below 1.  Each command raises; ``main`` maps the exception
+to its code in one table, ``FAILURES``.  Only ``validate`` (clauses
+failed) and ``verify`` (a bound violated) return a nonzero code
+themselves.
 
 ``verify`` solves its probe grid as one flow, which serves the transient
 Laplace table, the ``psi`` decay envelope and the stationary exponents.
@@ -96,14 +97,17 @@ def _write_manifest(out_dir: Path, command: str, config_path: str, seed, outputs
 
 
 def _check_flags(args) -> None:
-    """``ConfigError`` for ``--tol`` outside ``TOL_RANGE``, or ``--T`` or
-    ``--inflate-delta`` not positive and finite (NaN fails both tests)."""
+    """``ConfigError`` for ``--tol`` outside ``TOL_RANGE``, ``--T`` or
+    ``--inflate-delta`` not positive and finite (NaN fails both tests), or
+    ``--threads`` below 1."""
     lo, hi = TOL_RANGE
     if not lo <= getattr(args, "tol", lo) <= hi:
         raise ConfigError(f"--tol must lie in [{lo:g}, {hi:g}], got {args.tol:g}")
     for flag, name in (("--T", "T"), ("--inflate-delta", "inflate_delta")):
         if not 0.0 < getattr(args, name, 1.0) < np.inf:
             raise ConfigError(f"{flag} must be positive and finite, got {getattr(args, name):g}")
+    if getattr(args, "threads", 1) < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
 
 
 def _cone_matrix(value, dim: int, name: str) -> np.ndarray:

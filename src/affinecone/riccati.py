@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 
 from .params import AffineParams, LinearDrift, ScalarJumpMeasure, SymOperator
 from .symcone import (
@@ -202,6 +201,8 @@ def solve_riccati(
     enforced within the shared tolerance plus a solver-accuracy allowance
     scaled by that probe's start norm.
     """
+    import scipy.integrate  # deferred, as in symcone.mat_exp
+
     if not 0.0 < T < np.inf:
         raise ValueError("horizon T must be positive and finite")
     if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
@@ -394,6 +395,8 @@ def phi_closed_form_mbajd(w: WishartSpec, u, t: float) -> float:
         raise np.linalg.LinAlgError("nonpositive determinant (cannot happen for PSD input)")
     val = w.k * logdet
     if len(w.m):
+        import scipy.integrate
+
         def jump_rate(s):
             ps = psi_closed_form_wishart(w, u, s)
             return sum(

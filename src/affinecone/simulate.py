@@ -8,6 +8,13 @@ Two schemes:
   jumps arrive as a compound Poisson stream; state-dependent jumps are
   thinned with the intensity refreshed once per step (piecewise-constant
   approximation, warned about when the per-step probability is large).
+  Cost model: per block of paths one buffer of ``CHUNK_STEPS`` steps of
+  normals (and of ``mu`` uniforms), refilled as the block steps, plus the
+  block's ``m`` jumps and jump log, so memory does not grow with the
+  horizon beyond the jumps.  Each path still consumes its stream in the
+  order of one up-front draw (normals, ``m`` counts, ``m`` atoms, ``mu``
+  uniforms); reaching the jump draws costs one extra pass over the
+  path's normals.
 * ``ou_exact`` -- for zero diffusion: the state is the congruence
   transport of the start point plus the exact drift integral plus the
   transported jumps, with jump times drawn exactly (uniform order
@@ -47,6 +54,13 @@ class PathFailureError(RuntimeError):
 
 
 _SCHEMES = ("euler_project", "ou_exact")
+
+# steps of random draws an Euler block holds at a time: its buffers are
+# (paths, CHUNK_STEPS, d, d) whatever the horizon
+CHUNK_STEPS = 256
+# rows formatted per write: one write per row is slow, and one for the whole
+# array holds every value as a Python float and its text at once
+_CSV_ROWS = 2048
 
 
 @dataclass
@@ -98,7 +112,12 @@ class PathEnsemble:
         return i
 
     def snapshots_to_csv(self, path) -> None:
-        """Columns: path_id, t, upper triangle of the state row-major."""
+        """Columns: path_id, t, upper triangle of the state row-major.
+
+        The bytes of ``np.savetxt(path, rows, delimiter=",")`` with the
+        header line, formatted by one ``%`` operation per ``_CSV_ROWS`` rows
+        instead of row by row.
+        """
         n_times, n_paths, d, _ = self.states.shape
         iu = np.triu_indices(d)
         header = ["path_id", "t"] + [f"x_{i + 1}{j + 1}" for i, j in zip(*iu)]
@@ -106,8 +125,12 @@ class PathEnsemble:
         rows[:, 0] = np.tile(np.arange(n_paths), n_times)
         rows[:, 1] = np.repeat(self.snapshot_times, n_paths)
         rows[:, 2:] = self.states[:, :, iu[0], iu[1]].reshape(n_times * n_paths, -1)
-        np.savetxt(path, rows, delimiter=",",
-                   header=",".join(header), comments="")
+        line = ",".join(["%.18e"] * rows.shape[1]) + "\n"
+        with open(path, "w") as fh:
+            fh.write(",".join(header) + "\n")
+            for i in range(0, len(rows), _CSV_ROWS):
+                part = rows[i:i + _CSV_ROWS]
+                fh.write(line * len(part) % tuple(part.ravel().tolist()))
 
     def jumps_to_csv(self, path) -> None:
         header = "path_id,time,source,atom_index"
@@ -133,13 +156,23 @@ def _snapshot_steps(times, dt: float, n_steps: int) -> np.ndarray:
 
 
 def _euler_block(config: SimConfig, path_ids, n_steps, snap_steps, out, jump_log):
-    """Advance one block of paths; writes states into preassigned slots."""
+    """Advance one block of paths; writes states into preassigned slots.
+
+    A path's stream holds, in this order: the normals of every step, the
+    ``m`` jump counts of every step, the atoms of those jumps and the
+    ``mu`` uniforms of every step.  Two generators per path walk it.  One
+    hands out the normals ``CHUNK_STEPS`` steps at a time.  The other skips
+    the normals, reads every ``m`` jump up front and then hands out the
+    ``mu`` uniforms chunk by chunk.  Drawing in pieces yields the values of
+    one draw, so the sample does not depend on ``CHUNK_STEPS``.
+    """
     p = config.params
     d = p.dim
     dt = config.dt
     beta = p.drift.beta
     nb = len(path_ids)
-    sqdt = np.sqrt(dt)
+    chunk = CHUNK_STEPS
+    n_mu = len(p.mu)
 
     m_sites = np.array([s for s, _ in p.m.atoms]).reshape(-1, d, d)
     m_rates = np.array([w for _, w in p.m.atoms])
@@ -147,47 +180,63 @@ def _euler_block(config: SimConfig, path_ids, n_steps, snap_steps, out, jump_log
     mu_sites = np.array([s for s, _ in p.mu.atoms]).reshape(-1, d, d)
     mu_weights = np.array([w for _, w in p.mu.atoms]).reshape(-1, d, d)
 
-    # per-path randomness, drawn in a fixed order so results do not depend
-    # on block shape or scheduling
-    normals = np.empty((nb, n_steps, d, d))
-    m_counts = np.zeros((nb, n_steps), dtype=np.int64)
-    m_choices = [None] * nb
-    mu_uniforms = np.empty((nb, n_steps, len(p.mu))) if len(p.mu) else None
-    for j, pid in enumerate(path_ids):
-        rng = _path_rng(config.seed, pid)
-        normals[j] = rng.standard_normal((n_steps, d, d))
-        if len(p.m):
-            m_counts[j] = rng.poisson(m_total * dt, n_steps)
-            total = int(m_counts[j].sum())
-            m_choices[j] = rng.choice(len(p.m), size=total, p=m_rates / m_total)
-        if len(p.mu):
-            mu_uniforms[j] = rng.random((n_steps, len(p.mu)))
+    normals = np.empty((nb, chunk, d, d))
+    uniforms = np.empty((nb, chunk, n_mu))
+    normal_rngs = [_path_rng(config.seed, pid) for pid in path_ids]
+    jump_rngs = []
+    m_events = []  # (step, path, atom) of each m jump
+    if len(p.m) or n_mu:
+        # the skipped normals go through the whole normals buffer, so a
+        # path takes few calls (each releases the GIL) to reach its jumps
+        skip = normals.reshape(-1, d, d)
+        piece = len(skip)
+        for j, pid in enumerate(path_ids):
+            rng = _path_rng(config.seed, pid)
+            for k0 in range(0, n_steps, piece):
+                rng.standard_normal(out=skip[:min(piece, n_steps - k0)])
+            if len(p.m):
+                steps = []
+                for k0 in range(0, n_steps, piece):
+                    counts = rng.poisson(m_total * dt, min(piece, n_steps - k0))
+                    hit = np.nonzero(counts)[0]
+                    steps += np.repeat(k0 + hit, counts[hit]).tolist()
+                atoms = rng.choice(len(p.m), size=len(steps), p=m_rates / m_total)
+                m_events += ((k, j, a) for k, a in zip(steps, atoms.tolist()))
+            jump_rngs.append(rng)
+    # applied by step; the stable sort keeps path order, then drawing order
+    m_events.sort(key=lambda event: event[0])
 
     X = np.broadcast_to(config.x0, (nb, d, d)).copy()
     w, q = np.linalg.eigh(X)
     w = np.clip(w, 0.0, None)
-    consumed = np.zeros(nb, dtype=np.int64)
+    e = 0
     warned = False
 
     for ti in np.nonzero(snap_steps == 0)[0]:
         out[ti, path_ids] = X
 
     for k in range(n_steps):
+        i = k % chunk
+        if i == 0:
+            c = min(chunk, n_steps - k)
+            for j, rng in enumerate(normal_rngs):
+                rng.standard_normal(out=normals[j, :c])
+            normals[:, :c] *= np.sqrt(dt)
+            if n_mu:
+                for j, rng in enumerate(jump_rngs):
+                    rng.random(out=uniforms[j, :c])
         sqrtX = (q * np.sqrt(w)[:, None, :]) @ np.transpose(q, (0, 2, 1))
         drift = p.b + beta @ X + X @ beta.T
-        dW = normals[:, k] * sqdt
-        mix = sqrtX @ dW @ config.sigma
+        mix = sqrtX @ normals[:, i] @ config.sigma
         Xn = X + drift * dt + mix + np.transpose(mix, (0, 2, 1))
 
         t_now = (k + 1) * dt
-        if len(p.m):
-            for j in np.nonzero(m_counts[:, k])[0]:
-                for _ in range(m_counts[j, k]):
-                    atom = int(m_choices[j][consumed[j]])
-                    consumed[j] += 1
-                    Xn[j] += m_sites[atom]
-                    jump_log[path_ids[j]].append((t_now, "m", atom))
-        if len(p.mu):
+        while e < len(m_events) and m_events[e][0] == k:
+            _, j, atom = m_events[e]
+            e += 1
+            Xn[j] += m_sites[atom]
+            jump_log[path_ids[j]].append((t_now, "m", atom))
+        if n_mu:
             # thinning against the pre-step state, intensity frozen per step;
             # rate of a jump by site_i is <X, weight_i>
             rates = np.einsum("bij,aij->ba", X, mu_weights) * dt
@@ -198,7 +247,7 @@ def _euler_block(config: SimConfig, path_ids, n_steps, snap_steps, out, jump_log
                     stacklevel=2,
                 )
                 warned = True
-            hits = mu_uniforms[:, k] < rates
+            hits = uniforms[:, i] < rates
             for j, a in zip(*np.nonzero(hits)):
                 Xn[j] += mu_sites[a]
                 jump_log[path_ids[j]].append((t_now, "mu", int(a)))

@@ -21,7 +21,6 @@ compose correctly only because every module uses this one ordering.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 
 class ConeViolationError(ValueError):
@@ -121,6 +120,8 @@ def mat_exp(a) -> np.ndarray:
     alone returns.  Overflow for extreme norms is reported, never silently
     saturated.
     """
+    import scipy.linalg  # deferred: commands that never exponentiate skip loading scipy
+
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import affinecone
 from affinecone import (
     AffineParams,
     ConeViolationError,
@@ -50,6 +55,16 @@ def test_validate_ok(config_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["validation"]["passed"]
     assert "log_moment" in out["hypotheses"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported where a flow is solved or a matrix exponentiated,
+    # so validate starts in a fresh interpreter without it
+    src = str(Path(affinecone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, affinecone.cli; "
+             "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
 
 
 def test_validate_reports_admissibility_failure(tmp_path, config_file):
@@ -106,6 +121,9 @@ NOT_PSD = [[1.0, 0.0], [0.0, -1.0]]
     pytest.param(["verify", "--inflate-delta", "-1"], None, None, id="inflate-delta-negative"),
     pytest.param(["verify", "--inflate-delta", "nan"], None, None, id="inflate-delta-nan"),
     pytest.param(["verify", "--inflate-delta", "inf"], None, None, id="inflate-delta-inf"),
+    pytest.param(["simulate", "--snapshots", "1.0", "--threads", "0"], None, None, id="threads-0"),
+    pytest.param(["simulate", "--snapshots", "1.0", "--threads", "-1"], None, None,
+                 id="threads-negative"),
 ])
 def test_bad_input_exits_2_without_traceback(config_file, tmp_path, capsys, argv, edit, u):
     cfg = config_file

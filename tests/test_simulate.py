@@ -1,5 +1,8 @@
 """Monte Carlo simulation: schemes, reproducibility, statistical checks."""
 
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,8 @@ from affinecone.riccati import congruence_integral
 from affinecone.simulate import _path_rng
 from affinecone.symcone import mat_exp
 from conftest import zero_diffusion_params
+
+simulate_module = importlib.import_module("affinecone.simulate")
 
 
 def _diffusion_config(n_paths=512, dt=0.01, seed=11, horizon=1.0, with_mu=False):
@@ -155,6 +160,133 @@ def test_path_count_extension_is_consistent():
     small = simulate(_diffusion_config(n_paths=100), [1.0])
     large = simulate(_diffusion_config(n_paths=300), [1.0])
     assert np.array_equal(small.states, large.states[:, :100])
+
+
+# --- Euler scheme against the up-front-draw reference loop ----------------
+
+
+def _euler_reference(config, snapshot_times):
+    """The Euler scheme with every random draw made up front, all paths in
+    one stack: per path all normals, then the ``m`` jump counts, the ``m``
+    atoms and the ``mu`` uniforms."""
+    p = config.params
+    d = p.dim
+    dt = config.dt
+    beta = p.drift.beta
+    n = config.n_paths
+    n_steps = int(round(config.horizon / dt))
+    snap_steps = np.asarray([int(round(t / dt)) for t in snapshot_times])
+    sqdt = np.sqrt(dt)
+    m_sites = np.array([s for s, _ in p.m.atoms]).reshape(-1, d, d)
+    m_rates = np.array([w for _, w in p.m.atoms])
+    m_total = float(m_rates.sum()) if len(p.m) else 0.0
+    mu_sites = np.array([s for s, _ in p.mu.atoms]).reshape(-1, d, d)
+    mu_weights = np.array([w for _, w in p.mu.atoms]).reshape(-1, d, d)
+
+    normals = np.empty((n, n_steps, d, d))
+    m_counts = np.zeros((n, n_steps), dtype=np.int64)
+    m_choices = [None] * n
+    mu_uniforms = np.empty((n, n_steps, len(p.mu)))
+    for j in range(n):
+        rng = _path_rng(config.seed, j)
+        normals[j] = rng.standard_normal((n_steps, d, d))
+        if len(p.m):
+            m_counts[j] = rng.poisson(m_total * dt, n_steps)
+            m_choices[j] = rng.choice(len(p.m), size=int(m_counts[j].sum()),
+                                      p=m_rates / m_total)
+        if len(p.mu):
+            mu_uniforms[j] = rng.random((n_steps, len(p.mu)))
+
+    out = np.empty((len(snapshot_times), n, d, d))
+    jump_log = [[] for _ in range(n)]
+    X = np.broadcast_to(config.x0, (n, d, d)).copy()
+    w, q = np.linalg.eigh(X)
+    w = np.clip(w, 0.0, None)
+    consumed = np.zeros(n, dtype=np.int64)
+    out[snap_steps == 0] = X
+    for k in range(n_steps):
+        sqrtX = (q * np.sqrt(w)[:, None, :]) @ np.transpose(q, (0, 2, 1))
+        drift = p.b + beta @ X + X @ beta.T
+        mix = sqrtX @ (normals[:, k] * sqdt) @ config.sigma
+        Xn = X + drift * dt + mix + np.transpose(mix, (0, 2, 1))
+        t_now = (k + 1) * dt
+        for j in np.nonzero(m_counts[:, k])[0]:
+            for _ in range(m_counts[j, k]):
+                atom = int(m_choices[j][consumed[j]])
+                consumed[j] += 1
+                Xn[j] += m_sites[atom]
+                jump_log[j].append((t_now, "m", atom))
+        if len(p.mu):
+            rates = np.einsum("bij,aij->ba", X, mu_weights) * dt
+            for j, a in zip(*np.nonzero(mu_uniforms[:, k] < rates)):
+                Xn[j] += mu_sites[a]
+                jump_log[j].append((t_now, "mu", int(a)))
+        Xn = (Xn + np.transpose(Xn, (0, 2, 1))) / 2.0
+        w, q = np.linalg.eigh(Xn)
+        w = np.clip(w, 0.0, None)
+        X = (q * w[:, None, :]) @ np.transpose(q, (0, 2, 1))
+        out[snap_steps == k + 1] = X
+    return out, jump_log
+
+
+def _d3_config(n_paths=200, seed=7):
+    d = 3
+    sigma = np.array([[0.4, 0.02, -0.03], [0.0, 0.35, 0.01], [0.0, 0.0, 0.3]])
+    alpha = sigma.T @ sigma
+    p = AffineParams(
+        dim=d,
+        alpha=alpha,
+        b=2.5 * alpha,
+        drift=LinearDrift.lyapunov(-0.8 * np.eye(d) + 0.05 * np.array(
+            [[0.3, -1.0, 0.4], [0.8, 0.1, -0.5], [-0.2, 0.6, 0.9]])),
+        m=ScalarJumpMeasure([(np.diag([0.3, 0.2, 0.1]), 0.9),
+                             (np.array([[0.2, 0.1, 0.0], [0.1, 0.2, 0.1], [0.0, 0.1, 0.2]]), 0.6)]),
+        mu=MatrixJumpMeasure([(np.diag([0.1, 0.1, 0.05]), 0.4 * np.eye(d))]),
+    )
+    return SimConfig(params=p, sigma=sigma, x0=0.5 * np.eye(d), horizon=1.5, dt=0.005,
+                     n_paths=n_paths, seed=seed)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _diffusion_config(n_paths=300, dt=0.005, with_mu=True), _d3_config])
+def test_euler_scheme_matches_reference_loop(make):
+    cfg = make()
+    times = [0.0, 0.25, 0.25, 0.64, 1.0]
+    ens = simulate(cfg, times)
+    ref, ref_log = _euler_reference(cfg, times)
+    assert np.array_equal(ens.states, ref)
+    assert ens.jump_log == ref_log
+    sources = {source for log in ref_log for _, source, _ in log}
+    assert sources == {"m", "mu"}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 200, 10**6])
+def test_euler_sample_does_not_depend_on_chunk_steps(monkeypatch, chunk):
+    # 200 steps; at chunk 1 the 48-step pieces that skip the normals leave a remainder
+    cfg = _diffusion_config(n_paths=48, dt=0.005, with_mu=True)
+    times = [0.5, 1.0]
+    ref, ref_log = _euler_reference(cfg, times)
+    monkeypatch.setattr(simulate_module, "CHUNK_STEPS", chunk)
+    ens = simulate(cfg, times)
+    assert np.array_equal(ens.states, ref)
+    assert ens.jump_log == ref_log
+
+
+def test_euler_memory_is_bounded_in_the_horizon():
+    # past one chunk of steps, quadrupling the horizon may grow the peak
+    # only by the jump log, far below the normals an up-front draw holds
+    n_paths, dt, chunk = 64, 0.01, simulate_module.CHUNK_STEPS
+    peaks = []
+    for n_steps in (chunk, 4 * chunk):
+        cfg = _diffusion_config(n_paths=n_paths, dt=dt, horizon=n_steps * dt, with_mu=True)
+        tracemalloc.start()
+        try:
+            simulate(cfg, [cfg.horizon])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    upfront_normals = n_paths * 4 * chunk * 2 * 2 * 8
+    assert peaks[1] - peaks[0] < upfront_normals / 4
 
 
 # --- exact scheme against the per-path reference loop ---------------------
@@ -333,10 +465,22 @@ def _snapshots_csv_reference(ens, path):
     np.savetxt(path, np.asarray(rows), delimiter=",", header=",".join(header), comments="")
 
 
-@pytest.mark.parametrize("make", [lambda: _jump_config(n_paths=300),
-                                  lambda: _diffusion_config(n_paths=40, dt=0.05)])
+def _extreme_value_ensemble():
+    # 2200 rows: more than one block of formatted rows
+    ens = simulate(_jump_config(n_paths=1100), [0.0, 1.0])
+    ens.states[1, :3] = [[[-0.0, 1e-300], [1e-300, 1e300]],
+                         [[1e300, -0.0], [-0.0, 5e-324]],
+                         [[0.0, -1e-300], [-1e-300, 1.0 / 3.0]]]
+    return ens
+
+
+@pytest.mark.parametrize("make", [
+    lambda: simulate(_jump_config(n_paths=300), [0.0, 0.5, 1.0]),
+    lambda: simulate(_diffusion_config(n_paths=40, dt=0.05), [0.0, 0.5, 1.0]),
+    _extreme_value_ensemble,
+])
 def test_snapshot_csv_matches_row_writer(tmp_path, make):
-    ens = simulate(make(), [0.0, 0.5, 1.0])
+    ens = make()
     ens.snapshots_to_csv(tmp_path / "fast.csv")
     _snapshots_csv_reference(ens, tmp_path / "rows.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
