@@ -14,11 +14,13 @@ Exit 2 covers a config that cannot be read or parsed into a parameter
 set; a ``--u`` matrix or ``sim.x0`` that is unreadable, not
 ``dim x dim``, non-finite or outside the cone; a ``sim`` section that is
 missing or malformed, or snapshot times past the horizon or off the step
-grid; ``--closed-form`` on a model outside the Wishart family; a
-``--tol`` outside ``riccati.TOL_RANGE`` (``[1e-12, 1e-3]``); a ``--T``
-or ``--inflate-delta`` that is not positive and finite; and a
-``--threads`` below 1.  Each command raises; ``main`` maps the exception
-to its code in one table, ``FAILURES``.  Only ``validate`` (clauses
+grid, or a ``sim.n_paths`` or ``sim.seed`` that is a bool or has a
+fractional part; ``--closed-form`` on a model outside the Wishart
+family; a ``--tol`` outside ``riccati.TOL_RANGE`` (``[1e-12, 1e-3]``); a
+``--T`` or ``--inflate-delta`` that is not positive and finite; a
+``--threads`` below 1; and an output file or directory that cannot be
+written.  Each command raises; ``main`` maps the exception to its code
+in one table, ``FAILURES``.  Only ``validate`` (clauses
 failed) and ``verify`` (a bound violated) return a nonzero code
 themselves.
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -39,7 +42,6 @@ import numpy as np
 
 from . import __version__
 from .ergodicity import (
-    DecayCertificate,
     InvariantLaw,
     NotSubcriticalError,
     dL_bound,
@@ -71,6 +73,7 @@ EXIT_SIMULATION = 6
 # the only exception -> exit-code map: (exception type, exit code, stderr prefix)
 FAILURES = (
     (ConfigError, EXIT_PARSE, "config error"),
+    (OSError, EXIT_PARSE, "output error"),
     (AdmissibilityError, EXIT_ADMISSIBILITY, "admissibility failure"),
     (NotSubcriticalError, EXIT_CRITICALITY, "not subcritical"),
     (SolverFailureError, EXIT_SOLVER, "solver failure"),
@@ -81,6 +84,14 @@ FAILURES = (
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _write_table(path, header, rows) -> None:
+    """One CSV table: the header row, then ``rows``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _write_manifest(out_dir: Path, command: str, config_path: str, seed, outputs,
@@ -125,6 +136,14 @@ def _cone_matrix(value, dim: int, name: str) -> np.ndarray:
     return x
 
 
+def _sim_int(value, name: str) -> int:
+    """``int(value)``, refusing what ``int`` would truncate or coerce:
+    a bool, or a float with a fractional part (or NaN or infinite)."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _wishart_spec(p: AffineParams) -> WishartSpec:
     """Recover the pure-diffusion closed-form family from a parameter set."""
     if len(p.mu) or p.drift.kind != "lyapunov":
@@ -145,7 +164,7 @@ def cmd_validate(args) -> int:
     p, _ = load_params(args.config, force=True)
     report = p.validate()
     gate = log_moment_gate(p)
-    payload = {"validation": report.to_dict(), "hypotheses": gate.to_dict()}
+    payload = {"validation": report.to_dict(), "hypotheses": dataclasses.asdict(gate)}
     text = json.dumps(payload, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -203,10 +222,7 @@ def cmd_stationary(args) -> int:
     else:
         print(text)
     if args.table:
-        with open(args.table, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["u_norm", "laplace"])
-            w.writerows(table)
+        _write_table(args.table, ["u_norm", "laplace"], table)
     return 0
 
 
@@ -217,13 +233,7 @@ def cmd_verify(args) -> int:
     cert = decay_certificate(p)
     if args.inflate_delta != 1.0:
         # self-test hook: an overstated decay rate must make the bounds fail
-        cert = DecayCertificate(
-            abscissa=cert.abscissa,
-            delta=cert.delta * args.inflate_delta,
-            M=cert.M,
-            grid_T=cert.grid_T,
-            lyapunov_v=cert.lyapunov_v,
-        )
+        cert = dataclasses.replace(cert, delta=cert.delta * args.inflate_delta)
     law = InvariantLaw(p, cert)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -231,48 +241,34 @@ def cmd_verify(args) -> int:
     delta = cert.delta
     times = np.arange(0.0, 6.01, 0.5) / delta
 
-    violation = None
-
     # one stacked flow of the probe grid feeds both tables and the exponents
     flow = law.flow(standard_u_grid(p.dim), args.tol, times)
     dl = dL_table(p, law, x, times, tol=args.tol, flow=flow)
-    bounds = dL_bound(cert, law.c_hat, x, times)
-    dl_path = out_dir / "dL_table.csv"
-    with open(dl_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "dL", "dL_bound"])
-        for t, a, bd in zip(times, dl, bounds):
-            w.writerow([t, a, bd])
-            if a > bd and violation is None:
-                violation = f"dL bound violated at t = {t:.6g}: {a:.3e} > {bd:.3e}"
+    dl_rows = list(zip(times, dl, dL_bound(cert, law.c_hat, x, times)))
 
     # decay-envelope table for the Riccati flow
     norms = np.linalg.norm(flow.u0, axis=(1, 2))
-    psi_path = out_dir / "psi_bound_table.csv"
-    with open(psi_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "max_psi_ratio"])
-        for t in times:
-            vals = norms if t == 0.0 else np.linalg.norm(flow.psi_at(t), axis=(1, 2))
-            env = cert.M * norms * np.exp(-delta * t) * (1 + 1e-6)
-            r = float(np.max(vals / env))
-            w.writerow([t, r])
-            if r > 1.0 and violation is None:
-                violation = f"psi decay envelope violated at t = {t:.6g} (ratio {r:.6g})"
+    psi_rows = []
+    for t in times:
+        vals = norms if t == 0.0 else np.linalg.norm(flow.psi_at(t), axis=(1, 2))
+        env = cert.M * norms * np.exp(-delta * t) * (1 + 1e-6)
+        psi_rows.append([t, float(np.max(vals / env))])
 
-    outputs = [dl_path, psi_path]
+    outputs = [out_dir / "dL_table.csv", out_dir / "psi_bound_table.csv"]
+    _write_table(outputs[0], ["t", "dL", "dL_bound"], dl_rows)
+    _write_table(outputs[1], ["t", "max_psi_ratio"], psi_rows)
+    # the violated rows in table order (dL, psi, W1); the first one is reported
+    violations = [f"dL bound violated at t = {t:.6g}: {a:.3e} > {bd:.3e}"
+                  for t, a, bd in dl_rows if a > bd]
+    violations += [f"psi decay envelope violated at t = {t:.6g} (ratio {r:.6g})"
+                   for t, r in psi_rows if r > 1.0]
 
     if frobenius(p.alpha) == 0.0:
-        w1_path = out_dir / "w1_table.csv"
-        with open(w1_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "mean_gap", "w1_bound"])
-            for t in times:
-                gap, bd, ok = w1_mean_gap_check(p, law, cert, x, float(t))
-                w.writerow([t, gap, bd])
-                if not ok and violation is None:
-                    violation = f"mean-gap bound violated at t = {t:.6g}: {gap:.3e} > {bd:.3e}"
-        outputs.append(w1_path)
+        w1_rows = [[t, *w1_mean_gap_check(p, law, cert, x, float(t))] for t in times]
+        outputs.append(out_dir / "w1_table.csv")
+        _write_table(outputs[2], ["t", "mean_gap", "w1_bound"], [row[:3] for row in w1_rows])
+        violations += [f"mean-gap bound violated at t = {t:.6g}: {gap:.3e} > {bd:.3e}"
+                       for t, gap, bd, ok in w1_rows if not ok]
 
     # regression slope of the metric decay over [1/delta, 6/delta]
     sel = (times >= 1.0 / delta - 1e-12) & (dl > 0)
@@ -280,10 +276,10 @@ def cmd_verify(args) -> int:
         slope = np.polyfit(times[sel], np.log(dl[sel]), 1)[0]
         print(f"log-dL regression slope = {slope:.6g} (delta = {delta:.6g})")
 
-    _write_manifest(out_dir, "verify", args.config, args.seed, outputs,
+    _write_manifest(out_dir, "verify", args.config, None, outputs,
                     defaults={"tol": args.tol, "inflate_delta": args.inflate_delta})
-    if violation:
-        print(violation, file=sys.stderr)
+    if violations:
+        print(violations[0], file=sys.stderr)
         return EXIT_BOUND
     print("all bounds hold on the tested grid")
     return 0
@@ -295,14 +291,14 @@ def cmd_simulate(args) -> int:
     if not isinstance(sim, dict):
         raise ConfigError("config has no 'sim' section")
     try:
-        seed = args.seed if args.seed is not None else int(sim.get("seed", 0))
+        seed = args.seed if args.seed is not None else _sim_int(sim.get("seed", 0), "seed")
         config = SimConfig(
             params=p,
             sigma=np.asarray(sim["sigma"], dtype=float),
             x0=np.asarray(sim["x0"], dtype=float),
             horizon=float(sim["horizon"]),
             dt=float(sim["dt"]),
-            n_paths=int(sim["n_paths"]),
+            n_paths=_sim_int(sim["n_paths"], "n_paths"),
             seed=seed,
             scheme=sim.get("scheme", "euler_project"),
         )
@@ -320,14 +316,9 @@ def cmd_simulate(args) -> int:
     z_path = out_dir / "zscores.csv"
     ens.snapshots_to_csv(snap_path)
     ens.jumps_to_csv(jump_path)
-    with open(z_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        d = p.dim
-        iu = np.triu_indices(d)
-        w.writerow(["t"] + [f"z_{i + 1}{j + 1}" for i, j in zip(*iu)])
-        for t in snapshots:
-            z = mc_vs_formula(ens, p, t)
-            w.writerow([t] + list(z[iu]))
+    iu = np.triu_indices(p.dim)
+    _write_table(z_path, ["t"] + [f"z_{i + 1}{j + 1}" for i, j in zip(*iu)],
+                 ([t] + list(mc_vs_formula(ens, p, t)[iu]) for t in snapshots))
     _write_manifest(out_dir, "simulate", args.config, seed,
                     [snap_path, jump_path, z_path],
                     defaults={"threads": args.threads})
@@ -344,16 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, tol=None, seed=False, threads=False):
+    def common(sp, tol=None):
         sp.add_argument("--config", required=True, help="model config (JSON)")
         if tol is not None:
             sp.add_argument("--tol", type=float, default=tol)
-        if seed:
-            sp.add_argument("--seed", type=int, default=None,
-                            help="Monte Carlo seed (overrides the config's sim.seed)")
-        if threads:
-            sp.add_argument("--threads", type=int, default=1,
-                            help="worker threads for the path blocks")
 
     sp = sub.add_parser("validate", help="check parameter admissibility")
     common(sp)
@@ -376,14 +361,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_stationary)
 
     sp = sub.add_parser("verify", help="verify convergence bounds on a time grid")
-    common(sp, tol=1e-8, seed=True)
+    common(sp, tol=1e-8)
     sp.add_argument("--out-dir", required=True)
     sp.add_argument("--inflate-delta", type=float, default=1.0,
                     help="self-test: multiply the decay rate (must cause exit 5)")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("simulate", help="run a Monte Carlo ensemble")
-    common(sp, seed=True, threads=True)
+    common(sp)
+    sp.add_argument("--seed", type=int, default=None,
+                    help="Monte Carlo seed (overrides the config's sim.seed)")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker threads for the path blocks")
     sp.add_argument("--snapshots", required=True, help="comma-separated times")
     sp.add_argument("--out-dir", required=True)
     sp.set_defaults(fn=cmd_simulate)

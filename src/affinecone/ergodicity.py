@@ -30,6 +30,7 @@ from .symcone import (
     mat_exp,
     min_eigval,
     psd_tol,
+    sym_basis,
     sym_dim,
     symmetrize,
     unvectorize,
@@ -251,21 +252,26 @@ _GRID_RANDOM_DIRECTIONS = 3
 _GRID_SEED = 1234
 
 
+def _probe_directions(dim: int, n_random: int, seed: int) -> list[np.ndarray]:
+    """Unit-norm cone directions: the coordinate units ``E_ii``, then
+    ``n_random`` rank-one ``v v.T / ||v v.T||`` with standard normal ``v``
+    drawn from seed ``seed``."""
+    dirs = sym_basis(dim)[:dim]
+    rng = np.random.default_rng(seed)
+    for _ in range(n_random):
+        v = rng.standard_normal(dim)
+        w = np.outer(v, v)
+        dirs.append(w / frobenius(w))
+    return dirs
+
+
 def standard_u_grid(dim: int) -> list[np.ndarray]:
     """Documented deterministic probe grid: the radii ``_GRID_RADII``
     (nine, log-spaced over ``[1e-2, 1e2]``) times unit-norm cone directions
     (normalized identity, coordinate units, ``_GRID_RANDOM_DIRECTIONS``
     random rank-one from seed ``_GRID_SEED``)."""
     dirs = [np.eye(dim) / np.sqrt(dim)]
-    for i in range(dim):
-        e = np.zeros((dim, dim))
-        e[i, i] = 1.0
-        dirs.append(e)
-    rng = np.random.default_rng(_GRID_SEED)
-    for _ in range(_GRID_RANDOM_DIRECTIONS):
-        v = rng.standard_normal(dim)
-        w = np.outer(v, v)
-        dirs.append(w / frobenius(w))
+    dirs += _probe_directions(dim, _GRID_RANDOM_DIRECTIONS, _GRID_SEED)
     return [float(r) * v for r in _GRID_RADII for v in dirs]
 
 
@@ -378,14 +384,6 @@ class GateReport:
     K_sampled: float | None
     directions_checked: int
 
-    def to_dict(self) -> dict:
-        return {
-            "log_moment": self.log_moment,
-            "alpha_is_zero": self.alpha_is_zero,
-            "K_sampled": self.K_sampled,
-            "directions_checked": self.directions_checked,
-        }
-
 
 def _min_K_for_direction(drift_apply, xi, tol: float) -> float | None:
     """Smallest ``K >= 0`` with ``K xi + B(xi)`` PSD, by bisection.
@@ -421,16 +419,7 @@ def log_moment_gate(p: AffineParams) -> GateReport:
     ``_GATE_RANDOM_DIRECTIONS`` random rank-one from seed ``_GATE_SEED``);
     inflated by 10 percent.  Sampled on finitely many directions only,
     never a global certificate."""
-    dirs = [np.eye(p.dim)]
-    for i in range(p.dim):
-        e = np.zeros((p.dim, p.dim))
-        e[i, i] = 1.0
-        dirs.append(e)
-    rng = np.random.default_rng(_GATE_SEED)
-    for _ in range(_GATE_RANDOM_DIRECTIONS):
-        v = rng.standard_normal(p.dim)
-        w = np.outer(v, v)
-        dirs.append(w / frobenius(w))
+    dirs = [np.eye(p.dim)] + _probe_directions(p.dim, _GATE_RANDOM_DIRECTIONS, _GATE_SEED)
 
     worst: float | None = 0.0
     for xi in dirs:

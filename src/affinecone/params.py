@@ -22,7 +22,7 @@ consumed by the ergodicity module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -229,10 +229,7 @@ class ValidationReport:
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "clauses": {
-                name: {"passed": c.passed, "detail": c.detail, "sampled": c.sampled}
-                for name, c in self.clauses.items()
-            },
+            "clauses": {name: asdict(c) for name, c in self.clauses.items()},
         }
 
 
@@ -410,4 +407,4 @@ def load_params(path, force: bool = False) -> tuple[AffineParams, dict]:
 def is_subdominant_psd(x, y) -> bool:
     """Whether ``x <= y`` in the cone order, within the shared relative tolerance."""
     gap = symmetrize(y) - symmetrize(x)
-    return is_psd(gap, psd_tol(gap))
+    return is_psd(gap)

@@ -127,6 +127,15 @@ def riccati_DF(p: AffineParams, u) -> np.ndarray:
 # --- numeric solution ---------------------------------------------------
 
 
+def grid_index(times, t: float) -> int:
+    """Index of ``t`` in the time grid ``times``, matched to within
+    ``1e-9 max(1, |t|)``; ``KeyError`` if no grid time is that close."""
+    i = int(np.argmin(np.abs(times - t)))
+    if abs(times[i] - t) > 1e-9 * max(1.0, abs(t)):
+        raise KeyError(f"time {t} is not on the grid")
+    return i
+
+
 @dataclass
 class RiccatiTrajectory:
     """Joint (psi, phi) flow for one initial condition, or for a stack of
@@ -144,18 +153,12 @@ class RiccatiTrajectory:
     phi: np.ndarray
     tol: float
 
-    def _index(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise KeyError(f"time {t} not on trajectory grid")
-        return i
-
     def psi_at(self, t: float) -> np.ndarray:
-        return self.psi[self._index(t)]
+        return self.psi[grid_index(self.times, t)]
 
     def phi_at(self, t: float) -> float | np.ndarray:
         """``phi`` at a grid time: a float, or an ``(n,)`` array for a stack."""
-        return self.phi[self._index(t)]
+        return self.phi[grid_index(self.times, t)]
 
     def to_csv(self, path) -> None:
         """Columns: t, phi, then the upper triangle of psi row-major."""
@@ -357,6 +360,15 @@ def congruence_integral(beta, x, t: float) -> np.ndarray:
     return symmetrize(2.0 * top_right @ mat_exp(t * beta).T)
 
 
+def _wishart_core(w: WishartSpec, u, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """``u^{1/2}`` and ``I + u^{1/2} S_t u^{1/2}``, with ``S_t`` the
+    congruence integral of ``alpha``: the core of both closed forms."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    root = sqrt_psd(u)
+    return root, np.eye(w.dim) + root @ congruence_integral(w.beta, w.alpha, t) @ root
+
+
 def psi_closed_form_wishart(w: WishartSpec, u, t: float) -> np.ndarray:
     """Closed-form ``psi(t, u)`` for the pure-diffusion family.
 
@@ -367,12 +379,7 @@ def psi_closed_form_wishart(w: WishartSpec, u, t: float) -> np.ndarray:
     with ``S_t`` the congruence integral of ``alpha``, which extends
     continuously to singular ``u``.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    u = symmetrize(u)
-    d = w.dim
-    root = sqrt_psd(u)
-    core = np.eye(d) + root @ congruence_integral(w.beta, w.alpha, t) @ root
+    root, core = _wishart_core(w, u, t)
     if min_eigval(core) <= 0.0:
         raise np.linalg.LinAlgError("inner matrix is singular (cannot happen for PSD input)")
     middle = root @ np.linalg.solve(core, root)
@@ -384,12 +391,7 @@ def phi_closed_form_mbajd(w: WishartSpec, u, t: float) -> float:
     """Closed-form ``phi(t, u)``: ``k log det(I + u^{1/2} S_t u^{1/2})``
     (the symmetric determinant form) plus adaptive quadrature of the jump
     term along the closed-form ``psi`` flow, to ``_QUAD_TOL``."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    u = symmetrize(u)
-    d = w.dim
-    root = sqrt_psd(u)
-    core = np.eye(d) + root @ congruence_integral(w.beta, w.alpha, t) @ root
+    _, core = _wishart_core(w, u, t)
     sign, logdet = np.linalg.slogdet(core)
     if sign <= 0:
         raise np.linalg.LinAlgError("nonpositive determinant (cannot happen for PSD input)")

@@ -41,7 +41,7 @@ import numpy as np
 
 from .ergodicity import InvariantLaw, decay_certificate, transient_mean, w1_mean_gap_check
 from .params import AffineParams
-from .riccati import congruence_integral
+from .riccati import congruence_integral, grid_index
 from .symcone import frobenius, mat_exp, symmetrize
 
 
@@ -106,10 +106,7 @@ class PathEnsemble:
     jump_log: list  # per path: list of (time, source, atom_index)
 
     def snapshot_index(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.snapshot_times - t)))
-        if abs(self.snapshot_times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise KeyError(f"no snapshot at time {t}")
-        return i
+        return grid_index(self.snapshot_times, t)
 
     def snapshots_to_csv(self, path) -> None:
         """Columns: path_id, t, upper triangle of the state row-major.
@@ -147,6 +144,14 @@ def _path_rng(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _m_arrays(p: AffineParams) -> tuple[np.ndarray, np.ndarray, float]:
+    """The ``m`` atoms as arrays: sites ``(n, d, d)``, rates ``(n,)`` and
+    the total rate."""
+    m_sites = np.array([s for s, _ in p.m.atoms]).reshape(-1, p.dim, p.dim)
+    m_rates = np.array([w for _, w in p.m.atoms])
+    return m_sites, m_rates, float(m_rates.sum())
+
+
 def _snapshot_steps(times, dt: float, n_steps: int) -> np.ndarray:
     steps = np.asarray([int(round(t / dt)) for t in times])
     for t, k in zip(times, steps):
@@ -174,9 +179,7 @@ def _euler_block(config: SimConfig, path_ids, n_steps, snap_steps, out, jump_log
     chunk = CHUNK_STEPS
     n_mu = len(p.mu)
 
-    m_sites = np.array([s for s, _ in p.m.atoms]).reshape(-1, d, d)
-    m_rates = np.array([w for _, w in p.m.atoms])
-    m_total = float(m_rates.sum()) if len(p.m) else 0.0
+    m_sites, m_rates, m_total = _m_arrays(p)
     mu_sites = np.array([s for s, _ in p.mu.atoms]).reshape(-1, d, d)
     mu_weights = np.array([w for _, w in p.mu.atoms]).reshape(-1, d, d)
 
@@ -277,9 +280,7 @@ def _ou_block(config: SimConfig, path_ids, snapshot_times, out, jump_log):
     d = p.dim
     beta = p.drift.beta
     T = config.horizon
-    m_sites = np.array([s for s, _ in p.m.atoms]).reshape(-1, d, d)
-    m_rates = np.array([w for _, w in p.m.atoms])
-    m_total = float(m_rates.sum()) if len(p.m) else 0.0
+    m_sites, m_rates, m_total = _m_arrays(p)
 
     # per-path randomness in a fixed order; the block's jumps go into flat
     # arrays, path by path and in time order within a path

@@ -71,24 +71,21 @@ def min_eigval(x) -> float:
     return float(np.linalg.eigvalsh(x)[0])
 
 
-def is_psd(x, tol: float | None = None) -> bool:
+def is_psd(x) -> bool:
     """Whether ``x`` lies in the cone within the relative tolerance."""
-    if tol is None:
-        tol = psd_tol(x)
-    return min_eigval(x) >= -tol
+    return min_eigval(x) >= -psd_tol(x)
 
 
-def check_cone(x, tol: float | None = None) -> float:
+def check_cone(x) -> float:
     """Validate cone membership and return the eigenvalue floor found.
 
     Raises
     ------
     ConeViolationError
-        If the smallest eigenvalue is below ``-tol``.
+        If the smallest eigenvalue is below ``-psd_tol(x)``.
     """
     x = symmetrize(x)
-    if tol is None:
-        tol = psd_tol(x)
+    tol = psd_tol(x)
     floor = min_eigval(x)
     if floor < -tol:
         raise ConeViolationError(

@@ -23,6 +23,7 @@ from affinecone import (
     solve_riccati,
 )
 from affinecone.cli import main
+from conftest import zero_diffusion_params
 
 
 @pytest.fixture
@@ -86,8 +87,8 @@ def _with(**entries):
     return lambda data: {**data, **entries}
 
 
-def _with_x0(x0):
-    return lambda data: {**data, "sim": {**data["sim"], "x0": x0}}
+def _with_sim(**entries):
+    return lambda data: {**data, "sim": {**data["sim"], **entries}}
 
 
 NOT_PSD = [[1.0, 0.0], [0.0, -1.0]]
@@ -101,11 +102,11 @@ NOT_PSD = [[1.0, 0.0], [0.0, -1.0]]
     pytest.param(["riccati"], None, np.eye(3).tolist(), id="u-wrong-shape"),
     pytest.param(["simulate", "--snapshots", "2.0"], None, None, id="snapshot-past-horizon"),
     pytest.param(["simulate", "--snapshots", "0.005"], None, None, id="snapshot-off-grid"),
-    pytest.param(["verify"], _with_x0(np.eye(3).tolist()), None, id="x0-wrong-shape"),
+    pytest.param(["verify"], _with_sim(x0=np.eye(3).tolist()), None, id="x0-wrong-shape"),
     pytest.param(["riccati"], None, NOT_PSD, id="u-not-psd"),
     pytest.param(["riccati"], None, [[1.0, float("nan")], [float("nan"), 1.0]],
                  id="u-not-finite"),
-    pytest.param(["verify"], _with_x0(NOT_PSD), None, id="x0-not-psd"),
+    pytest.param(["verify"], _with_sim(x0=NOT_PSD), None, id="x0-not-psd"),
     pytest.param(["validate"], _with(drift={"kind": "lyapunov", "beta": [[-1.0]]}), None,
                  id="beta-wrong-shape"),
     pytest.param(["riccati", "--T", "-1"], None, None, id="T-negative"),
@@ -124,6 +125,14 @@ NOT_PSD = [[1.0, 0.0], [0.0, -1.0]]
     pytest.param(["simulate", "--snapshots", "1.0", "--threads", "0"], None, None, id="threads-0"),
     pytest.param(["simulate", "--snapshots", "1.0", "--threads", "-1"], None, None,
                  id="threads-negative"),
+    pytest.param(["simulate", "--snapshots", "1.0"], _with_sim(n_paths=100.9), None,
+                 id="n-paths-fractional"),
+    pytest.param(["simulate", "--snapshots", "1.0"], _with_sim(n_paths=True), None,
+                 id="n-paths-bool"),
+    pytest.param(["simulate", "--snapshots", "1.0"], _with_sim(seed=3.7), None,
+                 id="seed-fractional"),
+    pytest.param(["simulate", "--snapshots", "1.0"], _with_sim(seed=False), None,
+                 id="seed-bool"),
 ])
 def test_bad_input_exits_2_without_traceback(config_file, tmp_path, capsys, argv, edit, u):
     cfg = config_file
@@ -141,6 +150,21 @@ def test_bad_input_exits_2_without_traceback(config_file, tmp_path, capsys, argv
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["stationary", "--table", "{missing}/t.csv"], id="stationary-table"),
+    pytest.param(["verify", "--out-dir", "{file}"], id="verify-out-dir-is-a-file"),
+    pytest.param(["simulate", "--snapshots", "1.0", "--out-dir", "{file}"],
+                 id="simulate-out-dir-is-a-file"),
+])
+def test_unwritable_output_exits_2_without_traceback(config_file, tmp_path, capsys, argv):
+    file = tmp_path / "file"
+    file.write_text("")
+    argv = [arg.format(missing=tmp_path / "missing", file=file) for arg in argv]
+    assert main(argv + ["--config", str(config_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
 
 
 def test_closed_form_unavailable_writes_nothing(tmp_path, capsys):
@@ -284,6 +308,22 @@ def test_verify_inflated_rate_self_test_fails(config_file, tmp_path):
     assert code == 5
 
 
+def test_verify_reports_first_violated_row_in_table_order(tmp_path, capsys):
+    # with an overstated rate the psi envelope fails earlier in time than the
+    # dL bound; the dL table is checked first, so its first violated row is
+    # the one stderr line
+    cfg = tmp_path / "jumps.json"
+    zero_diffusion_params().save(cfg)
+    out_dir = tmp_path / "v"
+    assert main(["verify", "--config", str(cfg), "--out-dir", str(out_dir),
+                 "--inflate-delta", "1.5"]) == 5
+    psi = np.loadtxt(out_dir / "psi_bound_table.csv", delimiter=",", skiprows=1)
+    dl = np.loadtxt(out_dir / "dL_table.csv", delimiter=",", skiprows=1)
+    t, a, bd = dl[dl[:, 1] > dl[:, 2]][0]
+    assert psi[psi[:, 1] > 1.0, 0][0] < t
+    assert capsys.readouterr().err == f"dL bound violated at t = {t:.6g}: {a:.3e} > {bd:.3e}\n"
+
+
 def test_simulate_outputs_and_reproducibility(config_file, tmp_path):
     d1 = tmp_path / "run1"
     d2 = tmp_path / "run2"
@@ -318,7 +358,7 @@ def test_simulate_requires_sim_section(tmp_path, config_file):
     ("validate", "--seed"), ("validate", "--threads"),
     ("riccati", "--seed"), ("riccati", "--threads"),
     ("stationary", "--seed"), ("stationary", "--threads"),
-    ("verify", "--threads"),
+    ("verify", "--seed"), ("verify", "--threads"),
     ("validate", "--tol"), ("simulate", "--tol"),
 ])
 def test_unused_flags_are_rejected(config_file, tmp_path, command, flag, capsys):
@@ -332,9 +372,3 @@ def test_unused_flags_are_rejected(config_file, tmp_path, command, flag, capsys)
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
 
-
-def test_verify_records_seed(config_file, tmp_path):
-    out_dir = tmp_path / "v"
-    assert main(["verify", "--config", str(config_file), "--out-dir", str(out_dir),
-                 "--seed", "41"]) == 0
-    assert json.loads((out_dir / "manifest.json").read_text())["seed"] == 41
