@@ -69,6 +69,7 @@ from .symcone import (
     mat_exp,
     min_eigval,
     project_psd,
+    project_sqrt_psd,
     psd_tol,
     random_psd,
     sqrt_psd,

@@ -306,11 +306,15 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"sim: {type(exc).__name__}: {exc}") from exc
     try:
         snapshots = [float(s) for s in args.snapshots.split(",")]
-        ens = simulate(config, snapshots, threads=args.threads)
-    except ValueError as exc:  # not numbers, past the horizon or off the step grid
+    except ValueError as exc:
         raise ConfigError(f"--snapshots: {exc}") from exc
+    # an output directory that cannot be made fails before the simulation
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        ens = simulate(config, snapshots, threads=args.threads)
+    except ValueError as exc:  # past the horizon or off the step grid
+        raise ConfigError(f"--snapshots: {exc}") from exc
     snap_path = out_dir / "snapshots.csv"
     jump_path = out_dir / "jumps.csv"
     z_path = out_dir / "zscores.csv"

@@ -14,7 +14,15 @@ Two schemes:
   horizon beyond the jumps.  Each path still consumes its stream in the
   order of one up-front draw (normals, ``m`` counts, ``m`` atoms, ``mu``
   uniforms); reaching the jump draws costs one extra pass over the
-  path's normals.
+  path's normals.  A step is a few stacked products and one call of
+  ``symcone.project_sqrt_psd``, which returns the projected state and its
+  square root together: for ``d <= 3`` in closed form, with no
+  eigenvectors, on every row well inside the cone, and through ``eigh``
+  only on the other rows (near-singular or indefinite) and for ``d >= 4``.
+  These small operations each release and retake the GIL, so blocks on
+  concurrent threads would mostly wait for one another: the stepping of a
+  chunk holds a lock shared by the blocks, and only the random draws of
+  one block run beside the stepping of another.
 * ``ou_exact`` -- for zero diffusion: the state is the congruence
   transport of the start point plus the exact drift integral plus the
   transported jumps, with jump times drawn exactly (uniform order
@@ -33,6 +41,7 @@ paths are distributed over worker threads.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -42,7 +51,7 @@ import numpy as np
 from .ergodicity import InvariantLaw, decay_certificate, transient_mean, w1_mean_gap_check
 from .params import AffineParams
 from .riccati import congruence_integral, grid_index
-from .symcone import frobenius, mat_exp, symmetrize
+from .symcone import frobenius, mat_exp, project_sqrt_psd, symmetrize
 
 
 class PathFailureError(RuntimeError):
@@ -160,7 +169,8 @@ def _snapshot_steps(times, dt: float, n_steps: int) -> np.ndarray:
     return steps
 
 
-def _euler_block(config: SimConfig, path_ids, n_steps, snap_steps, out, jump_log):
+def _euler_block(config: SimConfig, path_ids, n_steps, snap_steps, out, jump_log,
+                 step_lock):
     """Advance one block of paths; writes states into preassigned slots.
 
     A path's stream holds, in this order: the normals of every step, the
@@ -169,7 +179,8 @@ def _euler_block(config: SimConfig, path_ids, n_steps, snap_steps, out, jump_log
     hands out the normals ``CHUNK_STEPS`` steps at a time.  The other skips
     the normals, reads every ``m`` jump up front and then hands out the
     ``mu`` uniforms chunk by chunk.  Drawing in pieces yields the values of
-    one draw, so the sample does not depend on ``CHUNK_STEPS``.
+    one draw, so the sample does not depend on ``CHUNK_STEPS``.  Each
+    chunk of steps runs under ``step_lock``, its draws outside it.
     """
     p = config.params
     d = p.dim
@@ -181,7 +192,6 @@ def _euler_block(config: SimConfig, path_ids, n_steps, snap_steps, out, jump_log
 
     m_sites, m_rates, m_total = _m_arrays(p)
     mu_sites = np.array([s for s, _ in p.mu.atoms]).reshape(-1, d, d)
-    mu_weights = np.array([w for _, w in p.mu.atoms]).reshape(-1, d, d)
 
     normals = np.empty((nb, chunk, d, d))
     uniforms = np.empty((nb, chunk, n_mu))
@@ -209,61 +219,67 @@ def _euler_block(config: SimConfig, path_ids, n_steps, snap_steps, out, jump_log
     # applied by step; the stable sort keeps path order, then drawing order
     m_events.sort(key=lambda event: event[0])
 
+    # with N the step's standard normals, a step adds b dt + H + H^T for
+    # H = dt X beta^T + sqrt(dt) X^{1/2} N sigma: two (nb d, d) @ (d, d)
+    # products and a stacked one (H^T holds beta X, as X is symmetric).
+    # X + b dt + (H + H^T) is symmetric bit for bit, so the projection
+    # needs no symmetrizing
+    beta_t_dt = dt * beta.T
+    sigma_dt = np.sqrt(dt) * config.sigma
+    b_dt = p.b * dt
+    # the rate of a jump by site_i is <X, weight_i>
+    mu_weights_dt = np.array([w for _, w in p.mu.atoms]).reshape(-1, d * d).T * dt
+
     X = np.broadcast_to(config.x0, (nb, d, d)).copy()
-    w, q = np.linalg.eigh(X)
-    w = np.clip(w, 0.0, None)
+    _, sqrtX = project_sqrt_psd(X)
     e = 0
     warned = False
 
     for ti in np.nonzero(snap_steps == 0)[0]:
         out[ti, path_ids] = X
 
-    for k in range(n_steps):
-        i = k % chunk
-        if i == 0:
-            c = min(chunk, n_steps - k)
-            for j, rng in enumerate(normal_rngs):
-                rng.standard_normal(out=normals[j, :c])
-            normals[:, :c] *= np.sqrt(dt)
-            if n_mu:
-                for j, rng in enumerate(jump_rngs):
-                    rng.random(out=uniforms[j, :c])
-        sqrtX = (q * np.sqrt(w)[:, None, :]) @ np.transpose(q, (0, 2, 1))
-        drift = p.b + beta @ X + X @ beta.T
-        mix = sqrtX @ normals[:, i] @ config.sigma
-        Xn = X + drift * dt + mix + np.transpose(mix, (0, 2, 1))
-
-        t_now = (k + 1) * dt
-        while e < len(m_events) and m_events[e][0] == k:
-            _, j, atom = m_events[e]
-            e += 1
-            Xn[j] += m_sites[atom]
-            jump_log[path_ids[j]].append((t_now, "m", atom))
+    for k0 in range(0, n_steps, chunk):
+        c = min(chunk, n_steps - k0)
+        for j, rng in enumerate(normal_rngs):
+            rng.standard_normal(out=normals[j, :c])
         if n_mu:
-            # thinning against the pre-step state, intensity frozen per step;
-            # rate of a jump by site_i is <X, weight_i>
-            rates = np.einsum("bij,aij->ba", X, mu_weights) * dt
-            if not warned and np.any(rates > 0.1):
-                warnings.warn(
-                    "state-dependent jump probability per step exceeded 0.1; "
-                    "reduce dt for accurate thinning",
-                    stacklevel=2,
-                )
-                warned = True
-            hits = uniforms[:, i] < rates
-            for j, a in zip(*np.nonzero(hits)):
-                Xn[j] += mu_sites[a]
-                jump_log[path_ids[j]].append((t_now, "mu", int(a)))
+            for j, rng in enumerate(jump_rngs):
+                rng.random(out=uniforms[j, :c])
+        with step_lock:
+            for i, k in enumerate(range(k0, k0 + c)):
+                mix = (sqrtX @ normals[:, i]).reshape(nb * d, d) @ sigma_dt
+                H = (X.reshape(nb * d, d) @ beta_t_dt + mix).reshape(nb, d, d)
+                Xn = X + b_dt + (H + np.transpose(H, (0, 2, 1)))
 
-        if not np.all(np.isfinite(Xn)):
-            bad = int(path_ids[int(np.nonzero(~np.isfinite(Xn).all(axis=(1, 2)))[0][0])])
-            raise PathFailureError(f"path {bad} produced non-finite values", bad)
-        Xn = (Xn + np.transpose(Xn, (0, 2, 1))) / 2.0
-        w, q = np.linalg.eigh(Xn)
-        w = np.clip(w, 0.0, None)
-        X = (q * w[:, None, :]) @ np.transpose(q, (0, 2, 1))
-        for ti in np.nonzero(snap_steps == k + 1)[0]:
-            out[ti, path_ids] = X
+                t_now = (k + 1) * dt
+                while e < len(m_events) and m_events[e][0] == k:
+                    _, j, atom = m_events[e]
+                    e += 1
+                    Xn[j] += m_sites[atom]
+                    jump_log[path_ids[j]].append((t_now, "m", atom))
+                if n_mu:
+                    # thinning against the pre-step state, intensity frozen
+                    # per step
+                    rates = X.reshape(nb, d * d) @ mu_weights_dt
+                    if not warned and np.any(rates > 0.1):
+                        warnings.warn(
+                            "state-dependent jump probability per step exceeded 0.1; "
+                            "reduce dt for accurate thinning",
+                            stacklevel=2,
+                        )
+                        warned = True
+                    hits = uniforms[:, i] < rates
+                    for j, a in zip(*np.nonzero(hits)):
+                        Xn[j] += mu_sites[a]
+                        jump_log[path_ids[j]].append((t_now, "mu", int(a)))
+
+                if not np.all(np.isfinite(Xn)):
+                    row = int(np.nonzero(~np.isfinite(Xn).all(axis=(1, 2)))[0][0])
+                    bad = int(path_ids[row])
+                    raise PathFailureError(f"path {bad} produced non-finite values", bad)
+                X, sqrtX = project_sqrt_psd(Xn)
+                for ti in np.nonzero(snap_steps == k + 1)[0]:
+                    out[ti, path_ids] = X
 
 
 def _ou_block(config: SimConfig, path_ids, snapshot_times, out, jump_log):
@@ -345,8 +361,10 @@ def simulate(config: SimConfig, snapshot_times, threads: int = 1) -> PathEnsembl
             raise ValueError("horizon must be an integer number of steps")
         snap_steps = _snapshot_steps(snapshot_times, config.dt, n_steps)
 
+        step_lock = threading.Lock()
+
         def run(ids):
-            _euler_block(config, ids, n_steps, snap_steps, out, jump_log)
+            _euler_block(config, ids, n_steps, snap_steps, out, jump_log, step_lock)
     else:
         def run(ids):
             _ou_block(config, ids, snapshot_times, out, jump_log)

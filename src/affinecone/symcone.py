@@ -7,7 +7,8 @@ conventions once:
 
 * the trace inner product ``<x, y> = tr(x y)`` and its Frobenius norm,
 * a relative tolerance for cone membership (``psd_tol``),
-* spectral operations (square root, projection onto the cone),
+* spectral operations (square root, projection onto the cone, and both
+  at once for a stack, in closed form for ``d <= 3``),
 * the orthonormal vectorization of symmetric matrices used to represent
   linear maps on symmetric matrices as ordinary ``D x D`` matrices,
   with ``D = d(d+1)/2``.
@@ -128,6 +129,25 @@ def mat_exp(a) -> np.ndarray:
     return out
 
 
+def _spectral_project_sqrt(y):
+    """The general path: ``eigh``, clip the eigenvalues at zero, rebuild.
+
+    Returns the unclipped eigenvalues (ascending), the projection (``y``
+    itself wherever no eigenvalue is negative) and the root of the
+    projection, for one matrix or a stack ``(..., d, d)``.
+    """
+    w, q = np.linalg.eigh(y)
+    qt = np.swapaxes(q, -1, -2)
+    clipped = np.clip(w, 0.0, None)
+
+    def rebuild(values):
+        a = (q * values[..., None, :]) @ qt
+        return (a + np.swapaxes(a, -1, -2)) / 2.0
+
+    x = np.where(w[..., :1, None] >= 0.0, y, rebuild(clipped))
+    return w, x, rebuild(np.sqrt(clipped))
+
+
 def sqrt_psd(x) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
@@ -136,13 +156,12 @@ def sqrt_psd(x) -> np.ndarray:
     """
     x = symmetrize(x)
     tol = psd_tol(x)
-    w, q = np.linalg.eigh(x)
+    w, _, s = _spectral_project_sqrt(x)
     if w[0] < -tol:
         raise ConeViolationError(
             f"cannot take PSD square root: min eigenvalue {w[0]:.3e} < -{tol:.3e}"
         )
-    w = np.clip(w, 0.0, None)
-    return symmetrize((q * np.sqrt(w)) @ q.T)
+    return s
 
 
 def project_psd(x) -> np.ndarray:
@@ -151,11 +170,107 @@ def project_psd(x) -> np.ndarray:
     Idempotent, and the identity on cone members.
     """
     x = symmetrize(x)
-    w, q = np.linalg.eigh(x)
-    if w[0] >= 0.0:
-        return x
-    w = np.clip(w, 0.0, None)
-    return symmetrize((q * w) @ q.T)
+    return project_sqrt_psd(x[None])[0][0]
+
+
+# a row whose smallest eigenvalue exceeds this fraction of its largest is
+# well inside the cone: it is its own projection and is rooted in closed
+# form, which loses at most about 1e-16 / (2 sqrt(_CLOSED_FORM_TAU)) of its
+# scale to rounding
+_CLOSED_FORM_TAU = 1e-6
+
+
+def _closed_form_sqrt2(y):
+    """Rows of a ``(n, 2, 2)`` stack inside the cone, and their roots
+    ``(Y + sqrt(det) I) / sqrt(tr + 2 sqrt(det))``."""
+    a, b, c = y[:, 0, 0], y[:, 0, 1], y[:, 1, 1]
+    det = a * c - b * b
+    lam_max = (a + c) / 2.0 + np.hypot((a - c) / 2.0, b)
+    inside = (lam_max > 0.0) & (det > _CLOSED_FORM_TAU * lam_max * lam_max)
+    rd = np.sqrt(det)
+    s = (y + rd[:, None, None] * np.eye(2)) / np.sqrt(a + c + 2.0 * rd)[:, None, None]
+    return inside, s
+
+
+# a 3x3 symmetric matrix as the rows (00, 11, 22, 01, 02, 12) of a
+# (6, n) array: their row-major flat positions, the row of each flat
+# position, the diagonal rows, the weights of the squared norm, and the
+# three products summed into each entry of Y^2
+_UPPER3 = np.array([0, 4, 8, 1, 2, 5])
+_FULL3 = np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])
+_DIAG3 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])[:, None]
+_NORM3 = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+_SQUARE_LEFT = np.array([[0, 3, 4, 0, 0, 3], [3, 1, 5, 3, 3, 1], [4, 5, 2, 4, 4, 5]])
+_SQUARE_RIGHT = np.array([[0, 3, 4, 3, 4, 4], [3, 1, 5, 1, 5, 5], [4, 5, 2, 5, 2, 2]])
+# the angles of the largest, smallest and middle eigenvalue
+_ANGLES3 = np.array([0.0, 2.0, 4.0])[:, None] * np.pi / 3.0
+
+
+def _closed_form_sqrt3(y):
+    """Rows of a ``(n, 3, 3)`` stack inside the cone, and their roots.
+
+    Eigenvalues by the trigonometric formula for symmetric 3x3 matrices
+    (Smith 1961), then ``S = [-Y^2 + (I1^2 - I2) Y + I1 I3 I] / (I1 I2 - I3)``
+    with ``I1, I2, I3`` the elementary symmetric functions of the roots of
+    the eigenvalues (Franca 1989).  The denominator is ``(s1 + s2)(s1 + s3)
+    (s2 + s3)``: no eigenvalue gap is divided by, so repeated eigenvalues
+    are safe.  The arithmetic runs on the six upper-triangle entries, each
+    a contiguous row over the stack.
+    """
+    n = len(y)
+    v = y.reshape(n, 9).T[_UPPER3]
+    q = (v[0] + v[1] + v[2]) / 3.0
+    # B = Y - q I, with p^2 = ||B||^2 / 6 and r = det(B / p) / 2
+    b = v - q * _DIAG3
+    b00, b11, b22, b01, b02, b12 = b
+    sq = b * b
+    p = np.sqrt(_NORM3 @ sq / 6.0)
+    det_b = (b00 * (b11 * b22 - sq[5]) - b11 * sq[4] - b22 * sq[3]
+             + 2.0 * b01 * b02 * b12)
+    # at p = 0 (a multiple of I) det_b is 0 too, and every eigenvalue is q
+    # whatever the angle
+    r = det_b / np.maximum(2.0 * p * p * p, np.finfo(float).tiny)
+    phi = np.arccos(np.minimum(np.maximum(r, -1.0), 1.0)) / 3.0
+    lam = q + 2.0 * p * np.cos(phi + _ANGLES3)
+    inside = lam[1] > _CLOSED_FORM_TAU * lam[0]
+    s1, s2, s3 = np.sqrt(lam)
+    i1 = s1 + s2 + s3
+    i2 = s1 * s2 + s1 * s3 + s2 * s3
+    den = (s1 + s2) * (s1 + s3) * (s2 + s3)
+    prod = v[_SQUARE_LEFT] * v[_SQUARE_RIGHT]
+    y2 = prod[0] + prod[1] + prod[2]
+    s = ((i1 * i1 - i2) * v - y2 + i1 * (s1 * s2 * s3) * _DIAG3) / den
+    return inside, np.ascontiguousarray(s[_FULL3].T).reshape(n, 3, 3)
+
+
+_CLOSED_FORMS = {2: _closed_form_sqrt2, 3: _closed_form_sqrt3}
+
+
+def project_sqrt_psd(y) -> tuple[np.ndarray, np.ndarray]:
+    """Projection onto the cone and its square root, ``Y -> (X, X^{1/2})``,
+    for a stack ``(n, d, d)`` of finite symmetric matrices.
+
+    For ``d`` of 2 or 3, a row whose smallest eigenvalue exceeds
+    ``_CLOSED_FORM_TAU`` times its largest is its own projection and is
+    rooted in closed form, with no eigenvectors.  Every other row
+    (near-singular or indefinite), and every row for other ``d``, takes the
+    general path: ``eigh``, eigenvalues clipped at zero, both matrices
+    rebuilt; a row with no negative eigenvalue is still its own projection.
+    """
+    y = np.asarray(y, dtype=float)
+    closed_form = _CLOSED_FORMS.get(y.shape[-1])
+    if closed_form is None:
+        _, x, s = _spectral_project_sqrt(y)
+        return x, s
+    # rows outside the closed form's domain may divide by zero or take the
+    # root of a negative number; their values are replaced below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inside, s = closed_form(y)
+    x = y.copy()
+    if not inside.all():
+        rest = np.flatnonzero(~inside)
+        _, x[rest], s[rest] = _spectral_project_sqrt(y[rest])
+    return x, s
 
 
 def sym_dim(d: int) -> int:

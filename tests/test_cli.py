@@ -167,6 +167,18 @@ def test_unwritable_output_exits_2_without_traceback(config_file, tmp_path, caps
     assert err.startswith("output error: ") and err.count("\n") == 1
 
 
+def test_simulate_checks_out_dir_before_simulating(config_file, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("simulate ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "simulate", fail)
+    file = tmp_path / "file"
+    file.write_text("")
+    argv = ["simulate", "--config", str(config_file), "--snapshots", "1.0", "--out-dir", str(file)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("output error: ")
+
+
 def test_closed_form_unavailable_writes_nothing(tmp_path, capsys):
     d = 2
     p = AffineParams(dim=d, alpha=np.zeros((d, d)), b=np.zeros((d, d)),
@@ -249,7 +261,7 @@ def test_verify_bounds_and_manifest(config_file, tmp_path):
     assert manifest["command"] == "verify"
     assert manifest["outputs"]
     for entry in manifest["outputs"]:
-        digest = hashlib.sha256(open(entry["path"], "rb").read()).hexdigest()
+        digest = hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
         assert digest == entry["sha256"]
     table = np.loadtxt(out_dir / "dL_table.csv", delimiter=",", skiprows=1)
     assert np.all(table[:, 1] <= table[:, 2])

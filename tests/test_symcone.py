@@ -13,6 +13,7 @@ from affinecone import (
     mat_exp,
     min_eigval,
     project_psd,
+    project_sqrt_psd,
     psd_tol,
     random_psd,
     sqrt_psd,
@@ -23,6 +24,7 @@ from affinecone import (
     unvectorize,
     vectorize,
 )
+from affinecone.symcone import _CLOSED_FORM_TAU
 
 
 def test_symmetrize_output_is_symmetric(rng):
@@ -110,6 +112,60 @@ def test_project_psd_idempotent_and_nearest(rng):
     w, q = np.linalg.eigh(a)
     ref = (q * np.clip(w, 0.0, None)) @ q.T
     assert np.allclose(p, ref, atol=1e-12)
+
+
+def _spectral_stack(d, rng):
+    """Symmetric stacks built from their spectra: multiples of I, ranks 0
+    to d - 1, smallest-to-largest eigenvalue ratios around the closed-form
+    threshold, indefinite and random rows, at scales from 1e-6 to 1e6."""
+    spectra = [np.full(d, c) for c in (0.5, 1e-6, 3e5)]
+    for rank in range(d):
+        spectra += [np.concatenate([np.zeros(d - rank), rng.uniform(0.1, 2.0, rank)])
+                    for _ in range(20)]
+    for ratio in (0.5, 0.99, 1.01, 2.0):
+        low = ratio * _CLOSED_FORM_TAU
+        spectra += [np.concatenate([[low], rng.uniform(low, 1.0, d - 2), [1.0]])
+                    for _ in range(20)]
+    spectra += [np.concatenate([[-rng.uniform(1e-9, 1.0)], rng.uniform(-1.0, 1.0, d - 1)])
+                for _ in range(60)]
+    spectra += [rng.uniform(0.05, 1.0, d) for _ in range(60)]
+    stack = []
+    for lam in spectra:
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        scale = 10.0 ** rng.uniform(-6, 6)
+        stack.append(np.diag(scale * lam) if np.ptp(lam) == 0 else scale * (q * lam) @ q.T)
+    stack += [symmetrize(rng.standard_normal((d, d))) for _ in range(60)]
+    return symmetrize(np.array(stack))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_project_sqrt_psd_matches_eigh(rng, d):
+    y = _spectral_stack(d, rng)
+    x, s = project_sqrt_psd(y)
+    w_raw, q = np.linalg.eigh(y)
+    w = np.clip(w_raw, 0.0, None)
+    x_ref = (q * w[:, None, :]) @ np.swapaxes(q, 1, 2)
+    s_ref = (q * np.sqrt(w)[:, None, :]) @ np.swapaxes(q, 1, 2)
+    scale = np.maximum(1.0, np.linalg.norm(y, axis=(1, 2)))
+    assert np.all(np.abs(x - x_ref).max(axis=(1, 2)) <= 1e-12 * scale)
+    assert np.all(np.abs(s - s_ref).max(axis=(1, 2)) <= 1e-10 * np.sqrt(scale))
+    assert np.array_equal(x, np.swapaxes(x, 1, 2))
+    # cone members (by eigh, which rows outside the closed form's domain
+    # go through) are their own projection, bit for bit
+    inside = w_raw[:, 0] >= 0.0
+    assert inside.sum() > len(y) // 2
+    assert np.array_equal(x[inside], y[inside])
+
+
+def test_project_sqrt_psd_general_dimension_is_eigh(rng):
+    y = np.array([symmetrize(rng.standard_normal((4, 4))) for _ in range(8)])
+    y[0] = random_psd(4, rng)
+    x, s = project_sqrt_psd(y)
+    w, q = np.linalg.eigh(y)
+    w = np.clip(w, 0.0, None)
+    assert np.array_equal(x[0], y[0])
+    assert np.allclose(x, (q * w[:, None, :]) @ np.swapaxes(q, 1, 2), atol=1e-12)
+    assert np.allclose(s @ s, x, atol=1e-12)
 
 
 def test_trace_norm_bracket_on_random_psd(rng):
