@@ -14,8 +14,10 @@ Exit 2 covers a config that cannot be read or parsed into a parameter
 set; a ``--u`` matrix or ``sim.x0`` that is unreadable, not
 ``dim x dim``, non-finite or outside the cone; a ``sim`` section that is
 missing or malformed, or snapshot times past the horizon or off the step
-grid, or a ``sim.n_paths`` or ``sim.seed`` that is a bool or has a
-fractional part; ``--closed-form`` on a model outside the Wishart
+grid; a ``sim.n_paths`` or ``sim.seed`` that is a bool or has a
+fractional part; a ``sim.dt`` that is not positive and finite, a
+``sim.horizon`` that is negative or not finite, or a ``horizon / dt``
+that overflows; ``--closed-form`` on a model outside the Wishart
 family; a ``--tol`` outside ``riccati.TOL_RANGE`` (``[1e-12, 1e-3]``); a
 ``--T`` or ``--inflate-delta`` that is not positive and finite; a
 ``--threads`` below 1; and an output file or directory that cannot be
@@ -198,6 +200,9 @@ def cmd_riccati(args) -> int:
 
 def cmd_stationary(args) -> int:
     p, _ = load_params(args.config)
+    # an output that cannot be written fails before the first solve
+    for path in filter(None, (args.out, args.table)):
+        open(path, "a").close()
     cert = decay_certificate(p)
     law = InvariantLaw(p, cert)
     gate = log_moment_gate(p)

@@ -12,7 +12,9 @@ A model is described by a tuple (alpha, b, B, m, mu):
 Jump measures are finitely atomic throughout: all integrals against
 them become exact finite sums, the jump part is a compound Poisson
 process that can be simulated exactly, and every moment hypothesis is
-checkable rather than assumed.
+checkable rather than assumed.  Each measure stores its atoms once, as
+arrays stacked over an atom axis (``sites`` with ``masses`` or
+``weights``), so every sum over atoms is one stacked expression.
 
 The effective drift adds the linearized ``mu`` contribution to ``B``;
 its spectrum governs the long-time behavior of the process and is
@@ -33,6 +35,7 @@ from .symcone import (
     is_psd,
     mat_exp,
     min_eigval,
+    pairings,
     psd_tol,
     sym_basis,
     sym_dim,
@@ -87,57 +90,71 @@ class SymOperator:
         return float(np.linalg.norm(self.matrix, 2))
 
 
-@dataclass
+def _atom_stack(matrices, nonzero: bool = False) -> np.ndarray:
+    """PSD (and, if asked, nonzero) matrices, symmetrized, as one
+    ``(n, d, d)`` stack; ``(0, 0, 0)`` when there are none."""
+    stack = symmetrize(np.asarray(matrices, dtype=float)) if matrices else np.empty((0, 0, 0))
+    for x in stack:
+        if nonzero and frobenius(x) == 0.0:
+            raise ValueError("jump sites must be nonzero")
+        check_cone(x)  # also refuses anything but square matrices
+    return stack
+
+
 class ScalarJumpMeasure:
-    """Finitely atomic jump measure: atoms ``(site, mass)`` with PSD
-    nonzero sites and strictly positive masses."""
+    """Finitely atomic jump measure: atoms ``(site, mass)`` with PSD nonzero
+    sites and positive masses, stored as ``sites`` ``(n, d, d)`` (``(0, 0,
+    0)`` when empty: no ``d`` is known) and ``masses`` ``(n,)``."""
 
-    atoms: list[tuple[np.ndarray, float]] = field(default_factory=list)
+    def __init__(self, atoms=()):
+        atoms = list(atoms)
+        self.sites = _atom_stack([site for site, _ in atoms], nonzero=True)
+        self.masses = np.array([float(mass) for _, mass in atoms])
+        if not np.all((self.masses > 0.0) & np.isfinite(self.masses)):
+            raise ValueError(f"jump masses must be positive and finite, got {self.masses}")
 
-    def __post_init__(self):
-        self.atoms = [(symmetrize(site), float(mass)) for site, mass in self.atoms]
-        for site, mass in self.atoms:
-            if frobenius(site) == 0.0:
-                raise ValueError("jump sites must be nonzero")
-            check_cone(site)
-            if not (mass > 0.0 and np.isfinite(mass)):
-                raise ValueError(f"jump masses must be positive and finite, got {mass}")
+    @property
+    def atoms(self) -> list[tuple[np.ndarray, float]]:
+        return list(zip(self.sites, self.masses.tolist()))
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.masses)
 
     def total_rate(self) -> float:
-        return sum(w for _, w in self.atoms)
+        return float(self.masses.sum())
 
     def first_moment(self, dim: int) -> np.ndarray:
         """Full first moment ``sum_i w_i site_i`` (finite by atomicity)."""
-        out = np.zeros((dim, dim))
-        for site, mass in self.atoms:
-            out += mass * site
-        return out
+        return np.tensordot(self.masses, self.sites.reshape(-1, dim, dim), axes=1)
 
     def log_moment(self) -> float:
         """``sum w_i log||site_i||`` over atoms with ``||site_i|| > 1`` (strict)."""
-        return sum(w * np.log(frobenius(s)) for s, w in self.atoms if frobenius(s) > 1.0)
+        norms = np.linalg.norm(self.sites, axis=(1, 2))
+        return float(self.masses[norms > 1.0] @ np.log(norms[norms > 1.0]))
+
+    def cost(self, u):
+        """The jump part ``sum_i w_i (1 - e^{-<u, site_i>})`` of the running
+        cost, for one symmetric matrix or a stack ``(..., d, d)``."""
+        u = np.asarray(u, dtype=float)
+        sites = self.sites.reshape((-1,) + u.shape[-2:])
+        return (1.0 - np.exp(-pairings(u, sites))) @ self.masses
 
 
-@dataclass
 class MatrixJumpMeasure:
-    """Finitely atomic matrix-valued jump measure: atoms ``(site, weight)``
-    with nonzero PSD sites and PSD matrix weights."""
+    """Finitely atomic matrix-valued jump measure: atoms ``(site, weight)`` with
+    nonzero PSD sites and PSD weights, stored as ``sites`` and ``weights``."""
 
-    atoms: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    def __init__(self, atoms=()):
+        atoms = list(atoms)
+        self.sites = _atom_stack([site for site, _ in atoms], nonzero=True)
+        self.weights = _atom_stack([weight for _, weight in atoms])
 
-    def __post_init__(self):
-        self.atoms = [(symmetrize(site), symmetrize(weight)) for site, weight in self.atoms]
-        for site, weight in self.atoms:
-            if frobenius(site) == 0.0:
-                raise ValueError("jump sites must be nonzero")
-            check_cone(site)
-            check_cone(weight)
+    @property
+    def atoms(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return list(zip(self.sites, self.weights))
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.sites)
 
 
 _DRIFT_KINDS = ("lyapunov", "congruence", "general")
@@ -247,8 +264,7 @@ class AffineParams:
     def __post_init__(self):
         self.alpha = symmetrize(self.alpha)
         self.b = symmetrize(self.b)
-        matrices = [self.alpha, self.b, *(s for s, _ in self.m.atoms),
-                    *(x for atom in self.mu.atoms for x in atom)]
+        matrices = [self.alpha, self.b, *self.m.sites, *self.mu.sites, *self.mu.weights]
         if self.drift.kind != "general":
             matrices.append(self.drift.beta)
         elif self.drift.operator_matrix.shape != (sym_dim(self.dim),) * 2:
@@ -285,7 +301,8 @@ class AffineParams:
         clauses["scalar_jumps_integrable"] = ClauseResult(
             True, f"{len(self.m)} atoms, total rate {self.m.total_rate():.3e}"
         )
-        tr_moment = sum(frobenius(s) * float(np.trace(w)) for s, w in self.mu.atoms)
+        tr_moment = float(np.linalg.norm(self.mu.sites, axis=(1, 2))
+                          @ np.trace(self.mu.weights, axis1=1, axis2=2))
         clauses["matrix_jumps_first_moment"] = ClauseResult(
             True, f"{len(self.mu)} atoms, ||site|| tr(weight) sum = {tr_moment:.3e}"
         )
@@ -319,16 +336,13 @@ class AffineParams:
         This is the forward form entering the first-moment ODE: jumps by
         ``site_i`` arrive at rate ``<x, weight_i>``, so their mean drift
         is the rate times the jump size.  Its adjoint is the derivative
-        of the Riccati vector field at zero.
+        of the Riccati vector field at zero.  In coordinates the jump part
+        is ``sum_i vec(site_i) vec(weight_i)^T``.
         """
-
-        def fn(x):
-            out = self.drift.apply(x)
-            for site, weight in self.mu.atoms:
-                out = out + inner(x, weight) * site
-            return out
-
-        return SymOperator.from_map(self.dim, fn)
+        d = self.dim
+        jumps = (vectorize(self.mu.sites.reshape(-1, d, d)).T
+                 @ vectorize(self.mu.weights.reshape(-1, d, d)))
+        return SymOperator(d, self.drift.operator(d).matrix + jumps)
 
     # --- serialization -------------------------------------------------
 

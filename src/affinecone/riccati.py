@@ -46,9 +46,11 @@ from .symcone import (
     inner,
     mat_exp,
     min_eigval,
+    pairings,
     sqrt_psd,
     sym_index,
     symmetrize,
+    vectorize,
 )
 
 
@@ -63,12 +65,6 @@ class SolverFailureError(RuntimeError):
 # --- F, R and their derivatives ----------------------------------------
 
 
-def _pair(u, site) -> np.ndarray:
-    """Trace inner products ``<u_k, site>`` over the leading axes of ``u``
-    (``site`` symmetric)."""
-    return u.reshape(u.shape[:-2] + (-1,)) @ site.ravel()
-
-
 def riccati_F(p: AffineParams, u):
     """Running-cost function ``F``; nonnegative on the cone, ``F(0) = 0``.
 
@@ -76,10 +72,7 @@ def riccati_F(p: AffineParams, u):
     ``(..., d, d)`` (an array of shape ``(...)`` is returned).
     """
     u = np.asarray(u, dtype=float)
-    val = _pair(u, p.b)
-    for site, mass in p.m.atoms:
-        val = val + mass * (1.0 - np.exp(-_pair(u, site)))
-    return val
+    return pairings(u, p.b) + p.m.cost(u)
 
 
 def riccati_R(p: AffineParams, u) -> np.ndarray:
@@ -90,8 +83,8 @@ def riccati_R(p: AffineParams, u) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     out = -2.0 * (u @ p.alpha @ u) + p.drift.adjoint_apply(u)
-    for site, weight in p.mu.atoms:
-        out = out + (1.0 - np.exp(-_pair(u, site)))[..., None, None] * weight
+    if len(p.mu):
+        out = out + np.tensordot(1.0 - np.exp(-pairings(u, p.mu.sites)), p.mu.weights, axes=1)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
@@ -101,27 +94,23 @@ def riccati_DR(p: AffineParams, u) -> SymOperator:
 
     At ``u = 0`` this is the adjoint of the effective drift.
     """
+    d = p.dim
     u = symmetrize(u)
     ua = u @ p.alpha
-    decay = [np.exp(-inner(u, site)) for site, _ in p.mu.atoms]
-
-    def fn(h):
-        out = -2.0 * symmetrize(ua @ h + h @ ua.T) + p.drift.adjoint_apply(h)
-        for (site, weight), e in zip(p.mu.atoms, decay):
-            out = out + inner(h, site) * e * weight
-        return out
-
-    return SymOperator.from_map(p.dim, fn)
+    op = SymOperator.from_map(
+        d, lambda h: -2.0 * symmetrize(ua @ h + h @ ua.T) + p.drift.adjoint_apply(h))
+    # the jump part is sum_i e^{-<u, site_i>} vec(weight_i) vec(site_i)^T
+    sites, weights = (x.reshape(-1, d, d) for x in (p.mu.sites, p.mu.weights))
+    e = np.exp(-pairings(u, sites))
+    return SymOperator(d, op.matrix + vectorize(weights).T @ (e[:, None] * vectorize(sites)))
 
 
 def riccati_DF(p: AffineParams, u) -> np.ndarray:
-    """Gradient of ``F`` at ``u``: the matrix ``g`` with ``DF(u)(h) = <g, h>``,
-    namely ``b + sum_i w_i e^{-<u, site_i>} site_i``."""
+    """Gradient of ``F`` at ``u`` (or at each of a stack): the matrix ``g``
+    with ``DF(u)(h) = <g, h>``, namely ``b + sum_i w_i e^{-<u, site_i>} site_i``."""
     u = symmetrize(u)
-    g = p.b.copy()
-    for site, mass in p.m.atoms:
-        g = g + mass * np.exp(-inner(u, site)) * site
-    return g
+    sites = p.m.sites.reshape(-1, p.dim, p.dim)
+    return p.b + np.tensordot(p.m.masses * np.exp(-pairings(u, sites)), sites, axes=1)
 
 
 # --- numeric solution ---------------------------------------------------

@@ -92,8 +92,13 @@ class SimConfig:
             raise ValueError("x0 must be dim x dim")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
+        # each test fails on NaN, so a NaN step or horizon is refused too
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not 0.0 <= self.horizon < np.inf:
+            raise ValueError(f"horizon must be nonnegative and finite, got {self.horizon!r}")
+        if not np.isfinite(self.horizon / self.dt):
+            raise ValueError(f"horizon / dt must be finite, got dt = {self.dt!r}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if self.params.drift.kind != "lyapunov":
@@ -153,14 +158,6 @@ def _path_rng(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _m_arrays(p: AffineParams) -> tuple[np.ndarray, np.ndarray, float]:
-    """The ``m`` atoms as arrays: sites ``(n, d, d)``, rates ``(n,)`` and
-    the total rate."""
-    m_sites = np.array([s for s, _ in p.m.atoms]).reshape(-1, p.dim, p.dim)
-    m_rates = np.array([w for _, w in p.m.atoms])
-    return m_sites, m_rates, float(m_rates.sum())
-
-
 def _snapshot_steps(times, dt: float, n_steps: int) -> np.ndarray:
     steps = np.asarray([int(round(t / dt)) for t in times])
     for t, k in zip(times, steps):
@@ -189,9 +186,7 @@ def _euler_block(config: SimConfig, path_ids, n_steps, snap_steps, out, jump_log
     nb = len(path_ids)
     chunk = CHUNK_STEPS
     n_mu = len(p.mu)
-
-    m_sites, m_rates, m_total = _m_arrays(p)
-    mu_sites = np.array([s for s, _ in p.mu.atoms]).reshape(-1, d, d)
+    m_total = p.m.total_rate()
 
     normals = np.empty((nb, chunk, d, d))
     uniforms = np.empty((nb, chunk, n_mu))
@@ -213,7 +208,7 @@ def _euler_block(config: SimConfig, path_ids, n_steps, snap_steps, out, jump_log
                     counts = rng.poisson(m_total * dt, min(piece, n_steps - k0))
                     hit = np.nonzero(counts)[0]
                     steps += np.repeat(k0 + hit, counts[hit]).tolist()
-                atoms = rng.choice(len(p.m), size=len(steps), p=m_rates / m_total)
+                atoms = rng.choice(len(p.m), size=len(steps), p=p.m.masses / m_total)
                 m_events += ((k, j, a) for k, a in zip(steps, atoms.tolist()))
             jump_rngs.append(rng)
     # applied by step; the stable sort keeps path order, then drawing order
@@ -228,7 +223,7 @@ def _euler_block(config: SimConfig, path_ids, n_steps, snap_steps, out, jump_log
     sigma_dt = np.sqrt(dt) * config.sigma
     b_dt = p.b * dt
     # the rate of a jump by site_i is <X, weight_i>
-    mu_weights_dt = np.array([w for _, w in p.mu.atoms]).reshape(-1, d * d).T * dt
+    mu_weights_dt = p.mu.weights.reshape(-1, d * d).T * dt
 
     X = np.broadcast_to(config.x0, (nb, d, d)).copy()
     _, sqrtX = project_sqrt_psd(X)
@@ -255,7 +250,7 @@ def _euler_block(config: SimConfig, path_ids, n_steps, snap_steps, out, jump_log
                 while e < len(m_events) and m_events[e][0] == k:
                     _, j, atom = m_events[e]
                     e += 1
-                    Xn[j] += m_sites[atom]
+                    Xn[j] += p.m.sites[atom]
                     jump_log[path_ids[j]].append((t_now, "m", atom))
                 if n_mu:
                     # thinning against the pre-step state, intensity frozen
@@ -270,7 +265,7 @@ def _euler_block(config: SimConfig, path_ids, n_steps, snap_steps, out, jump_log
                         warned = True
                     hits = uniforms[:, i] < rates
                     for j, a in zip(*np.nonzero(hits)):
-                        Xn[j] += mu_sites[a]
+                        Xn[j] += p.mu.sites[a]
                         jump_log[path_ids[j]].append((t_now, "mu", int(a)))
 
                 if not np.all(np.isfinite(Xn)):
@@ -296,7 +291,7 @@ def _ou_block(config: SimConfig, path_ids, snapshot_times, out, jump_log):
     d = p.dim
     beta = p.drift.beta
     T = config.horizon
-    m_sites, m_rates, m_total = _m_arrays(p)
+    m_total = p.m.total_rate()
 
     # per-path randomness in a fixed order; the block's jumps go into flat
     # arrays, path by path and in time order within a path
@@ -306,7 +301,7 @@ def _ou_block(config: SimConfig, path_ids, snapshot_times, out, jump_log):
             rng = _path_rng(config.seed, pid)
             count = int(rng.poisson(m_total * T))
             times = np.sort(rng.random(count)) * T
-            picks = rng.choice(len(m_sites), size=count, p=m_rates / m_total)
+            picks = rng.choice(len(p.m), size=count, p=p.m.masses / m_total)
             jump_log[pid].extend(
                 (float(t), "m", int(a)) for t, a in zip(times, picks))
             owners.append(np.full(count, j))
@@ -328,7 +323,7 @@ def _ou_block(config: SimConfig, path_ids, snapshot_times, out, jump_log):
             lag = mat_exp((t - tau[new])[:, None, None] * beta)
             # unbuffered and in index order: a path's jumps are summed in
             # time order, untouched by the other paths of the block
-            np.add.at(J, owner[new], lag @ m_sites[atom[new]] @ np.swapaxes(lag, -1, -2))
+            np.add.at(J, owner[new], lag @ p.m.sites[atom[new]] @ np.swapaxes(lag, -1, -2))
         e = mat_exp(t * beta)
         base = e @ config.x0 @ e.T + 0.5 * congruence_integral(beta, p.b, t)
         out[ti, path_ids] = symmetrize(base + J)

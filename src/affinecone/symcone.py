@@ -54,6 +54,14 @@ def inner(x, y) -> float:
     return float(np.sum(x * y))
 
 
+def pairings(x, y) -> np.ndarray:
+    """Trace inner products of each matrix of ``x`` ``(..., d, d)`` with a
+    symmetric ``y``: shape ``(...)`` for one matrix ``y``, ``(..., n)`` for
+    a stack ``y`` of ``n``."""
+    flat = (x.shape[-2] * x.shape[-1],)  # not -1, which an empty stack leaves open
+    return x.reshape(x.shape[:-2] + flat) @ y.reshape(y.shape[:-2] + flat).T
+
+
 def frobenius(x) -> float:
     """Frobenius norm ``<x, x>**0.5``."""
     return float(np.linalg.norm(np.asarray(x, dtype=float)))

@@ -133,6 +133,16 @@ NOT_PSD = [[1.0, 0.0], [0.0, -1.0]]
                  id="seed-fractional"),
     pytest.param(["simulate", "--snapshots", "1.0"], _with_sim(seed=False), None,
                  id="seed-bool"),
+    pytest.param(["simulate", "--snapshots", "0.5"], _with_sim(dt=float("inf")), None,
+                 id="dt-inf"),
+    pytest.param(["simulate", "--snapshots", "0.5"], _with_sim(dt=1e-320), None,
+                 id="dt-subnormal"),
+    pytest.param(["simulate", "--snapshots", "0.5"], _with_sim(horizon=float("nan")), None,
+                 id="horizon-nan"),
+    pytest.param(["simulate", "--snapshots", "0.5"], _with_sim(horizon=float("inf")), None,
+                 id="horizon-inf"),
+    pytest.param(["simulate", "--snapshots", "0.5"], _with_sim(horizon=-1.0), None,
+                 id="horizon-negative"),
 ])
 def test_bad_input_exits_2_without_traceback(config_file, tmp_path, capsys, argv, edit, u):
     cfg = config_file
@@ -150,6 +160,9 @@ def test_bad_input_exits_2_without_traceback(config_file, tmp_path, capsys, argv
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    if argv[0] == "simulate" and edit is not None:
+        # a bad sim section is blamed on sim, not on --snapshots
+        assert err.startswith("config error: sim: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -177,6 +190,19 @@ def test_simulate_checks_out_dir_before_simulating(config_file, tmp_path, capsys
     argv = ["simulate", "--config", str(config_file), "--snapshots", "1.0", "--out-dir", str(file)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("output error: ")
+
+
+@pytest.mark.parametrize("flag, name", [("--table", "t.csv"), ("--out", "r.json")])
+def test_stationary_checks_outputs_before_solving(config_file, tmp_path, capsys, monkeypatch,
+                                                  flag, name):
+    def fail(*args, **kwargs):
+        raise AssertionError("a probe was solved before the outputs were checked")
+
+    monkeypatch.setattr(ergodicity.InvariantLaw, "exponents", fail)
+    argv = ["stationary", "--config", str(config_file), flag, str(tmp_path / "missing" / name)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("output error: ")
 
 
 def test_closed_form_unavailable_writes_nothing(tmp_path, capsys):
