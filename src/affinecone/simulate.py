@@ -19,24 +19,27 @@ Two schemes:
   square root together: for ``d <= 3`` in closed form, with no
   eigenvectors, on every row well inside the cone, and through ``eigh``
   only on the other rows (near-singular or indefinite) and for ``d >= 4``.
-  These small operations each release and retake the GIL, so blocks on
-  concurrent threads would mostly wait for one another: the stepping of a
-  chunk holds a lock shared by the blocks, and only the random draws of
-  one block run beside the stepping of another.
+  Paths run in blocks of 512, which bound the buffers.  These small
+  operations each release and retake the GIL, so blocks on concurrent
+  threads would mostly wait for one another: the stepping of a chunk
+  holds a lock shared by the blocks, and only the random draws of one
+  block run beside the stepping of another.
 * ``ou_exact`` -- for zero diffusion: the state is the congruence
   transport of the start point plus the exact drift integral plus the
   transported jumps, with jump times drawn exactly (uniform order
   statistics given a Poisson count).  The path law is exact, which makes
   this scheme the preferred statistical oracle.  Cost model: per path
-  only the random draws and the jump log; per block of paths and
-  snapshot one deterministic part shared by all paths, one transport
+  only the random draws and the jump log; per snapshot, for all paths in
+  one stack, one deterministic part shared by all paths, one transport
   ``J -> E J E.T`` of the carried jump mass (``E = e^{(t_k - t_{k-1})
   beta}``) and one stacked matrix exponential of the jumps that arrived
-  since the previous snapshot, so each jump is exponentiated once.
+  since the previous snapshot, so each jump is exponentiated once.  It
+  runs on one thread; its memory is the states, the jump log and flat
+  arrays of the jumps.
 
 Every path owns an RNG stream keyed by (seed, path index) through a
 counter-based generator, so results are bit-identical regardless of how
-paths are distributed over worker threads.
+paths are distributed over blocks and worker threads.
 """
 
 from __future__ import annotations
@@ -277,8 +280,8 @@ def _euler_block(config: SimConfig, path_ids, n_steps, snap_steps, out, jump_log
                     out[ti, path_ids] = X
 
 
-def _ou_block(config: SimConfig, path_ids, snapshot_times, out, jump_log):
-    """Exact zero-diffusion paths for one block, computed snapshot by snapshot.
+def _ou_paths(config: SimConfig, snapshot_times, out, jump_log):
+    """Exact zero-diffusion paths, all of them at once, snapshot by snapshot.
 
     ``X(t) = e^{t beta} x0 e^{t beta.T} + 1/2 congruence_integral(beta, b, t)
     + J(t)`` with ``J(t) = sum_{tau <= t} E(t - tau) S_a E(t - tau).T`` and
@@ -293,25 +296,25 @@ def _ou_block(config: SimConfig, path_ids, snapshot_times, out, jump_log):
     T = config.horizon
     m_total = p.m.total_rate()
 
-    # per-path randomness in a fixed order; the block's jumps go into flat
-    # arrays, path by path and in time order within a path
+    # per-path randomness in a fixed order; the jumps go into flat arrays,
+    # path by path and in time order within a path
     owners, taus, atoms = [np.empty(0, dtype=int)], [np.empty(0)], [np.empty(0, dtype=int)]
     if m_total > 0.0:
-        for j, pid in enumerate(path_ids):
+        for pid in range(config.n_paths):
             rng = _path_rng(config.seed, pid)
             count = int(rng.poisson(m_total * T))
             times = np.sort(rng.random(count)) * T
             picks = rng.choice(len(p.m), size=count, p=p.m.masses / m_total)
             jump_log[pid].extend(
                 (float(t), "m", int(a)) for t, a in zip(times, picks))
-            owners.append(np.full(count, j))
+            owners.append(np.full(count, pid))
             taus.append(times)
             atoms.append(picks)
     owner, tau, atom = (np.concatenate(x) for x in (owners, taus, atoms))
     # a jump enters at the first snapshot at or after its time
     first = np.searchsorted(snapshot_times, tau, side="left")
 
-    J = np.zeros((len(path_ids), d, d))
+    J = np.zeros((config.n_paths, d, d))
     t_prev = 0.0
     for ti, t in enumerate(snapshot_times):
         t = float(t)
@@ -322,11 +325,11 @@ def _ou_block(config: SimConfig, path_ids, snapshot_times, out, jump_log):
         if np.any(new):
             lag = mat_exp((t - tau[new])[:, None, None] * beta)
             # unbuffered and in index order: a path's jumps are summed in
-            # time order, untouched by the other paths of the block
+            # time order, untouched by the other paths
             np.add.at(J, owner[new], lag @ p.m.sites[atom[new]] @ np.swapaxes(lag, -1, -2))
         e = mat_exp(t * beta)
         base = e @ config.x0 @ e.T + 0.5 * congruence_integral(beta, p.b, t)
-        out[ti, path_ids] = symmetrize(base + J)
+        out[ti] = symmetrize(base + J)
         t_prev = t
 
 
@@ -334,8 +337,9 @@ def simulate(config: SimConfig, snapshot_times, threads: int = 1) -> PathEnsembl
     """Run the ensemble and record states at the requested times.
 
     Identical configuration (including seed) yields bit-identical
-    snapshots, for any thread count: paths are partitioned into fixed
-    blocks and each path's randomness comes from its own keyed stream.
+    snapshots, for any thread count: each path's randomness comes from its
+    own keyed stream.  ``ou_exact`` runs every path as one stack; the Euler
+    scheme runs fixed blocks of 512 paths, on ``threads`` worker threads.
     """
     snapshot_times = np.asarray(sorted(float(t) for t in snapshot_times))
     if snapshot_times.size == 0:
@@ -346,30 +350,26 @@ def simulate(config: SimConfig, snapshot_times, threads: int = 1) -> PathEnsembl
     out = np.empty((snapshot_times.size, config.n_paths, d, d))
     jump_log: list[list] = [[] for _ in range(config.n_paths)]
 
-    block = 512
-    blocks = [np.arange(i, min(i + block, config.n_paths))
-              for i in range(0, config.n_paths, block)]
-
-    if config.scheme == "euler_project":
+    if config.scheme == "ou_exact":
+        _ou_paths(config, snapshot_times, out, jump_log)
+    else:
         n_steps = int(round(config.horizon / config.dt))
         if abs(n_steps * config.dt - config.horizon) > 1e-9 * max(1.0, config.horizon):
             raise ValueError("horizon must be an integer number of steps")
         snap_steps = _snapshot_steps(snapshot_times, config.dt, n_steps)
-
+        blocks = [np.arange(i, min(i + 512, config.n_paths))
+                  for i in range(0, config.n_paths, 512)]
         step_lock = threading.Lock()
 
         def run(ids):
             _euler_block(config, ids, n_steps, snap_steps, out, jump_log, step_lock)
-    else:
-        def run(ids):
-            _ou_block(config, ids, snapshot_times, out, jump_log)
 
-    if threads <= 1 or len(blocks) == 1:
-        for ids in blocks:
-            run(ids)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, blocks))
+        if threads <= 1 or len(blocks) == 1:
+            for ids in blocks:
+                run(ids)
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(run, blocks))
     return PathEnsemble(config=config, snapshot_times=snapshot_times,
                         states=out, jump_log=jump_log)
 
