@@ -16,14 +16,15 @@ set; a ``--u`` matrix or ``sim.x0`` that is unreadable, not
 missing or malformed, or snapshot times past the horizon or off the step
 grid; a ``sim.n_paths`` or ``sim.seed`` that is a bool or has a
 fractional part; a ``sim.dt`` that is not positive and finite, a
-``sim.horizon`` that is negative or not finite, or a ``horizon / dt``
-that overflows; ``--closed-form`` on a model outside the Wishart
-family; a ``--tol`` outside ``riccati.TOL_RANGE`` (``[1e-12, 1e-3]``); a
-``--T`` or ``--inflate-delta`` that is not positive and finite; a
-``--threads`` below 1; and an output file or directory that cannot be
-written.  Each command raises; ``main`` maps the exception to its code
-in one table, ``FAILURES``.  Only ``validate`` (clauses
-failed) and ``verify`` (a bound violated) return a nonzero code
+``sim.horizon`` that is negative or not finite, or, for the Euler
+scheme, a step count ``horizon / dt`` that is not an integer or exceeds
+``simulate.MAX_STEPS`` (10^8); ``--closed-form`` on a model outside the
+Wishart family; a ``--tol`` outside ``riccati.TOL_RANGE``
+(``[1e-12, 1e-3]``); a ``--T`` or ``--inflate-delta`` that is not
+positive and finite; a ``--threads`` below 1; and an output file or
+directory that cannot be written.  Each command raises; ``main`` maps
+the exception to its code in one table, ``FAILURES``.  Only ``validate``
+(clauses failed) and ``verify`` (a bound violated) return a nonzero code
 themselves.
 
 ``verify`` solves its probe grid as one flow, which serves the transient
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None,
                     help="Monte Carlo seed (overrides the config's sim.seed)")
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads for the path blocks")
+                    help="worker threads for the Euler scheme's 512-path blocks")
     sp.add_argument("--snapshots", required=True, help="comma-separated times")
     sp.add_argument("--out-dir", required=True)
     sp.set_defaults(fn=cmd_simulate)

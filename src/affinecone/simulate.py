@@ -47,14 +47,14 @@ from __future__ import annotations
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ergodicity import InvariantLaw, decay_certificate, transient_mean, w1_mean_gap_check
 from .params import AffineParams
 from .riccati import congruence_integral, grid_index
-from .symcone import frobenius, mat_exp, project_sqrt_psd, symmetrize
+from .symcone import check_cone, frobenius, mat_exp, project_sqrt_psd, symmetrize
 
 
 class PathFailureError(RuntimeError):
@@ -70,6 +70,9 @@ _SCHEMES = ("euler_project", "ou_exact")
 # steps of random draws an Euler block holds at a time: its buffers are
 # (paths, CHUNK_STEPS, d, d) whatever the horizon
 CHUNK_STEPS = 256
+# the most Euler steps a configuration may ask for: past it a run would
+# not end in reasonable time, so it is refused up front
+MAX_STEPS = 10**8
 # rows formatted per write: one write per row is slow, and one for the whole
 # array holds every value as a Python float and its text at once
 _CSV_ROWS = 2048
@@ -77,7 +80,13 @@ _CSV_ROWS = 2048
 
 @dataclass
 class SimConfig:
-    """Simulation configuration; immutable by convention after validation."""
+    """Simulation configuration; immutable by convention after validation.
+
+    ``x0`` must lie in the cone.  For ``euler_project`` the step count
+    ``n_steps = horizon / dt`` must be an integer no larger than
+    ``MAX_STEPS`` (10^8); ``ou_exact`` ignores ``dt`` and leaves
+    ``n_steps`` at None.
+    """
 
     params: AffineParams
     sigma: np.ndarray
@@ -87,12 +96,14 @@ class SimConfig:
     n_paths: int
     seed: int
     scheme: str = "euler_project"
+    n_steps: int | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=float)
         self.x0 = symmetrize(self.x0)
         if self.x0.shape != (self.params.dim, self.params.dim):
             raise ValueError("x0 must be dim x dim")
+        check_cone(self.x0)
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         # each test fails on NaN, so a NaN step or horizon is refused too
@@ -100,8 +111,6 @@ class SimConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not 0.0 <= self.horizon < np.inf:
             raise ValueError(f"horizon must be nonnegative and finite, got {self.horizon!r}")
-        if not np.isfinite(self.horizon / self.dt):
-            raise ValueError(f"horizon / dt must be finite, got dt = {self.dt!r}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if self.params.drift.kind != "lyapunov":
@@ -113,6 +122,14 @@ class SimConfig:
                 raise ValueError("ou_exact requires zero diffusion (sigma = 0)")
             if len(self.params.mu):
                 raise ValueError("ou_exact does not support state-dependent jumps")
+        else:
+            # a horizon / dt that overflows to inf fails the ceiling test too
+            steps = self.horizon / self.dt
+            if not steps <= MAX_STEPS:
+                raise ValueError(f"horizon / dt = {steps:.3g} exceeds {MAX_STEPS:.0e} Euler steps")
+            self.n_steps = round(steps)
+            if abs(self.n_steps * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
+                raise ValueError(f"horizon / dt = {steps!r} is not an integer number of steps")
 
 
 @dataclass
@@ -169,8 +186,7 @@ def _snapshot_steps(times, dt: float, n_steps: int) -> np.ndarray:
     return steps
 
 
-def _euler_block(config: SimConfig, path_ids, n_steps, snap_steps, out, jump_log,
-                 step_lock):
+def _euler_block(config: SimConfig, path_ids, snap_steps, out, jump_log, step_lock):
     """Advance one block of paths; writes states into preassigned slots.
 
     A path's stream holds, in this order: the normals of every step, the
@@ -185,6 +201,7 @@ def _euler_block(config: SimConfig, path_ids, n_steps, snap_steps, out, jump_log
     p = config.params
     d = p.dim
     dt = config.dt
+    n_steps = config.n_steps
     beta = p.drift.beta
     nb = len(path_ids)
     chunk = CHUNK_STEPS
@@ -353,16 +370,13 @@ def simulate(config: SimConfig, snapshot_times, threads: int = 1) -> PathEnsembl
     if config.scheme == "ou_exact":
         _ou_paths(config, snapshot_times, out, jump_log)
     else:
-        n_steps = int(round(config.horizon / config.dt))
-        if abs(n_steps * config.dt - config.horizon) > 1e-9 * max(1.0, config.horizon):
-            raise ValueError("horizon must be an integer number of steps")
-        snap_steps = _snapshot_steps(snapshot_times, config.dt, n_steps)
+        snap_steps = _snapshot_steps(snapshot_times, config.dt, config.n_steps)
         blocks = [np.arange(i, min(i + 512, config.n_paths))
                   for i in range(0, config.n_paths, 512)]
         step_lock = threading.Lock()
 
         def run(ids):
-            _euler_block(config, ids, n_steps, snap_steps, out, jump_log, step_lock)
+            _euler_block(config, ids, snap_steps, out, jump_log, step_lock)
 
         if threads <= 1 or len(blocks) == 1:
             for ids in blocks:

@@ -91,6 +91,13 @@ def _with_sim(**entries):
     return lambda data: {**data, "sim": {**data["sim"], **entries}}
 
 
+def _ou_exact_sim(**entries):
+    """The model of ``zero_diffusion_params`` with the ``ou_exact`` scheme,
+    the fixture's other sim entries, and ``entries``."""
+    return lambda data: {**zero_diffusion_params().to_dict(), "sim": {
+        **data["sim"], "sigma": np.zeros((2, 2)).tolist(), "scheme": "ou_exact", **entries}}
+
+
 NOT_PSD = [[1.0, 0.0], [0.0, -1.0]]
 
 
@@ -143,6 +150,14 @@ NOT_PSD = [[1.0, 0.0], [0.0, -1.0]]
                  id="horizon-inf"),
     pytest.param(["simulate", "--snapshots", "0.5"], _with_sim(horizon=-1.0), None,
                  id="horizon-negative"),
+    pytest.param(["simulate", "--snapshots", "1.0"], _with_sim(x0=NOT_PSD), None,
+                 id="sim-x0-not-psd-euler"),
+    pytest.param(["simulate", "--snapshots", "1.0"], _ou_exact_sim(x0=NOT_PSD), None,
+                 id="sim-x0-not-psd-ou-exact"),
+    pytest.param(["simulate", "--snapshots", "0.6"], _with_sim(dt=0.3, horizon=2.0), None,
+                 id="steps-not-integer"),
+    pytest.param(["simulate", "--snapshots", "0.5"], _with_sim(dt=1e-300), None,
+                 id="steps-above-ceiling"),
 ])
 def test_bad_input_exits_2_without_traceback(config_file, tmp_path, capsys, argv, edit, u):
     cfg = config_file

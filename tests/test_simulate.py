@@ -379,6 +379,28 @@ def test_exact_scheme_bit_identical_across_thread_counts():
     assert one.jump_log == four.jump_log
 
 
+def test_exact_scheme_runs_all_paths_as_one_stack(monkeypatch):
+    # the matrix exponentials are per snapshot, not per block of paths,
+    # and no worker thread is started whatever the thread count
+    calls = []
+
+    def counting_mat_exp(a):
+        calls.append(np.shape(a))
+        return mat_exp(a)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("ou_exact built a thread pool")
+
+    monkeypatch.setattr(simulate_module, "mat_exp", counting_mat_exp)
+    monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", no_pool)
+    counts = []
+    for n_paths in (100, 1100):
+        calls.clear()
+        simulate(_jump_config(n_paths=n_paths), [0.5, 1.0, 2.0], threads=4)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_exact_scheme_path_count_extension_is_consistent():
     small = simulate(_jump_config(n_paths=100), [0.5, 2.0])
     large = simulate(_jump_config(n_paths=300), [0.5, 2.0])
