@@ -62,7 +62,7 @@ def exact_ensemble():
         params=p, sigma=np.zeros((d, d)), x0=np.diag([2.0, 0.5]), horizon=6.0,
         dt=0.01, n_paths=4000, seed=7, scheme="ou_exact",
     )
-    rows = ergodic_sweep(p, config.x0, [1.0, 3.0, 6.0], config, threads=4)
+    rows = ergodic_sweep(config, [1.0, 3.0, 6.0], threads=4)
     print("t     mc gap to transient   transient gap to stationary   W1 bound")
     for row in rows:
         print(f"{row['t']:3.1f}   {row['mc_gap_to_transient']:18.3e}"

@@ -301,13 +301,15 @@ def cmd_simulate(args) -> int:
         config = SimConfig(
             params=p,
             sigma=np.asarray(sim["sigma"], dtype=float),
-            x0=np.asarray(sim["x0"], dtype=float),
+            x0=_cone_matrix(sim["x0"], p.dim, "sim.x0"),
             horizon=float(sim["horizon"]),
             dt=float(sim["dt"]),
             n_paths=_sim_int(sim["n_paths"], "n_paths"),
             seed=seed,
             scheme=sim.get("scheme", "euler_project"),
         )
+    except ConfigError:  # sim.x0, already named
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"sim: {type(exc).__name__}: {exc}") from exc
     try:

@@ -340,8 +340,7 @@ def transient_laplace(
     positive entries of ``times``, and is read instead of solving again.
     """
     x = symmetrize(x)
-    u = np.asarray(u, dtype=float)
-    u = 0.5 * (u + np.swapaxes(u, -1, -2))
+    u = symmetrize(u)
     times = np.asarray(times, dtype=float)
     positive = np.unique(times[times > 0.0])
     if flow is None and positive.size:

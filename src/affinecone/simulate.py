@@ -419,12 +419,14 @@ def mc_vs_formula(ens: PathEnsemble, p: AffineParams, t: float) -> np.ndarray:
     return z
 
 
-def ergodic_sweep(p: AffineParams, x0, times, config: SimConfig, threads: int = 1) -> list[dict]:
-    """Tabulate sample means against transient and stationary analytics.
+def ergodic_sweep(config: SimConfig, times, threads: int = 1) -> list[dict]:
+    """Tabulate sample means against transient and stationary analytics,
+    both of ``config.params`` started at ``config.x0``.
 
     Returns one row per time with the Monte Carlo mean gap, the analytic
     mean gap, and the transport-bound sandwich when the diffusion is zero.
     """
+    p, x0 = config.params, config.x0
     cert = decay_certificate(p)
     law = InvariantLaw(p, cert)
     ens = simulate(config, times, threads=threads)

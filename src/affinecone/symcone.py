@@ -21,6 +21,8 @@ compose correctly only because every module uses this one ordering.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -123,15 +125,16 @@ def mat_exp(a) -> np.ndarray:
 
     Evaluated by scaling and squaring (Pade approximant), chosen per
     matrix, so each matrix of a stack gets exactly the value a call on it
-    alone returns.  Overflow for extreme norms is reported, never silently
-    saturated.
+    alone returns.  Overflow for extreme norms is reported once, as an
+    ``OverflowError`` (numpy's warning is silenced), never saturated.
     """
     import scipy.linalg  # deferred: commands that never exponentiate skip loading scipy
 
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    out = scipy.linalg.expm(a)
+    with np.errstate(over="ignore"):
+        out = scipy.linalg.expm(a)
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"matrix exponential overflowed (input norm {np.linalg.norm(a):.3e})")
     return out
@@ -289,14 +292,16 @@ def sym_dim(d: int) -> int:
 _SQRT2 = np.sqrt(2.0)
 
 
+@functools.lru_cache(maxsize=None)
 def sym_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index arrays of the fixed basis: entry ``k`` of a coordinate vector
     is ``scale[k] * x[rows[k], cols[k]]`` (``scale`` is 1 on the diagonal
-    and ``sqrt(2)`` off it)."""
+    and ``sqrt(2)`` off it).  Built once per ``d``; the arrays are read-only."""
     iu = np.triu_indices(d, k=1)
     rows = np.concatenate([np.arange(d), iu[0]])
     cols = np.concatenate([np.arange(d), iu[1]])
     scale = np.concatenate([np.ones(d), np.full(iu[0].size, _SQRT2)])
+    rows.flags.writeable = cols.flags.writeable = scale.flags.writeable = False
     return rows, cols, scale
 
 
@@ -317,7 +322,7 @@ def unvectorize(v) -> np.ndarray:
     of the last axis."""
     v = np.asarray(v, dtype=float)
     n = v.shape[-1]
-    d = int(round((np.sqrt(8 * n + 1) - 1) / 2))
+    d = int(round(((8 * n + 1) ** 0.5 - 1) / 2))  # cheaper per call than np.sqrt
     if sym_dim(d) != n:
         raise ValueError(f"length {n} is not d(d+1)/2 for any integer d")
     rows, cols, scale = sym_index(d)
@@ -330,17 +335,7 @@ def unvectorize(v) -> np.ndarray:
 
 def sym_basis(d: int) -> list[np.ndarray]:
     """The orthonormal basis matrices, in vectorization order."""
-    out = []
-    for i in range(d):
-        e = np.zeros((d, d))
-        e[i, i] = 1.0
-        out.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d))
-            e[i, j] = e[j, i] = 1.0 / _SQRT2
-            out.append(e)
-    return out
+    return list(unvectorize(np.eye(sym_dim(d))))
 
 
 def random_psd(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

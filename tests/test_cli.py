@@ -177,7 +177,26 @@ def test_bad_input_exits_2_without_traceback(config_file, tmp_path, capsys, argv
     assert err.startswith("config error: ") and err.count("\n") == 1
     if argv[0] == "simulate" and edit is not None:
         # a bad sim section is blamed on sim, not on --snapshots
-        assert err.startswith("config error: sim: ")
+        assert err.startswith(("config error: sim: ", "config error: sim.x0: "))
+
+
+@pytest.mark.parametrize("x0", [
+    pytest.param(NOT_PSD, id="not-psd"),
+    pytest.param([[1.0, float("nan")], [float("nan"), 1.0]], id="not-finite"),
+    pytest.param([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], id="shape-2x3"),
+])
+def test_verify_and_simulate_report_a_bad_x0_alike(config_file, tmp_path, capsys, x0):
+    data = json.loads(config_file.read_text())
+    data["sim"]["x0"] = x0
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(data))
+    errs = []
+    for argv in (["verify"], ["simulate", "--snapshots", "1.0"]):
+        argv += ["--config", str(cfg), "--out-dir", str(tmp_path / argv[0])]
+        assert main(argv) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("config error: sim.x0: ") and errs[0].count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

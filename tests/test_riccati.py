@@ -1,5 +1,7 @@
 """Riccati flows: vector fields, derivatives, solver, closed forms."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -10,6 +12,7 @@ from affinecone import (
     LinearDrift,
     MatrixJumpMeasure,
     ScalarJumpMeasure,
+    SolverFailureError,
     WishartSpec,
     congruence_integral,
     frobenius,
@@ -199,6 +202,60 @@ def test_long_horizon_reaches_fixed_point(rng):
     assert traj.times[-1] == pytest.approx(2000.0)
     # phi keeps its limit once psi has collapsed
     assert traj.phi[-1] == pytest.approx(traj.phi[-2], abs=1e-12)
+
+
+def test_long_horizon_at_the_finest_tol_runs_to_T(rng):
+    # at tol 1e-12 the flow falls below 1e-14 long before T; it is still
+    # integrated to T, and phi stays at its limit
+    p = random_wishart(2, rng).to_params()
+    long = solve_riccati(p, np.eye(2), 2000.0, tol=1e-12)
+    short = solve_riccati(p, np.eye(2), 50.0, tol=1e-12)
+    assert long.times[-1] == pytest.approx(2000.0)
+    assert frobenius(long.psi[-1]) < 1e-12
+    assert long.phi[-1] == pytest.approx(short.phi[-1], abs=1e-12)
+
+
+def _failing_rk45(monkeypatch, radau_fails=False):
+    """Make ``solve_ivp`` report step-size underflow at t = 0.25 for RK45
+    (and for Radau too if asked); returns the list of calls made, each
+    ``(method, result)``."""
+    real = scipy.integrate.solve_ivp
+    calls = []
+
+    def solve_ivp(fun, t_span, y0, method="RK45", **kwargs):
+        if method == "RK45" or radau_fails:
+            sol = SimpleNamespace(status=-1, t=np.array([0.0, 0.25]),
+                                  message="Required step size is less than spacing between numbers.")
+        else:
+            sol = real(fun, t_span, y0, method=method, **kwargs)
+        calls.append((method, sol))
+        return sol
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", solve_ivp)
+    return calls
+
+
+def test_radau_retry_result_is_returned(rng, monkeypatch):
+    spec = random_wishart(2, rng)
+    u = random_psd(2, rng)
+    calls = _failing_rk45(monkeypatch)
+    traj = solve_riccati(spec.to_params(), u, 2.0, tol=1e-9, t_eval=[0.5, 1.0, 2.0])
+    assert [method for method, _ in calls] == ["RK45", "Radau"]
+    radau = calls[1][1]
+    assert radau.status == 0
+    assert np.array_equal(traj.times, radau.t)
+    assert np.array_equal(traj.phi, radau.y[-1])
+    for t in traj.times:
+        assert frobenius(traj.psi_at(t) - psi_closed_form_wishart(spec, u, t)) < 1e-6
+
+
+def test_double_failure_raises_with_last_good_time(rng, monkeypatch):
+    p = _jump_params(rng)
+    calls = _failing_rk45(monkeypatch, radau_fails=True)
+    with pytest.raises(SolverFailureError, match="integration failed") as info:
+        solve_riccati(p, np.eye(2), 2.0)
+    assert [method for method, _ in calls] == ["RK45", "Radau"]
+    assert info.value.last_t == 0.25
 
 
 def test_solver_argument_validation(rng):

@@ -533,7 +533,7 @@ def test_snapshot_csv_matches_row_writer(tmp_path, make):
 
 def test_ergodic_sweep_reports_w1_columns():
     cfg = _jump_config(n_paths=256)
-    rows = ergodic_sweep(cfg.params, cfg.x0, [1.0, 2.0], cfg, threads=2)
+    rows = ergodic_sweep(cfg, [1.0, 2.0], threads=2)
     assert len(rows) == 2
     for row in rows:
         assert row["w1_ok"]

@@ -24,7 +24,7 @@ from affinecone import (
     unvectorize,
     vectorize,
 )
-from affinecone.symcone import _CLOSED_FORM_TAU
+from affinecone.symcone import _CLOSED_FORM_TAU, sym_index
 
 
 def test_symmetrize_output_is_symmetric(rng):
@@ -83,6 +83,33 @@ def test_sym_basis_orthonormal():
         for i, e in enumerate(basis):
             for j, f in enumerate(basis):
                 assert inner(e, f) == pytest.approx(1.0 if i == j else 0.0, abs=1e-14)
+
+
+def test_sym_basis_is_the_explicit_construction():
+    for d in (1, 2, 3, 4):
+        explicit = []
+        for i in range(d):
+            e = np.zeros((d, d))
+            e[i, i] = 1.0
+            explicit.append(e)
+        for i in range(d):
+            for j in range(i + 1, d):
+                e = np.zeros((d, d))
+                e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
+                explicit.append(e)
+        basis = sym_basis(d)
+        assert len(basis) == len(explicit)
+        for e, f in zip(basis, explicit):
+            assert e.tobytes() == f.tobytes()
+
+
+def test_sym_index_is_shared_and_read_only():
+    rows, cols, scale = sym_index(3)
+    assert sym_index(3)[0] is rows
+    for a in (rows, cols, scale):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = a[1]
 
 
 def test_sqrt_psd_squares_back(rng):
