@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .ergodicity import (
     DecayCertificate,
-    GateReport,
     HypothesisViolatedError,
     InvariantLaw,
     NotSubcriticalError,
@@ -33,12 +32,9 @@ from .params import (
     MatrixJumpMeasure,
     ScalarJumpMeasure,
     SymOperator,
-    ValidationReport,
-    is_subdominant_psd,
     load_params,
 )
 from .riccati import (
-    RiccatiTrajectory,
     SolverFailureError,
     WishartSpec,
     congruence_integral,
@@ -53,7 +49,6 @@ from .riccati import (
 )
 from .simulate import (
     PathEnsemble,
-    PathFailureError,
     SimConfig,
     ergodic_sweep,
     mc_mean,
@@ -68,7 +63,6 @@ from .symcone import (
     is_psd,
     mat_exp,
     min_eigval,
-    project_psd,
     project_sqrt_psd,
     psd_tol,
     random_psd,

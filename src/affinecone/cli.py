@@ -13,19 +13,23 @@ byte.  Exit codes partition failure causes disjointly:
 Exit 2 covers a config that cannot be read or parsed into a parameter
 set; a ``--u`` matrix or ``sim.x0`` that is unreadable, not
 ``dim x dim``, non-finite or outside the cone; a ``sim`` section that is
-missing or malformed, or snapshot times past the horizon or off the step
-grid; a ``sim.n_paths`` or ``sim.seed`` that is a bool or has a
+missing or malformed; snapshot times that are not finite, negative,
+past the horizon or off the step grid (refused before any path is
+drawn); a ``sim.n_paths`` or ``sim.seed`` that is a bool or has a
 fractional part; a ``sim.dt`` that is not positive and finite, a
-``sim.horizon`` that is negative or not finite, or, for the Euler
-scheme, a step count ``horizon / dt`` that is not an integer or exceeds
-``simulate.MAX_STEPS`` (10^8); ``--closed-form`` on a model outside the
-Wishart family; a ``--tol`` outside ``riccati.TOL_RANGE``
+``sim.horizon`` that is negative or not finite, an expected ``m`` jump
+count per path (total rate times horizon) above ``simulate.MAX_STEPS``
+(10^8), or, for the Euler scheme, a step count ``horizon / dt`` that is
+not an integer or exceeds that ceiling; ``--closed-form`` on a model
+outside the Wishart family; a ``--tol`` outside ``riccati.TOL_RANGE``
 (``[1e-12, 1e-3]``); a ``--T`` or ``--inflate-delta`` that is not
 positive and finite; a ``--threads`` below 1; and an output file or
-directory that cannot be written.  Each command raises; ``main`` maps
-the exception to its code in one table, ``FAILURES``.  Only ``validate``
-(clauses failed) and ``verify`` (a bound violated) return a nonzero code
-themselves.
+directory that cannot be written.  Exit 6 covers a path of either scheme
+(``euler_project`` or ``ou_exact``) that leaves the float range; its one
+stderr line names the first such path.  Each command raises; ``main``
+maps the exception to its code in one table, ``FAILURES``.  Only
+``validate`` (clauses failed) and ``verify`` (a bound violated) return a
+nonzero code themselves.
 
 ``verify`` solves its probe grid as one flow, which serves the transient
 Laplace table, the ``psi`` decay envelope and the stationary exponents.
@@ -321,7 +325,7 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         ens = simulate(config, snapshots, threads=args.threads)
-    except ValueError as exc:  # past the horizon or off the step grid
+    except ConfigError as exc:  # snapshot times, refused before any draw
         raise ConfigError(f"--snapshots: {exc}") from exc
     snap_path = out_dir / "snapshots.csv"
     jump_path = out_dir / "jumps.csv"

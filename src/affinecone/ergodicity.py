@@ -329,28 +329,20 @@ def standard_u_grid(dim: int) -> list[np.ndarray]:
     return [float(r) * v for r in _GRID_RADII for v in dirs]
 
 
-def transient_laplace(
-    p: AffineParams, x, u, times, tol: float = 1e-10, flow: RiccatiTrajectory | None = None
-) -> np.ndarray:
-    """``exp(-phi(t,u) - <x, psi(t,u)>)`` at the requested times.
+def transient_laplace(flow: RiccatiTrajectory, x, times) -> np.ndarray:
+    """``exp(-phi(t,u) - <x, psi(t,u)>)`` at the requested times, read from
+    ``flow``, one Riccati flow solved at the positive entries of ``times``.
 
-    ``u`` is one matrix (result shape ``(len(times),)``) or a stack of
-    ``n`` probes (result ``(len(times), n)``), solved as one flow.
-    ``flow``, when given, is that flow already solved from ``u`` at the
-    positive entries of ``times``, and is read instead of solving again.
+    The probes ``u`` are the flow's start values ``flow.u0``: for one matrix
+    the result has shape ``(len(times),)``, for a stack of ``n`` probes
+    ``(len(times), n)``.
     """
     x = symmetrize(x)
-    u = symmetrize(u)
     times = np.asarray(times, dtype=float)
-    positive = np.unique(times[times > 0.0])
-    if flow is None and positive.size:
-        flow = solve_riccati(p, u, float(positive[-1]), tol=tol, t_eval=positive)
-    if flow is not None and not np.array_equal(flow.u0, u):
-        raise ValueError("flow was not solved from these probes")
-    out = np.empty(times.shape + u.shape[:-2])
+    out = np.empty(times.shape + flow.u0.shape[:-2])
     for i, t in enumerate(times):
         if t == 0.0:
-            ps, ph = u, 0.0
+            ps, ph = flow.u0, 0.0
         else:
             ps, ph = flow.psi_at(t), flow.phi_at(t)
         out[i] = np.exp(-ph - np.sum(x * ps, axis=(-2, -1)))
@@ -380,20 +372,19 @@ def dL_table(
     norms = np.linalg.norm(us, axis=(1, 2))
     if flow is None:
         flow = law.flow(us, tol, times)
-    lt = transient_laplace(p, x, us, times, flow=flow)
+    lt = transient_laplace(flow, x, times)
     lp = np.exp(-law.exponents(us, tol))
     return np.max(np.abs(lt - lp) / norms, axis=1)
 
 
-def dL_bound(cert: DecayCertificate, C_hat: float, x, t) -> np.ndarray | float:
+def dL_bound(cert: DecayCertificate, C_hat: float, x, t) -> np.ndarray:
     """Exponential upper bound ``C (1 + ||x||) e^{-delta t}`` on the
-    Laplace metric, with ``C = 2 max(M, C_hat / delta)`` and ``C_hat`` the
-    cost-decay constant ``||DF(0)|| M`` (:attr:`InvariantLaw.c_hat`); both
-    constants hold for all ``t``, as ``M`` is proven."""
+    Laplace metric at each time of ``t``, with ``C = 2 max(M, C_hat /
+    delta)`` and ``C_hat`` the cost-decay constant ``||DF(0)|| M``
+    (:attr:`InvariantLaw.c_hat`); both constants hold for all ``t``, as
+    ``M`` is proven."""
     C = 2.0 * max(cert.M, C_hat / cert.delta)
-    t = np.asarray(t, dtype=float)
-    out = C * (1.0 + frobenius(x)) * np.exp(-cert.delta * t)
-    return float(out) if out.ndim == 0 else out
+    return C * (1.0 + frobenius(x)) * np.exp(-cert.delta * np.asarray(t, dtype=float))
 
 
 # --- Wasserstein sandwich ------------------------------------------------

@@ -32,7 +32,6 @@ from .symcone import (
     check_cone,
     frobenius,
     inner,
-    is_psd,
     mat_exp,
     min_eigval,
     pairings,
@@ -50,7 +49,8 @@ class AdmissibilityError(ValueError):
 
 
 class ConfigError(ValueError):
-    """A config could not be read, or does not describe a parameter set."""
+    """A config could not be read, does not describe a parameter set, or
+    asks for a run the model cannot honour (snapshot times off its grid)."""
 
 
 @dataclass
@@ -416,9 +416,3 @@ def load_params(path, force: bool = False) -> tuple[AffineParams, dict]:
                 f"parameter set fails clauses: {', '.join(report.failures())}"
             )
     return p, data
-
-
-def is_subdominant_psd(x, y) -> bool:
-    """Whether ``x <= y`` in the cone order, within the shared relative tolerance."""
-    gap = symmetrize(y) - symmetrize(x)
-    return is_psd(gap)

@@ -43,7 +43,6 @@ from .params import AffineParams, LinearDrift, ScalarJumpMeasure, SymOperator
 from .symcone import (
     ConeViolationError,
     frobenius,
-    inner,
     mat_exp,
     min_eigval,
     pairings,
@@ -141,7 +140,6 @@ class RiccatiTrajectory:
     times: np.ndarray
     psi: np.ndarray
     phi: np.ndarray
-    tol: float
 
     def psi_at(self, t: float) -> np.ndarray:
         return self.psi[grid_index(self.times, t)]
@@ -187,11 +185,12 @@ def solve_riccati(
     both ``rtol`` and ``atol`` are scaled by ``1/sqrt(n)``: a step is then
     accepted only if every probe's own RMS error passes the test a lone
     solve would apply.  Output times are the accepted steps unless
-    ``t_eval`` is given.  The flow always runs to ``T``: ``psi`` only
-    approaches the fixed point 0, and at ``tol >= 1e-10`` levels off at
-    the integrator's noise floor (1e-13 to 1e-12).  Cone membership of
-    every output ``psi`` is enforced within the shared tolerance plus a
-    solver-accuracy allowance scaled by that probe's start norm.
+    ``t_eval`` (nonempty, sorted, in ``[0, T]``) is given.  The flow always
+    runs to ``T``: ``psi`` only approaches the fixed point 0, and at
+    ``tol >= 1e-10`` levels off at the integrator's noise floor (1e-13 to
+    1e-12).  Cone membership of every output ``psi`` is enforced within
+    the shared tolerance plus a solver-accuracy allowance scaled by that
+    probe's start norm.
     """
     import scipy.integrate  # deferred, as in symcone.mat_exp
 
@@ -217,7 +216,10 @@ def solve_riccati(
     shrink = 1.0 / np.sqrt(n)
     kwargs = dict(rtol=tol * shrink, atol=tol * 1e-2 * shrink, dense_output=False)
     if t_eval is not None:
-        kwargs["t_eval"] = np.asarray(t_eval, dtype=float)
+        kwargs["t_eval"] = t_eval = np.asarray(t_eval, dtype=float)
+        # NaN fails both tests
+        if not t_eval.size or not np.all((t_eval >= 0.0) & (t_eval <= T)):
+            raise ValueError(f"t_eval must be nonempty, with every time in [0, T = {T:g}]")
     sol = scipy.integrate.solve_ivp(rhs, (0.0, T), y0, method="RK45", **kwargs)
     if sol.status == -1:
         # the quadratic diffusion term is the stiff one; retry implicit
@@ -242,8 +244,8 @@ def solve_riccati(
             f"(min eigenvalue {floors[k, i]:.3e})"
         )
     if single:
-        return RiccatiTrajectory(u0=stack[0], times=times, psi=psi[:, 0], phi=phi[:, 0], tol=tol)
-    return RiccatiTrajectory(u0=stack, times=times, psi=psi, phi=phi, tol=tol)
+        return RiccatiTrajectory(u0=stack[0], times=times, psi=psi[:, 0], phi=phi[:, 0])
+    return RiccatiTrajectory(u0=stack, times=times, psi=psi, phi=phi)
 
 
 def semiflow_check(p: AffineParams, u, t: float, s: float, tol: float = 1e-9) -> float:
@@ -356,10 +358,7 @@ def phi_closed_form_mbajd(w: WishartSpec, u, t: float) -> float:
         import scipy.integrate
 
         def jump_rate(s):
-            ps = psi_closed_form_wishart(w, u, s)
-            return sum(
-                mass * (1.0 - np.exp(-inner(ps, site))) for site, mass in w.m.atoms
-            )
+            return float(w.m.cost(psi_closed_form_wishart(w, u, s)))
 
         part, _ = scipy.integrate.quad(jump_rate, 0.0, t, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
         val += part

@@ -48,11 +48,12 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .ergodicity import InvariantLaw, decay_certificate, transient_mean, w1_mean_gap_check
-from .params import AffineParams
+from .params import AffineParams, ConfigError
 from .riccati import congruence_integral, grid_index
 from .symcone import check_cone, frobenius, mat_exp, project_sqrt_psd, symmetrize
 
@@ -60,18 +61,14 @@ from .symcone import check_cone, frobenius, mat_exp, project_sqrt_psd, symmetriz
 class PathFailureError(RuntimeError):
     """A simulated path produced non-finite values."""
 
-    def __init__(self, message: str, path_index: int):
-        super().__init__(message)
-        self.path_index = path_index
-
 
 _SCHEMES = ("euler_project", "ou_exact")
 
 # steps of random draws an Euler block holds at a time: its buffers are
 # (paths, CHUNK_STEPS, d, d) whatever the horizon
 CHUNK_STEPS = 256
-# the most Euler steps a configuration may ask for: past it a run would
-# not end in reasonable time, so it is refused up front
+# the most Euler steps, or expected m jumps per path, a configuration may
+# ask for: past it a run would not end in reasonable time, so it is refused
 MAX_STEPS = 10**8
 # rows formatted per write: one write per row is slow, and one for the whole
 # array holds every value as a Python float and its text at once
@@ -82,10 +79,10 @@ _CSV_ROWS = 2048
 class SimConfig:
     """Simulation configuration; immutable by convention after validation.
 
-    ``x0`` must lie in the cone.  For ``euler_project`` the step count
+    ``x0`` must lie in the cone and ``m.total_rate() * horizon`` may not
+    exceed ``MAX_STEPS`` (10^8).  For ``euler_project`` the step count
     ``n_steps = horizon / dt`` must be an integer no larger than
-    ``MAX_STEPS`` (10^8); ``ou_exact`` ignores ``dt`` and leaves
-    ``n_steps`` at None.
+    ``MAX_STEPS``; ``ou_exact`` ignores ``dt`` and leaves ``n_steps`` at None.
     """
 
     params: AffineParams
@@ -113,6 +110,8 @@ class SimConfig:
             raise ValueError(f"horizon must be nonnegative and finite, got {self.horizon!r}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
+        if not self.params.m.total_rate() * self.horizon <= MAX_STEPS:
+            raise ValueError(f"m rate x horizon exceeds {MAX_STEPS:.0e} expected jumps per path")
         if self.params.drift.kind != "lyapunov":
             raise ValueError("simulation supports the lyapunov drift form only")
         if not np.allclose(self.sigma.T @ self.sigma, self.params.alpha, atol=1e-12):
@@ -138,9 +137,6 @@ class PathEnsemble:
     snapshot_times: np.ndarray
     states: np.ndarray  # (n_times, n_paths, d, d)
     jump_log: list  # per path: list of (time, source, atom_index)
-
-    def snapshot_index(self, t: float) -> int:
-        return grid_index(self.snapshot_times, t)
 
     def snapshots_to_csv(self, path) -> None:
         """Columns: path_id, t, upper triangle of the state row-major.
@@ -179,14 +175,26 @@ def _path_rng(seed: int, path_index: int) -> np.random.Generator:
 
 
 def _snapshot_steps(times, dt: float, n_steps: int) -> np.ndarray:
+    # the times lie in [0, horizon + 1e-12], and at a tiny dt the 1e-12 can
+    # round to step n_steps + 1
     steps = np.asarray([int(round(t / dt)) for t in times])
     for t, k in zip(times, steps):
-        if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)) or k < 0 or k > n_steps:
-            raise ValueError(f"snapshot time {t} is not on the step grid")
+        if abs(k * dt - t) > 1e-9 * max(1.0, t) or k > n_steps:
+            raise ConfigError(f"snapshot time {t} is not on the step grid")
     return steps
 
 
-def _euler_block(config: SimConfig, path_ids, snap_steps, out, jump_log, step_lock):
+def _check_finite(states, path_ids) -> None:
+    """``PathFailureError`` naming the first path (of ``path_ids``, one per
+    row of ``states``) whose state is not finite."""
+    if not np.all(np.isfinite(states)):
+        row = np.argmin(np.isfinite(states).all(axis=(1, 2)))
+        raise PathFailureError(f"path {path_ids[row]} produced non-finite values")
+
+
+# an overflow is reported once, by _check_finite, not also as numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
+def _euler_block(config: SimConfig, snap_steps, out, jump_log, step_lock, path_ids):
     """Advance one block of paths; writes states into preassigned slots.
 
     A path's stream holds, in this order: the normals of every step, the
@@ -279,8 +287,7 @@ def _euler_block(config: SimConfig, path_ids, snap_steps, out, jump_log, step_lo
                     if not warned and np.any(rates > 0.1):
                         warnings.warn(
                             "state-dependent jump probability per step exceeded 0.1; "
-                            "reduce dt for accurate thinning",
-                            stacklevel=2,
+                            "reduce dt for accurate thinning"
                         )
                         warned = True
                     hits = uniforms[:, i] < rates
@@ -288,15 +295,13 @@ def _euler_block(config: SimConfig, path_ids, snap_steps, out, jump_log, step_lo
                         Xn[j] += p.mu.sites[a]
                         jump_log[path_ids[j]].append((t_now, "mu", int(a)))
 
-                if not np.all(np.isfinite(Xn)):
-                    row = int(np.nonzero(~np.isfinite(Xn).all(axis=(1, 2)))[0][0])
-                    bad = int(path_ids[row])
-                    raise PathFailureError(f"path {bad} produced non-finite values", bad)
+                _check_finite(Xn, path_ids)
                 X, sqrtX = project_sqrt_psd(Xn)
                 for ti in np.nonzero(snap_steps == k + 1)[0]:
                     out[ti, path_ids] = X
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as for _euler_block
 def _ou_paths(config: SimConfig, snapshot_times, out, jump_log):
     """Exact zero-diffusion paths, all of them at once, snapshot by snapshot.
 
@@ -345,8 +350,10 @@ def _ou_paths(config: SimConfig, snapshot_times, out, jump_log):
             # time order, untouched by the other paths
             np.add.at(J, owner[new], lag @ p.m.sites[atom[new]] @ np.swapaxes(lag, -1, -2))
         e = mat_exp(t * beta)
-        base = e @ config.x0 @ e.T + 0.5 * congruence_integral(beta, p.b, t)
-        out[ti] = symmetrize(base + J)
+        x = e @ config.x0 @ e.T + 0.5 * congruence_integral(beta, p.b, t) + J
+        _check_finite(x, range(config.n_paths))  # symmetrize refuses a non-finite matrix
+        out[ti] = symmetrize(x)
+        _check_finite(out[ti], range(config.n_paths))  # x + x.T can overflow too
         t_prev = t
 
 
@@ -356,13 +363,15 @@ def simulate(config: SimConfig, snapshot_times, threads: int = 1) -> PathEnsembl
     Identical configuration (including seed) yields bit-identical
     snapshots, for any thread count: each path's randomness comes from its
     own keyed stream.  ``ou_exact`` runs every path as one stack; the Euler
-    scheme runs fixed blocks of 512 paths, on ``threads`` worker threads.
+    scheme runs fixed blocks of 512 paths on ``min(threads, blocks)``
+    worker threads.  Snapshot times not in ``[0, horizon]`` or (Euler) off
+    the step grid are refused before any draw (``ConfigError``).
     """
     snapshot_times = np.asarray(sorted(float(t) for t in snapshot_times))
     if snapshot_times.size == 0:
-        raise ValueError("at least one snapshot time is required")
-    if snapshot_times[-1] > config.horizon + 1e-12:
-        raise ValueError("snapshot times must not exceed the horizon")
+        raise ConfigError("at least one snapshot time is required")
+    if not np.all((snapshot_times >= 0.0) & (snapshot_times <= config.horizon + 1e-12)):
+        raise ConfigError(f"snapshot times must lie in [0, horizon = {config.horizon:g}]")
     d = config.params.dim
     out = np.empty((snapshot_times.size, config.n_paths, d, d))
     jump_log: list[list] = [[] for _ in range(config.n_paths)]
@@ -373,25 +382,16 @@ def simulate(config: SimConfig, snapshot_times, threads: int = 1) -> PathEnsembl
         snap_steps = _snapshot_steps(snapshot_times, config.dt, config.n_steps)
         blocks = [np.arange(i, min(i + 512, config.n_paths))
                   for i in range(0, config.n_paths, 512)]
-        step_lock = threading.Lock()
-
-        def run(ids):
-            _euler_block(config, ids, snap_steps, out, jump_log, step_lock)
-
-        if threads <= 1 or len(blocks) == 1:
-            for ids in blocks:
-                run(ids)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(run, blocks))
+        run_block = partial(_euler_block, config, snap_steps, out, jump_log, threading.Lock())
+        with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
+            list(pool.map(run_block, blocks))
     return PathEnsemble(config=config, snapshot_times=snapshot_times,
                         states=out, jump_log=jump_log)
 
 
 def mc_mean(ens: PathEnsemble, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise sample mean and standard error across paths at time ``t``."""
-    i = ens.snapshot_index(t)
-    states = ens.states[i]
+    states = ens.states[grid_index(ens.snapshot_times, t)]
     mean = states.mean(axis=0)
     n = states.shape[0]
     if n > 1:

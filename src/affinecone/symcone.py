@@ -7,8 +7,8 @@ conventions once:
 
 * the trace inner product ``<x, y> = tr(x y)`` and its Frobenius norm,
 * a relative tolerance for cone membership (``psd_tol``),
-* spectral operations (square root, projection onto the cone, and both
-  at once for a stack, in closed form for ``d <= 3``),
+* spectral operations (square root, and projection onto the cone with
+  the root of the projection for a stack, in closed form for ``d <= 3``),
 * the orthonormal vectorization of symmetric matrices used to represent
   linear maps on symmetric matrices as ordinary ``D x D`` matrices,
   with ``D = d(d+1)/2``.
@@ -65,8 +65,9 @@ def pairings(x, y) -> np.ndarray:
 
 
 def frobenius(x) -> float:
-    """Frobenius norm ``<x, x>**0.5``."""
-    return float(np.linalg.norm(np.asarray(x, dtype=float)))
+    """Frobenius norm ``<x, x>**0.5``; ``inf``, unwarned, past the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(np.asarray(x, dtype=float)))
 
 
 def psd_tol(x) -> float:
@@ -173,15 +174,6 @@ def sqrt_psd(x) -> np.ndarray:
             f"cannot take PSD square root: min eigenvalue {w[0]:.3e} < -{tol:.3e}"
         )
     return s
-
-
-def project_psd(x) -> np.ndarray:
-    """Nearest-point projection onto the PSD cone (negative eigenvalues clipped).
-
-    Idempotent, and the identity on cone members.
-    """
-    x = symmetrize(x)
-    return project_sqrt_psd(x[None])[0][0]
 
 
 # a row whose smallest eigenvalue exceeds this fraction of its largest is

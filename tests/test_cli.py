@@ -1,10 +1,12 @@
 """End-to-end command-line runs: exit codes, artifacts, manifests."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +160,9 @@ NOT_PSD = [[1.0, 0.0], [0.0, -1.0]]
                  id="steps-not-integer"),
     pytest.param(["simulate", "--snapshots", "0.5"], _with_sim(dt=1e-300), None,
                  id="steps-above-ceiling"),
+    pytest.param(["simulate", "--snapshots", "0.5"],
+                 _with(m={"atoms": [{"site": np.eye(2).tolist(), "mass": 1e300}]}), None,
+                 id="jumps-above-ceiling"),
 ])
 def test_bad_input_exits_2_without_traceback(config_file, tmp_path, capsys, argv, edit, u):
     cfg = config_file
@@ -178,6 +183,52 @@ def test_bad_input_exits_2_without_traceback(config_file, tmp_path, capsys, argv
     if argv[0] == "simulate" and edit is not None:
         # a bad sim section is blamed on sim, not on --snapshots
         assert err.startswith(("config error: sim: ", "config error: sim.x0: "))
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_with_sim(), id="euler"),
+    pytest.param(_ou_exact_sim(), id="ou-exact"),
+])
+@pytest.mark.parametrize("snapshots", ["-1", "nan", "0.5,nan"])
+def test_bad_snapshot_times_exit_2_before_any_draw(config_file, tmp_path, capsys, monkeypatch,
+                                                   edit, snapshots):
+    def fail(*args, **kwargs):
+        raise AssertionError("a path was drawn before the snapshot times were checked")
+
+    monkeypatch.setattr(importlib.import_module("affinecone.simulate"), "_path_rng", fail)
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(edit(json.loads(config_file.read_text()))))
+    argv = ["simulate", "--config", str(cfg), f"--snapshots={snapshots}",
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --snapshots: ") and err.count("\n") == 1
+
+
+def _overflowing_site(data):
+    """``data`` with its first ``m`` site at ``8e307 I`` and mass 50, on 8
+    paths: within a few jumps a path's state leaves the float range."""
+    data["m"]["atoms"][0] = {"site": (8e307 * np.eye(2)).tolist(), "mass": 50.0}
+    data["sim"]["n_paths"] = 8
+    return data
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_with_sim(), id="euler"),
+    pytest.param(_ou_exact_sim(), id="ou-exact"),
+])
+@pytest.mark.parametrize("runtime_warnings", ["default", "error"])
+def test_overflowing_path_exits_6_without_traceback(config_file, tmp_path, capsys, edit,
+                                                     runtime_warnings):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(_overflowing_site(edit(json.loads(config_file.read_text())))))
+    argv = ["simulate", "--config", str(cfg), "--snapshots", "0.5,1.0",
+            "--out-dir", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter(runtime_warnings, RuntimeWarning)
+        assert main(argv) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("simulation failure: path ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("x0", [

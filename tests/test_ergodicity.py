@@ -22,6 +22,8 @@ from affinecone import (
     frobenius,
     invariant_mean,
     log_moment_gate,
+    phi_closed_form_mbajd,
+    psi_closed_form_wishart,
     random_psd,
     riccati_DF,
     riccati_F,
@@ -333,22 +335,23 @@ def test_standard_u_grid_shape_and_determinism():
 
 
 def test_transient_laplace_values(rng):
-    spec = random_wishart(2, rng)
+    spec = random_wishart(2, rng, with_jumps=True)
     p = spec.to_params()
     x = random_psd(2, rng)
     u = random_psd(2, rng)
-    vals = transient_laplace(p, x, u, [0.0, 0.5, 1.0])
+    times = [0.0, 0.5, 1.0]
+    vals = transient_laplace(solve_riccati(p, u, 1.0, tol=1e-10, t_eval=times[1:]), x, times)
     assert vals[0] == pytest.approx(np.exp(-float(np.sum(x * u))), rel=1e-12)
-    assert np.all(vals > 0)
+    for t, val in zip(times[1:], vals[1:]):
+        closed = phi_closed_form_mbajd(spec, u, t) + np.sum(x * psi_closed_form_wishart(spec, u, t))
+        assert val == pytest.approx(np.exp(-closed), rel=1e-8)
     # a stack of probes gives one column per probe, within the solver tolerance
     stack = np.array([u, 2.0 * u, random_psd(2, rng)])
-    cols = transient_laplace(p, x, stack, [0.0, 0.5, 1.0])
+    flow = solve_riccati(p, stack, 1.0, tol=1e-10, t_eval=times[1:])
+    cols = transient_laplace(flow, x, times)
     assert cols.shape == (3, 3)
     assert np.allclose(cols[:, 0], vals, rtol=0.0, atol=1e-9)
-    flow = solve_riccati(p, stack, 1.0, tol=1e-10, t_eval=[0.5, 1.0])
-    assert np.array_equal(transient_laplace(p, x, stack, [0.0, 0.5, 1.0], flow=flow), cols)
-    with pytest.raises(ValueError):
-        transient_laplace(p, x, 2.0 * stack, [0.5, 1.0], flow=flow)
+    assert np.array_equal(cols[0], np.exp(-np.sum(x * flow.u0, axis=(1, 2))))
 
 
 def test_dL_below_bound_and_decaying(rng):

@@ -11,7 +11,6 @@ from affinecone import (
     ScalarJumpMeasure,
     SymOperator,
     inner,
-    is_subdominant_psd,
     load_params,
     random_psd,
     sym_dim,
@@ -281,9 +280,3 @@ def test_load_params_rejects_malformed_file(tmp_path, text):
         path.write_text(text)
     with pytest.raises(ConfigError):
         load_params(path)
-
-
-def test_is_subdominant_psd():
-    assert is_subdominant_psd(np.eye(2), 2 * np.eye(2))
-    assert not is_subdominant_psd(2 * np.eye(2), np.eye(2))
-    assert is_subdominant_psd(np.eye(2), np.eye(2))

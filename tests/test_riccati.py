@@ -266,6 +266,18 @@ def test_solver_argument_validation(rng):
         solve_riccati(p, np.eye(2), 1.0, tol=1e-2)
 
 
+@pytest.mark.parametrize("t_eval", [
+    pytest.param([], id="empty"),
+    pytest.param([0.5, float("nan")], id="nan"),
+    pytest.param([0.5, float("inf")], id="inf"),
+    pytest.param([-0.5, 0.5], id="negative"),
+    pytest.param([0.5, 1.5], id="past-T"),
+])
+def test_solver_rejects_bad_t_eval(rng, t_eval):
+    with pytest.raises(ValueError, match="t_eval"):
+        solve_riccati(_jump_params(rng), np.eye(2), 1.0, t_eval=t_eval)
+
+
 def test_trajectory_lookup_and_csv(tmp_path, rng):
     p = _jump_params(rng)
     traj = solve_riccati(p, np.eye(2), 1.0, tol=1e-9, t_eval=[0.25, 0.5, 1.0])

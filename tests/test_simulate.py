@@ -2,6 +2,7 @@
 
 import importlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from affinecone import (
     simulate,
     transient_mean,
 )
+from affinecone.params import ConfigError
 from affinecone.riccati import congruence_integral
-from affinecone.simulate import _path_rng
+from affinecone.simulate import PathFailureError, _path_rng
 from affinecone.symcone import mat_exp
 from conftest import zero_diffusion_params
 
@@ -124,10 +126,46 @@ def test_config_rejects_misshapen_start_point():
 
 def test_simulate_rejects_off_grid_snapshot():
     cfg = _diffusion_config(n_paths=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         simulate(cfg, [0.005])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         simulate(cfg, [2.0])  # beyond the horizon
+    # 1e-12 past the horizon passes the horizon test but is step n_steps + 1
+    tiny = _diffusion_config(n_paths=4, dt=1e-12, horizon=1e-10)
+    with pytest.raises(ConfigError, match="step grid"):
+        simulate(tiny, [1e-10 + 1e-12])
+
+
+def test_config_rejects_more_expected_jumps_than_the_ceiling():
+    cfg = _jump_config()
+    p = AffineParams(dim=2, alpha=cfg.params.alpha, b=cfg.params.b, drift=cfg.params.drift,
+                     m=ScalarJumpMeasure([(np.eye(2), 1e300)]))
+    with pytest.raises(ValueError, match="jumps per path"):
+        SimConfig(params=p, sigma=cfg.sigma, x0=cfg.x0, horizon=2.0, dt=0.01,
+                  n_paths=8, seed=0, scheme="ou_exact")
+
+
+def test_exact_scheme_reports_a_state_whose_symmetrization_overflows():
+    # with seed 7, path 4's state at t = 0.05 is finite but x + x.T is not;
+    # by t = 1 its jumps have decayed back into range
+    p0 = zero_diffusion_params()
+    p = AffineParams(dim=2, alpha=p0.alpha, b=p0.b, drift=p0.drift,
+                     m=ScalarJumpMeasure([(8e307 * np.eye(2), 20.0)]))
+    cfg = SimConfig(params=p, sigma=np.zeros((2, 2)), x0=0.5 * np.eye(2), horizon=1.0,
+                    dt=0.01, n_paths=8, seed=7, scheme="ou_exact")
+    with pytest.raises(PathFailureError, match="path 4 "):
+        simulate(cfg, [0.05, 1.0])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_thinning_warns_when_the_step_probability_exceeds_a_tenth(threads):
+    # a path's first-step mu probability is <x0, weight> dt = 0.3 dt; 600
+    # paths are two blocks
+    with pytest.warns(UserWarning, match="exceeded 0.1"):
+        simulate(_diffusion_config(n_paths=600, dt=0.5, with_mu=True), [1.0], threads=threads)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate(_diffusion_config(n_paths=600, dt=0.01, with_mu=True), [1.0], threads=threads)
 
 
 # --- reproducibility -----------------------------------------------------

@@ -12,7 +12,6 @@ from affinecone import (
     is_psd,
     mat_exp,
     min_eigval,
-    project_psd,
     project_sqrt_psd,
     psd_tol,
     random_psd,
@@ -123,22 +122,6 @@ def test_sqrt_psd_squares_back(rng):
 def test_sqrt_psd_rejects_indefinite():
     with pytest.raises(ConeViolationError):
         sqrt_psd(np.diag([1.0, -0.5]))
-
-
-def test_project_psd_identity_on_cone(rng):
-    x = random_psd(3, rng)
-    assert np.allclose(project_psd(x), x, atol=1e-13)
-
-
-def test_project_psd_idempotent_and_nearest(rng):
-    a = symmetrize(rng.standard_normal((3, 3)))
-    p = project_psd(a)
-    assert is_psd(p)
-    assert np.allclose(project_psd(p), p, atol=1e-12)
-    # eigenvalue clipping is the Frobenius-nearest cone point
-    w, q = np.linalg.eigh(a)
-    ref = (q * np.clip(w, 0.0, None)) @ q.T
-    assert np.allclose(p, ref, atol=1e-12)
 
 
 def _spectral_stack(d, rng):
