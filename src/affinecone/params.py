@@ -23,6 +23,7 @@ consumed by the ergodicity module.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -128,9 +129,37 @@ class ScalarJumpMeasure:
         return np.tensordot(self.masses, self.sites.reshape(-1, dim, dim), axes=1)
 
     def log_moment(self) -> float:
-        """``sum w_i log||site_i||`` over atoms with ``||site_i|| > 1`` (strict)."""
-        norms = np.linalg.norm(self.sites, axis=(1, 2))
-        return float(self.masses[norms > 1.0] @ np.log(norms[norms > 1.0]))
+        """``sum w_i log||site_i||`` over atoms with ``||site_i|| > 1`` (strict);
+        finite for every finite site, even one whose norm overflows."""
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(self.sites, axis=(1, 2))
+        big = norms > 1.0
+        logs = np.log(norms[big])
+        # log||s|| = log max|s| + log||s / max|s||| where ||s|| is inf
+        huge = np.isinf(logs)
+        if huge.any():
+            sites = self.sites[big][huge]
+            scale = np.abs(sites).max(axis=(1, 2))
+            logs[huge] = np.log(scale) + np.log(
+                np.linalg.norm(sites / scale[:, None, None], axis=(1, 2)))
+        return float(self.masses[big] @ logs)
+
+    def draw_atoms(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` atom indices, atom ``i`` with probability ``masses[i] /
+        total_rate()``.
+
+        The draws and the indices of ``rng.choice(len(self), size=n,
+        p=masses / total_rate())`` bit for bit: one uniform per index,
+        looked up in the cdf that ``choice`` builds, without ``choice``'s
+        checks of ``p`` on every call.
+        """
+        return self._cdf.searchsorted(rng.random(n), side="right")
+
+    @functools.cached_property
+    def _cdf(self) -> np.ndarray:
+        cdf = (self.masses / self.total_rate()).cumsum()
+        cdf /= cdf[-1]  # as Generator.choice normalizes it
+        return cdf
 
     def cost(self, u):
         """The jump part ``sum_i w_i (1 - e^{-<u, site_i>})`` of the running

@@ -29,13 +29,18 @@ Two schemes:
   transported jumps, with jump times drawn exactly (uniform order
   statistics given a Poisson count).  The path law is exact, which makes
   this scheme the preferred statistical oracle.  Cost model: per path
-  only the random draws and the jump log; per snapshot, for all paths in
-  one stack, one deterministic part shared by all paths, one transport
-  ``J -> E J E.T`` of the carried jump mass (``E = e^{(t_k - t_{k-1})
-  beta}``) and one stacked matrix exponential of the jumps that arrived
-  since the previous snapshot, so each jump is exponentiated once.  It
-  runs on one thread; its memory is the states, the jump log and flat
-  arrays of the jumps.
+  only four calls that draw (one ``Philox`` re-keyed to the path, its
+  jump count, its jump-time uniforms, its atoms through
+  ``ScalarJumpMeasure.draw_atoms``); the time sort and the jump log are
+  built for all paths at once from flat arrays.  Per snapshot, for all
+  paths in one stack: one deterministic part shared by all paths, one
+  transport ``J -> E J E.T`` of the carried jump mass (``E = e^{(t_k -
+  t_{k-1}) beta}``) and one ``symcone.mat_exp_scaled`` call for the lags
+  ``e^{(t_k - tau) beta}`` of the jumps that arrived since the previous
+  snapshot, so each jump is exponentiated once, by a few stacked array
+  operations rather than a Python loop over matrices.  It runs on one
+  thread; its memory is the states, the jump log and flat arrays of the
+  jumps.
 
 Every path owns an RNG stream keyed by (seed, path index) through a
 counter-based generator, so results are bit-identical regardless of how
@@ -55,7 +60,14 @@ import numpy as np
 from .ergodicity import InvariantLaw, decay_certificate, transient_mean, w1_mean_gap_check
 from .params import AffineParams, ConfigError
 from .riccati import congruence_integral, grid_index
-from .symcone import check_cone, frobenius, mat_exp, project_sqrt_psd, symmetrize
+from .symcone import (
+    check_cone,
+    frobenius,
+    mat_exp,
+    mat_exp_scaled,
+    project_sqrt_psd,
+    symmetrize,
+)
 
 
 class PathFailureError(RuntimeError):
@@ -174,6 +186,25 @@ def _path_rng(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _path_streams(seed: int, path_ids):
+    """For each of ``path_ids`` in turn, a generator drawing the stream of
+    ``_path_rng(seed, path_id)``, valid until the next one is yielded.
+
+    One ``Philox`` is re-keyed through its state, which costs about a
+    fifth of building a new one: most of that goes to the ``SeedSequence``
+    reading OS entropy for a seed that the key then overrides.
+    """
+    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    state = bits.state  # a fresh stream: zero counter, empty buffer
+    key = state["state"]["key"]
+    key[0] = seed & 0xFFFFFFFFFFFFFFFF
+    for pid in path_ids:
+        key[1] = pid
+        bits.state = state
+        yield rng
+
+
 def _snapshot_steps(times, dt: float, n_steps: int) -> np.ndarray:
     # the times lie in [0, horizon + 1e-12], and at a tiny dt the 1e-12 can
     # round to step n_steps + 1
@@ -236,7 +267,7 @@ def _euler_block(config: SimConfig, snap_steps, out, jump_log, step_lock, path_i
                     counts = rng.poisson(m_total * dt, min(piece, n_steps - k0))
                     hit = np.nonzero(counts)[0]
                     steps += np.repeat(k0 + hit, counts[hit]).tolist()
-                atoms = rng.choice(len(p.m), size=len(steps), p=p.m.masses / m_total)
+                atoms = p.m.draw_atoms(rng, len(steps))
                 m_events += ((k, j, a) for k, a in zip(steps, atoms.tolist()))
             jump_rngs.append(rng)
     # applied by step; the stable sort keeps path order, then drawing order
@@ -310,33 +341,38 @@ def _ou_paths(config: SimConfig, snapshot_times, out, jump_log):
     ``E(s) = e^{s beta}``.  The deterministic part is shared by every path.
     The jump mass is carried between snapshots, ``J_k = E(t_k - t_{k-1})
     J_{k-1} E(.).T + (jumps in (t_{k-1}, t_k])``, so each jump is
-    exponentiated once, in one stacked ``mat_exp`` per snapshot.
+    exponentiated once, in one ``mat_exp_scaled`` call per snapshot.
     """
     p = config.params
     d = p.dim
+    n = config.n_paths
     beta = p.drift.beta
     T = config.horizon
-    m_total = p.m.total_rate()
+    lam = p.m.total_rate() * T
 
-    # per-path randomness in a fixed order; the jumps go into flat arrays,
-    # path by path and in time order within a path
-    owners, taus, atoms = [np.empty(0, dtype=int)], [np.empty(0)], [np.empty(0, dtype=int)]
-    if m_total > 0.0:
-        for pid in range(config.n_paths):
-            rng = _path_rng(config.seed, pid)
-            count = int(rng.poisson(m_total * T))
-            times = np.sort(rng.random(count)) * T
-            picks = rng.choice(len(p.m), size=count, p=p.m.masses / m_total)
-            jump_log[pid].extend(
-                (float(t), "m", int(a)) for t, a in zip(times, picks))
-            owners.append(np.full(count, pid))
-            taus.append(times)
-            atoms.append(picks)
-    owner, tau, atom = (np.concatenate(x) for x in (owners, taus, atoms))
+    # per path, in this order: the jump count, the jump times as unsorted
+    # uniforms and the atoms
+    counts = np.zeros(n, dtype=int)
+    uniforms, atoms = [np.empty(0)], [np.empty(0, dtype=int)]
+    if lam > 0.0:
+        for pid, rng in enumerate(_path_streams(config.seed, range(n))):
+            counts[pid] = count = rng.poisson(lam)
+            uniforms.append(rng.random(count))
+            atoms.append(p.m.draw_atoms(rng, count))
+    # path by path; within a path the times are sorted and the k-th
+    # earliest takes the k-th atom drawn
+    owner = np.repeat(np.arange(n), counts)
+    u = np.concatenate(uniforms)
+    tau = u[np.lexsort((u, owner))] * T
+    atom = np.concatenate(atoms)
+    taus, picks = tau.tolist(), atom.tolist()
+    ends = np.cumsum(counts).tolist()
+    for pid, (start, end) in enumerate(zip([0] + ends, ends)):
+        jump_log[pid].extend(zip(taus[start:end], ["m"] * (end - start), picks[start:end]))
     # a jump enters at the first snapshot at or after its time
     first = np.searchsorted(snapshot_times, tau, side="left")
 
-    J = np.zeros((config.n_paths, d, d))
+    J = np.zeros((n, d, d))
     t_prev = 0.0
     for ti, t in enumerate(snapshot_times):
         t = float(t)
@@ -345,15 +381,15 @@ def _ou_paths(config: SimConfig, snapshot_times, out, jump_log):
             J = step @ J @ step.T
         new = first == ti
         if np.any(new):
-            lag = mat_exp((t - tau[new])[:, None, None] * beta)
+            lag = mat_exp_scaled(beta, t - tau[new])
             # unbuffered and in index order: a path's jumps are summed in
             # time order, untouched by the other paths
             np.add.at(J, owner[new], lag @ p.m.sites[atom[new]] @ np.swapaxes(lag, -1, -2))
         e = mat_exp(t * beta)
         x = e @ config.x0 @ e.T + 0.5 * congruence_integral(beta, p.b, t) + J
-        _check_finite(x, range(config.n_paths))  # symmetrize refuses a non-finite matrix
+        _check_finite(x, range(n))  # symmetrize refuses a non-finite matrix
         out[ti] = symmetrize(x)
-        _check_finite(out[ti], range(config.n_paths))  # x + x.T can overflow too
+        _check_finite(out[ti], range(n))  # x + x.T can overflow too
         t_prev = t
 
 

@@ -124,10 +124,13 @@ def mat_exp(a) -> np.ndarray:
     """Matrix exponential of a real square matrix, or of each matrix in a
     stack ``(..., d, d)``.
 
-    Evaluated by scaling and squaring (Pade approximant), chosen per
-    matrix, so each matrix of a stack gets exactly the value a call on it
-    alone returns.  Overflow for extreme norms is reported once, as an
-    ``OverflowError`` (numpy's warning is silenced), never saturated.
+    Evaluated by ``scipy.linalg.expm`` (scaling and squaring with a Pade
+    approximant), chosen per matrix, so each matrix of a stack gets exactly
+    the value a call on it alone returns.  It loops over a stack matrix by
+    matrix in Python; for many multiples ``s_i a`` of one matrix use
+    :func:`mat_exp_scaled`, which costs a few stacked array operations.
+    Overflow for extreme norms is reported once, as an ``OverflowError``
+    (numpy's warning is silenced), never saturated.
     """
     import scipy.linalg  # deferred: commands that never exponentiate skip loading scipy
 
@@ -138,6 +141,65 @@ def mat_exp(a) -> np.ndarray:
         out = scipy.linalg.expm(a)
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"matrix exponential overflowed (input norm {np.linalg.norm(a):.3e})")
+    return out
+
+
+# degree of the Taylor polynomial of mat_exp_scaled, which is evaluated at
+# ||x a||_1 <= 1: the remainder, about 1/19!, is below 1e-17
+_TAYLOR_DEGREE = 18
+
+
+def mat_exp_scaled(a, s) -> np.ndarray:
+    """``e^{s_i a}`` for one real square matrix ``a`` and each entry of a
+    vector ``s >= 0``, as an ``(n, d, d)`` stack.
+
+    Scaling and squaring with a truncated Taylor series (Moler & Van Loan,
+    SIAM Review 45, 2003; Al-Mohy & Higham, SIMAX 31, 2009).  The powers of
+    ``b = a / ||a||_1`` are formed once.  Row ``i`` takes the fewest
+    squarings ``j_i`` with ``x_i = s_i ||a||_1 / 2^{j_i} <= 1``, evaluates
+    the degree-18 Taylor polynomial of ``e^{x_i b}`` by Horner's rule, one
+    elementwise operation over the stack per degree, and squares the result
+    ``j_i`` times.  ``j_i`` depends on ``s_i`` alone and every operation acts
+    row by row, so each row equals a one-row call bit for bit, whatever the
+    rest of the stack; ``s_i = 0`` gives exactly ``I``.  A result, or
+    ``s_i ||a||_1``, past the float range raises ``OverflowError`` as in
+    :func:`mat_exp`, with no numpy warning.
+    """
+    a = np.asarray(a, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or s.ndim != 1:
+        raise ValueError(f"expected a square matrix and a vector, got {a.shape} and {s.shape}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(s))):
+        raise ValueError("matrix entries and multiples must be finite")
+    if np.any(s < 0.0):
+        raise ValueError("multiples must be nonnegative")
+    d = a.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+        z = s * norm
+        if not (np.isfinite(norm) and np.all(np.isfinite(z))):
+            raise OverflowError(f"matrix exponential overflowed (s * ||a||_1 up to {z.max():.3e})")
+        # the fewest halvings that bring z to 1 or below
+        mantissa, exponent = np.frexp(z)
+        squarings = np.maximum(exponent - (mantissa == 0.5), 0)
+        x = np.ldexp(z, -squarings)[:, None]
+        # terms[k] = b^k / k!, each of norm at most 1 / k!
+        b = a / norm if norm > 0.0 else a
+        terms = np.empty((_TAYLOR_DEGREE + 1, d, d))
+        terms[0] = np.eye(d)
+        for k in range(1, _TAYLOR_DEGREE + 1):
+            terms[k] = terms[k - 1] @ b / k
+        terms = terms.reshape(_TAYLOR_DEGREE + 1, d * d)
+        out = np.repeat(terms[-1:], len(s), axis=0)
+        for term in terms[-2::-1]:
+            out *= x
+            out += term
+        out = out.reshape(len(s), d, d)
+        for i in range(int(squarings.max(initial=0))):
+            rows = np.flatnonzero(squarings > i)
+            out[rows] = out[rows] @ out[rows]
+    if not np.all(np.isfinite(out)):
+        raise OverflowError(f"matrix exponential overflowed (s * ||a||_1 up to {z.max():.3e})")
     return out
 
 
@@ -152,6 +214,9 @@ def _spectral_project_sqrt(y):
     qt = np.swapaxes(q, -1, -2)
     clipped = np.clip(w, 0.0, None)
 
+    # a + a.T overflows for entries past half the float range; the rebuilt
+    # projection is kept only for an indefinite row, where it is then inf
+    @np.errstate(over="ignore")
     def rebuild(values):
         a = (q * values[..., None, :]) @ qt
         return (a + np.swapaxes(a, -1, -2)) / 2.0
@@ -181,6 +246,10 @@ def sqrt_psd(x) -> np.ndarray:
 # form, which loses at most about 1e-16 / (2 sqrt(_CLOSED_FORM_TAU)) of its
 # scale to rounding
 _CLOSED_FORM_TAU = 1e-6
+# the closed forms square (d = 2) or cube (d = 3) entries, so they take
+# only the rows whose largest entry lies in this range: past its top the
+# powers overflow, below its bottom they underflow and lose their digits
+_CLOSED_FORM_RANGE = (1e-80, 1e80)
 
 
 def _closed_form_sqrt2(y):
@@ -254,21 +323,24 @@ def project_sqrt_psd(y) -> tuple[np.ndarray, np.ndarray]:
     for a stack ``(n, d, d)`` of finite symmetric matrices.
 
     For ``d`` of 2 or 3, a row whose smallest eigenvalue exceeds
-    ``_CLOSED_FORM_TAU`` times its largest is its own projection and is
-    rooted in closed form, with no eigenvectors.  Every other row
-    (near-singular or indefinite), and every row for other ``d``, takes the
-    general path: ``eigh``, eigenvalues clipped at zero, both matrices
-    rebuilt; a row with no negative eigenvalue is still its own projection.
+    ``_CLOSED_FORM_TAU`` times its largest, and whose largest entry lies in
+    ``_CLOSED_FORM_RANGE``, is its own projection and is rooted in closed
+    form, with no eigenvectors.  Every other row (near-singular, indefinite
+    or of extreme scale), and every row for other ``d``, takes the general
+    path: ``eigh``, eigenvalues clipped at zero, both matrices rebuilt; a
+    row with no negative eigenvalue is still its own projection.
     """
     y = np.asarray(y, dtype=float)
     closed_form = _CLOSED_FORMS.get(y.shape[-1])
     if closed_form is None:
         _, x, s = _spectral_project_sqrt(y)
         return x, s
-    # rows outside the closed form's domain may divide by zero or take the
-    # root of a negative number; their values are replaced below
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # rows outside the closed form's domain may overflow, divide by zero or
+    # take the root of a negative number; their values are replaced below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         inside, s = closed_form(y)
+    scale = np.abs(y).max(axis=(1, 2), initial=0.0)
+    inside &= (scale >= _CLOSED_FORM_RANGE[0]) & (scale <= _CLOSED_FORM_RANGE[1])
     x = y.copy()
     if not inside.all():
         rest = np.flatnonzero(~inside)

@@ -195,7 +195,9 @@ def test_bad_snapshot_times_exit_2_before_any_draw(config_file, tmp_path, capsys
     def fail(*args, **kwargs):
         raise AssertionError("a path was drawn before the snapshot times were checked")
 
-    monkeypatch.setattr(importlib.import_module("affinecone.simulate"), "_path_rng", fail)
+    simulate_module = importlib.import_module("affinecone.simulate")
+    monkeypatch.setattr(simulate_module, "_path_rng", fail)
+    monkeypatch.setattr(simulate_module, "_path_streams", fail)
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps(edit(json.loads(config_file.read_text()))))
     argv = ["simulate", "--config", str(cfg), f"--snapshots={snapshots}",
@@ -211,6 +213,18 @@ def _overflowing_site(data):
     data["m"]["atoms"][0] = {"site": (8e307 * np.eye(2)).tolist(), "mass": 50.0}
     data["sim"]["n_paths"] = 8
     return data
+
+
+def test_validate_of_an_overflowing_site_is_json(config_file, tmp_path, capsys):
+    # ||8e307 I|| overflows: the log-moment is still finite, so the report
+    # is valid JSON, and no RuntimeWarning is raised
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(_overflowing_site(_ou_exact_sim()(json.loads(config_file.read_text())))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["validate", "--config", str(cfg)]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(c))
+    assert 50.0 * np.log(8e307) < out["hypotheses"]["log_moment"] < np.inf
 
 
 @pytest.mark.parametrize("edit", [

@@ -1,5 +1,7 @@
 """Parameter sets: operators, drifts, jump measures, admissibility, I/O."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,30 @@ def test_scalar_jump_measure_log_moment_strict_threshold():
     # a site of norm exactly 1 does not contribute
     m = ScalarJumpMeasure([(np.diag([1.0, 0.0]), 3.0)])
     assert m.log_moment() == 0.0
+
+
+def test_scalar_jump_measure_log_moment_of_an_overflowing_norm():
+    # ||8e307 I|| overflows; its log, log 8e307 + log sqrt(2), does not
+    m = ScalarJumpMeasure([(8e307 * np.eye(2), 0.5), (np.diag([3.0, 4.0]), 0.25)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = m.log_moment()
+    assert got == pytest.approx(0.5 * (np.log(8e307) + 0.5 * np.log(2.0)) + 0.25 * np.log(5.0),
+                                rel=1e-15)
+
+
+@pytest.mark.parametrize("masses", [[0.8, 0.5], [0.3], [1e-3, 2.0, 0.7, 1e-9, 5.0]])
+def test_draw_atoms_is_choice(masses):
+    # the same indices as rng.choice, and the stream left where choice leaves it
+    d = 2
+    m = ScalarJumpMeasure([((k + 1.0) * np.eye(d), w) for k, w in enumerate(masses)])
+    p = m.masses / m.total_rate()
+    for seed, n in [(0, 0), (1, 1), (2, 7), (3, 5000)]:
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = m.draw_atoms(ours, n)
+        want = theirs.choice(len(m), size=n, p=p)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert ours.random() == theirs.random()
 
 
 def test_scalar_jump_measure_rejects_bad_atoms():

@@ -21,8 +21,8 @@ from affinecone import (
 )
 from affinecone.params import ConfigError
 from affinecone.riccati import congruence_integral
-from affinecone.simulate import PathFailureError, _path_rng
-from affinecone.symcone import mat_exp
+from affinecone.simulate import PathFailureError, _path_rng, _path_streams
+from affinecone.symcone import mat_exp, mat_exp_scaled
 from conftest import zero_diffusion_params
 
 simulate_module = importlib.import_module("affinecone.simulate")
@@ -418,25 +418,46 @@ def test_exact_scheme_bit_identical_across_thread_counts():
 
 
 def test_exact_scheme_runs_all_paths_as_one_stack(monkeypatch):
-    # the matrix exponentials are per snapshot, not per block of paths,
-    # and no worker thread is started whatever the thread count
-    calls = []
+    # the matrix exponentials, and the stacked exponentials of the jump
+    # lags, are per snapshot, not per block of paths or per jump, and no
+    # worker thread is started whatever the thread count
+    calls, kernel_calls = [], []
 
     def counting_mat_exp(a):
         calls.append(np.shape(a))
         return mat_exp(a)
 
+    def counting_mat_exp_scaled(a, s):
+        kernel_calls.append(np.shape(s))
+        return mat_exp_scaled(a, s)
+
     def no_pool(*args, **kwargs):
         raise AssertionError("ou_exact built a thread pool")
 
     monkeypatch.setattr(simulate_module, "mat_exp", counting_mat_exp)
+    monkeypatch.setattr(simulate_module, "mat_exp_scaled", counting_mat_exp_scaled)
     monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", no_pool)
     counts = []
     for n_paths in (100, 1100):
         calls.clear()
+        kernel_calls.clear()
         simulate(_jump_config(n_paths=n_paths), [0.5, 1.0, 2.0], threads=4)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        counts.append((len(calls), len(kernel_calls)))
+    assert counts[0] == counts[1] and counts[0][0] > 0
+    assert counts[0][1] == 3  # one per snapshot, each of which some jump reaches
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 12345, 2**64 - 1])
+def test_path_streams_draw_the_path_rng_streams(seed):
+    # the re-keyed generator draws what a new generator per path draws,
+    # whatever was drawn from the previous path's stream
+    ids = [0, 1, 5, 2**32 + 3, 2**40, 4]
+    for pid, rng in zip(ids, _path_streams(seed, ids)):
+        ref = _path_rng(seed, pid)
+        for draw in (lambda g: g.standard_normal(5), lambda g: g.poisson(3.3, 4),
+                     lambda g: g.random(7), lambda g: g.poisson(60.0),
+                     lambda g: g.standard_normal((2, 3, 3))):
+            assert np.array_equal(draw(rng), draw(ref))
 
 
 def test_exact_scheme_path_count_extension_is_consistent():

@@ -1,5 +1,7 @@
 """Cone primitives: symmetrization, vectorization, square roots, projection."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,7 +25,7 @@ from affinecone import (
     unvectorize,
     vectorize,
 )
-from affinecone.symcone import _CLOSED_FORM_TAU, sym_index
+from affinecone.symcone import _CLOSED_FORM_TAU, _spectral_project_sqrt, mat_exp_scaled, sym_index
 
 
 def test_symmetrize_output_is_symmetric(rng):
@@ -218,6 +220,112 @@ def test_mat_exp_overflow():
         mat_exp(np.eye(2) * 1e6)
     with pytest.raises(OverflowError):
         mat_exp(np.stack([np.eye(2), np.eye(2) * 1e6]))
+
+
+def _rel_err2(got, ref):
+    return np.linalg.norm(got - ref, 2, axis=(-2, -1)) / np.linalg.norm(ref, 2, axis=(-2, -1))
+
+
+def _multiples(a, rng):
+    """Multiples ``s`` of ``a`` with ``s ||a||_1`` from 0 to 50: a grid with
+    0 first, and random points."""
+    top = 50.0 / np.abs(a).sum(axis=0).max()
+    return np.concatenate([np.linspace(0.0, top, 101), top * rng.random(100)])
+
+
+def test_mat_exp_scaled_matches_expm(rng):
+    # non-normal drifts on which expm itself is accurate to ~1e-14
+    drifts = [np.array([[-1.0, 30.0], [0.0, -2.0]]),
+              np.array([[-0.5, 4.0, 1.0], [0.0, -1.0, 3.0], [0.2, 0.0, -2.0]]),
+              -np.eye(3) + 0.4 * rng.standard_normal((3, 3))]
+    for a in drifts:
+        s = _multiples(a, rng)
+        got = mat_exp_scaled(a, s)
+        assert got.shape == (len(s), len(a), len(a))
+        assert np.array_equal(got[0], np.eye(len(a)))
+        assert np.max(_rel_err2(got, scipy.linalg.expm(s[:, None, None] * a))) <= 1e-13
+
+
+def _exp_2x2(a, s):
+    """``e^{s a}`` of a real 2x2 matrix in closed form: ``e^{s m} (c I + g
+    (a - m I))`` with ``m`` half the trace, and ``c, g`` from ``cosh, sinh``
+    or ``cos, sin`` of ``s`` times the root of ``((a00 - a11)/2)^2 + a01 a10``."""
+    m = (a[0, 0] + a[1, 1]) / 2.0
+    disc = ((a[0, 0] - a[1, 1]) / 2.0) ** 2 + a[0, 1] * a[1, 0]
+    w = np.sqrt(abs(disc))
+    if disc > 0:
+        c, g = np.cosh(s * w), np.sinh(s * w) / w
+    else:
+        c, g = np.cos(s * w), np.sin(s * w) / w
+    return np.exp(s * m)[:, None, None] * (
+        c[:, None, None] * np.eye(2) + g[:, None, None] * (a - m * np.eye(2)))
+
+
+@pytest.mark.parametrize("a", [
+    pytest.param(np.array([[-1.0, 0.05], [-0.03, -0.8]]), id="real-eigenvalues"),
+    pytest.param(np.array([[-0.9, 0.3], [-0.2, -0.6]]), id="complex-eigenvalues"),
+])
+def test_mat_exp_scaled_matches_2x2_closed_form(a, rng):
+    # on these nearly normal drifts expm is off by up to 2e-12 at
+    # s ||a||_1 ~ 40, so the reference is the closed form
+    s = _multiples(a, rng)
+    assert np.max(_rel_err2(mat_exp_scaled(a, s), _exp_2x2(a, s))) <= 1e-13
+
+
+def test_mat_exp_scaled_rows_equal_one_row_calls(rng):
+    # the rows need 0 to 12 squarings, so the stack squares some rows
+    # while others are done
+    a = np.array([[-1.0, 0.4], [-0.3, -0.6]])
+    s = np.concatenate([[0.0, 1e-300, 0.25], np.geomspace(1e-3, 3e3, 60), rng.random(40)])
+    rng.shuffle(s)
+    got = mat_exp_scaled(a, s)
+    for si, e in zip(s, got):
+        assert np.array_equal(e, mat_exp_scaled(a, [si])[0])
+    assert mat_exp_scaled(a, np.empty(0)).shape == (0, 2, 2)
+    assert np.array_equal(mat_exp_scaled(np.zeros((2, 2)), [0.0, 3.0]), np.stack([np.eye(2)] * 2))
+
+
+def test_mat_exp_scaled_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            mat_exp_scaled(np.eye(2), [1.0, 1e3])
+        with pytest.raises(OverflowError):
+            mat_exp_scaled(1e300 * np.eye(2), [1e10])
+        # a stable matrix decays: no overflow however long the time
+        assert np.array_equal(mat_exp_scaled(-np.eye(2), [1e6])[0], np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("a, s", [
+    (np.eye(2), [-1.0]),
+    (np.eye(2), [np.nan]),
+    (np.eye(2), [np.inf]),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), [1.0]),
+    (np.zeros((2, 3)), [1.0]),
+    (np.eye(2), [[1.0]]),
+])
+def test_mat_exp_scaled_rejects_bad_input(a, s):
+    with pytest.raises(ValueError):
+        mat_exp_scaled(a, s)
+
+
+def test_project_sqrt_psd_extreme_scales():
+    # finite rows whose closed-form powers overflow or underflow take eigh:
+    # every root is finite and is the root of the eigh path
+    stacks = [
+        np.stack([1.6e308 * np.eye(3), 1e200 * np.eye(3), np.diag([1e160, 2e160, 3e160]),
+                  np.diag([1e-200, 2e-200, 3e-200]), np.diag([1.0, 2.0, 3.0])]),
+        np.stack([np.array([[1e154, 3e153], [3e153, 2e154]]), np.diag([1e-160, 3e-160]),
+                  np.diag([1.0, 2.0])]),
+    ]
+    for y in stacks:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, root = project_sqrt_psd(y)
+        _, _, ref = _spectral_project_sqrt(y)
+        assert np.all(np.isfinite(root))
+        assert np.array_equal(x, y)
+        assert np.all(np.abs(root - ref) <= 1e-14 * np.abs(ref).max(axis=(1, 2))[:, None, None])
 
 
 def test_psd_tol_scales_with_norm():
