@@ -388,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None,
                     help="Monte Carlo seed (overrides the config's sim.seed)")
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads for the Euler scheme's 512-path blocks")
+                    help="working threads, this one included: above 1 the Euler scheme "
+                         "draws on the others while this one steps all paths")
     sp.add_argument("--snapshots", required=True, help="comma-separated times")
     sp.add_argument("--out-dir", required=True)
     sp.set_defaults(fn=cmd_simulate)

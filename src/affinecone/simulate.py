@@ -8,22 +8,23 @@ Two schemes:
   jumps arrive as a compound Poisson stream; state-dependent jumps are
   thinned with the intensity refreshed once per step (piecewise-constant
   approximation, warned about when the per-step probability is large).
-  Cost model: per block of paths one buffer of ``CHUNK_STEPS`` steps of
-  normals (and of ``mu`` uniforms), refilled as the block steps, plus the
-  block's ``m`` jumps and jump log, so memory does not grow with the
-  horizon beyond the jumps.  Each path still consumes its stream in the
-  order of one up-front draw (normals, ``m`` counts, ``m`` atoms, ``mu``
-  uniforms); reaching the jump draws costs one extra pass over the
-  path's normals.  A step is a few stacked products and one call of
-  ``symcone.project_sqrt_psd``, which returns the projected state and its
-  square root together: for ``d <= 3`` in closed form, with no
-  eigenvectors, on every row well inside the cone, and through ``eigh``
-  only on the other rows (near-singular or indefinite) and for ``d >= 4``.
-  Paths run in blocks of 512, which bound the buffers.  These small
-  operations each release and retake the GIL, so blocks on concurrent
-  threads would mostly wait for one another: the stepping of a chunk
-  holds a lock shared by the blocks, and only the random draws of one
-  block run beside the stepping of another.
+  All paths step as one stack.  Cost model: buffers of normals (and of
+  ``mu`` uniforms) holding ``CHUNK_STEPS`` steps of every path between
+  them, refilled as the stack steps, plus the ``m`` jumps and the jump
+  log, so memory does not grow with the horizon beyond the jumps.  Each
+  path still consumes its stream in the order of one up-front draw
+  (normals, ``m`` counts, ``m`` atoms, ``mu`` uniforms); reaching the
+  jump draws costs one extra pass over the path's normals.  A step is a
+  few stacked products and one call of ``symcone.project_sqrt_psd``,
+  which returns the projected state and its square root together: for
+  ``d <= 3`` in closed form, with no eigenvectors, on every row well
+  inside the cone and on every row with one clearly negative eigenvalue,
+  and through ``eigh`` only on the other rows (near-singular, or of
+  extreme scale) and for ``d >= 4``.  ``threads`` counts the caller:
+  above 1 the extra threads draw beside the stepping, first splitting
+  the pass that reaches the jump draws by path ranges with the caller,
+  then filling the next buffer of draws while the caller steps through
+  the current one.
 * ``ou_exact`` -- for zero diffusion: the state is the congruence
   transport of the start point plus the exact drift integral plus the
   transported jumps, with jump times drawn exactly (uniform order
@@ -43,17 +44,17 @@ Two schemes:
   jumps.
 
 Every path owns an RNG stream keyed by (seed, path index) through a
-counter-based generator, so results are bit-identical regardless of how
-paths are distributed over blocks and worker threads.
+counter-based generator, and every stacked operation acts row by row, so
+results are bit-identical whatever the thread count, and the first paths
+of a larger ensemble replicate a smaller one.
 """
 
 from __future__ import annotations
 
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -223,44 +224,62 @@ def _check_finite(states, path_ids) -> None:
         raise PathFailureError(f"path {path_ids[row]} produced non-finite values")
 
 
+def _path_ranges(n: int, parts: int) -> list[tuple[int, int]]:
+    """``min(parts, n)`` consecutive ranges ``(lo, hi)`` covering ``range(n)``,
+    in order, of sizes differing by at most one."""
+    parts = min(parts, n)
+    return [(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+
+
 # an overflow is reported once, by _check_finite, not also as numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
-def _euler_block(config: SimConfig, snap_steps, out, jump_log, step_lock, path_ids):
-    """Advance one block of paths; writes states into preassigned slots.
+def _euler_paths(config: SimConfig, snap_steps, out, jump_log, threads: int):
+    """Advance every path as one stack; writes the states into ``out``.
 
     A path's stream holds, in this order: the normals of every step, the
     ``m`` jump counts of every step, the atoms of those jumps and the
     ``mu`` uniforms of every step.  Two generators per path walk it.  One
-    hands out the normals ``CHUNK_STEPS`` steps at a time.  The other skips
+    hands out the normals a buffer of steps at a time.  The other skips
     the normals, reads every ``m`` jump up front and then hands out the
-    ``mu`` uniforms chunk by chunk.  Drawing in pieces yields the values of
-    one draw, so the sample does not depend on ``CHUNK_STEPS``.  Each
-    chunk of steps runs under ``step_lock``, its draws outside it.
+    ``mu`` uniforms a buffer at a time.  Drawing in pieces yields the
+    values of one draw, so the sample depends neither on ``CHUNK_STEPS``
+    nor on ``threads``.
+
+    ``threads`` counts the caller.  At 1 everything runs inline in one
+    buffer of ``CHUNK_STEPS`` steps.  Above 1, ``threads - 1`` worker
+    threads draw beside the stepping: the skip pass is split by path ranges
+    over all ``threads`` threads, and while the caller steps the draws of
+    one buffer the workers fill the other with the next steps' draws, two
+    buffers of ``CHUNK_STEPS // 2`` steps taking turns.
     """
     p = config.params
     d = p.dim
     dt = config.dt
     n_steps = config.n_steps
+    n = config.n_paths
     beta = p.drift.beta
-    nb = len(path_ids)
-    chunk = CHUNK_STEPS
     n_mu = len(p.mu)
     m_total = p.m.total_rate()
 
-    normals = np.empty((nb, chunk, d, d))
-    uniforms = np.empty((nb, chunk, n_mu))
-    normal_rngs = [_path_rng(config.seed, pid) for pid in path_ids]
-    jump_rngs = []
-    m_events = []  # (step, path, atom) of each m jump
-    if len(p.m) or n_mu:
-        # the skipped normals go through the whole normals buffer, so a
-        # path takes few calls (each releases the GIL) to reach its jumps
-        skip = normals.reshape(-1, d, d)
-        piece = len(skip)
-        for j, pid in enumerate(path_ids):
+    # the buffers hold CHUNK_STEPS steps between them
+    n_buffers = 2 if threads > 1 else 1
+    span = max(1, min(CHUNK_STEPS // n_buffers, n_steps))
+    normals = np.empty((n_buffers, n, span, d, d))
+    uniforms = np.empty((n_buffers, n, span, n_mu))
+    normal_rngs = [_path_rng(config.seed, pid) for pid in range(n)]
+    jump_rngs = [None] * n
+
+    def skip(scratch, lo, hi):
+        """The ``m`` jumps of paths ``lo:hi`` as (step, path, atom); each
+        path's generator is left at its ``mu`` uniforms."""
+        # the skipped normals go through this thread's share of the
+        # buffers, so a path takes few calls to reach its jumps
+        piece = len(scratch)
+        events = []
+        for pid in range(lo, hi):
             rng = _path_rng(config.seed, pid)
             for k0 in range(0, n_steps, piece):
-                rng.standard_normal(out=skip[:min(piece, n_steps - k0)])
+                rng.standard_normal(out=scratch[:min(piece, n_steps - k0)])
             if len(p.m):
                 steps = []
                 for k0 in range(0, n_steps, piece):
@@ -268,13 +287,20 @@ def _euler_block(config: SimConfig, snap_steps, out, jump_log, step_lock, path_i
                     hit = np.nonzero(counts)[0]
                     steps += np.repeat(k0 + hit, counts[hit]).tolist()
                 atoms = p.m.draw_atoms(rng, len(steps))
-                m_events += ((k, j, a) for k, a in zip(steps, atoms.tolist()))
-            jump_rngs.append(rng)
-    # applied by step; the stable sort keeps path order, then drawing order
-    m_events.sort(key=lambda event: event[0])
+                events += ((k, pid, a) for k, a in zip(steps, atoms.tolist()))
+            jump_rngs[pid] = rng
+        return events
+
+    def fill(buf, lo, hi, c):
+        """The next ``c`` steps' draws of paths ``lo:hi`` into buffer ``buf``."""
+        for pid in range(lo, hi):
+            normal_rngs[pid].standard_normal(out=normals[buf, pid, :c])
+        if n_mu:
+            for pid in range(lo, hi):
+                jump_rngs[pid].random(out=uniforms[buf, pid, :c])
 
     # with N the step's standard normals, a step adds b dt + H + H^T for
-    # H = dt X beta^T + sqrt(dt) X^{1/2} N sigma: two (nb d, d) @ (d, d)
+    # H = dt X beta^T + sqrt(dt) X^{1/2} N sigma: two (n d, d) @ (d, d)
     # products and a stacked one (H^T holds beta X, as X is symmetric).
     # X + b dt + (H + H^T) is symmetric bit for bit, so the projection
     # needs no symmetrizing
@@ -283,26 +309,49 @@ def _euler_block(config: SimConfig, snap_steps, out, jump_log, step_lock, path_i
     b_dt = p.b * dt
     # the rate of a jump by site_i is <X, weight_i>
     mu_weights_dt = p.mu.weights.reshape(-1, d * d).T * dt
+    snaps = {}
+    for ti, k in enumerate(snap_steps.tolist()):
+        snaps.setdefault(k, []).append(ti)
+    paths = range(n)
 
-    X = np.broadcast_to(config.x0, (nb, d, d)).copy()
+    X = np.broadcast_to(config.x0, (n, d, d)).copy()
     _, sqrtX = project_sqrt_psd(X)
+    out[snaps.get(0, [])] = X
     e = 0
     warned = False
 
-    for ti in np.nonzero(snap_steps == 0)[0]:
-        out[ti, path_ids] = X
+    with ThreadPoolExecutor(min(threads - 1, n)) if threads > 1 else nullcontext() as pool:
+        m_events = []
+        if len(p.m) or n_mu:
+            parts = _path_ranges(n, threads)
+            shares = np.array_split(normals.reshape(-1, d, d), len(parts))
+            futures = [pool.submit(skip, share, lo, hi)
+                       for share, (lo, hi) in zip(shares[1:], parts[1:])]
+            m_events = skip(shares[0], *parts[0])
+            for future in futures:
+                m_events += future.result()
+        # applied by step; the stable sort keeps path order, then drawing order
+        m_events.sort(key=lambda event: event[0])
 
-    for k0 in range(0, n_steps, chunk):
-        c = min(chunk, n_steps - k0)
-        for j, rng in enumerate(normal_rngs):
-            rng.standard_normal(out=normals[j, :c])
-        if n_mu:
-            for j, rng in enumerate(jump_rngs):
-                rng.random(out=uniforms[j, :c])
-        with step_lock:
+        def fill_async(k0):
+            buf = k0 // span % n_buffers
+            c = min(span, n_steps - k0)
+            return [pool.submit(fill, buf, lo, hi, c) for lo, hi in _path_ranges(n, threads - 1)]
+
+        pending = fill_async(0) if pool and n_steps else []
+        for k0 in range(0, n_steps, span):
+            c = min(span, n_steps - k0)
+            if pool is None:
+                fill(0, 0, n, c)
+            else:
+                for future in pending:
+                    future.result()
+                pending = fill_async(k0 + span) if k0 + span < n_steps else []
+            step_normals = normals[k0 // span % n_buffers]
+            step_uniforms = uniforms[k0 // span % n_buffers]
             for i, k in enumerate(range(k0, k0 + c)):
-                mix = (sqrtX @ normals[:, i]).reshape(nb * d, d) @ sigma_dt
-                H = (X.reshape(nb * d, d) @ beta_t_dt + mix).reshape(nb, d, d)
+                mix = (sqrtX @ step_normals[:, i]).reshape(n * d, d) @ sigma_dt
+                H = (X.reshape(n * d, d) @ beta_t_dt + mix).reshape(n, d, d)
                 Xn = X + b_dt + (H + np.transpose(H, (0, 2, 1)))
 
                 t_now = (k + 1) * dt
@@ -310,29 +359,29 @@ def _euler_block(config: SimConfig, snap_steps, out, jump_log, step_lock, path_i
                     _, j, atom = m_events[e]
                     e += 1
                     Xn[j] += p.m.sites[atom]
-                    jump_log[path_ids[j]].append((t_now, "m", atom))
+                    jump_log[j].append((t_now, "m", atom))
                 if n_mu:
                     # thinning against the pre-step state, intensity frozen
                     # per step
-                    rates = X.reshape(nb, d * d) @ mu_weights_dt
+                    rates = X.reshape(n, d * d) @ mu_weights_dt
                     if not warned and np.any(rates > 0.1):
                         warnings.warn(
                             "state-dependent jump probability per step exceeded 0.1; "
                             "reduce dt for accurate thinning"
                         )
                         warned = True
-                    hits = uniforms[:, i] < rates
+                    hits = step_uniforms[:, i] < rates
                     for j, a in zip(*np.nonzero(hits)):
                         Xn[j] += p.mu.sites[a]
-                        jump_log[path_ids[j]].append((t_now, "mu", int(a)))
+                        jump_log[j].append((t_now, "mu", int(a)))
 
-                _check_finite(Xn, path_ids)
+                _check_finite(Xn, paths)
                 X, sqrtX = project_sqrt_psd(Xn)
-                for ti in np.nonzero(snap_steps == k + 1)[0]:
-                    out[ti, path_ids] = X
+                if k + 1 in snaps:
+                    out[snaps[k + 1]] = X
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as for _euler_block
+@np.errstate(over="ignore", invalid="ignore")  # as for _euler_paths
 def _ou_paths(config: SimConfig, snapshot_times, out, jump_log):
     """Exact zero-diffusion paths, all of them at once, snapshot by snapshot.
 
@@ -398,11 +447,15 @@ def simulate(config: SimConfig, snapshot_times, threads: int = 1) -> PathEnsembl
 
     Identical configuration (including seed) yields bit-identical
     snapshots, for any thread count: each path's randomness comes from its
-    own keyed stream.  ``ou_exact`` runs every path as one stack; the Euler
-    scheme runs fixed blocks of 512 paths on ``min(threads, blocks)``
-    worker threads.  Snapshot times not in ``[0, horizon]`` or (Euler) off
-    the step grid are refused before any draw (``ConfigError``).
+    own keyed stream.  Both schemes run every path as one stack.
+    ``threads`` (at least 1) counts every working thread, the caller's
+    included: ``ou_exact`` runs on the caller alone, and the Euler scheme
+    draws on ``threads - 1`` worker threads beside the caller's stepping
+    (at 1 it builds no pool).  Snapshot times not in ``[0, horizon]`` or
+    (Euler) off the step grid are refused before any draw (``ConfigError``).
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     snapshot_times = np.asarray(sorted(float(t) for t in snapshot_times))
     if snapshot_times.size == 0:
         raise ConfigError("at least one snapshot time is required")
@@ -416,11 +469,7 @@ def simulate(config: SimConfig, snapshot_times, threads: int = 1) -> PathEnsembl
         _ou_paths(config, snapshot_times, out, jump_log)
     else:
         snap_steps = _snapshot_steps(snapshot_times, config.dt, config.n_steps)
-        blocks = [np.arange(i, min(i + 512, config.n_paths))
-                  for i in range(0, config.n_paths, 512)]
-        run_block = partial(_euler_block, config, snap_steps, out, jump_log, threading.Lock())
-        with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
-            list(pool.map(run_block, blocks))
+        _euler_paths(config, snap_steps, out, jump_log, threads)
     return PathEnsemble(config=config, snapshot_times=snapshot_times,
                         states=out, jump_log=jump_log)
 

@@ -246,22 +246,50 @@ def sqrt_psd(x) -> np.ndarray:
 # form, which loses at most about 1e-16 / (2 sqrt(_CLOSED_FORM_TAU)) of its
 # scale to rounding
 _CLOSED_FORM_TAU = 1e-6
+# a row with exactly one clearly negative eigenvalue, below -_CLIP_KAPPA
+# times its largest, is projected in closed form by clipping that one
+# eigenvalue (Higham, Linear Algebra Appl. 103, 1988).  For d = 3 the
+# middle eigenvalue must also exceed _CLIP_GAP times the largest: the
+# smallest is computed to about 1e-16 / _CLIP_GAP of the scale, and the
+# root of the projection divides by the square root of the middle one
+_CLIP_KAPPA = 1e-10
+_CLIP_GAP = 1e-3
 # the closed forms square (d = 2) or cube (d = 3) entries, so they take
 # only the rows whose largest entry lies in this range: past its top the
 # powers overflow, below its bottom they underflow and lose their digits
 _CLOSED_FORM_RANGE = (1e-80, 1e80)
 
 
+def _in_range(scale):
+    return (scale >= _CLOSED_FORM_RANGE[0]) & (scale <= _CLOSED_FORM_RANGE[1])
+
+
 def _closed_form_sqrt2(y):
-    """Rows of a ``(n, 2, 2)`` stack inside the cone, and their roots
-    ``(Y + sqrt(det) I) / sqrt(tr + 2 sqrt(det))``."""
+    """Rows of a ``(n, 2, 2)`` stack the closed form takes, their
+    projections and the roots of those (the other rows' values are left
+    undefined).
+
+    A row inside the cone is its own projection with root ``(Y + sqrt(det)
+    I) / sqrt(tr + 2 sqrt(det))``.  A row with eigenvalues ``l1 > 0 > l2``
+    projects to ``X = l1 (Y - l2 I) / (l1 - l2)``, of rank one, with root
+    ``X / sqrt(l1)``.
+    """
     a, b, c = y[:, 0, 0], y[:, 0, 1], y[:, 1, 1]
+    in_range = _in_range(np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c)))
     det = a * c - b * b
-    lam_max = (a + c) / 2.0 + np.hypot((a - c) / 2.0, b)
-    inside = (lam_max > 0.0) & (det > _CLOSED_FORM_TAU * lam_max * lam_max)
+    mid, radius = (a + c) / 2.0, np.hypot((a - c) / 2.0, b)
+    lam_max, lam_min = mid + radius, mid - radius
+    inside = in_range & (lam_max > 0.0) & (det > _CLOSED_FORM_TAU * lam_max * lam_max)
+    clip = in_range & (lam_max > 0.0) & (lam_min < -_CLIP_KAPPA * lam_max)
     rd = np.sqrt(det)
     s = (y + rd[:, None, None] * np.eye(2)) / np.sqrt(a + c + 2.0 * rd)[:, None, None]
-    return inside, s
+    x = y.copy()
+    if clip.any():
+        rows = np.flatnonzero(clip)
+        l1, l2 = lam_max[rows, None, None], lam_min[rows, None, None]
+        x[rows] = (y[rows] - l2 * np.eye(2)) * (l1 / (l1 - l2))
+        s[rows] = x[rows] / np.sqrt(l1)
+    return inside | clip, x, s
 
 
 # a 3x3 symmetric matrix as the rows (00, 11, 22, 01, 02, 12) of a
@@ -279,18 +307,25 @@ _ANGLES3 = np.array([0.0, 2.0, 4.0])[:, None] * np.pi / 3.0
 
 
 def _closed_form_sqrt3(y):
-    """Rows of a ``(n, 3, 3)`` stack inside the cone, and their roots.
+    """Rows of a ``(n, 3, 3)`` stack the closed form takes, their
+    projections and the roots of those (the other rows' values are left
+    undefined).
 
-    Eigenvalues by the trigonometric formula for symmetric 3x3 matrices
-    (Smith 1961), then ``S = [-Y^2 + (I1^2 - I2) Y + I1 I3 I] / (I1 I2 - I3)``
-    with ``I1, I2, I3`` the elementary symmetric functions of the roots of
-    the eigenvalues (Franca 1989).  The denominator is ``(s1 + s2)(s1 + s3)
-    (s2 + s3)``: no eigenvalue gap is divided by, so repeated eigenvalues
-    are safe.  The arithmetic runs on the six upper-triangle entries, each
-    a contiguous row over the stack.
+    Eigenvalues ``l1 >= l2 >= l3`` by the trigonometric formula for
+    symmetric 3x3 matrices (Smith 1961).  A row inside the cone is its own
+    projection.  A row with ``l3 < 0 < l2`` projects to ``X = Y - l3 P3``
+    with ``P3 = (Y - l1)(Y - l2) / ((l3 - l1)(l3 - l2))``, the spectral
+    projector of ``l3``, and ``X^2 = Y^2 - l3^2 P3``.  The root is then
+    ``S = [-X^2 + (I1^2 - I2) X + I1 I3 I] / (I1 I2 - I3)`` with ``I1, I2,
+    I3`` the elementary symmetric functions of the roots ``s1, s2, s3`` of
+    the eigenvalues of ``X`` (Franca 1989), ``s3 = 0`` for a clipped row.
+    The denominator is ``(s1 + s2)(s1 + s3)(s2 + s3)``: no eigenvalue gap is
+    divided by, so repeated eigenvalues are safe.  The arithmetic runs on
+    the six upper-triangle entries, each a contiguous row over the stack.
     """
     n = len(y)
     v = y.reshape(n, 9).T[_UPPER3]
+    in_range = _in_range(np.abs(v).max(axis=0, initial=0.0))
     q = (v[0] + v[1] + v[2]) / 3.0
     # B = Y - q I, with p^2 = ||B||^2 / 6 and r = det(B / p) / 2
     b = v - q * _DIAG3
@@ -304,15 +339,28 @@ def _closed_form_sqrt3(y):
     r = det_b / np.maximum(2.0 * p * p * p, np.finfo(float).tiny)
     phi = np.arccos(np.minimum(np.maximum(r, -1.0), 1.0)) / 3.0
     lam = q + 2.0 * p * np.cos(phi + _ANGLES3)
-    inside = lam[1] > _CLOSED_FORM_TAU * lam[0]
+    inside = in_range & (lam[1] > _CLOSED_FORM_TAU * lam[0])
+    clip = in_range & (lam[1] < -_CLIP_KAPPA * lam[0]) & (lam[2] > _CLIP_GAP * lam[0])
+    prod = v[_SQUARE_LEFT] * v[_SQUARE_RIGHT]
+    y2 = prod[0] + prod[1] + prod[2]
+    x = y.copy()
+    if clip.any():
+        # v and y2 become X and X^2 on the clipped rows, whose smallest
+        # eigenvalue becomes 0
+        rows = np.flatnonzero(clip)
+        l1, l3, l2 = lam[:, rows]
+        vr, y2r = v[:, rows], y2[:, rows]
+        p3 = (y2r - (l1 + l2) * vr + (l1 * l2) * _DIAG3) / ((l3 - l1) * (l3 - l2))
+        v[:, rows] = vr - l3 * p3
+        y2[:, rows] = y2r - (l3 * l3) * p3
+        lam[1, rows] = 0.0
+        x[rows] = v[:, rows][_FULL3].T.reshape(-1, 3, 3)
     s1, s2, s3 = np.sqrt(lam)
     i1 = s1 + s2 + s3
     i2 = s1 * s2 + s1 * s3 + s2 * s3
     den = (s1 + s2) * (s1 + s3) * (s2 + s3)
-    prod = v[_SQUARE_LEFT] * v[_SQUARE_RIGHT]
-    y2 = prod[0] + prod[1] + prod[2]
     s = ((i1 * i1 - i2) * v - y2 + i1 * (s1 * s2 * s3) * _DIAG3) / den
-    return inside, np.ascontiguousarray(s[_FULL3].T).reshape(n, 3, 3)
+    return inside | clip, x, np.ascontiguousarray(s[_FULL3].T).reshape(n, 3, 3)
 
 
 _CLOSED_FORMS = {2: _closed_form_sqrt2, 3: _closed_form_sqrt3}
@@ -322,13 +370,18 @@ def project_sqrt_psd(y) -> tuple[np.ndarray, np.ndarray]:
     """Projection onto the cone and its square root, ``Y -> (X, X^{1/2})``,
     for a stack ``(n, d, d)`` of finite symmetric matrices.
 
-    For ``d`` of 2 or 3, a row whose smallest eigenvalue exceeds
-    ``_CLOSED_FORM_TAU`` times its largest, and whose largest entry lies in
-    ``_CLOSED_FORM_RANGE``, is its own projection and is rooted in closed
-    form, with no eigenvectors.  Every other row (near-singular, indefinite
-    or of extreme scale), and every row for other ``d``, takes the general
-    path: ``eigh``, eigenvalues clipped at zero, both matrices rebuilt; a
-    row with no negative eigenvalue is still its own projection.
+    For ``d`` of 2 or 3, two kinds of row whose largest entry lies in
+    ``_CLOSED_FORM_RANGE`` take a closed form, with no eigenvectors.  A row
+    whose smallest eigenvalue exceeds ``_CLOSED_FORM_TAU`` times its
+    largest is its own projection.  A row with exactly one eigenvalue below
+    ``-_CLIP_KAPPA`` times its largest (for ``d = 3`` with its middle one
+    above ``_CLIP_GAP`` times the largest) has that eigenvalue clipped.
+    Every other row (near-singular, between those thresholds, or of extreme
+    scale), and every row for other ``d``, takes the general path:
+    ``eigh``, eigenvalues clipped at zero, both matrices rebuilt; a row
+    with no negative eigenvalue is still its own projection.  Every
+    operation acts row by row, so a row's result does not depend on the
+    rest of the stack.
     """
     y = np.asarray(y, dtype=float)
     closed_form = _CLOSED_FORMS.get(y.shape[-1])
@@ -338,12 +391,9 @@ def project_sqrt_psd(y) -> tuple[np.ndarray, np.ndarray]:
     # rows outside the closed form's domain may overflow, divide by zero or
     # take the root of a negative number; their values are replaced below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        inside, s = closed_form(y)
-    scale = np.abs(y).max(axis=(1, 2), initial=0.0)
-    inside &= (scale >= _CLOSED_FORM_RANGE[0]) & (scale <= _CLOSED_FORM_RANGE[1])
-    x = y.copy()
-    if not inside.all():
-        rest = np.flatnonzero(~inside)
+        done, x, s = closed_form(y)
+    if not done.all():
+        rest = np.flatnonzero(~done)
         _, x[rest], s[rest] = _spectral_project_sqrt(y[rest])
     return x, s
 

@@ -1,6 +1,8 @@
 """Monte Carlo simulation: schemes, reproducibility, statistical checks."""
 
 import importlib
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -22,10 +24,18 @@ from affinecone import (
 from affinecone.params import ConfigError
 from affinecone.riccati import congruence_integral
 from affinecone.simulate import PathFailureError, _path_rng, _path_streams
-from affinecone.symcone import mat_exp, mat_exp_scaled
+from affinecone.symcone import (
+    _CLIP_GAP,
+    _CLIP_KAPPA,
+    _spectral_project_sqrt,
+    mat_exp,
+    mat_exp_scaled,
+    project_sqrt_psd,
+)
 from conftest import zero_diffusion_params
 
 simulate_module = importlib.import_module("affinecone.simulate")
+symcone_module = importlib.import_module("affinecone.symcone")
 
 
 def _diffusion_config(n_paths=512, dt=0.01, seed=11, horizon=1.0, with_mu=False):
@@ -159,8 +169,7 @@ def test_exact_scheme_reports_a_state_whose_symmetrization_overflows():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_thinning_warns_when_the_step_probability_exceeds_a_tenth(threads):
-    # a path's first-step mu probability is <x0, weight> dt = 0.3 dt; 600
-    # paths are two blocks
+    # a path's first-step mu probability is <x0, weight> dt = 0.3 dt
     with pytest.warns(UserWarning, match="exceeded 0.1"):
         simulate(_diffusion_config(n_paths=600, dt=0.5, with_mu=True), [1.0], threads=threads)
     with warnings.catch_warnings():
@@ -201,21 +210,127 @@ def test_path_count_extension_is_consistent():
 
 
 def test_d3_bit_identical_across_thread_counts():
-    # 1100 paths: three blocks, the last one short, on two threads
+    # 1100 paths, split over two threads into ranges of 550 and over three
+    # into ranges of 366 and 367
     cfg = _d3_config(n_paths=1100)
     one = simulate(cfg, [0.5, 1.5], threads=1)
-    two = simulate(cfg, [0.5, 1.5], threads=2)
-    assert np.array_equal(one.states, two.states)
-    assert one.jump_log == two.jump_log
+    for threads in (2, 3):
+        ens = simulate(cfg, [0.5, 1.5], threads=threads)
+        assert np.array_equal(one.states, ens.states)
+        assert one.jump_log == ens.jump_log
 
 
 def test_d3_path_count_extension_is_consistent():
-    # a path's value depends neither on how many paths share its block
+    # a path's value depends neither on how many paths share its stack
     # nor on which of them fall back to eigh
     small = simulate(_d3_config(n_paths=100), [0.5, 1.5])
     large = simulate(_d3_config(n_paths=300), [0.5, 1.5])
     assert np.array_equal(small.states, large.states[:, :100])
     assert small.jump_log == large.jump_log[:100]
+
+
+def _clearly_singly_indefinite(w):
+    """Rows of ascending eigenvalues ``w`` (d = 3) twice past both thresholds
+    of the closed form that clips one negative eigenvalue."""
+    top = w[:, -1]
+    return (top > 0.0) & (w[:, 0] < -2 * _CLIP_KAPPA * top) & (w[:, 1] > 2 * _CLIP_GAP * top)
+
+
+def test_euler_singly_indefinite_rows_do_not_reach_eigh(monkeypatch):
+    # the Euler step leaves some rows with one negative eigenvalue; the
+    # projection clips those in closed form, and eigh sees only a few
+    # near-singular rows
+    stepped, spectral = [], []
+
+    def spy_project(y):
+        stepped.append(np.linalg.eigvalsh(y))
+        return project_sqrt_psd(y)
+
+    def spy_spectral(y):
+        spectral.append(np.linalg.eigvalsh(y))
+        return _spectral_project_sqrt(y)
+
+    monkeypatch.setattr(simulate_module, "project_sqrt_psd", spy_project)
+    monkeypatch.setattr(symcone_module, "_spectral_project_sqrt", spy_spectral)
+    simulate(_d3_config(n_paths=200), [1.5])
+    stepped = np.concatenate(stepped)
+    spectral = np.concatenate(spectral) if spectral else np.empty((0, 3))
+    clipped = _clearly_singly_indefinite(stepped).sum()
+    assert clipped > 1000
+    assert len(spectral) < clipped / 100
+    assert not _clearly_singly_indefinite(spectral).any()
+
+
+# --- threads ---------------------------------------------------------------
+
+
+def _exploding_config(n_paths=64):
+    # a growing drift: the state triples every step and leaves the float
+    # range after ~650 steps, several buffers of draws into the run
+    cfg = _diffusion_config(n_paths=n_paths, dt=0.01, horizon=10.0, with_mu=True)
+    p = cfg.params
+    p = AffineParams(dim=2, alpha=p.alpha, b=p.b, drift=LinearDrift.lyapunov(100.0 * np.eye(2)),
+                     m=p.m, mu=p.mu)
+    return SimConfig(params=p, sigma=cfg.sigma, x0=cfg.x0, horizon=cfg.horizon, dt=cfg.dt,
+                     n_paths=n_paths, seed=cfg.seed)
+
+
+def test_euler_single_thread_builds_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("euler_project built a thread pool at threads=1")
+
+    monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", no_pool)
+    one = simulate(_d3_config(n_paths=50), [0.5, 1.5], threads=1)
+    monkeypatch.undo()
+    assert np.array_equal(one.states, simulate(_d3_config(n_paths=50), [0.5, 1.5], threads=2).states)
+
+
+def test_euler_threads_under_fast_switching_match_one_thread(monkeypatch):
+    # more threads than cores, switching as often as the interpreter allows:
+    # a draw lost or written to another path's rows would change the sample
+    monkeypatch.setattr(simulate_module, "CHUNK_STEPS", 16)
+    cfg = _d3_config(n_paths=37)
+    one = simulate(cfg, [0.5, 1.5], threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        five = simulate(cfg, [0.5, 1.5], threads=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(one.states, five.states)
+    assert one.jump_log == five.jump_log
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_euler_path_failure_propagates_and_leaves_no_thread(threads):
+    before = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the thinning probability warning
+        with pytest.raises(PathFailureError, match="produced non-finite values"):
+            simulate(_exploding_config(), [10.0], threads=threads)
+    assert threading.active_count() == before
+
+
+def test_euler_memory_is_one_chunk_of_draws():
+    # at two threads the draws sit in two buffers of half a chunk, so the
+    # peak is no higher than one (n_paths, CHUNK_STEPS) buffer of normals
+    # and of mu uniforms, plus the jumps, the snapshots, two generators
+    # per path and the step's temporaries; two full-chunk buffers would
+    # add 20 MiB
+    cfg = _d3_config(n_paths=1024)
+    n, d, chunk = cfg.n_paths, cfg.params.dim, simulate_module.CHUNK_STEPS
+    assert cfg.n_steps > chunk
+    one_chunk = n * chunk * (d * d + len(cfg.params.mu)) * 8
+    tracemalloc.start()
+    try:
+        ens = simulate(cfg, [cfg.horizon], threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    jumps = 200 * sum(len(log) for log in ens.jump_log)
+    generators = 2 * n * 1024
+    temporaries = 32 * n * d * d * 8
+    assert peak <= one_chunk + jumps + ens.states.nbytes + generators + temporaries
 
 
 # --- Euler scheme against the up-front-draw reference loop ----------------

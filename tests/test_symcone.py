@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import affinecone.symcone as symcone
 from affinecone import (
     ConeViolationError,
     check_cone,
@@ -25,7 +26,14 @@ from affinecone import (
     unvectorize,
     vectorize,
 )
-from affinecone.symcone import _CLOSED_FORM_TAU, _spectral_project_sqrt, mat_exp_scaled, sym_index
+from affinecone.symcone import (
+    _CLIP_GAP,
+    _CLIP_KAPPA,
+    _CLOSED_FORM_TAU,
+    _spectral_project_sqrt,
+    mat_exp_scaled,
+    sym_index,
+)
 
 
 def test_symmetrize_output_is_symmetric(rng):
@@ -129,7 +137,8 @@ def test_sqrt_psd_rejects_indefinite():
 def _spectral_stack(d, rng):
     """Symmetric stacks built from their spectra: multiples of I, ranks 0
     to d - 1, smallest-to-largest eigenvalue ratios around the closed-form
-    threshold, indefinite and random rows, at scales from 1e-6 to 1e6."""
+    threshold, singly indefinite rows on both sides of the clipping
+    thresholds, indefinite and random rows, at scales from 1e-6 to 1e6."""
     spectra = [np.full(d, c) for c in (0.5, 1e-6, 3e5)]
     for rank in range(d):
         spectra += [np.concatenate([np.zeros(d - rank), rng.uniform(0.1, 2.0, rank)])
@@ -138,6 +147,15 @@ def _spectral_stack(d, rng):
         low = ratio * _CLOSED_FORM_TAU
         spectra += [np.concatenate([[low], rng.uniform(low, 1.0, d - 2), [1.0]])
                     for _ in range(20)]
+        # one negative eigenvalue around -_CLIP_KAPPA times the largest, and
+        # (d = 3) a middle one around _CLIP_GAP times it; each also with the
+        # sign of the negative one flipped, a cone member
+        clipped = [np.concatenate([[-ratio * _CLIP_KAPPA], rng.uniform(_CLIP_GAP, 1.0, d - 2),
+                                   [1.0]]) for _ in range(20)]
+        if d == 3:
+            clipped += [[-rng.uniform(1e-9, 1.0), ratio * _CLIP_GAP, 1.0] for _ in range(20)]
+            clipped += [[-rng.uniform(1e-9, 1.0), 1.0, 1.0]]
+        spectra += clipped + [np.abs(lam) for lam in clipped]
     spectra += [np.concatenate([[-rng.uniform(1e-9, 1.0)], rng.uniform(-1.0, 1.0, d - 1)])
                 for _ in range(60)]
     spectra += [rng.uniform(0.05, 1.0, d) for _ in range(60)]
@@ -150,9 +168,26 @@ def _spectral_stack(d, rng):
     return symmetrize(np.array(stack))
 
 
+def _clearly_singly_indefinite(w):
+    """Rows of ascending eigenvalues ``w`` twice past the thresholds of the
+    closed form that clips one negative eigenvalue (for d = 3 both)."""
+    top = w[:, -1]
+    clear = (top > 0.0) & (w[:, 0] < -2 * _CLIP_KAPPA * top)
+    if w.shape[1] == 3:
+        clear &= w[:, 1] > 2 * _CLIP_GAP * top
+    return clear
+
+
 @pytest.mark.parametrize("d", [2, 3])
-def test_project_sqrt_psd_matches_eigh(rng, d):
+def test_project_sqrt_psd_matches_eigh(rng, d, monkeypatch):
     y = _spectral_stack(d, rng)
+    spectral = [np.empty((0, d))]
+
+    def spy(rows):
+        spectral.append(np.linalg.eigvalsh(rows))
+        return _spectral_project_sqrt(rows)
+
+    monkeypatch.setattr(symcone, "_spectral_project_sqrt", spy)
     x, s = project_sqrt_psd(y)
     w_raw, q = np.linalg.eigh(y)
     w = np.clip(w_raw, 0.0, None)
@@ -167,6 +202,9 @@ def test_project_sqrt_psd_matches_eigh(rng, d):
     inside = w_raw[:, 0] >= 0.0
     assert inside.sum() > len(y) // 2
     assert np.array_equal(x[inside], y[inside])
+    # rows with one clearly negative eigenvalue are clipped in closed form
+    assert _clearly_singly_indefinite(w_raw).sum() >= 40
+    assert not _clearly_singly_indefinite(np.concatenate(spectral)).any()
 
 
 def test_project_sqrt_psd_general_dimension_is_eigh(rng):
