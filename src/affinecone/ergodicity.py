@@ -107,7 +107,7 @@ def _semigroup_sup(A: np.ndarray, T0: float) -> tuple[float, float]:
         raise NotSubcriticalError(f"no T <= {T:.3g} with ||exp(T (Bt + delta I))|| <= 1")
     mu = max(0.0, float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1]))
     h = T / 64
-    X = mat_exp((h * np.arange(64))[:, None, None] * A)  # left ends of the intervals
+    X = mat_exp(A, h * np.arange(64))  # left ends of the intervals
     f = _norm2(X)
     peak = bound = 1.0
     while len(f):

@@ -33,7 +33,6 @@ from .symcone import (
     check_cone,
     frobenius,
     inner,
-    mat_exp,
     min_eigval,
     pairings,
     psd_tol,
@@ -80,9 +79,6 @@ class SymOperator:
 
     def adjoint(self) -> "SymOperator":
         return SymOperator(self.dim, self.matrix.T)
-
-    def expm(self, t: float) -> "SymOperator":
-        return SymOperator(self.dim, mat_exp(t * self.matrix))
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.matrix)

@@ -192,7 +192,7 @@ def solve_riccati(
     the shared tolerance plus a solver-accuracy allowance scaled by that
     probe's start norm.
     """
-    import scipy.integrate  # deferred, as in symcone.mat_exp
+    import scipy.integrate  # deferred: commands that solve no flow skip loading scipy
 
     if not 0.0 < T < np.inf:
         raise ValueError("horizon T must be positive and finite")
@@ -301,21 +301,24 @@ class WishartSpec:
 def congruence_integral(beta, x, t: float) -> np.ndarray:
     """``2 * integral_0^t e^{beta s} x e^{beta.T s} ds``.
 
-    Computed by exponentiating the block matrix ``[[beta, x], [0, -beta.T]]``
-    and reading off the top-right block times ``e^{beta.T t}``; exact up to
-    matrix-exponential accuracy, with no quadrature tolerance.
+    This is ``Q(t)`` for ``Q' = beta Q + Q beta.T + 2x``, ``Q(0) = 0``,
+    which in coordinates reads ``q' = L q + c``, with ``L`` the matrix of
+    ``y -> beta y + y beta.T`` and ``c = vec(2x)``.  So ``q(t)`` is the last
+    column of the exponential of the ``(D + 1)`` block ``t [[L, c], [0,
+    0]]``, as in ``ergodicity.transient_mean``.  Exact up to
+    matrix-exponential accuracy, with no quadrature tolerance; for a
+    stable ``beta`` nothing in it grows with ``t``.
     """
     beta = np.asarray(beta, dtype=float)
     x = symmetrize(x)
     if t < 0:
         raise ValueError("t must be nonnegative")
     d = beta.shape[0]
-    block = np.zeros((2 * d, 2 * d))
-    block[:d, :d] = beta
-    block[:d, d:] = x
-    block[d:, d:] = -beta.T
-    top_right = mat_exp(t * block)[:d, d:]
-    return symmetrize(2.0 * top_right @ mat_exp(t * beta).T)
+    D = sym_dim(d)
+    block = np.zeros((D + 1, D + 1))
+    block[:D, :D] = t * SymOperator.from_map(d, lambda y: beta @ y + y @ beta.T).matrix
+    block[:D, D] = t * vectorize(2.0 * x)
+    return unvectorize(mat_exp(block)[:D, D])
 
 
 def _wishart_core(w: WishartSpec, u, t: float) -> tuple[np.ndarray, np.ndarray]:

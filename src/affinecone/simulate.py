@@ -36,10 +36,10 @@ Two schemes:
   built for all paths at once from flat arrays.  Per snapshot, for all
   paths in one stack: one deterministic part shared by all paths, one
   transport ``J -> E J E.T`` of the carried jump mass (``E = e^{(t_k -
-  t_{k-1}) beta}``) and one ``symcone.mat_exp_scaled`` call for the lags
-  ``e^{(t_k - tau) beta}`` of the jumps that arrived since the previous
-  snapshot, so each jump is exponentiated once, by a few stacked array
-  operations rather than a Python loop over matrices.  It runs on one
+  t_{k-1}) beta}``) and one ``symcone.mat_exp(beta, lags)`` call for the
+  lags ``e^{(t_k - tau) beta}`` of the jumps that arrived since the
+  previous snapshot, so each jump is exponentiated once, by a few stacked
+  array operations rather than a Python loop over matrices.  It runs on one
   thread; its memory is the states, the jump log and flat arrays of the
   jumps.
 
@@ -65,7 +65,6 @@ from .symcone import (
     check_cone,
     frobenius,
     mat_exp,
-    mat_exp_scaled,
     project_sqrt_psd,
     symmetrize,
 )
@@ -390,7 +389,7 @@ def _ou_paths(config: SimConfig, snapshot_times, out, jump_log):
     ``E(s) = e^{s beta}``.  The deterministic part is shared by every path.
     The jump mass is carried between snapshots, ``J_k = E(t_k - t_{k-1})
     J_{k-1} E(.).T + (jumps in (t_{k-1}, t_k])``, so each jump is
-    exponentiated once, in one ``mat_exp_scaled`` call per snapshot.
+    exponentiated once, in one ``mat_exp(beta, lags)`` call per snapshot.
     """
     p = config.params
     d = p.dim
@@ -430,7 +429,7 @@ def _ou_paths(config: SimConfig, snapshot_times, out, jump_log):
             J = step @ J @ step.T
         new = first == ti
         if np.any(new):
-            lag = mat_exp_scaled(beta, t - tau[new])
+            lag = mat_exp(beta, t - tau[new])
             # unbuffered and in index order: a path's jumps are summed in
             # time order, untouched by the other paths
             np.add.at(J, owner[new], lag @ p.m.sites[atom[new]] @ np.swapaxes(lag, -1, -2))

@@ -9,6 +9,9 @@ conventions once:
 * a relative tolerance for cone membership (``psd_tol``),
 * spectral operations (square root, and projection onto the cone with
   the root of the projection for a stack, in closed form for ``d <= 3``),
+* the package's one matrix exponential, a scaling-and-squaring Taylor
+  kernel that gives ``e^a`` or, in one call, ``e^{s_i a}`` for many
+  multiples of one matrix,
 * the orthonormal vectorization of symmetric matrices used to represent
   linear maps on symmetric matrices as ordinary ``D x D`` matrices,
   with ``D = d(d+1)/2``.
@@ -120,53 +123,31 @@ def trace_norm_bracket(x) -> tuple[bool, bool]:
     return (nrm <= tr + slack, tr <= np.sqrt(d) * nrm + slack)
 
 
-def mat_exp(a) -> np.ndarray:
-    """Matrix exponential of a real square matrix, or of each matrix in a
-    stack ``(..., d, d)``.
-
-    Evaluated by ``scipy.linalg.expm`` (scaling and squaring with a Pade
-    approximant), chosen per matrix, so each matrix of a stack gets exactly
-    the value a call on it alone returns.  It loops over a stack matrix by
-    matrix in Python; for many multiples ``s_i a`` of one matrix use
-    :func:`mat_exp_scaled`, which costs a few stacked array operations.
-    Overflow for extreme norms is reported once, as an ``OverflowError``
-    (numpy's warning is silenced), never saturated.
-    """
-    import scipy.linalg  # deferred: commands that never exponentiate skip loading scipy
-
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    with np.errstate(over="ignore"):
-        out = scipy.linalg.expm(a)
-    if not np.all(np.isfinite(out)):
-        raise OverflowError(f"matrix exponential overflowed (input norm {np.linalg.norm(a):.3e})")
-    return out
-
-
-# degree of the Taylor polynomial of mat_exp_scaled, which is evaluated at
+# degree of the Taylor polynomial of mat_exp, which is evaluated at
 # ||x a||_1 <= 1: the remainder, about 1/19!, is below 1e-17
 _TAYLOR_DEGREE = 18
 
 
-def mat_exp_scaled(a, s) -> np.ndarray:
-    """``e^{s_i a}`` for one real square matrix ``a`` and each entry of a
-    vector ``s >= 0``, as an ``(n, d, d)`` stack.
+def mat_exp(a, s=None) -> np.ndarray:
+    """Matrix exponential ``e^a`` of one real square matrix ``a``, or, given
+    a vector ``s >= 0``, the ``(n, d, d)`` stack ``e^{s_i a}``.
 
     Scaling and squaring with a truncated Taylor series (Moler & Van Loan,
-    SIAM Review 45, 2003; Al-Mohy & Higham, SIMAX 31, 2009).  The powers of
-    ``b = a / ||a||_1`` are formed once.  Row ``i`` takes the fewest
-    squarings ``j_i`` with ``x_i = s_i ||a||_1 / 2^{j_i} <= 1``, evaluates
-    the degree-18 Taylor polynomial of ``e^{x_i b}`` by Horner's rule, one
-    elementwise operation over the stack per degree, and squares the result
-    ``j_i`` times.  ``j_i`` depends on ``s_i`` alone and every operation acts
-    row by row, so each row equals a one-row call bit for bit, whatever the
-    rest of the stack; ``s_i = 0`` gives exactly ``I``.  A result, or
-    ``s_i ||a||_1``, past the float range raises ``OverflowError`` as in
-    :func:`mat_exp`, with no numpy warning.
+    SIAM Review 45, 2003; Al-Mohy & Higham, SIMAX 31, 2009); ``e^a`` is the
+    stack at ``s = [1]``.  The powers of ``b = a / ||a||_1`` are formed
+    once.  Row ``i`` takes the fewest squarings ``j_i`` with ``x_i = s_i
+    ||a||_1 / 2^{j_i} <= 1``, evaluates the degree-18 Taylor polynomial of
+    ``e^{x_i b}`` by Horner's rule, one elementwise operation over the
+    stack per degree, and squares the result ``j_i`` times.  ``j_i``
+    depends on ``s_i`` alone and every operation acts row by row, so each
+    row equals a one-row call bit for bit, whatever the rest of the stack;
+    ``s_i = 0`` gives exactly ``I``.  A result, or ``s_i ||a||_1``, past
+    the float range raises ``OverflowError``, with no numpy warning, never
+    saturated.
     """
+    one = s is None
     a = np.asarray(a, dtype=float)
-    s = np.asarray(s, dtype=float)
+    s = np.asarray([1.0] if one else s, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or s.ndim != 1:
         raise ValueError(f"expected a square matrix and a vector, got {a.shape} and {s.shape}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(s))):
@@ -197,10 +178,11 @@ def mat_exp_scaled(a, s) -> np.ndarray:
         out = out.reshape(len(s), d, d)
         for i in range(int(squarings.max(initial=0))):
             rows = np.flatnonzero(squarings > i)
-            out[rows] = out[rows] @ out[rows]
+            sub = out[rows]
+            out[rows] = sub @ sub
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"matrix exponential overflowed (s * ||a||_1 up to {z.max():.3e})")
-    return out
+    return out[0] if one else out
 
 
 def _spectral_project_sqrt(y):

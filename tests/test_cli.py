@@ -60,14 +60,26 @@ def test_validate_ok(config_file, capsys):
     assert "log_moment" in out["hypotheses"]
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported where a flow is solved or a matrix exponentiated,
-    # so validate starts in a fresh interpreter without it
+def test_cli_import_leaves_scipy_unloaded(config_file, tmp_path):
+    # scipy is imported only where a flow is solved, so in a fresh
+    # interpreter neither the CLI's import (all that validate needs) nor a
+    # simulate run of either scheme loads it
     src = str(Path(affinecone.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = ("import sys, affinecone.cli; "
-             "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
-    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
+             "code = affinecone.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+             "sys.exit(code or 10 * any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    data = json.loads(config_file.read_text())
+    runs = [[]]
+    for name, edit in [("euler", _with_sim(n_paths=50)), ("ou-exact", _ou_exact_sim(n_paths=50))]:
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(edit(data)))
+        runs.append(["simulate", "--config", str(cfg), "--snapshots", "0.5,1",
+                     "--out-dir", str(tmp_path / name)])
+    for argv in runs:
+        done = subprocess.run([sys.executable, "-c", probe, *argv], env=env, timeout=120,
+                              capture_output=True)
+        assert done.returncode == 0, (argv, done.stderr)
 
 
 def test_validate_reports_admissibility_failure(tmp_path, config_file):
@@ -243,6 +255,22 @@ def test_overflowing_path_exits_6_without_traceback(config_file, tmp_path, capsy
         assert main(argv) == 6
     err = capsys.readouterr().err
     assert err.startswith("simulation failure: path ") and err.count("\n") == 1
+
+
+def test_simulate_at_fast_mean_reversion(config_file, tmp_path):
+    # e^{-t beta.T} overflows for beta = -400 I and t >= 1.8, which the
+    # deterministic part of an exact path must never exponentiate
+    data = _ou_exact_sim(n_paths=50, horizon=2.0)(json.loads(config_file.read_text()))
+    data["drift"]["beta"] = (-400.0 * np.eye(2)).tolist()
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--config", str(cfg), "--snapshots", "0.5,1,2",
+                     "--out-dir", str(out)]) == 0
+    snapshots = np.loadtxt(out / "snapshots.csv", delimiter=",", skiprows=1)
+    assert snapshots.shape == (150, 5) and np.all(np.isfinite(snapshots))
 
 
 @pytest.mark.parametrize("x0", [

@@ -74,13 +74,6 @@ def test_drift_adjoint_apply_closed_forms(rng):
         assert np.allclose(drift.adjoint_apply(u), op_adj.apply(u), atol=1e-12)
 
 
-def test_operator_expm_is_semigroup(rng):
-    d = 2
-    op = LinearDrift.lyapunov(-np.eye(d) + 0.1 * rng.standard_normal((d, d))).operator(d)
-    a = op.expm(0.7).matrix @ op.expm(0.3).matrix
-    assert np.allclose(a, op.expm(1.0).matrix, atol=1e-12)
-
-
 def test_operator_shape_mismatch():
     with pytest.raises(ValueError):
         SymOperator(2, np.eye(4))

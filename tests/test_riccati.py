@@ -1,5 +1,6 @@
 """Riccati flows: vector fields, derivatives, solver, closed forms."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -173,6 +174,38 @@ def test_congruence_integral_scalar_and_quad(rng):
         ]
     )
     assert np.allclose(congruence_integral(b2, x2, t), ref, atol=1e-9)
+
+
+@pytest.mark.parametrize("beta", [
+    pytest.param(np.array([[-1.0, 0.05], [-0.03, -0.8]]), id="nearly-normal"),
+    pytest.param(np.array([[-0.9, 0.3], [-0.2, -0.6]]), id="complex-eigenvalues"),
+    pytest.param(-400.0 * np.eye(2), id="fast-mean-reversion"),
+])
+def test_congruence_integral_matches_lyapunov_form(beta):
+    # for a stable beta the integral is S - e^{t beta} S e^{t beta.T}, with
+    # beta S + S beta.T = -2x; nothing in the computation may overflow,
+    # though e^{-t beta} does for beta = -400 I at t >= 1.8
+    x = np.array([[0.7, 0.2], [0.2, 0.4]])
+    sig = scipy.linalg.solve_continuous_lyapunov(beta, -2.0 * x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (0.5, 2.0, 30.0):
+            e = scipy.linalg.expm(t * beta)
+            ref = sig - e @ sig @ e.T
+            got = congruence_integral(beta, x, t)
+            assert np.linalg.norm(got - ref, 2) <= 1e-14 * np.linalg.norm(ref, 2)
+
+
+def test_wishart_closed_form_at_fast_mean_reversion():
+    # at t = 2 the closed forms no longer overflow: S_2 = alpha / 400, so
+    # psi = e^{-800} (...) = 0 and phi = k log det(I + u / 400)
+    w = WishartSpec(alpha=0.3 * np.eye(2), beta=-400.0 * np.eye(2), k=1.0)
+    u = np.diag([2.0, 5.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(psi_closed_form_wishart(w, u, 2.0), np.zeros((2, 2)))
+        phi = phi_closed_form_mbajd(w, u, 2.0)
+    assert phi == pytest.approx(np.log((1.0 + 0.6 / 400.0) * (1.0 + 1.5 / 400.0)), rel=1e-14)
 
 
 # --- flow structure ------------------------------------------------------

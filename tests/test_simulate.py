@@ -29,7 +29,6 @@ from affinecone.symcone import (
     _CLIP_KAPPA,
     _spectral_project_sqrt,
     mat_exp,
-    mat_exp_scaled,
     project_sqrt_psd,
 )
 from conftest import zero_diffusion_params
@@ -536,28 +535,23 @@ def test_exact_scheme_runs_all_paths_as_one_stack(monkeypatch):
     # the matrix exponentials, and the stacked exponentials of the jump
     # lags, are per snapshot, not per block of paths or per jump, and no
     # worker thread is started whatever the thread count
-    calls, kernel_calls = [], []
+    calls, stacked_calls = [], []
 
-    def counting_mat_exp(a):
-        calls.append(np.shape(a))
-        return mat_exp(a)
-
-    def counting_mat_exp_scaled(a, s):
-        kernel_calls.append(np.shape(s))
-        return mat_exp_scaled(a, s)
+    def counting_mat_exp(a, s=None):
+        (calls if s is None else stacked_calls).append(np.shape(a))
+        return mat_exp(a, s)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("ou_exact built a thread pool")
 
     monkeypatch.setattr(simulate_module, "mat_exp", counting_mat_exp)
-    monkeypatch.setattr(simulate_module, "mat_exp_scaled", counting_mat_exp_scaled)
     monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", no_pool)
     counts = []
     for n_paths in (100, 1100):
         calls.clear()
-        kernel_calls.clear()
+        stacked_calls.clear()
         simulate(_jump_config(n_paths=n_paths), [0.5, 1.0, 2.0], threads=4)
-        counts.append((len(calls), len(kernel_calls)))
+        counts.append((len(calls), len(stacked_calls)))
     assert counts[0] == counts[1] and counts[0][0] > 0
     assert counts[0][1] == 3  # one per snapshot, each of which some jump reaches
 

@@ -9,6 +9,7 @@ import scipy.linalg
 import affinecone.symcone as symcone
 from affinecone import (
     ConeViolationError,
+    LinearDrift,
     check_cone,
     frobenius,
     inner,
@@ -31,7 +32,6 @@ from affinecone.symcone import (
     _CLIP_KAPPA,
     _CLOSED_FORM_TAU,
     _spectral_project_sqrt,
-    mat_exp_scaled,
     sym_index,
 )
 
@@ -236,28 +236,24 @@ def test_mat_exp_matches_eigendecomposition(rng):
     assert np.allclose(mat_exp(b), scipy.linalg.expm(b), atol=1e-12)
 
 
-def test_mat_exp_stack_equals_per_matrix_calls(rng):
-    # a (..., d, d) stack is exponentiated matrix by matrix, bit for bit;
-    # the scales span several scaling-and-squaring regimes
-    beta = np.array([[-0.9, 0.3], [-0.2, -0.6]])
-    stack = np.geomspace(1e-6, 40.0, 300)[:, None, None] * beta
-    stack[7] = 0.0
-    got = mat_exp(stack)
-    assert got.shape == stack.shape
-    for a, e in zip(stack, got):
-        assert np.array_equal(e, mat_exp(a))
-    assert np.array_equal(got[7], np.eye(2))
-    grid = rng.standard_normal((2, 4, 3, 3))
-    got = mat_exp(grid)
-    assert got.shape == (2, 4, 3, 3)
-    assert np.array_equal(got[1, 2], mat_exp(grid[1, 2]))
-
-
 def test_mat_exp_overflow():
-    with pytest.raises(OverflowError):
-        mat_exp(np.eye(2) * 1e6)
-    with pytest.raises(OverflowError):
-        mat_exp(np.stack([np.eye(2), np.eye(2) * 1e6]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            mat_exp(np.eye(2) * 1e6)
+
+
+def test_mat_exp_is_semigroup(rng):
+    # on the matrix of a Lyapunov drift operator, in both call forms
+    d = 2
+    a = LinearDrift.lyapunov(-np.eye(d) + 0.1 * rng.standard_normal((d, d))).operator(d).matrix
+    assert np.allclose(mat_exp(0.7 * a) @ mat_exp(0.3 * a), mat_exp(a), atol=1e-12)
+    e07, e03, e1 = mat_exp(a, [0.7, 0.3, 1.0])
+    assert np.allclose(e07 @ e03, e1, atol=1e-12)
+
+
+# the "scaled" tests below check the multiples form mat_exp(a, s), which
+# returns e^{s_i a} for each scale s_i
 
 
 def _rel_err2(got, ref):
@@ -278,7 +274,7 @@ def test_mat_exp_scaled_matches_expm(rng):
               -np.eye(3) + 0.4 * rng.standard_normal((3, 3))]
     for a in drifts:
         s = _multiples(a, rng)
-        got = mat_exp_scaled(a, s)
+        got = mat_exp(a, s)
         assert got.shape == (len(s), len(a), len(a))
         assert np.array_equal(got[0], np.eye(len(a)))
         assert np.max(_rel_err2(got, scipy.linalg.expm(s[:, None, None] * a))) <= 1e-13
@@ -304,34 +300,38 @@ def _exp_2x2(a, s):
     pytest.param(np.array([[-0.9, 0.3], [-0.2, -0.6]]), id="complex-eigenvalues"),
 ])
 def test_mat_exp_scaled_matches_2x2_closed_form(a, rng):
-    # on these nearly normal drifts expm is off by up to 2e-12 at
-    # s ||a||_1 ~ 40, so the reference is the closed form
+    # on these nearly normal drifts scipy's expm is off by up to 2e-12 at
+    # s ||a||_1 ~ 40, so the reference is the closed form; both call forms
     s = _multiples(a, rng)
-    assert np.max(_rel_err2(mat_exp_scaled(a, s), _exp_2x2(a, s))) <= 1e-13
+    ref = _exp_2x2(a, s)
+    assert np.max(_rel_err2(mat_exp(a, s), ref)) <= 1e-13
+    assert np.max(_rel_err2(np.stack([mat_exp(si * a) for si in s]), ref)) <= 1e-13
 
 
-def test_mat_exp_scaled_rows_equal_one_row_calls(rng):
+def test_mat_exp_rows_equal_one_row_calls(rng):
     # the rows need 0 to 12 squarings, so the stack squares some rows
-    # while others are done
+    # while others are done; the one-matrix form is the row at s = 1
     a = np.array([[-1.0, 0.4], [-0.3, -0.6]])
     s = np.concatenate([[0.0, 1e-300, 0.25], np.geomspace(1e-3, 3e3, 60), rng.random(40)])
     rng.shuffle(s)
-    got = mat_exp_scaled(a, s)
+    got = mat_exp(a, s)
     for si, e in zip(s, got):
-        assert np.array_equal(e, mat_exp_scaled(a, [si])[0])
-    assert mat_exp_scaled(a, np.empty(0)).shape == (0, 2, 2)
-    assert np.array_equal(mat_exp_scaled(np.zeros((2, 2)), [0.0, 3.0]), np.stack([np.eye(2)] * 2))
+        assert np.array_equal(e, mat_exp(a, [si])[0])
+    assert mat_exp(a, np.empty(0)).shape == (0, 2, 2)
+    assert np.array_equal(mat_exp(np.zeros((2, 2)), [0.0, 3.0]), np.stack([np.eye(2)] * 2))
+    for b in (a, 40.0 * a, rng.standard_normal((3, 3))):
+        assert np.array_equal(mat_exp(b), mat_exp(b, [1.0])[0])
 
 
 def test_mat_exp_scaled_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError):
-            mat_exp_scaled(np.eye(2), [1.0, 1e3])
+            mat_exp(np.eye(2), [1.0, 1e3])
         with pytest.raises(OverflowError):
-            mat_exp_scaled(1e300 * np.eye(2), [1e10])
+            mat_exp(1e300 * np.eye(2), [1e10])
         # a stable matrix decays: no overflow however long the time
-        assert np.array_equal(mat_exp_scaled(-np.eye(2), [1e6])[0], np.zeros((2, 2)))
+        assert np.array_equal(mat_exp(-np.eye(2), [1e6])[0], np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("a, s", [
@@ -341,10 +341,11 @@ def test_mat_exp_scaled_overflow():
     (np.array([[np.inf, 0.0], [0.0, 1.0]]), [1.0]),
     (np.zeros((2, 3)), [1.0]),
     (np.eye(2), [[1.0]]),
+    (np.zeros((3, 2, 2)), None),  # a stack of matrices is not one matrix
 ])
 def test_mat_exp_scaled_rejects_bad_input(a, s):
     with pytest.raises(ValueError):
-        mat_exp_scaled(a, s)
+        mat_exp(a, s)
 
 
 def test_project_sqrt_psd_extreme_scales():
