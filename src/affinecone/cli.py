@@ -24,9 +24,11 @@ not an integer or exceeds that ceiling; ``--closed-form`` on a model
 outside the Wishart family; a ``--tol`` outside ``riccati.TOL_RANGE``
 (``[1e-12, 1e-3]``); a ``--T`` or ``--inflate-delta`` that is not
 positive and finite; a ``--threads`` below 1; and an output file or
-directory that cannot be written.  Exit 6 covers a path of either scheme
-(``euler_project`` or ``ou_exact``) that leaves the float range; its one
-stderr line names the first such path.  Each command raises; ``main``
+directory that cannot be written.  Exit 3 also covers a matrix
+exponential that leaves the float range (an ``OverflowError``; config
+parsing reports its own as exit 2).  Exit 6 covers a path of either
+scheme (``euler_project`` or ``ou_exact``) that leaves the float range;
+its one stderr line names the first such path.  Each command raises; ``main``
 maps the exception to its code in one table, ``FAILURES``.  Only
 ``validate`` (clauses failed) and ``verify`` (a bound violated) return a
 nonzero code themselves.
@@ -85,6 +87,7 @@ FAILURES = (
     (NotSubcriticalError, EXIT_CRITICALITY, "not subcritical"),
     (SolverFailureError, EXIT_SOLVER, "solver failure"),
     (ConeViolationError, EXIT_SOLVER, "solver failure"),
+    (OverflowError, EXIT_SOLVER, "numeric overflow"),
     (PathFailureError, EXIT_SIMULATION, "simulation failure"),
 )
 

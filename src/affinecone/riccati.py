@@ -17,16 +17,27 @@ Both equations are integrated jointly on the vectorized state, which
 keeps ``psi`` exactly symmetric by construction and keeps ``phi``
 consistent with the adaptive steps without interpolation.
 
+In coordinates ``v = vec(u)`` the stacked field ``[R, F]`` is a fixed
+linear map ``M`` of the features ``[v, v_i v_j (i <= j), 1 - e^{-S v}]``,
+with ``S`` the vectorized ``mu`` then ``m`` sites.  :func:`solve_riccati`
+builds ``M`` once per solve from the matrix form: the polynomial rows by
+polarization of one stacked :func:`riccati_R` call on the jump-free
+model, the linear row of ``F`` from one :func:`riccati_F` call, and the
+jump rows straight from the ``mu`` weights and ``m`` masses.
+``riccati_R`` and ``riccati_F`` therefore stay the one definition of the
+field, and each step makes only a few array operations on the whole
+stack.  It is integrated with the Dormand-Prince 8(5,3) pair.
+
 Batches: ``F``, ``R`` and :func:`solve_riccati` take one symmetric
 matrix ``(d, d)`` or a stack of ``n`` probes ``(n, d, d)``.  A stack is
-integrated as one ODE on ``[vec(u_1), ..., vec(u_n), phi_1, ..., phi_n]``
-whose vector field is evaluated on all probes at once; a single matrix is
-the stack of one.  Trajectories of a stack put the probe axis after the
-time axis: ``psi`` is ``(N, n, d, d)`` and ``phi`` is ``(N, n)``.  The
-integrator's error norm is the RMS over the whole state, so ``rtol`` and
-``atol`` are both scaled by ``1/sqrt(n)``: every probe then meets the
-local error test of a lone solve, and ``n = 1`` keeps the unscaled
-tolerances.
+integrated as one ODE on the ``(n, D + 1)`` state whose row ``i`` is
+``[vec(u_i), phi_i]``, its field evaluated on all probes at once; a
+single matrix is the stack of one.  Trajectories of a stack put the
+probe axis after the time axis: ``psi`` is ``(N, n, d, d)`` and ``phi``
+is ``(N, n)``.  The integrator's error norm is the RMS over the whole
+state, so ``rtol`` and ``atol`` are both scaled by ``1/sqrt(n)``: every
+probe then meets the local error test of a lone solve, and ``n = 1``
+keeps the unscaled tolerances.
 
 The pure-diffusion (Wishart) family admits closed forms for ``psi`` and
 ``phi``, implemented here in an inversion-free symmetric form; these
@@ -35,11 +46,17 @@ serve as independent oracles for the numeric solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .params import AffineParams, LinearDrift, ScalarJumpMeasure, SymOperator
+from .params import (
+    AffineParams,
+    LinearDrift,
+    MatrixJumpMeasure,
+    ScalarJumpMeasure,
+    SymOperator,
+)
 from .symcone import (
     ConeViolationError,
     frobenius,
@@ -47,7 +64,9 @@ from .symcone import (
     min_eigval,
     pairings,
     sqrt_psd,
+    sym_basis,
     sym_dim,
+    sym_index,
     symmetrize,
     unvectorize,
     vectorize,
@@ -113,6 +132,53 @@ def riccati_DF(p: AffineParams, u) -> np.ndarray:
     return p.b + np.tensordot(p.m.masses * np.exp(-pairings(u, sites)), sites, axes=1)
 
 
+# --- the field in coordinates ------------------------------------------
+
+
+def _coordinate_field(p: AffineParams):
+    """The field ``v -> [vec R(u), F(u)]`` on coordinate rows ``v``
+    ``(n, D)``, returned as an ``(n, D + 1)`` array.
+
+    It is ``[v, v[:, rows] * v[:, cols], 1 - exp(-v @ S.T)] @ M``, with
+    ``rows`` and ``cols`` from ``sym_index(D)`` (every monomial
+    ``v_i v_j``, ``i <= j``, once), ``S`` the vectorized ``mu`` then ``m``
+    sites, and ``M`` built here once.  Its polynomial rows are read off the
+    matrix form: ``R0``, the field of the jump-free model, is evaluated in
+    one stacked call at ``E_i``, ``-E_i`` and ``E_i + E_j`` (``i < j``,
+    ``E`` the orthonormal basis).  Then ``(R0(E_i) - R0(-E_i)) / 2`` is the
+    linear part at ``E_i``, ``(R0(E_i) + R0(-E_i)) / 2`` the coefficient of
+    ``v_i^2`` and ``R0(E_i + E_j) - R0(E_i) - R0(E_j)`` that of
+    ``v_i v_j``.  The linear part of ``F`` is ``F0(E_i)``; the jump rows
+    are the ``mu`` weights (in ``R``) and the ``m`` masses (in ``F``).
+    """
+    d = p.dim
+    D = sym_dim(d)
+    basis = np.array(sym_basis(d))
+    upper = np.triu_indices(D, k=1)
+    smooth = replace(p, m=ScalarJumpMeasure(), mu=MatrixJumpMeasure())
+    vals = vectorize(riccati_R(smooth, np.concatenate(
+        [basis, -basis, basis[upper[0]] + basis[upper[1]]])))
+    plus, minus, pairs = vals[:D], vals[D:2 * D], vals[2 * D:]
+    mu_weights, mu_sites, m_sites = (
+        vectorize(x.reshape(-1, d, d)) for x in (p.mu.weights, p.mu.sites, p.m.sites))
+    jumps = D + sym_dim(D)  # first jump row
+
+    M = np.zeros((jumps + len(mu_sites) + len(m_sites), D + 1))
+    M[:D, :D] = 0.5 * (plus - minus)
+    M[D:2 * D, :D] = 0.5 * (plus + minus)
+    M[2 * D:jumps, :D] = pairs - plus[upper[0]] - plus[upper[1]]
+    M[jumps:jumps + len(mu_sites), :D] = mu_weights
+    M[:D, D] = riccati_F(smooth, basis)
+    M[jumps + len(mu_sites):, D] = p.m.masses
+    S = np.concatenate([mu_sites, m_sites])
+    rows, cols, _ = sym_index(D)
+
+    def vector_field(v):
+        return np.concatenate([v, v[:, rows] * v[:, cols], 1.0 - np.exp(-(v @ S.T))], axis=1) @ M
+
+    return vector_field
+
+
 # --- numeric solution ---------------------------------------------------
 
 
@@ -176,10 +242,15 @@ def solve_riccati(
 
     ``u0`` is one start value ``(d, d)`` or a stack of ``n`` probes
     ``(n, d, d)``; a single matrix is solved as a stack of one.  The
-    stacked state ``[vec(u_1), ..., vec(u_n), phi_1, ..., phi_n]`` is
-    integrated in one call, so all probes share the accepted steps.
+    stacked state is integrated in one call, so all probes share the
+    accepted steps.
 
-    Adaptive embedded Runge-Kutta (Dormand-Prince 5(4)); on step-size
+    The field is evaluated in coordinates (:func:`_coordinate_field`),
+    built once per call from the matrix form: ``riccati_R`` is called
+    once, not once per step.  Each probe occupies one row
+    ``[vec(u_i), phi_i]`` of the ``(n, D + 1)`` state.
+
+    Adaptive explicit Runge-Kutta (Dormand-Prince 8(5,3)); on step-size
     underflow one retry is made with an implicit stiff stepper before
     failing.  The solver's error norm is the RMS over the whole state, so
     both ``rtol`` and ``atol`` are scaled by ``1/sqrt(n)``: a step is then
@@ -206,12 +277,12 @@ def solve_riccati(
         raise ValueError(f"u0 must be ({d}, {d}) or a nonempty stack (n, {d}, {d})")
     stack = symmetrize(stack)
     n = len(stack)
-    nD = n * sym_dim(d)
-    y0 = np.concatenate([vectorize(stack).ravel(), np.zeros(n)])
+    D = sym_dim(d)
+    y0 = np.column_stack([vectorize(stack), np.zeros(n)]).ravel()
+    vector_field = _coordinate_field(p)
 
     def rhs(t, y):
-        u = unvectorize(y[:nD].reshape(n, -1))
-        return np.concatenate([vectorize(riccati_R(p, u)).ravel(), riccati_F(p, u)])
+        return vector_field(y.reshape(n, D + 1)[:, :D]).ravel()
 
     shrink = 1.0 / np.sqrt(n)
     kwargs = dict(rtol=tol * shrink, atol=tol * 1e-2 * shrink, dense_output=False)
@@ -220,7 +291,7 @@ def solve_riccati(
         # NaN fails both tests
         if not t_eval.size or not np.all((t_eval >= 0.0) & (t_eval <= T)):
             raise ValueError(f"t_eval must be nonempty, with every time in [0, T = {T:g}]")
-    sol = scipy.integrate.solve_ivp(rhs, (0.0, T), y0, method="RK45", **kwargs)
+    sol = scipy.integrate.solve_ivp(rhs, (0.0, T), y0, method="DOP853", **kwargs)
     if sol.status == -1:
         # the quadratic diffusion term is the stiff one; retry implicit
         sol = scipy.integrate.solve_ivp(rhs, (0.0, T), y0, method="Radau", **kwargs)
@@ -229,8 +300,9 @@ def solve_riccati(
             raise SolverFailureError(f"integration failed: {sol.message}", last)
 
     times = sol.t
-    psi = unvectorize(sol.y[:nD].T.reshape(times.size, n, -1))
-    phi = sol.y[nD:].T.copy()
+    state = sol.y.T.reshape(times.size, n, D + 1)
+    psi = unvectorize(state[..., :D])
+    phi = state[..., D].copy()
 
     floors = np.linalg.eigvalsh(psi)[..., 0]
     allowed = 1e-10 * np.maximum(1.0, np.linalg.norm(psi, axis=(-2, -1)))

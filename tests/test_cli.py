@@ -464,6 +464,20 @@ def test_solver_failure_exit_code(config_file, tmp_path, monkeypatch, command, e
     assert main(argv) == 3
 
 
+def test_overflowing_matrix_exponential_exits_3_without_traceback(config_file, tmp_path,
+                                                                   capsys, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise OverflowError("matrix exponential overflowed (s * ||a||_1 up to 1.000e+308)")
+
+    monkeypatch.setattr(ergodicity, "mat_exp", overflow)
+    capsys.readouterr()
+    code = main(["verify", "--config", str(config_file), "--out-dir", str(tmp_path / "v")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.splitlines() == ["numeric overflow: matrix exponential overflowed "
+                                "(s * ||a||_1 up to 1.000e+308)"]
+
+
 def test_verify_inflated_rate_self_test_fails(config_file, tmp_path):
     out_dir = tmp_path / "verify_bad"
     code = main(

@@ -21,6 +21,7 @@ from affinecone import (
     phi_closed_form_mbajd,
     psi_closed_form_wishart,
     random_psd,
+    riccati,
     riccati_DF,
     riccati_DR,
     riccati_F,
@@ -29,6 +30,7 @@ from affinecone import (
     solve_riccati,
     symmetrize,
 )
+from affinecone.symcone import sym_dim, vectorize
 from conftest import random_wishart, scalar_phi, scalar_psi, zero_diffusion_params
 
 
@@ -88,6 +90,65 @@ def test_F_constant_part(rng):
     p = _jump_params(rng)
     expect = p.b + p.m.first_moment(p.dim)
     assert np.allclose(riccati_DF(p, np.zeros((2, 2))), expect, atol=1e-12)
+
+
+def _field_model(rng, d, drift, jumps):
+    """A model with the given drift kind and jump atoms; the field does
+    not need admissibility, so the drift is drawn freely."""
+    beta = rng.standard_normal((d, d))
+    kinds = {
+        "lyapunov": LinearDrift.lyapunov(beta),
+        "congruence": LinearDrift.congruence(beta),
+        "general": LinearDrift.general(rng.standard_normal((sym_dim(d),) * 2)),
+    }
+    m = [(random_psd(d, rng) + 0.05 * np.eye(d), 0.3 + rng.random()) for _ in range(2)]
+    mu = [(random_psd(d, rng) + 0.05 * np.eye(d), random_psd(d, rng)) for _ in range(2)]
+    return AffineParams(
+        dim=d,
+        alpha=random_psd(d, rng),
+        b=random_psd(d, rng),
+        drift=kinds[drift],
+        m=ScalarJumpMeasure(m if "m" in jumps else []),
+        mu=MatrixJumpMeasure(mu if "mu" in jumps else []),
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("drift", ["lyapunov", "congruence", "general"])
+@pytest.mark.parametrize("jumps", [(), ("m",), ("mu",), ("m", "mu")],
+                         ids=["no-atoms", "m", "mu", "m-and-mu"])
+def test_coordinate_field_matches_matrix_form(rng, d, drift, jumps):
+    # relative to the largest entry of a stack of probes of one scale: a
+    # single row of R or F can cancel to far below the size of its terms
+    p = _field_model(rng, d, drift, jumps)
+    field = riccati._coordinate_field(p)
+    for scale in (0.01, 0.1, 1.0, 10.0):
+        us = np.array([random_psd(d, rng, scale=scale) for _ in range(10)])
+        got = field(vectorize(us))
+        assert got.shape == (len(us), sym_dim(d) + 1)
+        for part, ref in ((got[:, :-1], vectorize(riccati_R(p, us))),
+                          (got[:, -1], riccati_F(p, us))):
+            assert np.abs(part - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_solve_evaluates_the_matrix_form_only_to_build_the_field(rng, monkeypatch):
+    # riccati_R is called once per solve, to build the coordinate field,
+    # however many steps the solve takes
+    p = _jump_params(rng)
+    calls = []
+    real = riccati.riccati_R
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(riccati, "riccati_R", counted)
+    probes = np.array([random_psd(2, rng, scale=s) for s in (0.5, 1.0, 3.0)])
+    for T in (0.5, 20.0):
+        calls.clear()
+        traj = solve_riccati(p, probes, T, tol=1e-10)
+        assert traj.times.size > 10
+        assert len(calls) == 1
 
 
 # --- solver vs independent scalar oracle --------------------------------
@@ -233,8 +294,8 @@ def test_long_horizon_reaches_fixed_point(rng):
     traj = solve_riccati(p, np.eye(2), 2000.0, tol=1e-10)
     assert frobenius(traj.psi[-1]) < 1e-12
     assert traj.times[-1] == pytest.approx(2000.0)
-    # phi keeps its limit once psi has collapsed
-    assert traj.phi[-1] == pytest.approx(traj.phi[-2], abs=1e-12)
+    # phi reaches its exact limit, not merely a plateau between two steps
+    assert traj.phi[-1] == pytest.approx(phi_closed_form_mbajd(spec, np.eye(2), 2000.0), abs=1e-12)
 
 
 def test_long_horizon_at_the_finest_tol_runs_to_T(rng):
@@ -248,15 +309,15 @@ def test_long_horizon_at_the_finest_tol_runs_to_T(rng):
     assert long.phi[-1] == pytest.approx(short.phi[-1], abs=1e-12)
 
 
-def _failing_rk45(monkeypatch, radau_fails=False):
-    """Make ``solve_ivp`` report step-size underflow at t = 0.25 for RK45
-    (and for Radau too if asked); returns the list of calls made, each
-    ``(method, result)``."""
+def _failing_explicit(monkeypatch, radau_fails=False):
+    """Make ``solve_ivp`` report step-size underflow at t = 0.25 for every
+    method but Radau (and for Radau too if asked); returns the list of
+    calls made, each ``(method, result)``."""
     real = scipy.integrate.solve_ivp
     calls = []
 
     def solve_ivp(fun, t_span, y0, method="RK45", **kwargs):
-        if method == "RK45" or radau_fails:
+        if method != "Radau" or radau_fails:
             sol = SimpleNamespace(status=-1, t=np.array([0.0, 0.25]),
                                   message="Required step size is less than spacing between numbers.")
         else:
@@ -271,9 +332,9 @@ def _failing_rk45(monkeypatch, radau_fails=False):
 def test_radau_retry_result_is_returned(rng, monkeypatch):
     spec = random_wishart(2, rng)
     u = random_psd(2, rng)
-    calls = _failing_rk45(monkeypatch)
+    calls = _failing_explicit(monkeypatch)
     traj = solve_riccati(spec.to_params(), u, 2.0, tol=1e-9, t_eval=[0.5, 1.0, 2.0])
-    assert [method for method, _ in calls] == ["RK45", "Radau"]
+    assert [method for method, _ in calls] == ["DOP853", "Radau"]
     radau = calls[1][1]
     assert radau.status == 0
     assert np.array_equal(traj.times, radau.t)
@@ -284,10 +345,10 @@ def test_radau_retry_result_is_returned(rng, monkeypatch):
 
 def test_double_failure_raises_with_last_good_time(rng, monkeypatch):
     p = _jump_params(rng)
-    calls = _failing_rk45(monkeypatch, radau_fails=True)
+    calls = _failing_explicit(monkeypatch, radau_fails=True)
     with pytest.raises(SolverFailureError, match="integration failed") as info:
         solve_riccati(p, np.eye(2), 2.0)
-    assert [method for method, _ in calls] == ["RK45", "Radau"]
+    assert [method for method, _ in calls] == ["DOP853", "Radau"]
     assert info.value.last_t == 0.25
 
 
