@@ -11,27 +11,28 @@ byte.  Exit codes partition failure causes disjointly:
     6  simulation failure
 
 Exit 2 covers a config that cannot be read or parsed into a parameter
-set; a ``--u`` matrix or ``sim.x0`` that is unreadable, not
-``dim x dim``, non-finite or outside the cone; a ``sim`` section that is
-missing or malformed; snapshot times that are not finite, negative,
-past the horizon or off the step grid (refused before any path is
-drawn); a ``sim.n_paths`` or ``sim.seed`` that is a bool or has a
-fractional part; a ``sim.dt`` that is not positive and finite, a
-``sim.horizon`` that is negative or not finite, an expected ``m`` jump
-count per path (total rate times horizon) above ``simulate.MAX_STEPS``
-(10^8), or, for the Euler scheme, a step count ``horizon / dt`` that is
-not an integer or exceeds that ceiling; ``--closed-form`` on a model
-outside the Wishart family; a ``--tol`` outside ``riccati.TOL_RANGE``
-(``[1e-12, 1e-3]``); a ``--T`` or ``--inflate-delta`` that is not
-positive and finite; a ``--threads`` below 1; and an output file or
-directory that cannot be written.  Exit 3 also covers a matrix
-exponential that leaves the float range (an ``OverflowError``; config
-parsing reports its own as exit 2).  Exit 6 covers a path of either
-scheme (``euler_project`` or ``ou_exact``) that leaves the float range;
-its one stderr line names the first such path.  Each command raises; ``main``
-maps the exception to its code in one table, ``FAILURES``.  Only
-``validate`` (clauses failed) and ``verify`` (a bound violated) return a
-nonzero code themselves.
+set; an unknown drift kind; a ``--u`` matrix or ``sim.x0`` that is
+unreadable, not ``dim x dim``, non-finite or outside the cone; a ``sim``
+section that is not a JSON object (for ``verify`` and ``simulate``
+alike), missing (for ``simulate``) or malformed; snapshot times that are
+not finite, negative, past the horizon or off the step grid (refused
+before any path is drawn); a ``sim.n_paths`` or ``sim.seed`` that is a
+bool or has a fractional part; a ``sim.dt`` that is not positive and
+finite, a ``sim.horizon`` that is negative or not finite, an expected
+``m`` jump count per path (total rate times horizon) above
+``simulate.MAX_STEPS`` (10^8), or, for the Euler scheme, a step count
+``horizon / dt`` that is not an integer or exceeds that ceiling;
+``--closed-form`` on a model outside the Wishart family; a ``--tol``
+outside ``riccati.TOL_RANGE`` (``[1e-12, 1e-3]``); a ``--T`` or
+``--inflate-delta`` that is not positive and finite; a ``--threads``
+below 1; and an output file or directory that cannot be written.  Exit
+3 also covers a matrix exponential that leaves the float range (an
+``OverflowError``; config parsing reports its own as exit 2).  Exit 6
+covers a path of either scheme (``euler_project`` or ``ou_exact``) that
+leaves the float range; its one stderr line names the first such path.
+Each command raises; ``main`` maps the exception to its code in one
+table, ``FAILURES``.  Only ``validate`` (clauses failed) and ``verify``
+(a bound violated) return a nonzero code themselves.
 
 ``verify`` solves its probe grid as one flow, which serves the transient
 Laplace table, the ``psi`` decay envelope and the stationary exponents.
@@ -146,6 +147,17 @@ def _cone_matrix(value, dim: int, name: str) -> np.ndarray:
     return x
 
 
+def _sim_section(data: dict, required: bool) -> dict:
+    """The config's ``sim`` object, ``{}`` if it is absent and not
+    ``required``; ``ConfigError`` if it is missing or not an object."""
+    if required and "sim" not in data:
+        raise ConfigError("config has no 'sim' section")
+    sim = data.get("sim", {})
+    if not isinstance(sim, dict):
+        raise ConfigError(f"sim: must be a JSON object, got {type(sim).__name__}")
+    return sim
+
+
 def _sim_int(value, name: str) -> int:
     """``int(value)``, refusing what ``int`` would truncate or coerce:
     a bool, or a float with a fractional part (or NaN or infinite)."""
@@ -241,7 +253,7 @@ def cmd_stationary(args) -> int:
 
 def cmd_verify(args) -> int:
     p, data = load_params(args.config)
-    sim = data.get("sim", {})
+    sim = _sim_section(data, required=False)
     x = _cone_matrix(sim["x0"], p.dim, "sim.x0") if "x0" in sim else np.eye(p.dim)
     cert = decay_certificate(p)
     if args.inflate_delta != 1.0:
@@ -300,9 +312,7 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     p, data = load_params(args.config)
-    sim = data.get("sim")
-    if not isinstance(sim, dict):
-        raise ConfigError("config has no 'sim' section")
+    sim = _sim_section(data, required=True)
     try:
         seed = args.seed if args.seed is not None else _sim_int(sim.get("seed", 0), "seed")
         config = SimConfig(

@@ -130,6 +130,8 @@ NOT_PSD = [[1.0, 0.0], [0.0, -1.0]]
     pytest.param(["verify"], _with_sim(x0=NOT_PSD), None, id="x0-not-psd"),
     pytest.param(["validate"], _with(drift={"kind": "lyapunov", "beta": [[-1.0]]}), None,
                  id="beta-wrong-shape"),
+    pytest.param(["validate"], _with(drift={"kind": "general", "operator": [[-1.0]]}), None,
+                 id="drift-kind-general"),
     pytest.param(["riccati", "--T", "-1"], None, None, id="T-negative"),
     pytest.param(["riccati", "--T", "inf"], None, None, id="T-inf"),
     pytest.param(["riccati", "--T", "nan"], None, None, id="T-nan"),
@@ -290,6 +292,22 @@ def test_verify_and_simulate_report_a_bad_x0_alike(config_file, tmp_path, capsys
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1]
     assert errs[0].startswith("config error: sim.x0: ") and errs[0].count("\n") == 1
+
+
+@pytest.mark.parametrize("sim", [pytest.param(5, id="number"), pytest.param([1], id="list")])
+def test_verify_and_simulate_refuse_a_sim_that_is_not_an_object(config_file, tmp_path, capsys,
+                                                                 sim):
+    data = json.loads(config_file.read_text())
+    data["sim"] = sim
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(data))
+    errs = []
+    for argv in (["verify"], ["simulate", "--snapshots", "1.0"]):
+        argv += ["--config", str(cfg), "--out-dir", str(tmp_path / argv[0])]
+        assert main(argv) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("config error: sim: ") and errs[0].count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
