@@ -12,27 +12,28 @@ byte.  Exit codes partition failure causes disjointly:
 
 Exit 2 covers a config that cannot be read or parsed into a parameter
 set; an unknown drift kind; a ``--u`` matrix or ``sim.x0`` that is
-unreadable, not ``dim x dim``, non-finite or outside the cone; a ``sim``
-section that is not a JSON object (for ``verify`` and ``simulate``
-alike), missing (for ``simulate``) or malformed; snapshot times that are
-not finite, negative, past the horizon or off the step grid (refused
-before any path is drawn); a ``sim.n_paths`` or ``sim.seed`` that is a
-bool or has a fractional part; a ``sim.dt`` that is not positive and
-finite, a ``sim.horizon`` that is negative or not finite, an expected
-``m`` jump count per path (total rate times horizon) above
-``simulate.MAX_STEPS`` (10^8), or, for the Euler scheme, a step count
-``horizon / dt`` that is not an integer or exceeds that ceiling;
-``--closed-form`` on a model outside the Wishart family; a ``--tol``
-outside ``riccati.TOL_RANGE`` (``[1e-12, 1e-3]``); a ``--T`` or
-``--inflate-delta`` that is not positive and finite; a ``--threads``
-below 1; and an output file or directory that cannot be written.  Exit
-3 also covers a matrix exponential that leaves the float range (an
-``OverflowError``; config parsing reports its own as exit 2).  Exit 6
-covers a path of either scheme (``euler_project`` or ``ou_exact``) that
-leaves the float range; its one stderr line names the first such path.
-Each command raises; ``main`` maps the exception to its code in one
-table, ``FAILURES``.  Only ``validate`` (clauses failed) and ``verify``
-(a bound violated) return a nonzero code themselves.
+unreadable, not ``dim x dim``, non-finite or outside the cone; a
+``sim.sigma`` that is not ``dim x dim`` (even when ``sigma.T @ sigma``
+equals ``alpha``); a ``sim`` section that is not a JSON object (for
+``verify`` and ``simulate`` alike), missing (for ``simulate``) or
+malformed; snapshot times that are not finite, negative, past the
+horizon or off the step grid (refused before any path is drawn); a
+``sim.n_paths`` or ``sim.seed`` that is a bool or has a fractional part;
+a ``sim.dt`` that is not positive and finite, a ``sim.horizon`` that is
+negative or not finite, an expected ``m`` jump count per path (total
+rate times horizon) above ``simulate.MAX_STEPS`` (10^8), or, for the
+Euler scheme, a step count ``horizon / dt`` that is not an integer or
+exceeds that ceiling; ``--closed-form`` on a model outside the Wishart
+family; a ``--tol`` outside ``riccati.TOL_RANGE`` (``[1e-12, 1e-3]``); a
+``--T`` or ``--inflate-delta`` that is not positive and finite; a
+``--threads`` below 1; and an output file or directory that cannot be
+written.  Exit 3 also covers a matrix exponential that leaves the float
+range (an ``OverflowError``; config parsing reports its own as exit 2).
+Exit 6 covers a path of either scheme (``euler_project`` or
+``ou_exact``) that leaves the float range; its one stderr line names the
+first such path.  Each command raises; ``main`` maps the exception to
+its code in one table, ``FAILURES``.  Only ``validate`` (clauses failed)
+and ``verify`` (a bound violated) return a nonzero code themselves.
 
 ``verify`` solves its probe grid as one flow, which serves the transient
 Laplace table, the ``psi`` decay envelope and the stationary exponents.

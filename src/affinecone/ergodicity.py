@@ -429,17 +429,26 @@ class GateReport:
     directions_checked: int
 
 
+# the rounding error of min_eigval(y) is a small multiple of eps ||y||: at
+# K = _K_MAX on a unit direction it reaches about 1e-10 by itself
+_EIG_ROUNDING = 16 * np.finfo(float).eps
+
+
 def _min_K_for_direction(drift_apply, xi, tol: float) -> float | None:
     """Smallest ``K >= 0`` with ``K xi + B(xi)`` PSD, by bisection.
 
     The smallest eigenvalue is nondecreasing in ``K`` (the increment is a
-    PSD multiple of ``xi``), so bisection is valid.  Returns None when
-    even ``_K_MAX`` fails: no finite constant works along this direction.
+    PSD multiple of ``xi``), so bisection is valid.  It may fall below 0 by
+    ``tol`` plus its own rounding error, ``_EIG_ROUNDING ||K xi + B(xi)||``.
+    That allowance grows like ``eps K``, while a direction with no finite
+    constant has a smallest eigenvalue near ``-c / K``, so such a direction
+    still fails at ``_K_MAX``; the function then returns None.
     """
     bxi = drift_apply(xi)
 
     def ok(K):
-        return min_eigval(K * xi + bxi) >= -tol
+        y = K * xi + bxi
+        return min_eigval(y) >= -(tol + _EIG_ROUNDING * frobenius(y))
 
     if ok(0.0):
         return 0.0

@@ -14,17 +14,26 @@ Two schemes:
   log, so memory does not grow with the horizon beyond the jumps.  Each
   path still consumes its stream in the order of one up-front draw
   (normals, ``m`` counts, ``m`` atoms, ``mu`` uniforms); reaching the
-  jump draws costs one extra pass over the path's normals.  A step is a
-  few stacked products and one call of ``symcone.project_sqrt_psd``,
-  which returns the projected state and its square root together: for
-  ``d <= 3`` in closed form, with no eigenvectors, on every row well
-  inside the cone and on every row with one clearly negative eigenvalue,
-  and through ``eigh`` only on the other rows (near-singular, or of
-  extreme scale) and for ``d >= 4``.  ``threads`` counts the caller:
-  above 1 the extra threads draw beside the stepping, first splitting
-  the pass that reaches the jump draws by path ranges with the caller,
-  then filling the next buffer of draws while the caller steps through
-  the current one.
+  jump draws costs one extra pass over the path's normals.  The state
+  and its square root stay packed for the whole run (``symcone.pack``:
+  the ``D = d(d+1)/2`` upper-triangle entries as rows of a ``(D, n)``
+  array, each row contiguous over the paths) and are unpacked to
+  ``(n, d, d)`` only at snapshot steps.  A step is a fixed number of
+  array operations whatever ``n``, plus one column update per jump: one
+  product of the flat normals with
+  ``I_d (x) sqrt(dt) sigma^T``, ``d`` broadcast products and two gathers
+  for the diffusion term, one ``D x D`` product for the drift, one for
+  the ``mu`` rates, and one call of ``symcone.project_sqrt_psd``, which
+  returns the projected state and its square root together, packed: for
+  ``d <= 3`` in closed form on the packed rows, with no eigenvectors, on
+  every matrix well inside the cone and on every matrix with one clearly
+  negative eigenvalue, and through ``eigh`` (unpacked and packed again)
+  only on the other matrices (near-singular, or of extreme scale) and
+  for ``d >= 4``.  ``threads`` counts the caller: above 1 the extra
+  threads draw beside the stepping, first splitting the pass that
+  reaches the jump draws by path ranges with the caller, then filling
+  the next buffer of draws while the caller steps through the current
+  one.
 * ``ou_exact`` -- for zero diffusion: the state is the congruence
   transport of the start point plus the exact drift integral plus the
   transported jumps, with jump times drawn exactly (uniform order
@@ -65,8 +74,12 @@ from .symcone import (
     check_cone,
     frobenius,
     mat_exp,
+    pack,
     project_sqrt_psd,
+    sym_index,
     symmetrize,
+    unpack,
+    unpack_index,
 )
 
 
@@ -91,7 +104,8 @@ _CSV_ROWS = 2048
 class SimConfig:
     """Simulation configuration; immutable by convention after validation.
 
-    ``x0`` must lie in the cone and ``m.total_rate() * horizon`` may not
+    ``sigma`` must be ``dim x dim`` with ``sigma.T @ sigma = alpha``, ``x0``
+    must lie in the cone and ``m.total_rate() * horizon`` may not
     exceed ``MAX_STEPS`` (10^8).  For ``euler_project`` the step count
     ``n_steps = horizon / dt`` must be an integer no larger than
     ``MAX_STEPS``; ``ou_exact`` ignores ``dt`` and leaves ``n_steps`` at None.
@@ -126,6 +140,8 @@ class SimConfig:
             raise ValueError(f"m rate x horizon exceeds {MAX_STEPS:.0e} expected jumps per path")
         if self.params.drift.kind != "lyapunov":
             raise ValueError("simulation supports the lyapunov drift form only")
+        if self.sigma.shape != (self.params.dim, self.params.dim):
+            raise ValueError(f"sigma must be dim x dim, got shape {self.sigma.shape}")
         if not np.allclose(self.sigma.T @ self.sigma, self.params.alpha, atol=1e-12):
             raise ValueError("sigma.T @ sigma must equal the diffusion matrix alpha")
         if self.scheme == "ou_exact":
@@ -219,7 +235,7 @@ def _check_finite(states, path_ids) -> None:
     """``PathFailureError`` naming the first path (of ``path_ids``, one per
     row of ``states``) whose state is not finite."""
     if not np.all(np.isfinite(states)):
-        row = np.argmin(np.isfinite(states).all(axis=(1, 2)))
+        row = np.argmin(np.isfinite(states).reshape(len(states), -1).all(axis=1))
         raise PathFailureError(f"path {path_ids[row]} produced non-finite values")
 
 
@@ -256,7 +272,6 @@ def _euler_paths(config: SimConfig, snap_steps, out, jump_log, threads: int):
     dt = config.dt
     n_steps = config.n_steps
     n = config.n_paths
-    beta = p.drift.beta
     n_mu = len(p.mu)
     m_total = p.m.total_rate()
 
@@ -298,24 +313,34 @@ def _euler_paths(config: SimConfig, snap_steps, out, jump_log, threads: int):
             for pid in range(lo, hi):
                 jump_rngs[pid].random(out=uniforms[buf, pid, :c])
 
-    # with N the step's standard normals, a step adds b dt + H + H^T for
-    # H = dt X beta^T + sqrt(dt) X^{1/2} N sigma: two (n d, d) @ (d, d)
-    # products and a stacked one (H^T holds beta X, as X is symmetric).
-    # X + b dt + (H + H^T) is symmetric bit for bit, so the projection
-    # needs no symmetrizing
-    beta_t_dt = dt * beta.T
-    sigma_dt = np.sqrt(dt) * config.sigma
-    b_dt = p.b * dt
-    # the rate of a jump by site_i is <X, weight_i>
-    mu_weights_dt = p.mu.weights.reshape(-1, d * d).T * dt
+    # the state X and its root S are packed (D, n) stacks (symcone.pack),
+    # symmetric by construction.  With N a path's standard normals for the
+    # step, the next state is (I + L dt) X + b dt + M + M^T for M = S G and
+    # G = sqrt(dt) N sigma: L is the drift operator in packed coordinates,
+    # G one product for all paths of the flat normals with I_d (x) sqrt(dt)
+    # sigma^T, M the sum of d broadcast products, and M + M^T two gathers
+    # of M's entries
+    rows, cols, _ = sym_index(d)
+    basis = np.eye(len(rows))
+    drift_step = basis + pack(p.drift.apply(unpack(basis))) * dt
+    b_dt = pack(p.b[None]) * dt
+    noise = np.kron(np.eye(d), np.sqrt(dt) * config.sigma.T)
+    full = unpack_index(d)
+    upper, lower = rows * d + cols, cols * d + rows
+    # the rate of a jump by site_i is <X, weight_i>, in which an
+    # off-diagonal packed entry counts twice (an empty measure's atoms are
+    # (0, 0, 0))
+    mu_weights_dt = (pack(p.mu.weights.reshape(-1, d, d)).T
+                     * (dt * np.where(rows == cols, 1.0, 2.0)))
+    m_sites, mu_sites = (pack(sites.reshape(-1, d, d)) for sites in (p.m.sites, p.mu.sites))
     snaps = {}
     for ti, k in enumerate(snap_steps.tolist()):
         snaps.setdefault(k, []).append(ti)
     paths = range(n)
 
-    X = np.broadcast_to(config.x0, (n, d, d)).copy()
-    _, sqrtX = project_sqrt_psd(X)
-    out[snaps.get(0, [])] = X
+    X = np.repeat(pack(config.x0[None]), n, axis=1)
+    _, S = project_sqrt_psd(X)
+    out[snaps.get(0, [])] = unpack(X)
     e = 0
     warned = False
 
@@ -349,21 +374,25 @@ def _euler_paths(config: SimConfig, snap_steps, out, jump_log, threads: int):
             step_normals = normals[k0 // span % n_buffers]
             step_uniforms = uniforms[k0 // span % n_buffers]
             for i, k in enumerate(range(k0, k0 + c)):
-                mix = (sqrtX @ step_normals[:, i]).reshape(n * d, d) @ sigma_dt
-                H = (X.reshape(n * d, d) @ beta_t_dt + mix).reshape(n, d, d)
-                Xn = X + b_dt + (H + np.transpose(H, (0, 2, 1)))
+                G = (noise @ step_normals[:, i].reshape(n, d * d).T).reshape(d, d, n)
+                S3 = S[full].reshape(d, d, n)
+                M = S3[:, 0, None] * G[0]
+                for r in range(1, d):
+                    M += S3[:, r, None] * G[r]
+                M = M.reshape(d * d, n)
+                Xn = (drift_step @ X + b_dt) + (M[upper] + M[lower])
 
                 t_now = (k + 1) * dt
                 while e < len(m_events) and m_events[e][0] == k:
                     _, j, atom = m_events[e]
                     e += 1
-                    Xn[j] += p.m.sites[atom]
+                    Xn[:, j] += m_sites[:, atom]
                     jump_log[j].append((t_now, "m", atom))
                 if n_mu:
                     # thinning against the pre-step state, intensity frozen
                     # per step
-                    rates = X.reshape(n, d * d) @ mu_weights_dt
-                    if not warned and np.any(rates > 0.1):
+                    rates = (mu_weights_dt @ X).T
+                    if not warned and rates.max() > 0.1:
                         warnings.warn(
                             "state-dependent jump probability per step exceeded 0.1; "
                             "reduce dt for accurate thinning"
@@ -371,13 +400,13 @@ def _euler_paths(config: SimConfig, snap_steps, out, jump_log, threads: int):
                         warned = True
                     hits = step_uniforms[:, i] < rates
                     for j, a in zip(*np.nonzero(hits)):
-                        Xn[j] += p.mu.sites[a]
+                        Xn[:, j] += mu_sites[:, a]
                         jump_log[j].append((t_now, "mu", int(a)))
 
-                _check_finite(Xn, paths)
-                X, sqrtX = project_sqrt_psd(Xn)
+                _check_finite(Xn.T, paths)
+                X, S = project_sqrt_psd(Xn)
                 if k + 1 in snaps:
-                    out[snaps[k + 1]] = X
+                    out[snaps[k + 1]] = unpack(X)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as for _euler_paths

@@ -8,13 +8,17 @@ conventions once:
 * the trace inner product ``<x, y> = tr(x y)`` and its Frobenius norm,
 * a relative tolerance for cone membership (``psd_tol``),
 * spectral operations (square root, and projection onto the cone with
-  the root of the projection for a stack, in closed form for ``d <= 3``),
+  the root of the projection for a packed stack, in closed form for
+  ``d <= 3``),
 * the package's one matrix exponential, a scaling-and-squaring Taylor
   kernel that gives ``e^a`` or, in one call, ``e^{s_i a}`` for many
   multiples of one matrix,
 * the orthonormal vectorization of symmetric matrices used to represent
   linear maps on symmetric matrices as ordinary ``D x D`` matrices,
-  with ``D = d(d+1)/2``.
+  with ``D = d(d+1)/2``,
+* the packed layout of a stack of ``n`` symmetric matrices, a ``(D, n)``
+  array whose row ``k`` holds the unscaled entry of basis element ``k``
+  of every matrix.
 
 The vectorization basis is fixed globally: diagonal units ``E_ii`` first
 (in index order), then ``(E_ij + E_ji)/sqrt(2)`` for ``i < j`` in
@@ -242,107 +246,116 @@ _CLIP_GAP = 1e-3
 _CLOSED_FORM_RANGE = (1e-80, 1e80)
 
 
-def _in_range(scale):
+def _in_range(y):
+    scale = np.abs(y).max(axis=0, initial=0.0)
     return (scale >= _CLOSED_FORM_RANGE[0]) & (scale <= _CLOSED_FORM_RANGE[1])
 
 
-def _closed_form_sqrt2(y):
-    """Rows of a ``(n, 2, 2)`` stack the closed form takes, their
-    projections and the roots of those (the other rows' values are left
-    undefined).
+# the identity as a packed column, for d = 2 (rows 00, 11, 01) and d = 3
+# (rows 00, 11, 22, 01, 02, 12)
+_DIAG2 = np.array([1.0, 1.0, 0.0])[:, None]
+_DIAG3 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])[:, None]
 
-    A row inside the cone is its own projection with root ``(Y + sqrt(det)
-    I) / sqrt(tr + 2 sqrt(det))``.  A row with eigenvalues ``l1 > 0 > l2``
-    projects to ``X = l1 (Y - l2 I) / (l1 - l2)``, of rank one, with root
-    ``X / sqrt(l1)``.
+
+def _closed_form_sqrt2(y):
+    """Matrices of a packed ``(3, n)`` stack the closed form takes, their
+    projections and the roots of those, packed (the other columns' values
+    are left undefined).
+
+    A matrix inside the cone is its own projection with root ``(Y +
+    sqrt(det) I) / sqrt(tr + 2 sqrt(det))``.  A matrix with eigenvalues
+    ``l1 > 0 > l2`` projects to ``X = l1 (Y - l2 I) / (l1 - l2)``, of rank
+    one, with root ``X / sqrt(l1)``.
     """
-    a, b, c = y[:, 0, 0], y[:, 0, 1], y[:, 1, 1]
-    in_range = _in_range(np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c)))
+    a, c, b = y
+    in_range = _in_range(y)
     det = a * c - b * b
     mid, radius = (a + c) / 2.0, np.hypot((a - c) / 2.0, b)
     lam_max, lam_min = mid + radius, mid - radius
     inside = in_range & (lam_max > 0.0) & (det > _CLOSED_FORM_TAU * lam_max * lam_max)
     clip = in_range & (lam_max > 0.0) & (lam_min < -_CLIP_KAPPA * lam_max)
     rd = np.sqrt(det)
-    s = (y + rd[:, None, None] * np.eye(2)) / np.sqrt(a + c + 2.0 * rd)[:, None, None]
+    s = (y + rd * _DIAG2) / np.sqrt(a + c + 2.0 * rd)
     x = y.copy()
     if clip.any():
-        rows = np.flatnonzero(clip)
-        l1, l2 = lam_max[rows, None, None], lam_min[rows, None, None]
-        x[rows] = (y[rows] - l2 * np.eye(2)) * (l1 / (l1 - l2))
-        s[rows] = x[rows] / np.sqrt(l1)
+        cols = np.flatnonzero(clip)
+        l1, l2 = lam_max[cols], lam_min[cols]
+        x[:, cols] = (y[:, cols] - l2 * _DIAG2) * (l1 / (l1 - l2))
+        s[:, cols] = x[:, cols] / np.sqrt(l1)
     return inside | clip, x, s
 
 
-# a 3x3 symmetric matrix as the rows (00, 11, 22, 01, 02, 12) of a
-# (6, n) array: their row-major flat positions, the row of each flat
-# position, the diagonal rows, the weights of the squared norm, and the
-# three products summed into each entry of Y^2
-_UPPER3 = np.array([0, 4, 8, 1, 2, 5])
-_FULL3 = np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])
-_DIAG3 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])[:, None]
+# the weights of the squared norm of a packed 3x3 matrix, and the three
+# products summed into each packed entry of Y^2
 _NORM3 = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
 _SQUARE_LEFT = np.array([[0, 3, 4, 0, 0, 3], [3, 1, 5, 3, 3, 1], [4, 5, 2, 4, 4, 5]])
 _SQUARE_RIGHT = np.array([[0, 3, 4, 3, 4, 4], [3, 1, 5, 1, 5, 5], [4, 5, 2, 5, 2, 2]])
-# the angles of the largest, smallest and middle eigenvalue
-_ANGLES3 = np.array([0.0, 2.0, 4.0])[:, None] * np.pi / 3.0
+_SQRT3 = np.sqrt(3.0)
+_TINY = np.finfo(float).tiny
 
 
 def _closed_form_sqrt3(y):
-    """Rows of a ``(n, 3, 3)`` stack the closed form takes, their
-    projections and the roots of those (the other rows' values are left
-    undefined).
+    """Matrices of a packed ``(6, n)`` stack the closed form takes, their
+    projections and the roots of those, packed (the other columns' values
+    are left undefined).
 
     Eigenvalues ``l1 >= l2 >= l3`` by the trigonometric formula for
-    symmetric 3x3 matrices (Smith 1961).  A row inside the cone is its own
-    projection.  A row with ``l3 < 0 < l2`` projects to ``X = Y - l3 P3``
-    with ``P3 = (Y - l1)(Y - l2) / ((l3 - l1)(l3 - l2))``, the spectral
-    projector of ``l3``, and ``X^2 = Y^2 - l3^2 P3``.  The root is then
-    ``S = [-X^2 + (I1^2 - I2) X + I1 I3 I] / (I1 I2 - I3)`` with ``I1, I2,
-    I3`` the elementary symmetric functions of the roots ``s1, s2, s3`` of
-    the eigenvalues of ``X`` (Franca 1989), ``s3 = 0`` for a clipped row.
-    The denominator is ``(s1 + s2)(s1 + s3)(s2 + s3)``: no eigenvalue gap is
-    divided by, so repeated eigenvalues are safe.  The arithmetic runs on
-    the six upper-triangle entries, each a contiguous row over the stack.
+    symmetric 3x3 matrices (Smith 1961): ``q + 2 p cos(phi + 2 pi k / 3)``,
+    from one cosine and one sine.  A matrix inside the cone is its own
+    projection.  A matrix with ``l3 < 0 < l2`` projects to ``X = Y - l3
+    P3`` with ``P3 = (Y - l1)(Y - l2) / ((l3 - l1)(l3 - l2))``, the
+    spectral projector of ``l3``, and ``X^2 = Y^2 - l3^2 P3``.  The root is
+    then ``S = [-X^2 + (I1^2 - I2) X + I1 I3 I] / (I1 I2 - I3)`` with ``I1,
+    I2, I3`` the elementary symmetric functions of the roots ``s1, s2, s3``
+    of the eigenvalues of ``X`` (Franca 1989), ``s3 = 0`` for a clipped
+    matrix.  The denominator is ``(s1 + s2)(s1 + s3)(s2 + s3)``: no
+    eigenvalue gap is divided by, so repeated eigenvalues are safe.  Each
+    packed entry is a contiguous row over the stack.
     """
-    n = len(y)
-    v = y.reshape(n, 9).T[_UPPER3]
-    in_range = _in_range(np.abs(v).max(axis=0, initial=0.0))
-    q = (v[0] + v[1] + v[2]) / 3.0
+    in_range = _in_range(y)
+    q = (y[0] + y[1] + y[2]) / 3.0
     # B = Y - q I, with p^2 = ||B||^2 / 6 and r = det(B / p) / 2
-    b = v - q * _DIAG3
+    b = y - q * _DIAG3
     b00, b11, b22, b01, b02, b12 = b
     sq = b * b
-    p = np.sqrt(_NORM3 @ sq / 6.0)
+    p2 = _NORM3 @ sq / 6.0
+    p = np.sqrt(p2)
     det_b = (b00 * (b11 * b22 - sq[5]) - b11 * sq[4] - b22 * sq[3]
              + 2.0 * b01 * b02 * b12)
     # at p = 0 (a multiple of I) det_b is 0 too, and every eigenvalue is q
     # whatever the angle
-    r = det_b / np.maximum(2.0 * p * p * p, np.finfo(float).tiny)
+    r = det_b / np.maximum(2.0 * p2 * p, _TINY)
     phi = np.arccos(np.minimum(np.maximum(r, -1.0), 1.0)) / 3.0
-    lam = q + 2.0 * p * np.cos(phi + _ANGLES3)
-    inside = in_range & (lam[1] > _CLOSED_FORM_TAU * lam[0])
-    clip = in_range & (lam[1] < -_CLIP_KAPPA * lam[0]) & (lam[2] > _CLIP_GAP * lam[0])
-    prod = v[_SQUARE_LEFT] * v[_SQUARE_RIGHT]
-    y2 = prod[0] + prod[1] + prod[2]
+    # 2 cos(phi + 2 pi / 3) = -cos(phi) - sqrt(3) sin(phi), and at 4 pi / 3
+    # the sine's sign flips
+    pc, ps = p * np.cos(phi), _SQRT3 * p * np.sin(phi)
+    l1, l2, l3 = q + 2.0 * pc, q - pc + ps, q - pc - ps
+    inside = in_range & (l3 > _CLOSED_FORM_TAU * l1)
+    clip = in_range & (l3 < -_CLIP_KAPPA * l1) & (l2 > _CLIP_GAP * l1)
+    # Y^2 as three (6, n) products: one (18, n) product makes temporaries
+    # large enough that the allocator returns them to the system and each
+    # step faults them in again (about seven page faults per step at n =
+    # 1024, against one)
+    x2 = y[_SQUARE_LEFT[0]] * y[_SQUARE_RIGHT[0]]
+    for left, right in zip(_SQUARE_LEFT[1:], _SQUARE_RIGHT[1:]):
+        x2 += y[left] * y[right]
     x = y.copy()
     if clip.any():
-        # v and y2 become X and X^2 on the clipped rows, whose smallest
+        # x and x2 become X and X^2 on the clipped columns, whose smallest
         # eigenvalue becomes 0
-        rows = np.flatnonzero(clip)
-        l1, l3, l2 = lam[:, rows]
-        vr, y2r = v[:, rows], y2[:, rows]
-        p3 = (y2r - (l1 + l2) * vr + (l1 * l2) * _DIAG3) / ((l3 - l1) * (l3 - l2))
-        v[:, rows] = vr - l3 * p3
-        y2[:, rows] = y2r - (l3 * l3) * p3
-        lam[1, rows] = 0.0
-        x[rows] = v[:, rows][_FULL3].T.reshape(-1, 3, 3)
-    s1, s2, s3 = np.sqrt(lam)
+        cols = np.flatnonzero(clip)
+        c1, c2, c3 = l1[cols], l2[cols], l3[cols]
+        yc, y2c = y[:, cols], x2[:, cols]
+        p3 = (y2c - (c1 + c2) * yc + (c1 * c2) * _DIAG3) / ((c3 - c1) * (c3 - c2))
+        x[:, cols] = yc - c3 * p3
+        x2[:, cols] = y2c - (c3 * c3) * p3
+        l3[cols] = 0.0
+    s1, s2, s3 = np.sqrt(l1), np.sqrt(l2), np.sqrt(l3)
     i1 = s1 + s2 + s3
     i2 = s1 * s2 + s1 * s3 + s2 * s3
-    den = (s1 + s2) * (s1 + s3) * (s2 + s3)
-    s = ((i1 * i1 - i2) * v - y2 + i1 * (s1 * s2 * s3) * _DIAG3) / den
-    return inside | clip, x, np.ascontiguousarray(s[_FULL3].T).reshape(n, 3, 3)
+    i3 = s1 * s2 * s3
+    s = ((i1 * i1 - i2) * x - x2 + (i1 * i3) * _DIAG3) / (i1 * i2 - i3)
+    return inside | clip, x, s
 
 
 _CLOSED_FORMS = {2: _closed_form_sqrt2, 3: _closed_form_sqrt3}
@@ -350,33 +363,38 @@ _CLOSED_FORMS = {2: _closed_form_sqrt2, 3: _closed_form_sqrt3}
 
 def project_sqrt_psd(y) -> tuple[np.ndarray, np.ndarray]:
     """Projection onto the cone and its square root, ``Y -> (X, X^{1/2})``,
-    for a stack ``(n, d, d)`` of finite symmetric matrices.
+    for a packed stack ``(D, n)`` of finite symmetric matrices (see
+    :func:`pack`); both results are packed stacks too.
 
-    For ``d`` of 2 or 3, two kinds of row whose largest entry lies in
-    ``_CLOSED_FORM_RANGE`` take a closed form, with no eigenvectors.  A row
-    whose smallest eigenvalue exceeds ``_CLOSED_FORM_TAU`` times its
-    largest is its own projection.  A row with exactly one eigenvalue below
-    ``-_CLIP_KAPPA`` times its largest (for ``d = 3`` with its middle one
-    above ``_CLIP_GAP`` times the largest) has that eigenvalue clipped.
-    Every other row (near-singular, between those thresholds, or of extreme
-    scale), and every row for other ``d``, takes the general path:
-    ``eigh``, eigenvalues clipped at zero, both matrices rebuilt; a row
-    with no negative eigenvalue is still its own projection.  Every
-    operation acts row by row, so a row's result does not depend on the
-    rest of the stack.
+    For ``d`` of 2 or 3, two kinds of matrix whose largest entry lies in
+    ``_CLOSED_FORM_RANGE`` take a closed form on the packed rows, with no
+    eigenvectors.  A matrix whose smallest eigenvalue exceeds
+    ``_CLOSED_FORM_TAU`` times its largest is its own projection.  A matrix
+    with exactly one eigenvalue below ``-_CLIP_KAPPA`` times its largest
+    (for ``d = 3`` with its middle one above ``_CLIP_GAP`` times the
+    largest) has that eigenvalue clipped.  Every other matrix
+    (near-singular, between those thresholds, or of extreme scale), and
+    every matrix for other ``d``, is unpacked and takes the general path:
+    ``eigh``, eigenvalues clipped at zero, both matrices rebuilt and
+    packed again; a matrix with no negative eigenvalue is still its own
+    projection.  Every operation acts column by column, so a matrix's
+    result does not depend on the rest of the stack.
     """
     y = np.asarray(y, dtype=float)
-    closed_form = _CLOSED_FORMS.get(y.shape[-1])
+    if y.ndim != 2:
+        raise ValueError(f"expected a packed (D, n) stack, got shape {y.shape}")
+    closed_form = _CLOSED_FORMS.get(_order(len(y)))
     if closed_form is None:
-        _, x, s = _spectral_project_sqrt(y)
-        return x, s
-    # rows outside the closed form's domain may overflow, divide by zero or
-    # take the root of a negative number; their values are replaced below
+        _, x, s = _spectral_project_sqrt(unpack(y))
+        return pack(x), pack(s)
+    # columns outside the closed form's domain may overflow, divide by zero
+    # or take the root of a negative number; their values are replaced below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         done, x, s = closed_form(y)
     if not done.all():
         rest = np.flatnonzero(~done)
-        _, x[rest], s[rest] = _spectral_project_sqrt(y[rest])
+        _, x_rest, s_rest = _spectral_project_sqrt(unpack(y[:, rest]))
+        x[:, rest], s[:, rest] = pack(x_rest), pack(s_rest)
     return x, s
 
 
@@ -417,16 +435,50 @@ def unvectorize(v) -> np.ndarray:
     """Inverse of :func:`vectorize`; the dimension is implied by the length
     of the last axis."""
     v = np.asarray(v, dtype=float)
-    n = v.shape[-1]
-    d = int(round(((8 * n + 1) ** 0.5 - 1) / 2))  # cheaper per call than np.sqrt
-    if sym_dim(d) != n:
-        raise ValueError(f"length {n} is not d(d+1)/2 for any integer d")
+    d = _order(v.shape[-1])
     rows, cols, scale = sym_index(d)
     w = v / scale
     x = np.zeros(v.shape[:-1] + (d, d))
     x[..., rows, cols] = w
     x[..., cols, rows] = w
     return x
+
+
+def _order(n: int) -> int:
+    """The ``d`` with ``d(d+1)/2 = n``."""
+    d = int(round(((8 * n + 1) ** 0.5 - 1) / 2))  # cheaper per call than np.sqrt
+    if sym_dim(d) != n:
+        raise ValueError(f"length {n} is not d(d+1)/2 for any integer d")
+    return d
+
+
+@functools.lru_cache(maxsize=None)
+def unpack_index(d: int) -> np.ndarray:
+    """The packed row holding each entry of a ``d x d`` matrix, row-major:
+    ``v[unpack_index(d)]`` turns a packed stack ``(D, n)`` into the ``(d * d,
+    n)`` stack of the full matrices.  Built once per ``d``; read-only."""
+    rows, cols, _ = sym_index(d)
+    index = np.empty((d, d), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(sym_dim(d))
+    index = index.ravel()
+    index.flags.writeable = False
+    return index
+
+
+def pack(x) -> np.ndarray:
+    """The packed stack ``(D, n)`` of a stack ``(n, d, d)`` of symmetric
+    matrices: row ``k`` holds entry ``(rows[k], cols[k])`` of ``sym_index(d)``
+    of every matrix, unscaled, so each entry is a contiguous row over the
+    stack."""
+    x = np.asarray(x, dtype=float)
+    rows, cols, _ = sym_index(x.shape[-1])
+    return np.ascontiguousarray(x[:, rows, cols].T)
+
+
+def unpack(v) -> np.ndarray:
+    """Inverse of :func:`pack`: the ``(n, d, d)`` stack of a packed one."""
+    d = _order(len(v))
+    return v[unpack_index(d)].T.reshape(v.shape[1], d, d)
 
 
 def sym_basis(d: int) -> list[np.ndarray]:

@@ -170,6 +170,12 @@ NOT_PSD = [[1.0, 0.0], [0.0, -1.0]]
                  id="sim-x0-not-psd-euler"),
     pytest.param(["simulate", "--snapshots", "1.0"], _ou_exact_sim(x0=NOT_PSD), None,
                  id="sim-x0-not-psd-ou-exact"),
+    # sigma.T @ sigma = alpha holds with a zero row appended to sigma
+    pytest.param(["simulate", "--snapshots", "1.0"],
+                 _with_sim(sigma=[[0.5, 0.1], [0.0, 0.4], [0.0, 0.0]]), None,
+                 id="sigma-not-square-euler"),
+    pytest.param(["simulate", "--snapshots", "1.0"], _ou_exact_sim(sigma=np.zeros((3, 2)).tolist()),
+                 None, id="sigma-not-square-ou-exact"),
     pytest.param(["simulate", "--snapshots", "0.6"], _with_sim(dt=0.3, horizon=2.0), None,
                  id="steps-not-integer"),
     pytest.param(["simulate", "--snapshots", "0.5"], _with_sim(dt=1e-300), None,

@@ -452,6 +452,21 @@ def test_log_moment_gate_values():
     assert gate.directions_checked == 1 + d + 20
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_log_moment_gate_scalar_drift_in_every_dimension(d):
+    # K xi + B(xi) = (K - 1.4) xi is PSD for K >= 1.4 in every direction.
+    # At K = 1e6 the rounding of the smallest eigenvalue on a rank-one
+    # direction is about 1e-10 by itself, which an absolute tolerance of
+    # 1e-10 took for a direction with no finite constant (at d = 3 and 4)
+    p = AffineParams(
+        dim=d,
+        alpha=np.zeros((d, d)),
+        b=0.1 * np.eye(d),
+        drift=LinearDrift.lyapunov(-0.7 * np.eye(d)),
+    )
+    assert log_moment_gate(p).K_sampled == pytest.approx(1.1 * 1.4, rel=1e-9)
+
+
 def test_log_moment_gate_unbounded_direction():
     # a generic non-normal lyapunov drift rotates rank-one directions out
     # of their own span, so no finite K works along them

@@ -30,6 +30,7 @@ from affinecone.symcone import (
     _spectral_project_sqrt,
     mat_exp,
     project_sqrt_psd,
+    unpack,
 )
 from conftest import zero_diffusion_params
 
@@ -219,6 +220,18 @@ def test_d3_bit_identical_across_thread_counts():
         assert one.jump_log == ens.jump_log
 
 
+def test_d4_bit_identical_across_thread_counts_and_path_counts():
+    cfg = _d4_config(n_paths=120)
+    one = simulate(cfg, [0.5, 1.0], threads=1)
+    for threads in (2, 3):
+        ens = simulate(cfg, [0.5, 1.0], threads=threads)
+        assert np.array_equal(one.states, ens.states)
+        assert one.jump_log == ens.jump_log
+    small = simulate(_d4_config(n_paths=50), [0.5, 1.0])
+    assert np.array_equal(small.states, one.states[:, :50])
+    assert small.jump_log == one.jump_log[:50]
+
+
 def test_d3_path_count_extension_is_consistent():
     # a path's value depends neither on how many paths share its stack
     # nor on which of them fall back to eigh
@@ -242,7 +255,7 @@ def test_euler_singly_indefinite_rows_do_not_reach_eigh(monkeypatch):
     stepped, spectral = [], []
 
     def spy_project(y):
-        stepped.append(np.linalg.eigvalsh(y))
+        stepped.append(np.linalg.eigvalsh(unpack(y)))
         return project_sqrt_psd(y)
 
     def spy_spectral(y):
@@ -417,8 +430,27 @@ def _d3_config(n_paths=200, seed=7):
                      n_paths=n_paths, seed=seed)
 
 
+def _d4_config(n_paths=150, seed=9):
+    # d >= 4 has no closed form: every step unpacks the stack, projects and
+    # roots it through eigh and packs it again
+    d = 4
+    sigma = np.triu(np.full((d, d), 0.02)) + np.diag([0.35, 0.3, 0.3, 0.25])
+    alpha = sigma.T @ sigma
+    v = np.array([0.2, 0.1, 0.0, 0.1])
+    p = AffineParams(
+        dim=d,
+        alpha=alpha,
+        b=3.5 * alpha,
+        drift=LinearDrift.lyapunov(-0.7 * np.eye(d) + 0.05 * np.triu(np.ones((d, d)), 1)),
+        m=ScalarJumpMeasure([(np.diag([0.3, 0.2, 0.1, 0.1]), 0.8), (np.outer(v, v), 0.6)]),
+        mu=MatrixJumpMeasure([(np.diag([0.1, 0.05, 0.05, 0.1]), 0.4 * np.eye(d))]),
+    )
+    return SimConfig(params=p, sigma=sigma, x0=0.5 * np.eye(d), horizon=1.0, dt=0.005,
+                     n_paths=n_paths, seed=seed)
+
+
 @pytest.mark.parametrize("make", [
-    lambda: _diffusion_config(n_paths=300, dt=0.005, with_mu=True), _d3_config])
+    lambda: _diffusion_config(n_paths=300, dt=0.005, with_mu=True), _d3_config, _d4_config])
 def test_euler_scheme_matches_reference_loop(make):
     # the reference projects through eigh; the scheme roots and projects
     # in closed form, so the states agree to rounding and the jumps exactly

@@ -32,7 +32,9 @@ from affinecone.symcone import (
     _CLIP_KAPPA,
     _CLOSED_FORM_TAU,
     _spectral_project_sqrt,
+    pack,
     sym_index,
+    unpack,
 )
 
 
@@ -135,11 +137,17 @@ def test_sqrt_psd_rejects_indefinite():
 
 
 def _spectral_stack(d, rng):
-    """Symmetric stacks built from their spectra: multiples of I, ranks 0
-    to d - 1, smallest-to-largest eigenvalue ratios around the closed-form
-    threshold, singly indefinite rows on both sides of the clipping
-    thresholds, indefinite and random rows, at scales from 1e-6 to 1e6."""
-    spectra = [np.full(d, c) for c in (0.5, 1e-6, 3e5)]
+    """Symmetric stacks built from their spectra: multiples of I, two equal
+    eigenvalues, ranks 0 to d - 1, smallest-to-largest eigenvalue ratios
+    around the closed-form threshold, singly indefinite rows on both sides
+    of the clipping thresholds, indefinite and random rows, at scales from
+    1e-6 to 1e6."""
+    # repeated eigenvalues: multiples of I (of either sign), and (d = 3)
+    # two equal ones, the smaller or the larger pair, inside the cone
+    spectra = [np.full(d, c) for c in (0.5, 1e-6, 3e5, -0.5)]
+    if d == 3:
+        spectra += [[a, a, 1.0] for a in (1e-7, 1e-3, 0.5)]
+        spectra += [[a, 1.0, 1.0] for a in (0.0, 1e-7, 1e-3, 0.5)]
     for rank in range(d):
         spectra += [np.concatenate([np.zeros(d - rank), rng.uniform(0.1, 2.0, rank)])
                     for _ in range(20)]
@@ -188,7 +196,8 @@ def test_project_sqrt_psd_matches_eigh(rng, d, monkeypatch):
         return _spectral_project_sqrt(rows)
 
     monkeypatch.setattr(symcone, "_spectral_project_sqrt", spy)
-    x, s = project_sqrt_psd(y)
+    packed_x, packed_s = project_sqrt_psd(pack(y))
+    x, s = unpack(packed_x), unpack(packed_s)
     w_raw, q = np.linalg.eigh(y)
     w = np.clip(w_raw, 0.0, None)
     x_ref = (q * w[:, None, :]) @ np.swapaxes(q, 1, 2)
@@ -196,7 +205,6 @@ def test_project_sqrt_psd_matches_eigh(rng, d, monkeypatch):
     scale = np.maximum(1.0, np.linalg.norm(y, axis=(1, 2)))
     assert np.all(np.abs(x - x_ref).max(axis=(1, 2)) <= 1e-12 * scale)
     assert np.all(np.abs(s - s_ref).max(axis=(1, 2)) <= 1e-10 * np.sqrt(scale))
-    assert np.array_equal(x, np.swapaxes(x, 1, 2))
     # cone members (by eigh, which rows outside the closed form's domain
     # go through) are their own projection, bit for bit
     inside = w_raw[:, 0] >= 0.0
@@ -205,17 +213,37 @@ def test_project_sqrt_psd_matches_eigh(rng, d, monkeypatch):
     # rows with one clearly negative eigenvalue are clipped in closed form
     assert _clearly_singly_indefinite(w_raw).sum() >= 40
     assert not _clearly_singly_indefinite(np.concatenate(spectral)).any()
+    # a row's result does not depend on the rest of the stack
+    for rows in (slice(0, 1), slice(len(y) // 3, len(y) // 2)):
+        part_x, part_s = project_sqrt_psd(pack(y[rows]))
+        assert np.array_equal(part_x, packed_x[:, rows])
+        assert np.array_equal(part_s, packed_s[:, rows])
 
 
 def test_project_sqrt_psd_general_dimension_is_eigh(rng):
     y = np.array([symmetrize(rng.standard_normal((4, 4))) for _ in range(8)])
     y[0] = random_psd(4, rng)
-    x, s = project_sqrt_psd(y)
+    packed_x, packed_s = project_sqrt_psd(pack(y))
+    assert packed_x.shape == packed_s.shape == (10, 8)
+    x, s = unpack(packed_x), unpack(packed_s)
     w, q = np.linalg.eigh(y)
     w = np.clip(w, 0.0, None)
     assert np.array_equal(x[0], y[0])
     assert np.allclose(x, (q * w[:, None, :]) @ np.swapaxes(q, 1, 2), atol=1e-12)
     assert np.allclose(s @ s, x, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_pack_is_the_upper_triangle_in_basis_order(rng, d):
+    y = symmetrize(rng.standard_normal((5, d, d)))
+    packed = pack(y)
+    rows, cols, _ = sym_index(d)
+    assert packed.shape == (sym_dim(d), 5) and packed.flags.c_contiguous
+    assert np.array_equal(packed, y[:, rows, cols].T)
+    assert np.array_equal(unpack(packed), y)
+    assert np.array_equal(unpack(pack(y[:0])), y[:0])
+    with pytest.raises(ValueError):
+        project_sqrt_psd(y)  # a stack of full matrices is not a packed stack
 
 
 def test_trace_norm_bracket_on_random_psd(rng):
@@ -360,7 +388,7 @@ def test_project_sqrt_psd_extreme_scales():
     for y in stacks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, root = project_sqrt_psd(y)
+            x, root = (unpack(a) for a in project_sqrt_psd(pack(y)))
         _, _, ref = _spectral_project_sqrt(y)
         assert np.all(np.isfinite(root))
         assert np.array_equal(x, y)
