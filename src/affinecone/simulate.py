@@ -12,17 +12,17 @@ Two schemes:
   ``mu`` uniforms) holding ``CHUNK_STEPS`` steps of every path between
   them, refilled as the stack steps, plus the ``m`` jumps and the jump
   log, so memory does not grow with the horizon beyond the jumps.  Each
-  path still consumes its stream in the order of one up-front draw
-  (normals, ``m`` counts, ``m`` atoms, ``mu`` uniforms); reaching the
-  jump draws costs one extra pass over the path's normals.  The state
-  and its square root stay packed for the whole run (``symcone.pack``:
-  the ``D = d(d+1)/2`` upper-triangle entries as rows of a ``(D, n)``
-  array, each row contiguous over the paths) and are unpacked to
-  ``(n, d, d)`` only at snapshot steps.  A step is a fixed number of
-  array operations whatever ``n``, plus one column update per jump: one
-  product of the flat normals with
-  ``I_d (x) sqrt(dt) sigma^T``, ``d`` broadcast products and two gathers
-  for the diffusion term, one ``D x D`` product for the drift, one for
+  path draws its normals from its stream and its jumps (``m`` counts,
+  ``m`` atoms, ``mu`` uniforms) from that stream's jumped copy, so every
+  normal is drawn once and the caller reads the ``m`` jumps in one pass
+  up front.  The state and its square root stay packed for the whole run
+  (``symcone.pack``: the ``D = d(d+1)/2`` upper-triangle entries as rows
+  of a ``(D, n)`` array, each row contiguous over the paths) and are
+  unpacked to ``(n, d, d)`` only at snapshot steps.  A step is a fixed
+  number of array operations whatever ``n``, plus one column update per
+  jump: one product of the flat normals with ``I_d (x) sqrt(dt)
+  sigma^T``, ``d`` broadcast products and two gathers for the diffusion
+  term, one ``D x D`` product for the drift, one for
   the ``mu`` rates, and one call of ``symcone.project_sqrt_psd``, which
   returns the projected state and its square root together, packed: for
   ``d <= 3`` in closed form on the packed rows, with no eigenvectors, on
@@ -30,10 +30,8 @@ Two schemes:
   negative eigenvalue, and through ``eigh`` (unpacked and packed again)
   only on the other matrices (near-singular, or of extreme scale) and
   for ``d >= 4``.  ``threads`` counts the caller: above 1 the extra
-  threads draw beside the stepping, first splitting the pass that
-  reaches the jump draws by path ranges with the caller, then filling
-  the next buffer of draws while the caller steps through the current
-  one.
+  threads fill the next buffer of draws while the caller steps through
+  the current one.
 * ``ou_exact`` -- for zero diffusion: the state is the congruence
   transport of the start point plus the exact drift integral plus the
   transported jumps, with jump times drawn exactly (uniform order
@@ -89,8 +87,9 @@ class PathFailureError(RuntimeError):
 
 _SCHEMES = ("euler_project", "ou_exact")
 
-# steps of random draws an Euler block holds at a time: its buffers are
-# (paths, CHUNK_STEPS, d, d) whatever the horizon
+# steps of random draws the Euler scheme holds at a time, whatever the
+# horizon: one buffer of (paths, CHUNK_STEPS, d, d) normals at 1 thread, two
+# of CHUNK_STEPS // 2 steps above; also the piece in which m counts are drawn
 CHUNK_STEPS = 256
 # the most Euler steps, or expected m jumps per path, a configuration may
 # ask for: past it a run would not end in reasonable time, so it is refused
@@ -251,19 +250,20 @@ def _path_ranges(n: int, parts: int) -> list[tuple[int, int]]:
 def _euler_paths(config: SimConfig, snap_steps, out, jump_log, threads: int):
     """Advance every path as one stack; writes the states into ``out``.
 
-    A path's stream holds, in this order: the normals of every step, the
-    ``m`` jump counts of every step, the atoms of those jumps and the
-    ``mu`` uniforms of every step.  Two generators per path walk it.  One
-    hands out the normals a buffer of steps at a time.  The other skips
-    the normals, reads every ``m`` jump up front and then hands out the
-    ``mu`` uniforms a buffer at a time.  Drawing in pieces yields the
-    values of one draw, so the sample depends neither on ``CHUNK_STEPS``
-    nor on ``threads``.
+    Two generators per path.  ``_path_rng(seed, path)`` holds the normals
+    of every step, handed out a buffer of steps at a time.  Its jumped
+    copy (``Philox.jumped``, a stream that does not overlap it), taken
+    before any normal is drawn, holds in this order the ``m`` jump counts
+    of every step, the atoms of those jumps and the ``mu`` uniforms of
+    every step; the caller reads every ``m`` jump up front, and the
+    ``mu`` uniforms follow a buffer at a time.  A model with no jump
+    atoms builds no jumped copy.  Drawing in pieces yields the values of
+    one draw, so the sample depends neither on ``CHUNK_STEPS`` nor on
+    ``threads``.
 
     ``threads`` counts the caller.  At 1 everything runs inline in one
     buffer of ``CHUNK_STEPS`` steps.  Above 1, ``threads - 1`` worker
-    threads draw beside the stepping: the skip pass is split by path ranges
-    over all ``threads`` threads, and while the caller steps the draws of
+    threads draw beside the stepping: while the caller steps the draws of
     one buffer the workers fill the other with the next steps' draws, two
     buffers of ``CHUNK_STEPS // 2`` steps taking turns.
     """
@@ -281,29 +281,24 @@ def _euler_paths(config: SimConfig, snap_steps, out, jump_log, threads: int):
     normals = np.empty((n_buffers, n, span, d, d))
     uniforms = np.empty((n_buffers, n, span, n_mu))
     normal_rngs = [_path_rng(config.seed, pid) for pid in range(n)]
-    jump_rngs = [None] * n
+    # jumped while the normal streams are fresh
+    jump_rngs = ([np.random.Generator(rng.bit_generator.jumped()) for rng in normal_rngs]
+                 if len(p.m) or n_mu else [])
 
-    def skip(scratch, lo, hi):
-        """The ``m`` jumps of paths ``lo:hi`` as (step, path, atom); each
-        path's generator is left at its ``mu`` uniforms."""
-        # the skipped normals go through this thread's share of the
-        # buffers, so a path takes few calls to reach its jumps
-        piece = len(scratch)
-        events = []
-        for pid in range(lo, hi):
-            rng = _path_rng(config.seed, pid)
-            for k0 in range(0, n_steps, piece):
-                rng.standard_normal(out=scratch[:min(piece, n_steps - k0)])
-            if len(p.m):
-                steps = []
-                for k0 in range(0, n_steps, piece):
-                    counts = rng.poisson(m_total * dt, min(piece, n_steps - k0))
-                    hit = np.nonzero(counts)[0]
-                    steps += np.repeat(k0 + hit, counts[hit]).tolist()
-                atoms = p.m.draw_atoms(rng, len(steps))
-                events += ((k, pid, a) for k, a in zip(steps, atoms.tolist()))
-            jump_rngs[pid] = rng
-        return events
+    # the m jumps as (step, path, atom); the counts are drawn CHUNK_STEPS
+    # steps at a time so that memory stays bounded in the horizon
+    m_events = []
+    if len(p.m):
+        for pid, rng in enumerate(jump_rngs):
+            steps = []
+            for k0 in range(0, n_steps, CHUNK_STEPS):
+                counts = rng.poisson(m_total * dt, min(CHUNK_STEPS, n_steps - k0))
+                hit = np.nonzero(counts)[0]
+                steps += np.repeat(k0 + hit, counts[hit]).tolist()
+            atoms = p.m.draw_atoms(rng, len(steps))
+            m_events += ((k, pid, a) for k, a in zip(steps, atoms.tolist()))
+    # applied by step; the stable sort keeps path order, then drawing order
+    m_events.sort(key=lambda event: event[0])
 
     def fill(buf, lo, hi, c):
         """The next ``c`` steps' draws of paths ``lo:hi`` into buffer ``buf``."""
@@ -345,18 +340,6 @@ def _euler_paths(config: SimConfig, snap_steps, out, jump_log, threads: int):
     warned = False
 
     with ThreadPoolExecutor(min(threads - 1, n)) if threads > 1 else nullcontext() as pool:
-        m_events = []
-        if len(p.m) or n_mu:
-            parts = _path_ranges(n, threads)
-            shares = np.array_split(normals.reshape(-1, d, d), len(parts))
-            futures = [pool.submit(skip, share, lo, hi)
-                       for share, (lo, hi) in zip(shares[1:], parts[1:])]
-            m_events = skip(shares[0], *parts[0])
-            for future in futures:
-                m_events += future.result()
-        # applied by step; the stable sort keeps path order, then drawing order
-        m_events.sort(key=lambda event: event[0])
-
         def fill_async(k0):
             buf = k0 // span % n_buffers
             c = min(span, n_steps - k0)

@@ -38,11 +38,11 @@ simulate_module = importlib.import_module("affinecone.simulate")
 symcone_module = importlib.import_module("affinecone.symcone")
 
 
-def _diffusion_config(n_paths=512, dt=0.01, seed=11, horizon=1.0, with_mu=False):
+def _diffusion_config(n_paths=512, dt=0.01, seed=11, horizon=1.0, with_mu=False, with_m=True):
     d = 2
     sigma = np.array([[0.5, 0.1], [0.0, 0.4]])
     alpha = sigma.T @ sigma
-    m = ScalarJumpMeasure([(np.diag([0.3, 0.1]), 0.5)])
+    m = ScalarJumpMeasure([(np.diag([0.3, 0.1]), 0.5)] if with_m else [])
     mu = MatrixJumpMeasure()
     if with_mu:
         mu = MatrixJumpMeasure([(np.diag([0.4, 0.4]), 0.3 * np.eye(d))])
@@ -63,6 +63,14 @@ def _diffusion_config(n_paths=512, dt=0.01, seed=11, horizon=1.0, with_mu=False)
         n_paths=n_paths,
         seed=seed,
     )
+
+
+def _mu_only_config(n_paths=300, dt=0.005):
+    return _diffusion_config(n_paths=n_paths, dt=dt, with_mu=True, with_m=False)
+
+
+def _jump_free_config(n_paths=300, dt=0.005):
+    return _diffusion_config(n_paths=n_paths, dt=dt, with_m=False)
 
 
 def _jump_config(n_paths=2048, seed=3):
@@ -189,11 +197,16 @@ def test_bit_identical_reruns():
 
 
 def test_bit_identical_across_thread_counts():
-    cfg = _diffusion_config(n_paths=1200)
-    one = simulate(cfg, [1.0], threads=1)
-    four = simulate(cfg, [1.0], threads=4)
-    assert np.array_equal(one.states, four.states)
-    assert one.jump_log == four.jump_log
+    # an m-only model, and the two sides of the jump draws: mu atoms only,
+    # whose uniforms start at the jumped stream's first draw, and no atoms,
+    # which builds no jumped stream
+    for cfg in (_diffusion_config(n_paths=1200), _mu_only_config(n_paths=301),
+                _jump_free_config(n_paths=301)):
+        one = simulate(cfg, [0.5, 1.0], threads=1)
+        for threads in (2, 4):
+            ens = simulate(cfg, [0.5, 1.0], threads=threads)
+            assert np.array_equal(one.states, ens.states)
+            assert one.jump_log == ens.jump_log
 
 
 def test_seed_changes_output():
@@ -350,8 +363,9 @@ def test_euler_memory_is_one_chunk_of_draws():
 
 def _euler_reference(config, snapshot_times):
     """The Euler scheme with every random draw made up front, all paths in
-    one stack: per path all normals, then the ``m`` jump counts, the ``m``
-    atoms and the ``mu`` uniforms."""
+    one stack: per path all normals from its stream, and from that stream's
+    jumped copy the ``m`` jump counts, the ``m`` atoms and the ``mu``
+    uniforms."""
     p = config.params
     d = p.dim
     dt = config.dt
@@ -372,13 +386,14 @@ def _euler_reference(config, snapshot_times):
     mu_uniforms = np.empty((n, n_steps, len(p.mu)))
     for j in range(n):
         rng = _path_rng(config.seed, j)
+        jumps = np.random.Generator(rng.bit_generator.jumped())
         normals[j] = rng.standard_normal((n_steps, d, d))
         if len(p.m):
-            m_counts[j] = rng.poisson(m_total * dt, n_steps)
-            m_choices[j] = rng.choice(len(p.m), size=int(m_counts[j].sum()),
-                                      p=m_rates / m_total)
+            m_counts[j] = jumps.poisson(m_total * dt, n_steps)
+            m_choices[j] = jumps.choice(len(p.m), size=int(m_counts[j].sum()),
+                                        p=m_rates / m_total)
         if len(p.mu):
-            mu_uniforms[j] = rng.random((n_steps, len(p.mu)))
+            mu_uniforms[j] = jumps.random((n_steps, len(p.mu)))
 
     out = np.empty((len(snapshot_times), n, d, d))
     jump_log = [[] for _ in range(n)]
@@ -450,7 +465,8 @@ def _d4_config(n_paths=150, seed=9):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: _diffusion_config(n_paths=300, dt=0.005, with_mu=True), _d3_config, _d4_config])
+    lambda: _diffusion_config(n_paths=300, dt=0.005, with_mu=True), _d3_config, _d4_config,
+    _mu_only_config, _jump_free_config])
 def test_euler_scheme_matches_reference_loop(make):
     # the reference projects through eigh; the scheme roots and projects
     # in closed form, so the states agree to rounding and the jumps exactly
@@ -461,12 +477,13 @@ def test_euler_scheme_matches_reference_loop(make):
     assert np.max(np.abs(ens.states - ref)) <= 1e-12
     assert ens.jump_log == ref_log
     sources = {source for log in ref_log for _, source, _ in log}
-    assert sources == {"m", "mu"}
+    p = cfg.params
+    assert sources == {source for source, atoms in (("m", p.m), ("mu", p.mu)) if len(atoms)}
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 200, 10**6])
 def test_euler_sample_does_not_depend_on_chunk_steps(monkeypatch, chunk):
-    # 200 steps; at chunk 1 the 48-step pieces that skip the normals leave a remainder
+    # 200 steps; at chunk 7 the pieces in which the m counts are drawn leave a remainder
     cfg = _diffusion_config(n_paths=48, dt=0.005, with_mu=True)
     times = [0.5, 1.0]
     default = simulate(cfg, times)
