@@ -67,7 +67,7 @@ def jump_model():
     cert = decay_certificate(p)
     law = InvariantLaw(p, cert)
     gate = log_moment_gate(p)
-    print(f"jump log-moment {gate.log_moment:.4f}, sampled inward constant "
+    print(f"jump log-moment {gate.log_moment:.4f}, inward constant "
           f"K = {gate.K_sampled}")
     x = np.diag([3.0, 1.0])
     print("t        mean gap     transport bound")

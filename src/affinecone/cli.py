@@ -11,8 +11,9 @@ byte.  Exit codes partition failure causes disjointly:
     6  simulation failure
 
 Exit 2 covers a config that cannot be read or parsed into a parameter
-set; an unknown drift kind; a ``--u`` matrix or ``sim.x0`` that is
-unreadable, not ``dim x dim``, non-finite or outside the cone; a
+set; an unknown drift kind; a ``drift.beta`` with an entry that is not
+finite; a ``--u`` matrix or ``sim.x0`` that is unreadable, not ``dim x
+dim``, non-finite or outside the cone; a
 ``sim.sigma`` that is not ``dim x dim`` (even when ``sigma.T @ sigma``
 equals ``alpha``); a ``sim`` section that is not a JSON object (for
 ``verify`` and ``simulate`` alike), missing (for ``simulate``) or

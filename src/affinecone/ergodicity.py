@@ -306,26 +306,18 @@ _GRID_RANDOM_DIRECTIONS = 3
 _GRID_SEED = 1234
 
 
-def _probe_directions(dim: int, n_random: int, seed: int) -> list[np.ndarray]:
-    """Unit-norm cone directions: the coordinate units ``E_ii``, then
-    ``n_random`` rank-one ``v v.T / ||v v.T||`` with standard normal ``v``
-    drawn from seed ``seed``."""
-    dirs = sym_basis(dim)[:dim]
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        v = rng.standard_normal(dim)
-        w = np.outer(v, v)
-        dirs.append(w / frobenius(w))
-    return dirs
-
-
 def standard_u_grid(dim: int) -> list[np.ndarray]:
     """Documented deterministic probe grid: the radii ``_GRID_RADII``
     (nine, log-spaced over ``[1e-2, 1e2]``) times unit-norm cone directions
-    (normalized identity, coordinate units, ``_GRID_RANDOM_DIRECTIONS``
-    random rank-one from seed ``_GRID_SEED``)."""
-    dirs = [np.eye(dim) / np.sqrt(dim)]
-    dirs += _probe_directions(dim, _GRID_RANDOM_DIRECTIONS, _GRID_SEED)
+    (normalized identity, coordinate units ``E_ii``,
+    ``_GRID_RANDOM_DIRECTIONS`` rank-one ``v v.T / ||v v.T||`` with standard
+    normal ``v`` drawn from seed ``_GRID_SEED``)."""
+    dirs = [np.eye(dim) / np.sqrt(dim)] + sym_basis(dim)[:dim]
+    rng = np.random.default_rng(_GRID_SEED)
+    for _ in range(_GRID_RANDOM_DIRECTIONS):
+        v = rng.standard_normal(dim)
+        w = np.outer(v, v)
+        dirs.append(w / frobenius(w))
     return [float(r) * v for r in _GRID_RADII for v in dirs]
 
 
@@ -416,75 +408,45 @@ def w1_mean_gap_check(
 
 
 # --- hypothesis gate -----------------------------------------------------
-_K_MAX = 1e6
-_GATE_RANDOM_DIRECTIONS = 20
-_GATE_SEED = 99
 
 
 @dataclass
 class GateReport:
+    """The jump log-moment, whether the diffusion vanishes, and the
+    smallest inward constant ``K >= 0`` with ``K xi + B(xi) >= 0`` for
+    every ``xi`` in the cone, or None when no finite ``K`` exists.
+
+    ``K_sampled`` keeps its name but is proven, case by case:
+
+    * congruence: ``B(xi) = beta xi beta.T >= 0``, so ``K = 0``;
+    * lyapunov with ``beta = cI``: ``K xi + B(xi) = (K + 2c) xi``, so
+      ``K = max(0, -2c)``;
+    * any other lyapunov ``beta``: some ``v`` has ``beta v = a v + w`` with
+      ``0 != w`` orthogonal to ``v``.  On ``xi = v v.T`` the form
+      ``K xi + B(xi)`` restricted to ``span{v, w}`` has determinant
+      ``-|v|^2 |w|^2 < 0`` for every ``K``, so no ``K`` exists.
+    """
+
     log_moment: float
     alpha_is_zero: bool
     K_sampled: float | None
-    directions_checked: int
-
-
-# the rounding error of min_eigval(y) is a small multiple of eps ||y||: at
-# K = _K_MAX on a unit direction it reaches about 1e-10 by itself
-_EIG_ROUNDING = 16 * np.finfo(float).eps
-
-
-def _min_K_for_direction(drift_apply, xi, tol: float) -> float | None:
-    """Smallest ``K >= 0`` with ``K xi + B(xi)`` PSD, by bisection.
-
-    The smallest eigenvalue is nondecreasing in ``K`` (the increment is a
-    PSD multiple of ``xi``), so bisection is valid.  It may fall below 0 by
-    ``tol`` plus its own rounding error, ``_EIG_ROUNDING ||K xi + B(xi)||``.
-    That allowance grows like ``eps K``, while a direction with no finite
-    constant has a smallest eigenvalue near ``-c / K``, so such a direction
-    still fails at ``_K_MAX``; the function then returns None.
-    """
-    bxi = drift_apply(xi)
-
-    def ok(K):
-        y = K * xi + bxi
-        return min_eigval(y) >= -(tol + _EIG_ROUNDING * frobenius(y))
-
-    if ok(0.0):
-        return 0.0
-    if not ok(_K_MAX):
-        return None
-    lo, hi = 0.0, _K_MAX
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def log_moment_gate(p: AffineParams) -> GateReport:
     """Report the jump log-moment (always finite for atomic measures),
-    whether the diffusion vanishes, and a sampled inward-coupling
-    constant ``K`` such that ``K xi + B(xi)`` stays in the cone on the
-    test directions (identity, coordinate units,
-    ``_GATE_RANDOM_DIRECTIONS`` random rank-one from seed ``_GATE_SEED``);
-    inflated by 10 percent.  Sampled on finitely many directions only,
-    never a global certificate."""
-    dirs = [np.eye(p.dim)] + _probe_directions(p.dim, _GATE_RANDOM_DIRECTIONS, _GATE_SEED)
-
-    worst: float | None = 0.0
-    for xi in dirs:
-        k = _min_K_for_direction(p.drift.apply, xi, tol=1e-10)
-        if k is None:
-            worst = None
-            break
-        worst = max(worst, k)
-    K = None if worst is None else 1.1 * worst
+    whether the diffusion vanishes, and the inward constant ``K``, decided
+    in closed form from ``p.drift``: 0 for congruence, ``max(0, -2c)`` for
+    lyapunov ``beta = cI`` and None for any other lyapunov ``beta``, as
+    proven on :class:`GateReport`."""
+    beta = p.drift.beta
+    if p.drift.kind == "congruence":
+        K = 0.0
+    elif np.array_equal(beta, beta[0, 0] * np.eye(p.dim)):
+        K = max(0.0, -2.0 * float(beta[0, 0]))
+    else:
+        K = None
     return GateReport(
         log_moment=p.m.log_moment(),
         alpha_is_zero=frobenius(p.alpha) == 0.0,
         K_sampled=K,
-        directions_checked=len(dirs),
     )

@@ -200,6 +200,8 @@ class LinearDrift:
         if self.beta is None:
             raise ValueError(f"{self.kind} drift requires a beta matrix")
         self.beta = np.asarray(self.beta, dtype=float)
+        if not np.all(np.isfinite(self.beta)):
+            raise ValueError("beta entries must be finite")
 
     @classmethod
     def lyapunov(cls, beta) -> "LinearDrift":

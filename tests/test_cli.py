@@ -113,6 +113,7 @@ def _ou_exact_sim(**entries):
 
 
 NOT_PSD = [[1.0, 0.0], [0.0, -1.0]]
+NAN_BETA = {"kind": "lyapunov", "beta": [[float("nan"), 0.0], [0.0, -1.0]]}
 
 
 @pytest.mark.parametrize("argv, edit, u", [
@@ -132,6 +133,8 @@ NOT_PSD = [[1.0, 0.0], [0.0, -1.0]]
                  id="beta-wrong-shape"),
     pytest.param(["validate"], _with(drift={"kind": "general", "operator": [[-1.0]]}), None,
                  id="drift-kind-general"),
+    pytest.param(["validate"], _with(drift=NAN_BETA), None, id="beta-not-finite-validate"),
+    pytest.param(["stationary"], _with(drift=NAN_BETA), None, id="beta-not-finite-stationary"),
     pytest.param(["riccati", "--T", "-1"], None, None, id="T-negative"),
     pytest.param(["riccati", "--T", "inf"], None, None, id="T-inf"),
     pytest.param(["riccati", "--T", "nan"], None, None, id="T-nan"),

@@ -446,25 +446,38 @@ def test_log_moment_gate_values():
     gate = log_moment_gate(p)
     assert gate.log_moment == pytest.approx(0.5 * np.log(5.0))
     assert gate.alpha_is_zero
-    # K xi + B(xi) = (K - 1.2) xi is PSD exactly when K >= 1.2; the
-    # reported constant carries the 10 percent inflation
-    assert gate.K_sampled == pytest.approx(1.1 * 1.2, rel=1e-6)
-    assert gate.directions_checked == 1 + d + 20
+    # K xi + B(xi) = (K - 1.2) xi is PSD exactly when K >= 1.2
+    assert gate.K_sampled == 1.2
+
+
+def _drift_only(drift: LinearDrift) -> AffineParams:
+    d = len(drift.beta)
+    return AffineParams(dim=d, alpha=np.zeros((d, d)), b=0.1 * np.eye(d), drift=drift)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_log_moment_gate_scalar_drift_in_every_dimension(d):
-    # K xi + B(xi) = (K - 1.4) xi is PSD for K >= 1.4 in every direction.
-    # At K = 1e6 the rounding of the smallest eigenvalue on a rank-one
-    # direction is about 1e-10 by itself, which an absolute tolerance of
-    # 1e-10 took for a direction with no finite constant (at d = 3 and 4)
-    p = AffineParams(
-        dim=d,
-        alpha=np.zeros((d, d)),
-        b=0.1 * np.eye(d),
-        drift=LinearDrift.lyapunov(-0.7 * np.eye(d)),
-    )
-    assert log_moment_gate(p).K_sampled == pytest.approx(1.1 * 1.4, rel=1e-9)
+    # K xi + B(xi) = (K - 1.4) xi is PSD for K >= 1.4 in every direction
+    p = _drift_only(LinearDrift.lyapunov(-0.7 * np.eye(d)))
+    assert log_moment_gate(p).K_sampled == 1.4
+
+
+@pytest.mark.parametrize("beta", [-0.7, -2.5, 0.0, 0.3, 1e-300])
+def test_log_moment_gate_one_dimension(beta):
+    # every 1 x 1 beta is scalar: K xi + B(xi) = (K + 2 beta) xi
+    p = _drift_only(LinearDrift.lyapunov([[beta]]))
+    assert log_moment_gate(p).K_sampled == max(0.0, -2.0 * beta)
+
+
+@pytest.mark.parametrize("kind, d", [("congruence", 2), ("congruence", 4), ("lyapunov", 3)])
+def test_log_moment_gate_zero_constant(kind, d, rng):
+    # a congruence drift keeps the cone for any beta, and so does a
+    # lyapunov cI with c > 0
+    if kind == "congruence":
+        drift = LinearDrift.congruence(rng.standard_normal((d, d)))
+    else:
+        drift = LinearDrift.lyapunov(0.3 * np.eye(d))
+    assert log_moment_gate(_drift_only(drift)).K_sampled == 0.0
 
 
 def test_log_moment_gate_unbounded_direction():
@@ -480,3 +493,31 @@ def test_log_moment_gate_unbounded_direction():
     )
     gate = log_moment_gate(p)
     assert gate.K_sampled is None
+
+
+@pytest.mark.parametrize("beta", [
+    pytest.param(np.diag([-0.5, -0.9]), id="diagonal"),
+    pytest.param(np.diag([-0.7, -0.7, -0.2]), id="diagonal-d3"),
+    # on xi = e2 e2.T, K xi + B(xi) has determinant -1e-12 for every K
+    pytest.param(-0.7 * np.eye(2) + 1e-6 * np.outer([1.0, 0.0], [0.0, 1.0]), id="near-scalar"),
+])
+def test_log_moment_gate_no_finite_constant(beta):
+    assert log_moment_gate(_drift_only(LinearDrift.lyapunov(beta))).K_sampled is None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_log_moment_gate_constant_is_valid_and_smallest(d, rng):
+    drifts = [
+        LinearDrift.congruence(rng.standard_normal((d, d))),
+        LinearDrift.lyapunov(-0.9 * np.eye(d)),
+        LinearDrift.lyapunov(0.2 * np.eye(d)),
+    ]
+    for drift in drifts:
+        K = log_moment_gate(_drift_only(drift)).K_sampled
+        for _ in range(20):
+            xi = random_psd(d, rng)
+            y = K * xi + drift.apply(xi)
+            assert np.linalg.eigvalsh(y)[0] >= -1e-12 * frobenius(y)
+        if K > 0.0:
+            below = (K - 1e-6) * np.eye(d) + drift.apply(np.eye(d))
+            assert np.linalg.eigvalsh(below)[0] < 0.0

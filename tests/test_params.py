@@ -274,6 +274,8 @@ def test_load_params_rejects_inadmissible(tmp_path):
     '{"dim": Infinity, "alpha": [[1]], "b": [[1]], "drift": {"kind": "lyapunov", "beta": [[-1]]}}',
     '{"dim": 2, "alpha": [[1, 0], [0, 1]], "b": [[1, 0], [0, 1]],'
     ' "drift": {"kind": "general", "operator": [[-1]]}}',
+    '{"dim": 2, "alpha": [[1, 0], [0, 1]], "b": [[1, 0], [0, 1]],'
+    ' "drift": {"kind": "lyapunov", "beta": [[NaN, 0], [0, -1]]}}',
 ])
 def test_load_params_rejects_malformed_file(tmp_path, text):
     path = tmp_path / "malformed.json"
