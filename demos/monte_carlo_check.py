@@ -44,7 +44,7 @@ def euler_ensemble():
     again = simulate(config, snapshots, threads=1)
     print(f"bit-identical across thread counts: "
           f"{np.array_equal(ens.states, again.states)}")
-    n_jumps = sum(len(log) for log in ens.jump_log)
+    n_jumps = len(ens.jump_log)
     print(f"jumps recorded: {n_jumps} over {config.n_paths} paths")
 
 

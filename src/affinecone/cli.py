@@ -28,8 +28,9 @@ exceeds that ceiling; ``--closed-form`` on a model outside the Wishart
 family; a ``--tol`` outside ``riccati.TOL_RANGE`` (``[1e-12, 1e-3]``); a
 ``--T`` or ``--inflate-delta`` that is not positive and finite; a
 ``--threads`` below 1; and an output file or directory that cannot be
-written.  Exit 3 also covers a matrix exponential that leaves the float
-range (an ``OverflowError``; config parsing reports its own as exit 2).
+written.  Exit 3 also covers a matrix exponential, or an effective-drift
+matrix (a finite but huge ``drift.beta``), that leaves the float range
+(an ``OverflowError``; config parsing reports its own as exit 2).
 Exit 6 covers a path of either scheme (``euler_project`` or
 ``ou_exact``) that leaves the float range; its one stderr line names the
 first such path.  Each command raises; ``main`` maps the exception to

@@ -320,12 +320,17 @@ class AffineParams:
         ``site_i`` arrive at rate ``<x, weight_i>``, so their mean drift
         is the rate times the jump size.  Its adjoint is the derivative
         of the Riccati vector field at zero.  In coordinates the jump part
-        is ``sum_i vec(site_i) vec(weight_i)^T``.
+        is ``sum_i vec(site_i) vec(weight_i)^T``.  A matrix that leaves the
+        float range (a finite but huge ``beta``) raises ``OverflowError``.
         """
         d = self.dim
-        jumps = (vectorize(self.mu.sites.reshape(-1, d, d)).T
-                 @ vectorize(self.mu.weights.reshape(-1, d, d)))
-        return SymOperator(d, self.drift.operator(d).matrix + jumps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            jumps = (vectorize(self.mu.sites.reshape(-1, d, d)).T
+                     @ vectorize(self.mu.weights.reshape(-1, d, d)))
+            matrix = self.drift.operator(d).matrix + jumps
+        if not np.all(np.isfinite(matrix)):
+            raise OverflowError("effective drift matrix overflowed")
+        return SymOperator(d, matrix)
 
     # --- serialization -------------------------------------------------
 

@@ -10,8 +10,8 @@ Two schemes:
   approximation, warned about when the per-step probability is large).
   All paths step as one stack.  Cost model: buffers of normals (and of
   ``mu`` uniforms) holding ``CHUNK_STEPS`` steps of every path between
-  them, refilled as the stack steps, plus the ``m`` jumps and the jump
-  log, so memory does not grow with the horizon beyond the jumps.  Each
+  them, refilled as the stack steps, plus the jumps as flat arrays, so
+  memory does not grow with the horizon beyond the jumps.  Each
   path draws its normals from its stream and its jumps (``m`` counts,
   ``m`` atoms, ``mu`` uniforms) from that stream's jumped copy, so every
   normal is drawn once and the caller reads the ``m`` jumps in one pass
@@ -19,19 +19,19 @@ Two schemes:
   (``symcone.pack``: the ``D = d(d+1)/2`` upper-triangle entries as rows
   of a ``(D, n)`` array, each row contiguous over the paths) and are
   unpacked to ``(n, d, d)`` only at snapshot steps.  A step is a fixed
-  number of array operations whatever ``n``, plus one column update per
-  jump: one product of the flat normals with ``I_d (x) sqrt(dt)
-  sigma^T``, ``d`` broadcast products and two gathers for the diffusion
-  term, one ``D x D`` product for the drift, one for
-  the ``mu`` rates, and one call of ``symcone.project_sqrt_psd``, which
-  returns the projected state and its square root together, packed: for
-  ``d <= 3`` in closed form on the packed rows, with no eigenvectors, on
-  every matrix well inside the cone and on every matrix with one clearly
-  negative eigenvalue, and through ``eigh`` (unpacked and packed again)
-  only on the other matrices (near-singular, or of extreme scale) and
-  for ``d >= 4``.  ``threads`` counts the caller: above 1 the extra
-  threads fill the next buffer of draws while the caller steps through
-  the current one.
+  number of array operations whatever ``n``: one product of the flat
+  normals with ``I_d (x) sqrt(dt) sigma^T``, ``d`` broadcast products and
+  two gathers for the diffusion term, one ``D x D`` product for the
+  drift, one for the ``mu`` rates, one ``np.add.at`` each for the step's
+  ``m`` jumps and ``mu`` hits, and one call of
+  ``symcone.project_sqrt_psd``, which returns the projected state and its
+  square root together, packed: for ``d <= 3`` in closed form on the
+  packed rows, with no eigenvectors, on every matrix well inside the cone
+  and on every matrix with one clearly negative eigenvalue, and through
+  ``eigh`` (unpacked and packed again) only on the other matrices
+  (near-singular, or of extreme scale) and for ``d >= 4``.  ``threads``
+  counts the caller: above 1 the extra threads fill the next buffer of
+  draws while the caller steps through the current one.
 * ``ou_exact`` -- for zero diffusion: the state is the congruence
   transport of the start point plus the exact drift integral plus the
   transported jumps, with jump times drawn exactly (uniform order
@@ -40,15 +40,14 @@ Two schemes:
   only four calls that draw (one ``Philox`` re-keyed to the path, its
   jump count, its jump-time uniforms, its atoms through
   ``ScalarJumpMeasure.draw_atoms``); the time sort and the jump log are
-  built for all paths at once from flat arrays.  Per snapshot, for all
+  built for all paths at once, as flat arrays.  Per snapshot, for all
   paths in one stack: one deterministic part shared by all paths, one
   transport ``J -> E J E.T`` of the carried jump mass (``E = e^{(t_k -
   t_{k-1}) beta}``) and one ``symcone.mat_exp(beta, lags)`` call for the
   lags ``e^{(t_k - tau) beta}`` of the jumps that arrived since the
   previous snapshot, so each jump is exponentiated once, by a few stacked
   array operations rather than a Python loop over matrices.  It runs on one
-  thread; its memory is the states, the jump log and flat arrays of the
-  jumps.
+  thread; its memory is the states and the jumps.
 
 Every path owns an RNG stream keyed by (seed, path index) through a
 counter-based generator, and every stacked operation acts row by row, so
@@ -62,6 +61,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -97,6 +97,8 @@ MAX_STEPS = 10**8
 # rows formatted per write: one write per row is slow, and one for the whole
 # array holds every value as a Python float and its text at once
 _CSV_ROWS = 2048
+# a jump log row: the path, the time, the measure ("m" or "mu") and its atom
+JUMP_DTYPE = np.dtype([("path", np.intp), ("time", float), ("source", "U2"), ("atom", np.intp)])
 
 
 @dataclass
@@ -163,15 +165,11 @@ class PathEnsemble:
     config: SimConfig
     snapshot_times: np.ndarray
     states: np.ndarray  # (n_times, n_paths, d, d)
-    jump_log: list  # per path: list of (time, source, atom_index)
+    jump_log: np.ndarray  # JUMP_DTYPE rows by path, then time; in a step m before mu
 
     def snapshots_to_csv(self, path) -> None:
-        """Columns: path_id, t, upper triangle of the state row-major.
-
-        The bytes of ``np.savetxt(path, rows, delimiter=",")`` with the
-        header line, formatted by one ``%`` operation per ``_CSV_ROWS`` rows
-        instead of row by row.
-        """
+        """Columns: path_id, t, upper triangle of the state row-major; the bytes
+        of ``np.savetxt(path, rows, delimiter=",")`` with the header line."""
         n_times, n_paths, d, _ = self.states.shape
         iu = np.triu_indices(d)
         header = ["path_id", "t"] + [f"x_{i + 1}{j + 1}" for i, j in zip(*iu)]
@@ -179,21 +177,21 @@ class PathEnsemble:
         rows[:, 0] = np.tile(np.arange(n_paths), n_times)
         rows[:, 1] = np.repeat(self.snapshot_times, n_paths)
         rows[:, 2:] = self.states[:, :, iu[0], iu[1]].reshape(n_times * n_paths, -1)
-        line = ",".join(["%.18e"] * rows.shape[1]) + "\n"
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for i in range(0, len(rows), _CSV_ROWS):
-                part = rows[i:i + _CSV_ROWS]
-                fh.write(line * len(part) % tuple(part.ravel().tolist()))
+        _write_csv(path, ",".join(header), rows, ",".join(["%.18e"] * rows.shape[1]) + "\n")
 
     def jumps_to_csv(self, path) -> None:
-        header = "path_id,time,source,atom_index"
-        lines = [header]
-        for pi, log in enumerate(self.jump_log):
-            for t, source, idx in log:
-                lines.append(f"{pi},{t!r},{source},{idx}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """Columns: path_id, time (as ``repr``), source, atom_index."""
+        _write_csv(path, "path_id,time,source,atom_index", self.jump_log, "%d,%r,%s,%d\n")
+
+
+def _write_csv(path, header: str, rows, line: str) -> None:
+    """``header``, then ``line % row`` for each row of the array ``rows``,
+    formatted by one ``%`` per ``_CSV_ROWS`` rows instead of row by row."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(rows), _CSV_ROWS):
+            part = rows[i:i + _CSV_ROWS].tolist()
+            fh.write(line * len(part) % tuple(chain.from_iterable(part)))
 
 
 def _path_rng(seed: int, path_index: int) -> np.random.Generator:
@@ -230,12 +228,11 @@ def _snapshot_steps(times, dt: float, n_steps: int) -> np.ndarray:
     return steps
 
 
-def _check_finite(states, path_ids) -> None:
-    """``PathFailureError`` naming the first path (of ``path_ids``, one per
-    row of ``states``) whose state is not finite."""
+def _check_finite(states) -> None:
+    """``PathFailureError`` naming the first path (row) whose state is not finite."""
     if not np.all(np.isfinite(states)):
         row = np.argmin(np.isfinite(states).reshape(len(states), -1).all(axis=1))
-        raise PathFailureError(f"path {path_ids[row]} produced non-finite values")
+        raise PathFailureError(f"path {row} produced non-finite values")
 
 
 def _path_ranges(n: int, parts: int) -> list[tuple[int, int]]:
@@ -247,8 +244,8 @@ def _path_ranges(n: int, parts: int) -> list[tuple[int, int]]:
 
 # an overflow is reported once, by _check_finite, not also as numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
-def _euler_paths(config: SimConfig, snap_steps, out, jump_log, threads: int):
-    """Advance every path as one stack; writes the states into ``out``.
+def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
+    """Step every path as one stack into ``out``; returns the jump columns.
 
     Two generators per path.  ``_path_rng(seed, path)`` holds the normals
     of every step, handed out a buffer of steps at a time.  Its jumped
@@ -285,20 +282,24 @@ def _euler_paths(config: SimConfig, snap_steps, out, jump_log, threads: int):
     jump_rngs = ([np.random.Generator(rng.bit_generator.jumped()) for rng in normal_rngs]
                  if len(p.m) or n_mu else [])
 
-    # the m jumps as (step, path, atom); the counts are drawn CHUNK_STEPS
-    # steps at a time so that memory stays bounded in the horizon
-    m_events = []
+    # the m jumps as flat (step, path, atom) arrays; the counts are drawn
+    # CHUNK_STEPS steps at a time so that memory stays bounded in the horizon
+    m_jumps = [np.empty((3, 0), dtype=np.intp)]
     if len(p.m):
         for pid, rng in enumerate(jump_rngs):
-            steps = []
+            steps = [np.empty(0, dtype=np.intp)]
             for k0 in range(0, n_steps, CHUNK_STEPS):
                 counts = rng.poisson(m_total * dt, min(CHUNK_STEPS, n_steps - k0))
                 hit = np.nonzero(counts)[0]
-                steps += np.repeat(k0 + hit, counts[hit]).tolist()
-            atoms = p.m.draw_atoms(rng, len(steps))
-            m_events += ((k, pid, a) for k, a in zip(steps, atoms.tolist()))
+                if hit.size:
+                    steps.append(np.repeat(k0 + hit, counts[hit]))
+            steps = np.concatenate(steps)
+            m_jumps.append(np.stack([steps, np.full_like(steps, pid),
+                                     p.m.draw_atoms(rng, steps.size)]))
     # applied by step; the stable sort keeps path order, then drawing order
-    m_events.sort(key=lambda event: event[0])
+    m_jumps = np.concatenate(m_jumps, axis=1)
+    jumps = [m_jumps[:, np.argsort(m_jumps[0], kind="stable")]]
+    m_step, m_path, m_atom = jumps[0]
 
     def fill(buf, lo, hi, c):
         """The next ``c`` steps' draws of paths ``lo:hi`` into buffer ``buf``."""
@@ -331,12 +332,10 @@ def _euler_paths(config: SimConfig, snap_steps, out, jump_log, threads: int):
     snaps = {}
     for ti, k in enumerate(snap_steps.tolist()):
         snaps.setdefault(k, []).append(ti)
-    paths = range(n)
 
     X = np.repeat(pack(config.x0[None]), n, axis=1)
     _, S = project_sqrt_psd(X)
     out[snaps.get(0, [])] = unpack(X)
-    e = 0
     warned = False
 
     with ThreadPoolExecutor(min(threads - 1, n)) if threads > 1 else nullcontext() as pool:
@@ -356,6 +355,7 @@ def _euler_paths(config: SimConfig, snap_steps, out, jump_log, threads: int):
                 pending = fill_async(k0 + span) if k0 + span < n_steps else []
             step_normals = normals[k0 // span % n_buffers]
             step_uniforms = uniforms[k0 // span % n_buffers]
+            m_ends = np.searchsorted(m_step, np.arange(k0, k0 + c + 1)).tolist()
             for i, k in enumerate(range(k0, k0 + c)):
                 G = (noise @ step_normals[:, i].reshape(n, d * d).T).reshape(d, d, n)
                 S3 = S[full].reshape(d, d, n)
@@ -365,12 +365,9 @@ def _euler_paths(config: SimConfig, snap_steps, out, jump_log, threads: int):
                 M = M.reshape(d * d, n)
                 Xn = (drift_step @ X + b_dt) + (M[upper] + M[lower])
 
-                t_now = (k + 1) * dt
-                while e < len(m_events) and m_events[e][0] == k:
-                    _, j, atom = m_events[e]
-                    e += 1
-                    Xn[:, j] += m_sites[:, atom]
-                    jump_log[j].append((t_now, "m", atom))
+                lo, hi = m_ends[i], m_ends[i + 1]
+                if lo < hi:  # unbuffered, in index order: a path's jumps add up as logged
+                    np.add.at(Xn.T, m_path[lo:hi], m_sites.T[m_atom[lo:hi]])
                 if n_mu:
                     # thinning against the pre-step state, intensity frozen
                     # per step
@@ -381,20 +378,24 @@ def _euler_paths(config: SimConfig, snap_steps, out, jump_log, threads: int):
                             "reduce dt for accurate thinning"
                         )
                         warned = True
-                    hits = step_uniforms[:, i] < rates
-                    for j, a in zip(*np.nonzero(hits)):
-                        Xn[:, j] += mu_sites[:, a]
-                        jump_log[j].append((t_now, "mu", int(a)))
+                    j, a = np.nonzero(step_uniforms[:, i] < rates)
+                    if j.size:
+                        np.add.at(Xn.T, j, mu_sites.T[a])
+                        jumps.append(np.stack([np.full_like(j, k), j, a]))
 
-                _check_finite(Xn.T, paths)
+                _check_finite(Xn.T)
                 X, S = project_sqrt_psd(Xn)
                 if k + 1 in snaps:
                     out[snaps[k + 1]] = unpack(X)
+    step, path, atom = np.concatenate(jumps, axis=1)
+    source = np.repeat(["m", "mu"], [m_step.size, step.size - m_step.size])
+    order = np.lexsort((step, path))  # stable: a step's m jumps before its mu hits
+    return path[order], (step[order] + 1) * dt, source[order], atom[order]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as for _euler_paths
-def _ou_paths(config: SimConfig, snapshot_times, out, jump_log):
-    """Exact zero-diffusion paths, all of them at once, snapshot by snapshot.
+def _ou_paths(config: SimConfig, snapshot_times, out):
+    """Exact zero-diffusion paths into ``out``, all at once; returns the jump columns.
 
     ``X(t) = e^{t beta} x0 e^{t beta.T} + 1/2 congruence_integral(beta, b, t)
     + J(t)`` with ``J(t) = sum_{tau <= t} E(t - tau) S_a E(t - tau).T`` and
@@ -425,10 +426,6 @@ def _ou_paths(config: SimConfig, snapshot_times, out, jump_log):
     u = np.concatenate(uniforms)
     tau = u[np.lexsort((u, owner))] * T
     atom = np.concatenate(atoms)
-    taus, picks = tau.tolist(), atom.tolist()
-    ends = np.cumsum(counts).tolist()
-    for pid, (start, end) in enumerate(zip([0] + ends, ends)):
-        jump_log[pid].extend(zip(taus[start:end], ["m"] * (end - start), picks[start:end]))
     # a jump enters at the first snapshot at or after its time
     first = np.searchsorted(snapshot_times, tau, side="left")
 
@@ -447,10 +444,11 @@ def _ou_paths(config: SimConfig, snapshot_times, out, jump_log):
             np.add.at(J, owner[new], lag @ p.m.sites[atom[new]] @ np.swapaxes(lag, -1, -2))
         e = mat_exp(t * beta)
         x = e @ config.x0 @ e.T + 0.5 * congruence_integral(beta, p.b, t) + J
-        _check_finite(x, range(n))  # symmetrize refuses a non-finite matrix
+        _check_finite(x)  # symmetrize refuses a non-finite matrix
         out[ti] = symmetrize(x)
-        _check_finite(out[ti], range(n))  # x + x.T can overflow too
+        _check_finite(out[ti])  # x + x.T can overflow too
         t_prev = t
+    return owner, tau, "m", atom
 
 
 def simulate(config: SimConfig, snapshot_times, threads: int = 1) -> PathEnsemble:
@@ -474,13 +472,14 @@ def simulate(config: SimConfig, snapshot_times, threads: int = 1) -> PathEnsembl
         raise ConfigError(f"snapshot times must lie in [0, horizon = {config.horizon:g}]")
     d = config.params.dim
     out = np.empty((snapshot_times.size, config.n_paths, d, d))
-    jump_log: list[list] = [[] for _ in range(config.n_paths)]
 
     if config.scheme == "ou_exact":
-        _ou_paths(config, snapshot_times, out, jump_log)
+        jumps = _ou_paths(config, snapshot_times, out)
     else:
         snap_steps = _snapshot_steps(snapshot_times, config.dt, config.n_steps)
-        _euler_paths(config, snap_steps, out, jump_log, threads)
+        jumps = _euler_paths(config, snap_steps, out, threads)
+    jump_log = np.empty(len(jumps[0]), dtype=JUMP_DTYPE)
+    jump_log["path"], jump_log["time"], jump_log["source"], jump_log["atom"] = jumps
     return PathEnsemble(config=config, snapshot_times=snapshot_times,
                         states=out, jump_log=jump_log)
 

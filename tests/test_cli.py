@@ -505,6 +505,27 @@ def test_overflowing_matrix_exponential_exits_3_without_traceback(config_file, t
                                 "(s * ||a||_1 up to 1.000e+308)"]
 
 
+@pytest.mark.parametrize("command", ["stationary", "verify"])
+def test_overflowing_effective_drift_exits_3_without_traceback(config_file, tmp_path, capsys,
+                                                               command):
+    # a finite beta whose effective-drift matrix leaves the float range;
+    # validate never applies the drift and passes
+    data = json.loads(config_file.read_text())
+    data["drift"] = {"kind": "lyapunov", "beta": [[-1.0, 1e308], [0.0, -1.0]]}
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["validate", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        argv = [command, "--config", str(cfg)]
+        if command == "verify":
+            argv += ["--out-dir", str(tmp_path / "v")]
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric overflow:") and err.count("\n") == 1
+
+
 def test_verify_inflated_rate_self_test_fails(config_file, tmp_path):
     out_dir = tmp_path / "verify_bad"
     code = main(

@@ -23,7 +23,7 @@ from affinecone import (
 )
 from affinecone.params import ConfigError
 from affinecone.riccati import congruence_integral
-from affinecone.simulate import PathFailureError, _path_rng, _path_streams
+from affinecone.simulate import JUMP_DTYPE, PathFailureError, _path_rng, _path_streams
 from affinecone.symcone import (
     _CLIP_GAP,
     _CLIP_KAPPA,
@@ -188,12 +188,17 @@ def test_thinning_warns_when_the_step_probability_exceeds_a_tenth(threads):
 # --- reproducibility -----------------------------------------------------
 
 
+def _first_paths(jump_log, n):
+    """The rows of ``jump_log`` that belong to paths ``0 .. n - 1``."""
+    return jump_log[jump_log["path"] < n]
+
+
 def test_bit_identical_reruns():
     cfg = _diffusion_config(n_paths=600)
     a = simulate(cfg, [0.5, 1.0])
     b = simulate(cfg, [0.5, 1.0])
     assert np.array_equal(a.states, b.states)
-    assert a.jump_log == b.jump_log
+    assert np.array_equal(a.jump_log, b.jump_log)
 
 
 def test_bit_identical_across_thread_counts():
@@ -206,7 +211,7 @@ def test_bit_identical_across_thread_counts():
         for threads in (2, 4):
             ens = simulate(cfg, [0.5, 1.0], threads=threads)
             assert np.array_equal(one.states, ens.states)
-            assert one.jump_log == ens.jump_log
+            assert np.array_equal(one.jump_log, ens.jump_log)
 
 
 def test_seed_changes_output():
@@ -230,7 +235,7 @@ def test_d3_bit_identical_across_thread_counts():
     for threads in (2, 3):
         ens = simulate(cfg, [0.5, 1.5], threads=threads)
         assert np.array_equal(one.states, ens.states)
-        assert one.jump_log == ens.jump_log
+        assert np.array_equal(one.jump_log, ens.jump_log)
 
 
 def test_d4_bit_identical_across_thread_counts_and_path_counts():
@@ -239,10 +244,10 @@ def test_d4_bit_identical_across_thread_counts_and_path_counts():
     for threads in (2, 3):
         ens = simulate(cfg, [0.5, 1.0], threads=threads)
         assert np.array_equal(one.states, ens.states)
-        assert one.jump_log == ens.jump_log
+        assert np.array_equal(one.jump_log, ens.jump_log)
     small = simulate(_d4_config(n_paths=50), [0.5, 1.0])
     assert np.array_equal(small.states, one.states[:, :50])
-    assert small.jump_log == one.jump_log[:50]
+    assert np.array_equal(small.jump_log, _first_paths(one.jump_log, 50))
 
 
 def test_d3_path_count_extension_is_consistent():
@@ -251,7 +256,7 @@ def test_d3_path_count_extension_is_consistent():
     small = simulate(_d3_config(n_paths=100), [0.5, 1.5])
     large = simulate(_d3_config(n_paths=300), [0.5, 1.5])
     assert np.array_equal(small.states, large.states[:, :100])
-    assert small.jump_log == large.jump_log[:100]
+    assert np.array_equal(small.jump_log, _first_paths(large.jump_log, 100))
 
 
 def _clearly_singly_indefinite(w):
@@ -323,7 +328,7 @@ def test_euler_threads_under_fast_switching_match_one_thread(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(one.states, five.states)
-    assert one.jump_log == five.jump_log
+    assert np.array_equal(one.jump_log, five.jump_log)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -352,7 +357,7 @@ def test_euler_memory_is_one_chunk_of_draws():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    jumps = 200 * sum(len(log) for log in ens.jump_log)
+    jumps = JUMP_DTYPE.itemsize * len(ens.jump_log)
     generators = 2 * n * 1024
     temporaries = 32 * n * d * d * 8
     assert peak <= one_chunk + jumps + ens.states.nbytes + generators + temporaries
@@ -396,7 +401,7 @@ def _euler_reference(config, snapshot_times):
             mu_uniforms[j] = jumps.random((n_steps, len(p.mu)))
 
     out = np.empty((len(snapshot_times), n, d, d))
-    jump_log = [[] for _ in range(n)]
+    jump_log = []
     X = np.broadcast_to(config.x0, (n, d, d)).copy()
     w, q = np.linalg.eigh(X)
     w = np.clip(w, 0.0, None)
@@ -413,18 +418,19 @@ def _euler_reference(config, snapshot_times):
                 atom = int(m_choices[j][consumed[j]])
                 consumed[j] += 1
                 Xn[j] += m_sites[atom]
-                jump_log[j].append((t_now, "m", atom))
+                jump_log.append((j, t_now, "m", atom))
         if len(p.mu):
             rates = np.einsum("bij,aij->ba", X, mu_weights) * dt
             for j, a in zip(*np.nonzero(mu_uniforms[:, k] < rates)):
                 Xn[j] += mu_sites[a]
-                jump_log[j].append((t_now, "mu", int(a)))
+                jump_log.append((j, t_now, "mu", a))
         Xn = (Xn + np.transpose(Xn, (0, 2, 1))) / 2.0
         w, q = np.linalg.eigh(Xn)
         w = np.clip(w, 0.0, None)
         X = (q * w[:, None, :]) @ np.transpose(q, (0, 2, 1))
         out[snap_steps == k + 1] = X
-    return out, jump_log
+    # path by path; the stable sort keeps each path's jumps in step order
+    return out, np.array(sorted(jump_log, key=lambda jump: jump[0]), dtype=JUMP_DTYPE)
 
 
 def _d3_config(n_paths=200, seed=7):
@@ -475,8 +481,8 @@ def test_euler_scheme_matches_reference_loop(make):
     ens = simulate(cfg, times)
     ref, ref_log = _euler_reference(cfg, times)
     assert np.max(np.abs(ens.states - ref)) <= 1e-12
-    assert ens.jump_log == ref_log
-    sources = {source for log in ref_log for _, source, _ in log}
+    assert np.array_equal(ens.jump_log, ref_log)
+    sources = set(ref_log["source"].tolist())
     p = cfg.params
     assert sources == {source for source, atoms in (("m", p.m), ("mu", p.mu)) if len(atoms)}
 
@@ -491,9 +497,9 @@ def test_euler_sample_does_not_depend_on_chunk_steps(monkeypatch, chunk):
     monkeypatch.setattr(simulate_module, "CHUNK_STEPS", chunk)
     ens = simulate(cfg, times)
     assert np.array_equal(ens.states, default.states)
-    assert ens.jump_log == default.jump_log
+    assert np.array_equal(ens.jump_log, default.jump_log)
     assert np.max(np.abs(ens.states - ref)) <= 1e-12
-    assert ens.jump_log == ref_log
+    assert np.array_equal(ens.jump_log, ref_log)
 
 
 def test_euler_memory_is_bounded_in_the_horizon():
@@ -525,7 +531,7 @@ def _ou_reference(config, snapshot_times):
     m_rates = np.array([w for _, w in p.m.atoms])
     m_total = float(m_rates.sum()) if len(p.m) else 0.0
     out = np.empty((len(snapshot_times), config.n_paths, p.dim, p.dim))
-    jump_log = [[] for _ in range(config.n_paths)]
+    jump_log = []
     for pid in range(config.n_paths):
         rng = _path_rng(config.seed, pid)
         if m_total > 0.0:
@@ -536,7 +542,7 @@ def _ou_reference(config, snapshot_times):
             times = np.empty(0)
             atoms = np.empty(0, dtype=int)
         for t, a in zip(times, atoms):
-            jump_log[pid].append((float(t), "m", int(a)))
+            jump_log.append((pid, t, "m", a))
         for ti, t in enumerate(snapshot_times):
             e = mat_exp(t * beta)
             x = e @ config.x0 @ e.T + 0.5 * congruence_integral(beta, p.b, t)
@@ -545,7 +551,7 @@ def _ou_reference(config, snapshot_times):
                     ej = mat_exp((t - tau) * beta)
                     x = x + ej @ m_sites[a] @ ej.T
             out[ti, pid] = (x + x.T) / 2.0
-    return out, jump_log
+    return out, np.array(jump_log, dtype=JUMP_DTYPE)
 
 
 def _two_atom_config(n_paths=300, seed=5):
@@ -569,7 +575,7 @@ def test_exact_scheme_matches_reference_loop(make):
     ens = simulate(cfg, times)
     ref, ref_log = _ou_reference(cfg, times)
     assert np.max(np.abs(ens.states - ref)) <= 1e-12
-    assert ens.jump_log == ref_log
+    assert np.array_equal(ens.jump_log, ref_log)
 
 
 def test_exact_scheme_bit_identical_across_thread_counts():
@@ -577,7 +583,7 @@ def test_exact_scheme_bit_identical_across_thread_counts():
     one = simulate(cfg, [0.5, 2.0], threads=1)
     four = simulate(cfg, [0.5, 2.0], threads=4)
     assert np.array_equal(one.states, four.states)
-    assert one.jump_log == four.jump_log
+    assert np.array_equal(one.jump_log, four.jump_log)
 
 
 def test_exact_scheme_runs_all_paths_as_one_stack(monkeypatch):
@@ -622,7 +628,7 @@ def test_exact_scheme_path_count_extension_is_consistent():
     small = simulate(_jump_config(n_paths=100), [0.5, 2.0])
     large = simulate(_jump_config(n_paths=300), [0.5, 2.0])
     assert np.array_equal(small.states, large.states[:, :100])
-    assert small.jump_log == large.jump_log[:100]
+    assert np.array_equal(small.jump_log, _first_paths(large.jump_log, 100))
 
 
 def test_exact_scheme_without_jump_atoms():
@@ -633,7 +639,7 @@ def test_exact_scheme_without_jump_atoms():
                     n_paths=16, seed=3, scheme="ou_exact")
     ens = simulate(cfg, [0.5, 2.0])
     ref, _ = _ou_reference(cfg, [0.5, 2.0])
-    assert ens.jump_log == [[] for _ in range(16)]
+    assert len(ens.jump_log) == 0
     assert np.max(np.abs(ens.states - ref)) <= 1e-12
     # with no jumps every path is the deterministic mean
     for ti, t in enumerate((0.5, 2.0)):
@@ -703,8 +709,8 @@ def test_states_stay_in_cone():
 def test_jump_log_and_csv_output(tmp_path):
     cfg = _jump_config(n_paths=64)
     ens = simulate(cfg, [1.0, 2.0])
-    assert any(len(log) for log in ens.jump_log)
-    for t, source, idx in ens.jump_log[0]:
+    assert len(ens.jump_log)
+    for _, t, source, idx in _first_paths(ens.jump_log, 1).tolist():
         assert 0.0 <= t <= 2.0 and source == "m" and idx == 0
     snap = tmp_path / "snap.csv"
     jumps = tmp_path / "jumps.csv"
@@ -713,6 +719,34 @@ def test_jump_log_and_csv_output(tmp_path):
     data = np.loadtxt(snap, delimiter=",", skiprows=1)
     assert data.shape == (2 * 64, 2 + 3)
     assert jumps.read_text().startswith("path_id,time,source,atom_index")
+
+
+def _jumps_csv_reference(ref_log, n_paths):
+    """The jump writer path by path, one f-string per jump."""
+    lines = ["path_id,time,source,atom_index"]
+    for pi in range(n_paths):
+        for _, t, source, idx in ref_log[ref_log["path"] == pi].tolist():
+            lines.append(f"{pi},{t!r},{source},{idx}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("make, reference, sources", [
+    (lambda: _diffusion_config(n_paths=300, dt=0.005, with_mu=True), _euler_reference,
+     {"m", "mu"}),
+    (lambda: _jump_config(n_paths=300), _ou_reference, {"m"}),
+])
+def test_jump_csv_matches_per_path_writer(tmp_path, monkeypatch, make, reference, sources):
+    cfg = make()
+    times = [0.5, 1.0]
+    _, ref_log = reference(cfg, times)
+    assert set(ref_log["source"].tolist()) == sources
+    expected = _jumps_csv_reference(ref_log, cfg.n_paths).encode()
+    ens = simulate(cfg, times)
+    # one row per block, many blocks, and one block short of full
+    for rows in (1, 7, 2048):
+        monkeypatch.setattr(simulate_module, "_CSV_ROWS", rows)
+        ens.jumps_to_csv(tmp_path / "jumps.csv")
+        assert (tmp_path / "jumps.csv").read_bytes() == expected
 
 
 def _snapshots_csv_reference(ens, path):
