@@ -223,9 +223,11 @@ def cmd_riccati(args) -> int:
 
 def cmd_stationary(args) -> int:
     p, _ = load_params(args.config)
-    # an output that cannot be written fails before the first solve
+    # an output that cannot be written fails before the first solve, and
+    # one that can is emptied, so a run that fails later leaves no
+    # results of an earlier run in place
     for path in filter(None, (args.out, args.table)):
-        open(path, "a").close()
+        open(path, "w").close()
     cert = decay_certificate(p)
     law = InvariantLaw(p, cert)
     gate = log_moment_gate(p)
@@ -292,7 +294,8 @@ def cmd_verify(args) -> int:
                    for t, r in psi_rows if r > 1.0]
 
     if frobenius(p.alpha) == 0.0:
-        w1_rows = [[t, *w1_mean_gap_check(p, law, cert, x, float(t))] for t in times]
+        gap, bound, ok = w1_mean_gap_check(p, law, cert, x, times)
+        w1_rows = list(zip(times.tolist(), gap.tolist(), bound.tolist(), ok.tolist()))
         outputs.append(out_dir / "w1_table.csv")
         _write_table(outputs[2], ["t", "mean_gap", "w1_bound"], [row[:3] for row in w1_rows])
         violations += [f"mean-gap bound violated at t = {t:.6g}: {gap:.3e} > {bd:.3e}"
@@ -349,8 +352,9 @@ def cmd_simulate(args) -> int:
     ens.snapshots_to_csv(snap_path)
     ens.jumps_to_csv(jump_path)
     iu = np.triu_indices(p.dim)
+    z = mc_vs_formula(ens, p, snapshots)[:, iu[0], iu[1]]
     _write_table(z_path, ["t"] + [f"z_{i + 1}{j + 1}" for i, j in zip(*iu)],
-                 ([t] + list(mc_vs_formula(ens, p, t)[iu]) for t in snapshots))
+                 ([t] + row for t, row in zip(snapshots, z.tolist())))
     _write_manifest(out_dir, "simulate", args.config, seed,
                     [snap_path, jump_path, z_path],
                     defaults={"threads": args.threads})

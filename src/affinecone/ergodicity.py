@@ -165,24 +165,29 @@ def _moment_source(p: AffineParams) -> np.ndarray:
     return p.b + p.m.first_moment(p.dim)
 
 
-def transient_mean(p: AffineParams, x, t: float) -> np.ndarray:
+def transient_mean(p: AffineParams, x, t) -> np.ndarray:
     """Mean of the process at time ``t`` started from ``x``:
     ``exp(t Bt) x + integral_0^t exp(s Bt) (b + jump mean) ds``.
 
-    The integral is evaluated exactly through a block matrix exponential,
-    which also covers a singular effective drift.
+    ``t`` is one time, giving a ``(d, d)`` matrix, or a vector of ``n``
+    times, giving the ``(n, d, d)`` stack of the means.  The integral is
+    evaluated exactly through the block matrix exponential ``e^{t A}`` of
+    ``A = [[Bt, c], [0, 0]]``, one stacked call for all the times, which
+    also covers a singular effective drift; ``t = 0`` gives exactly
+    ``symmetrize(x)``.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or not np.all(times >= 0.0):  # NaN fails the test too
+        raise ValueError(f"t must be nonnegative times, got {t!r}")
     x = symmetrize(x)
     op = p.effective_drift()
     D = sym_dim(p.dim)
-    c = vectorize(_moment_source(p))
     block = np.zeros((D + 1, D + 1))
-    block[:D, :D] = t * op.matrix
-    block[:D, D] = t * c
-    eb = mat_exp(block)
-    return symmetrize(unvectorize(eb[:D, :D] @ vectorize(x) + eb[:D, D]))
+    block[:D, :D] = op.matrix
+    block[:D, D] = vectorize(_moment_source(p))
+    eb = mat_exp(block, times.reshape(-1))
+    means = symmetrize(unvectorize(eb[:, :D, :D] @ vectorize(x) + eb[:, :D, D]))
+    return means if times.ndim else means[0]
 
 
 def invariant_mean(p: AffineParams, cert: DecayCertificate) -> np.ndarray:
@@ -382,9 +387,7 @@ def dL_bound(cert: DecayCertificate, C_hat: float, x, t) -> np.ndarray:
 # --- Wasserstein sandwich ------------------------------------------------
 
 
-def w1_mean_gap_check(
-    p: AffineParams, law: InvariantLaw, cert: DecayCertificate, x, t: float
-) -> tuple[float, float, bool]:
+def w1_mean_gap_check(p: AffineParams, law: InvariantLaw, cert: DecayCertificate, x, t):
     """Mean-gap sandwich for the transport-distance bound (zero diffusion).
 
     Returns ``(gap, bound, ok)`` where ``gap`` is the first-moment gap
@@ -392,19 +395,26 @@ def w1_mean_gap_check(
     functionals are 1-Lipschitz) and ``bound`` is
     ``sqrt(d) M e^{-delta t} (||x|| + sqrt(d) ||stationary mean||)``;
     the trace-norm bracket upper-bounds the stationary norm moment by
-    ``sqrt(d)`` times the norm of the stationary mean.
+    ``sqrt(d)`` times the norm of the stationary mean.  For one time ``t``
+    the three are a float, a float and a bool; for a vector of times they
+    are arrays, one entry per time, from one :func:`transient_mean` call.
     """
     if frobenius(p.alpha) != 0.0:
         raise HypothesisViolatedError("mean-gap sandwich requires zero diffusion")
     d = p.dim
-    gap = frobenius(transient_mean(p, x, t) - law.mean)
+    t = np.asarray(t, dtype=float)
+    diffs = transient_mean(p, x, t) - law.mean
+    gap = np.array([frobenius(diff) for diff in diffs.reshape(-1, d, d)]).reshape(t.shape)
     bound = (
         np.sqrt(d)
         * cert.M
         * np.exp(-cert.delta * t)
         * (frobenius(x) + np.sqrt(d) * frobenius(law.mean))
     )
-    return gap, float(bound), bool(gap <= bound + 1e-9)
+    ok = gap <= bound + 1e-9
+    if t.ndim:
+        return gap, bound, ok
+    return float(gap), float(bound), bool(ok)
 
 
 # --- hypothesis gate -----------------------------------------------------

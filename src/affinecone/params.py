@@ -139,14 +139,19 @@ class ScalarJumpMeasure:
 
     def draw_atoms(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` atom indices, atom ``i`` with probability ``masses[i] /
-        total_rate()``.
+        total_rate()``: :meth:`atom_index` of ``rng.random(n)``.
 
         The draws and the indices of ``rng.choice(len(self), size=n,
-        p=masses / total_rate())`` bit for bit: one uniform per index,
-        looked up in the cdf that ``choice`` builds, without ``choice``'s
-        checks of ``p`` on every call.
+        p=masses / total_rate())`` bit for bit, without ``choice``'s checks
+        of ``p`` on every call.
         """
-        return self._cdf.searchsorted(rng.random(n), side="right")
+        return self.atom_index(rng.random(n))
+
+    def atom_index(self, uniforms) -> np.ndarray:
+        """The atom each of ``uniforms`` (in ``[0, 1)``) selects: its index
+        in the cdf of ``masses / total_rate()`` that ``Generator.choice``
+        builds."""
+        return self._cdf.searchsorted(uniforms, side="right")
 
     @functools.cached_property
     def _cdf(self) -> np.ndarray:

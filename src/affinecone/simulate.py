@@ -37,17 +37,23 @@ Two schemes:
   transported jumps, with jump times drawn exactly (uniform order
   statistics given a Poisson count).  The path law is exact, which makes
   this scheme the preferred statistical oracle.  Cost model: per path
-  only four calls that draw (one ``Philox`` re-keyed to the path, its
-  jump count, its jump-time uniforms, its atoms through
-  ``ScalarJumpMeasure.draw_atoms``); the time sort and the jump log are
-  built for all paths at once, as flat arrays.  Per snapshot, for all
-  paths in one stack: one deterministic part shared by all paths, one
-  transport ``J -> E J E.T`` of the carried jump mass (``E = e^{(t_k -
-  t_{k-1}) beta}``) and one ``symcone.mat_exp(beta, lags)`` call for the
-  lags ``e^{(t_k - tau) beta}`` of the jumps that arrived since the
-  previous snapshot, so each jump is exponentiated once, by a few stacked
-  array operations rather than a Python loop over matrices.  It runs on one
-  thread; its memory is the states and the jumps.
+  only three calls that draw (one ``Philox`` re-keyed to the path, its
+  jump count, and one draw of its jump-time and atom uniforms together);
+  the atom lookup (``ScalarJumpMeasure.atom_index``), the time sort and
+  the jump log are done for all paths at once, on flat arrays.  Per
+  snapshot, for all paths in one stack: one deterministic part shared by
+  all paths, one transport ``J -> E J E.T`` of the carried jump mass
+  (``E = e^{(t_k - t_{k-1}) beta}``) and one ``symcone.mat_exp(beta,
+  lags)`` call for the lags ``e^{(t_k - tau) beta}`` of the jumps that
+  arrived since the previous snapshot, so each jump is exponentiated once,
+  by a few stacked array operations rather than a Python loop over
+  matrices.  It runs on one thread; its memory is the states and the
+  jumps.
+
+Both CSV writers format a block of ``_CSV_ROWS`` rows with one ``%``, a
+row taking one value from each column.  ``snapshots.csv`` formats each
+path id and each snapshot time once, so of each row only the state
+entries go through ``%.18e``.
 
 Every path owns an RNG stream keyed by (seed, path index) through a
 counter-based generator, and every stacked operation acts row by row, so
@@ -169,29 +175,36 @@ class PathEnsemble:
 
     def snapshots_to_csv(self, path) -> None:
         """Columns: path_id, t, upper triangle of the state row-major; the bytes
-        of ``np.savetxt(path, rows, delimiter=",")`` with the header line."""
+        of ``np.savetxt(path, rows, delimiter=",")`` with the header line.
+
+        The path ids and the times repeat down the rows, so each is
+        formatted once, and of each row only the state entries go through
+        ``%.18e``."""
         n_times, n_paths, d, _ = self.states.shape
         iu = np.triu_indices(d)
         header = ["path_id", "t"] + [f"x_{i + 1}{j + 1}" for i, j in zip(*iu)]
-        rows = np.empty((n_times * n_paths, 2 + iu[0].size))
-        rows[:, 0] = np.tile(np.arange(n_paths), n_times)
-        rows[:, 1] = np.repeat(self.snapshot_times, n_paths)
-        rows[:, 2:] = self.states[:, :, iu[0], iu[1]].reshape(n_times * n_paths, -1)
-        _write_csv(path, ",".join(header), rows, ",".join(["%.18e"] * rows.shape[1]) + "\n")
+        ids = np.array(["%.18e" % i for i in range(n_paths)], dtype=object)
+        times = np.array(["%.18e" % t for t in self.snapshot_times.tolist()], dtype=object)
+        values = self.states[:, :, iu[0], iu[1]].reshape(n_times * n_paths, -1)
+        _write_csv(path, ",".join(header),
+                   [np.tile(ids, n_times), np.repeat(times, n_paths), *values.T],
+                   "%s,%s," + ",".join(["%.18e"] * iu[0].size) + "\n")
 
     def jumps_to_csv(self, path) -> None:
         """Columns: path_id, time (as ``repr``), source, atom_index."""
-        _write_csv(path, "path_id,time,source,atom_index", self.jump_log, "%d,%r,%s,%d\n")
+        _write_csv(path, "path_id,time,source,atom_index",
+                   [self.jump_log[name] for name in JUMP_DTYPE.names], "%d,%r,%s,%d\n")
 
 
-def _write_csv(path, header: str, rows, line: str) -> None:
-    """``header``, then ``line % row`` for each row of the array ``rows``,
-    formatted by one ``%`` per ``_CSV_ROWS`` rows instead of row by row."""
+def _write_csv(path, header: str, columns, line: str) -> None:
+    """``header``, then ``line % row`` for each row, a row taking one value
+    from each of the equally long arrays ``columns``; formatted by one ``%``
+    per ``_CSV_ROWS`` rows instead of row by row."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for i in range(0, len(rows), _CSV_ROWS):
-            part = rows[i:i + _CSV_ROWS].tolist()
-            fh.write(line * len(part) % tuple(chain.from_iterable(part)))
+        for i in range(0, len(columns[0]), _CSV_ROWS):
+            parts = [column[i:i + _CSV_ROWS].tolist() for column in columns]
+            fh.write(line * len(parts[0]) % tuple(chain.from_iterable(zip(*parts))))
 
 
 def _path_rng(seed: int, path_index: int) -> np.random.Generator:
@@ -403,6 +416,10 @@ def _ou_paths(config: SimConfig, snapshot_times, out):
     The jump mass is carried between snapshots, ``J_k = E(t_k - t_{k-1})
     J_{k-1} E(.).T + (jumps in (t_{k-1}, t_k])``, so each jump is
     exponentiated once, in one ``mat_exp(beta, lags)`` call per snapshot.
+
+    Each path draws its Poisson jump count ``k``, then ``2 k`` uniforms in
+    one call: the ``k`` unsorted jump times, then the ``k`` uniforms that
+    pick the atoms (the values two calls of ``k`` would draw).
     """
     p = config.params
     d = p.dim
@@ -411,21 +428,22 @@ def _ou_paths(config: SimConfig, snapshot_times, out):
     T = config.horizon
     lam = p.m.total_rate() * T
 
-    # per path, in this order: the jump count, the jump times as unsorted
-    # uniforms and the atoms
     counts = np.zeros(n, dtype=int)
-    uniforms, atoms = [np.empty(0)], [np.empty(0, dtype=int)]
+    draws = [np.empty(0)]
     if lam > 0.0:
         for pid, rng in enumerate(_path_streams(config.seed, range(n))):
             counts[pid] = count = rng.poisson(lam)
-            uniforms.append(rng.random(count))
-            atoms.append(p.m.draw_atoms(rng, count))
-    # path by path; within a path the times are sorted and the k-th
+            draws.append(rng.random(2 * count))
+    drawn = np.concatenate(draws)
+    # jump i, numbered path by path, has its time uniform at i plus the
+    # jump count of the earlier paths, and its atom uniform its own path's
+    # count later.  Within a path the times are sorted and the k-th
     # earliest takes the k-th atom drawn
     owner = np.repeat(np.arange(n), counts)
-    u = np.concatenate(uniforms)
+    at = np.arange(owner.size) + np.repeat(np.cumsum(counts) - counts, counts)
+    u = drawn[at]
     tau = u[np.lexsort((u, owner))] * T
-    atom = np.concatenate(atoms)
+    atom = p.m.atom_index(drawn[at + counts[owner]]) if lam > 0.0 else np.empty(0, np.intp)
     # a jump enters at the first snapshot at or after its time
     first = np.searchsorted(snapshot_times, tau, side="left")
 
@@ -485,33 +503,38 @@ def simulate(config: SimConfig, snapshot_times, threads: int = 1) -> PathEnsembl
 
 
 def mc_mean(ens: PathEnsemble, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise sample mean and standard error across paths at time ``t``."""
+    """Entrywise sample mean and standard error across paths at time ``t``;
+    the standard error of an entry equal on every path is 0."""
     states = ens.states[grid_index(ens.snapshot_times, t)]
     mean = states.mean(axis=0)
     n = states.shape[0]
     if n > 1:
         stderr = states.std(axis=0, ddof=1) / np.sqrt(n)
+        # where the paths agree, std measures only the rounding of the mean
+        stderr[np.ptp(states, axis=0) == 0.0] = 0.0
     else:
         stderr = np.zeros_like(mean)
     return symmetrize(mean), stderr
 
 
-def mc_vs_formula(ens: PathEnsemble, p: AffineParams, t: float) -> np.ndarray:
-    """Entrywise z-scores of the sample mean against the analytic mean.
+def mc_vs_formula(ens: PathEnsemble, p: AffineParams, t) -> np.ndarray:
+    """Entrywise z-scores of the sample mean against the analytic mean, at
+    one time ``t`` (``(d, d)``) or at each of a vector of times (``(n, d,
+    d)``, the analytic means from one :func:`transient_mean` call).
 
     A zero standard error with a gap below 1e-9 counts as an exact match
     (z = 0); a zero standard error with a larger gap is flagged as a
     deterministic mismatch (z = inf).
     """
-    mean, stderr = mc_mean(ens, t)
-    target = transient_mean(p, ens.config.x0, t)
-    gap = mean - target
+    times = np.asarray(t, dtype=float)
+    mean, stderr = map(np.array, zip(*(mc_mean(ens, s) for s in times.reshape(-1).tolist())))
+    gap = mean - transient_mean(p, ens.config.x0, times.reshape(-1))
     z = np.zeros_like(gap)
     ok = stderr > 0
     z[ok] = gap[ok] / stderr[ok]
     exact = ~ok & (np.abs(gap) < 1e-9)
     z[~ok & ~exact] = np.inf
-    return z
+    return z if times.ndim else z[0]
 
 
 def ergodic_sweep(config: SimConfig, times, threads: int = 1) -> list[dict]:
@@ -525,19 +548,19 @@ def ergodic_sweep(config: SimConfig, times, threads: int = 1) -> list[dict]:
     cert = decay_certificate(p)
     law = InvariantLaw(p, cert)
     ens = simulate(config, times, threads=threads)
+    times = np.asarray(times, dtype=float)
     rows = []
-    for t in times:
+    for t, target in zip(times.tolist(), transient_mean(p, x0, times)):
         mean, stderr = mc_mean(ens, t)
-        analytic = transient_mean(p, x0, t)
-        row = {
-            "t": float(t),
-            "mc_gap_to_transient": frobenius(mean - analytic),
+        rows.append({
+            "t": t,
+            "mc_gap_to_transient": frobenius(mean - target),
             "stderr_norm": frobenius(stderr),
-            "transient_gap_to_invariant": frobenius(analytic - law.mean),
+            "transient_gap_to_invariant": frobenius(target - law.mean),
             "mc_gap_to_invariant": frobenius(mean - law.mean),
-        }
-        if frobenius(p.alpha) == 0.0:
-            gap, bound, ok = w1_mean_gap_check(p, law, cert, x0, float(t))
+        })
+    if frobenius(p.alpha) == 0.0:
+        w1 = w1_mean_gap_check(p, law, cert, x0, times)
+        for row, gap, bound, ok in zip(rows, *(col.tolist() for col in w1)):
             row.update({"w1_gap": gap, "w1_bound": bound, "w1_ok": ok})
-        rows.append(row)
     return rows

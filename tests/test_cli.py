@@ -425,6 +425,23 @@ def test_stationary_report(config_file, tmp_path):
     assert np.loadtxt(table, delimiter=",", skiprows=1).shape[1] == 2
 
 
+def test_failed_stationary_leaves_no_earlier_results(config_file, tmp_path, capsys):
+    out, table = tmp_path / "stat.json", tmp_path / "stat.csv"
+    argv = ["--out", str(out), "--table", str(table)]
+    assert main(["stationary", "--config", str(config_file), *argv]) == 0
+    assert out.stat().st_size and table.stat().st_size
+    # the same outputs from a model that is not subcritical
+    data = json.loads(config_file.read_text())
+    data["drift"]["beta"] = (0.5 * np.eye(2)).tolist()
+    crit = tmp_path / "crit.json"
+    crit.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["stationary", "--config", str(crit), *argv]) == 4
+    assert capsys.readouterr().err.startswith("not subcritical: ")
+    for path in (out, table):
+        assert not path.exists() or path.stat().st_size == 0, path
+
+
 def test_criticality_exit_code(tmp_path, config_file):
     data = json.loads(config_file.read_text())
     data["drift"]["beta"] = [[0.0, 0.0], [0.0, 0.0]]

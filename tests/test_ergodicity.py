@@ -148,6 +148,30 @@ def test_transient_mean_at_zero_and_monotone_approach(rng):
     assert gaps[-1] < 1e-4
 
 
+def test_transient_mean_of_a_time_vector_matches_each_time(rng):
+    spec = random_wishart(3, rng, with_jumps=True)
+    p = spec.to_params()
+    x = random_psd(3, rng)
+    times = np.array([0.0, 0.3, 1.0, 2.5, 0.3, 40.0])
+    stack = transient_mean(p, x, times)
+    assert stack.shape == (len(times), 3, 3)
+    for t, got in zip(times, stack):
+        want = transient_mean(p, x, float(t))
+        assert frobenius(got - want) <= 1e-14 * frobenius(want)
+    # t = 0 is exactly the start point, in a vector as alone
+    assert np.array_equal(stack[0], symmetrize(x))
+    assert np.array_equal(transient_mean(p, x, 0.0), symmetrize(x))
+    assert transient_mean(p, x, times[:0]).shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("times", [[0.5, -1.0], [0.5, float("nan")], -0.1, float("nan"),
+                                   [[0.5]]])
+def test_transient_mean_refuses_negative_or_nan_times(times):
+    p = zero_diffusion_params()
+    with pytest.raises(ValueError):
+        transient_mean(p, np.eye(2), times)
+
+
 def test_mean_gap_identity(rng):
     # transient minus invariant mean equals the semigroup applied to the
     # initial gap
@@ -419,6 +443,19 @@ def test_w1_sandwich_zero_diffusion():
         gap, bound, ok = w1_mean_gap_check(p, law, cert, x, t)
         assert ok
         assert gap >= 0 and bound > 0
+
+
+def test_w1_sandwich_of_a_time_vector_matches_each_time():
+    p = zero_diffusion_params()
+    cert = decay_certificate(p)
+    law = InvariantLaw(p, cert)
+    x = np.diag([3.0, 1.0])
+    times = np.arange(0.0, 6.01, 0.5) / cert.delta
+    gap, bound, ok = w1_mean_gap_check(p, law, cert, x, times)
+    for row in zip(times.tolist(), gap.tolist(), bound.tolist(), ok.tolist()):
+        want = w1_mean_gap_check(p, law, cert, x, row[0])
+        assert row[1:] == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert isinstance(want[0], float) and isinstance(want[2], bool)
 
 
 def test_w1_sandwich_rejects_diffusion(rng):

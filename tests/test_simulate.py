@@ -646,6 +646,21 @@ def test_exact_scheme_without_jump_atoms():
         assert np.allclose(ens.states[ti], transient_mean(p, cfg.x0, t), atol=1e-12)
 
 
+def test_deterministic_ensemble_matches_the_mean_exactly():
+    # with no jumps every path is the same matrix: a zero standard error
+    # and z = 0, also where n is no power of 2 and the sample mean rounds
+    jumpy = _jump_config(n_paths=1000)
+    p = AffineParams(dim=2, alpha=jumpy.params.alpha, b=jumpy.params.b,
+                     drift=jumpy.params.drift)
+    cfg = SimConfig(params=p, sigma=jumpy.sigma, x0=jumpy.x0 + 0.1, horizon=2.0, dt=0.01,
+                    n_paths=1000, seed=3, scheme="ou_exact")
+    times = [0.0, 0.5, 1.0, 2.0]
+    ens = simulate(cfg, times)
+    for t in times:
+        assert np.array_equal(mc_mean(ens, t)[1], np.zeros((2, 2)))
+    assert np.array_equal(mc_vs_formula(ens, p, times), np.zeros((4, 2, 2)))
+
+
 def test_exact_scheme_snapshot_at_zero_is_start_point():
     cfg = _jump_config(n_paths=64)
     ens = simulate(cfg, [0.0, 1.0])
@@ -661,6 +676,18 @@ def test_exact_scheme_matches_transient_mean():
     for t in (0.5, 2.0):
         z = mc_vs_formula(ens, cfg.params, t)
         assert np.all(np.abs(z) < 4.0)
+
+
+def test_mc_vs_formula_of_a_time_vector_matches_each_time():
+    cfg = _jump_config(n_paths=256)
+    ens = simulate(cfg, [0.0, 0.5, 2.0])
+    times = [2.0, 0.0, 0.5]
+    z = mc_vs_formula(ens, cfg.params, times)
+    assert z.shape == (3, 2, 2)
+    for t, got in zip(times, z):
+        np.testing.assert_allclose(got, mc_vs_formula(ens, cfg.params, t), rtol=1e-14, atol=0.0)
+    # at t = 0 every path is the start point: an exact match
+    assert np.array_equal(z[1], np.zeros((2, 2)))
 
 
 def test_euler_scheme_matches_transient_mean():
@@ -775,11 +802,16 @@ def _extreme_value_ensemble():
     lambda: simulate(_diffusion_config(n_paths=40, dt=0.05), [0.0, 0.5, 1.0]),
     _extreme_value_ensemble,
 ])
-def test_snapshot_csv_matches_row_writer(tmp_path, make):
+def test_snapshot_csv_matches_row_writer(tmp_path, monkeypatch, make):
     ens = make()
-    ens.snapshots_to_csv(tmp_path / "fast.csv")
     _snapshots_csv_reference(ens, tmp_path / "rows.csv")
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    expected = (tmp_path / "rows.csv").read_bytes()
+    # one row per block; blocks that end on and across the rows of a
+    # snapshot time; one block short of full
+    for rows in (1, 7, 2048):
+        monkeypatch.setattr(simulate_module, "_CSV_ROWS", rows)
+        ens.snapshots_to_csv(tmp_path / "fast.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == expected
 
 
 def test_ergodic_sweep_reports_w1_columns():
