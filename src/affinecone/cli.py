@@ -28,9 +28,10 @@ exceeds that ceiling; ``--closed-form`` on a model outside the Wishart
 family; a ``--tol`` outside ``riccati.TOL_RANGE`` (``[1e-12, 1e-3]``); a
 ``--T`` or ``--inflate-delta`` that is not positive and finite; a
 ``--threads`` below 1; and an output file or directory that cannot be
-written.  Exit 3 also covers a matrix exponential, or an effective-drift
-matrix (a finite but huge ``drift.beta``), that leaves the float range
-(an ``OverflowError``; config parsing reports its own as exit 2).
+written.  Exit 3 also covers a matrix exponential, an effective-drift
+matrix (a finite but huge ``drift.beta``) or a transient mean (``verify``'s
+mean-gap table, of a huge ``sim.x0``) that leaves the float range (an
+``OverflowError``; config parsing reports its own as exit 2).
 Exit 6 covers a path of either scheme (``euler_project`` or
 ``ou_exact``) that leaves the float range; its one stderr line names the
 first such path.  Each command raises; ``main`` maps the exception to
@@ -39,6 +40,10 @@ and ``verify`` (a bound violated) return a nonzero code themselves.
 
 ``verify`` solves its probe grid as one flow, which serves the transient
 Laplace table, the ``psi`` decay envelope and the stationary exponents.
+``verify`` and ``simulate`` remove from ``--out-dir`` the files they
+write and ``manifest.json`` before their first solve or draw, as
+``stationary`` empties its outputs, so a failed or shorter run leaves no
+results of an earlier one in place.
 """
 
 from __future__ import annotations
@@ -119,6 +124,15 @@ def _write_manifest(out_dir: Path, command: str, config_path: str, seed, outputs
         "outputs": [{"path": str(p), "sha256": _sha256(Path(p))} for p in outputs],
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def _clear_outputs(out_dir: Path, outputs) -> None:
+    """Make ``out_dir`` and remove from it the files ``outputs`` and
+    ``manifest.json``, and nothing else, so that a run that fails later,
+    or writes fewer files, leaves no results of an earlier run in place."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path in (*outputs, out_dir / "manifest.json"):
+        path.unlink(missing_ok=True)
 
 
 def _check_flags(args) -> None:
@@ -260,13 +274,14 @@ def cmd_verify(args) -> int:
     p, data = load_params(args.config)
     sim = _sim_section(data, required=False)
     x = _cone_matrix(sim["x0"], p.dim, "sim.x0") if "x0" in sim else np.eye(p.dim)
+    out_dir = Path(args.out_dir)
+    tables = [out_dir / name for name in ("dL_table.csv", "psi_bound_table.csv", "w1_table.csv")]
+    _clear_outputs(out_dir, tables)
     cert = decay_certificate(p)
     if args.inflate_delta != 1.0:
         # self-test hook: an overstated decay rate must make the bounds fail
         cert = dataclasses.replace(cert, delta=cert.delta * args.inflate_delta)
     law = InvariantLaw(p, cert)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     delta = cert.delta
     times = np.arange(0.0, 6.01, 0.5) / delta
@@ -284,7 +299,7 @@ def cmd_verify(args) -> int:
         env = cert.M * norms * np.exp(-delta * t) * (1 + 1e-6)
         psi_rows.append([t, float(np.max(vals / env))])
 
-    outputs = [out_dir / "dL_table.csv", out_dir / "psi_bound_table.csv"]
+    outputs = tables[:2]
     _write_table(outputs[0], ["t", "dL", "dL_bound"], dl_rows)
     _write_table(outputs[1], ["t", "max_psi_ratio"], psi_rows)
     # the violated rows in table order (dL, psi, W1); the first one is reported
@@ -296,7 +311,7 @@ def cmd_verify(args) -> int:
     if frobenius(p.alpha) == 0.0:
         gap, bound, ok = w1_mean_gap_check(p, law, cert, x, times)
         w1_rows = list(zip(times.tolist(), gap.tolist(), bound.tolist(), ok.tolist()))
-        outputs.append(out_dir / "w1_table.csv")
+        outputs.append(tables[2])
         _write_table(outputs[2], ["t", "mean_gap", "w1_bound"], [row[:3] for row in w1_rows])
         violations += [f"mean-gap bound violated at t = {t:.6g}: {gap:.3e} > {bd:.3e}"
                        for t, gap, bd, ok in w1_rows if not ok]
@@ -341,14 +356,13 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--snapshots: {exc}") from exc
     # an output directory that cannot be made fails before the simulation
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    snap_path, jump_path, z_path = (out_dir / name
+                                    for name in ("snapshots.csv", "jumps.csv", "zscores.csv"))
+    _clear_outputs(out_dir, [snap_path, jump_path, z_path])
     try:
         ens = simulate(config, snapshots, threads=args.threads)
     except ConfigError as exc:  # snapshot times, refused before any draw
         raise ConfigError(f"--snapshots: {exc}") from exc
-    snap_path = out_dir / "snapshots.csv"
-    jump_path = out_dir / "jumps.csv"
-    z_path = out_dir / "zscores.csv"
     ens.snapshots_to_csv(snap_path)
     ens.jumps_to_csv(jump_path)
     iu = np.triu_indices(p.dim)

@@ -23,15 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import AffineParams, SymOperator
-from .riccati import TOL_RANGE, RiccatiTrajectory, riccati_DF, solve_riccati
+from .riccati import TOL_RANGE, RiccatiTrajectory, solve_riccati
 from .symcone import (
+    affine_flow,
     frobenius,
     is_psd,
     mat_exp,
     min_eigval,
     psd_tol,
     sym_basis,
-    sym_dim,
     symmetrize,
     unvectorize,
     vectorize,
@@ -170,23 +170,20 @@ def transient_mean(p: AffineParams, x, t) -> np.ndarray:
     ``exp(t Bt) x + integral_0^t exp(s Bt) (b + jump mean) ds``.
 
     ``t`` is one time, giving a ``(d, d)`` matrix, or a vector of ``n``
-    times, giving the ``(n, d, d)`` stack of the means.  The integral is
-    evaluated exactly through the block matrix exponential ``e^{t A}`` of
-    ``A = [[Bt, c], [0, 0]]``, one stacked call for all the times, which
-    also covers a singular effective drift; ``t = 0`` gives exactly
-    ``symmetrize(x)``.
+    times, giving the ``(n, d, d)`` stack of the means.  All the times
+    come from one :func:`~affinecone.symcone.affine_flow` call, exact also
+    for a singular effective drift; ``t = 0`` gives exactly
+    ``symmetrize(x)``.  A mean past the float range raises
+    ``OverflowError``.
     """
     times = np.asarray(t, dtype=float)
     if times.ndim > 1 or not np.all(times >= 0.0):  # NaN fails the test too
         raise ValueError(f"t must be nonnegative times, got {t!r}")
-    x = symmetrize(x)
-    op = p.effective_drift()
-    D = sym_dim(p.dim)
-    block = np.zeros((D + 1, D + 1))
-    block[:D, :D] = op.matrix
-    block[:D, D] = vectorize(_moment_source(p))
-    eb = mat_exp(block, times.reshape(-1))
-    means = symmetrize(unvectorize(eb[:, :D, :D] @ vectorize(x) + eb[:, :D, D]))
+    flow = affine_flow(p.effective_drift().matrix, vectorize(_moment_source(p)),
+                       vectorize(symmetrize(x)), times.reshape(-1))
+    if not np.all(np.isfinite(flow)):
+        raise OverflowError("transient mean left the float range")
+    means = unvectorize(flow)
     return means if times.ndim else means[0]
 
 
@@ -239,12 +236,11 @@ class InvariantLaw:
         On the cone ``R(u) <= B_eff*(u)`` (``-2 u alpha u <= 0`` and
         ``1 - e^{-x} <= x``), and ``e^{t B_eff*}`` preserves the cone, so by
         comparison ``psi(t, u) <= e^{t B_eff*} u``.  ``F`` is concave and
-        ``DF(0) = b + sum_i w_i site_i`` lies in the cone, hence
-        ``F(psi(t, u)) <= <DF(0), psi(t, u)> <= C ||u|| e^{-delta t}`` for
-        all ``t``, as ``M`` is proven.
+        ``DF(0) = b + sum_i w_i site_i``, the source of the first-moment
+        equation, lies in the cone, hence ``F(psi(t, u)) <= <DF(0), psi(t,
+        u)> <= C ||u|| e^{-delta t}`` for all ``t``, as ``M`` is proven.
         """
-        zero = np.zeros((self.params.dim, self.params.dim))
-        return frobenius(riccati_DF(self.params, zero)) * self.cert.M
+        return frobenius(_moment_source(self.params)) * self.cert.M
 
     def _key(self, u, tol):
         # rounding to 1e-12 absolute merges roundoff-level copies of a

@@ -59,6 +59,7 @@ from .params import (
 )
 from .symcone import (
     ConeViolationError,
+    affine_flow,
     frobenius,
     mat_exp,
     min_eigval,
@@ -250,9 +251,9 @@ def solve_riccati(
     once, not once per step.  Each probe occupies one row
     ``[vec(u_i), phi_i]`` of the ``(n, D + 1)`` state.
 
-    Adaptive explicit Runge-Kutta (Dormand-Prince 8(5,3)); on step-size
-    underflow one retry is made with an implicit stiff stepper before
-    failing.  The solver's error norm is the RMS over the whole state, so
+    Adaptive explicit Runge-Kutta (Dormand-Prince 8(5,3)); a failed run
+    (step-size underflow) raises ``SolverFailureError`` with the last good
+    time.  The solver's error norm is the RMS over the whole state, so
     both ``rtol`` and ``atol`` are scaled by ``1/sqrt(n)``: a step is then
     accepted only if every probe's own RMS error passes the test a lone
     solve would apply.  Output times are the accepted steps unless
@@ -293,11 +294,8 @@ def solve_riccati(
             raise ValueError(f"t_eval must be nonempty, with every time in [0, T = {T:g}]")
     sol = scipy.integrate.solve_ivp(rhs, (0.0, T), y0, method="DOP853", **kwargs)
     if sol.status == -1:
-        # the quadratic diffusion term is the stiff one; retry implicit
-        sol = scipy.integrate.solve_ivp(rhs, (0.0, T), y0, method="Radau", **kwargs)
-        if sol.status == -1:
-            last = float(sol.t[-1]) if sol.t.size else 0.0
-            raise SolverFailureError(f"integration failed: {sol.message}", last)
+        last = float(sol.t[-1]) if sol.t.size else 0.0
+        raise SolverFailureError(f"integration failed: {sol.message}", last)
 
     times = sol.t
     state = sol.y.T.reshape(times.size, n, D + 1)
@@ -373,24 +371,17 @@ class WishartSpec:
 def congruence_integral(beta, x, t: float) -> np.ndarray:
     """``2 * integral_0^t e^{beta s} x e^{beta.T s} ds``.
 
-    This is ``Q(t)`` for ``Q' = beta Q + Q beta.T + 2x``, ``Q(0) = 0``,
-    which in coordinates reads ``q' = L q + c``, with ``L`` the matrix of
-    ``y -> beta y + y beta.T`` and ``c = vec(2x)``.  So ``q(t)`` is the last
-    column of the exponential of the ``(D + 1)`` block ``t [[L, c], [0,
-    0]]``, as in ``ergodicity.transient_mean``.  Exact up to
-    matrix-exponential accuracy, with no quadrature tolerance; for a
-    stable ``beta`` nothing in it grows with ``t``.
+    This is ``Q(t)`` for ``Q' = beta Q + Q beta.T + 2x``, ``Q(0) = 0``: in
+    coordinates the :func:`~affinecone.symcone.affine_flow` of the Lyapunov
+    operator of ``beta`` and ``vec(2x)`` from 0.  Exact up to
+    matrix-exponential accuracy; for a stable ``beta`` nothing in it grows
+    with ``t``.
     """
-    beta = np.asarray(beta, dtype=float)
     x = symmetrize(x)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    d = beta.shape[0]
-    D = sym_dim(d)
-    block = np.zeros((D + 1, D + 1))
-    block[:D, :D] = t * SymOperator.from_map(d, lambda y: beta @ y + y @ beta.T).matrix
-    block[:D, D] = t * vectorize(2.0 * x)
-    return unvectorize(mat_exp(block)[:D, D])
+    L = LinearDrift.lyapunov(beta).operator(len(x)).matrix
+    return unvectorize(affine_flow(L, vectorize(2.0 * x), np.zeros(len(L)), [t])[0])
 
 
 def _wishart_core(w: WishartSpec, u, t: float) -> tuple[np.ndarray, np.ndarray]:

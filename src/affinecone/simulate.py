@@ -32,23 +32,22 @@ Two schemes:
   (near-singular, or of extreme scale) and for ``d >= 4``.  ``threads``
   counts the caller: above 1 the extra threads fill the next buffer of
   draws while the caller steps through the current one.
-* ``ou_exact`` -- for zero diffusion: the state is the congruence
-  transport of the start point plus the exact drift integral plus the
-  transported jumps, with jump times drawn exactly (uniform order
-  statistics given a Poisson count).  The path law is exact, which makes
-  this scheme the preferred statistical oracle.  Cost model: per path
-  only three calls that draw (one ``Philox`` re-keyed to the path, its
-  jump count, and one draw of its jump-time and atom uniforms together);
-  the atom lookup (``ScalarJumpMeasure.atom_index``), the time sort and
-  the jump log are done for all paths at once, on flat arrays.  Per
-  snapshot, for all paths in one stack: one deterministic part shared by
-  all paths, one transport ``J -> E J E.T`` of the carried jump mass
-  (``E = e^{(t_k - t_{k-1}) beta}``) and one ``symcone.mat_exp(beta,
-  lags)`` call for the lags ``e^{(t_k - tau) beta}`` of the jumps that
-  arrived since the previous snapshot, so each jump is exponentiated once,
-  by a few stacked array operations rather than a Python loop over
-  matrices.  It runs on one thread; its memory is the states and the
-  jumps.
+* ``ou_exact`` -- for zero diffusion: the state is the mean of the model
+  without ``m`` plus the transported jumps, with jump times drawn exactly
+  (uniform order statistics given a Poisson count).  The path law is
+  exact, which makes this scheme the preferred statistical oracle.  Cost
+  model: per path only three calls that draw (one ``Philox`` re-keyed to
+  the path, its jump count, and one draw of its jump-time and atom
+  uniforms together); the atom lookup, the time sort and the jump log are
+  done for all paths at once, on flat arrays, and the jump-free part of
+  every snapshot by one ``symcone.affine_flow`` call.  Per snapshot, for
+  all paths in one stack: one transport ``J -> E J E.T`` of the carried
+  jump mass (``E = e^{(t_k - t_{k-1}) beta}``) and one
+  ``symcone.mat_exp(beta, lags)`` call for the lags ``e^{(t_k - tau)
+  beta}`` of the jumps that arrived since the previous snapshot, so each
+  jump is exponentiated once, by a few stacked array operations rather
+  than a Python loop over matrices.  It runs on one thread; its memory is
+  the states and the jumps.
 
 Both CSV writers format a block of ``_CSV_ROWS`` rows with one ``%``, a
 row taking one value from each column.  ``snapshots.csv`` formats each
@@ -73,8 +72,9 @@ import numpy as np
 
 from .ergodicity import InvariantLaw, decay_certificate, transient_mean, w1_mean_gap_check
 from .params import AffineParams, ConfigError
-from .riccati import congruence_integral, grid_index
+from .riccati import grid_index
 from .symcone import (
+    affine_flow,
     check_cone,
     frobenius,
     mat_exp,
@@ -84,6 +84,8 @@ from .symcone import (
     symmetrize,
     unpack,
     unpack_index,
+    unvectorize,
+    vectorize,
 )
 
 
@@ -410,9 +412,9 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
 def _ou_paths(config: SimConfig, snapshot_times, out):
     """Exact zero-diffusion paths into ``out``, all at once; returns the jump columns.
 
-    ``X(t) = e^{t beta} x0 e^{t beta.T} + 1/2 congruence_integral(beta, b, t)
-    + J(t)`` with ``J(t) = sum_{tau <= t} E(t - tau) S_a E(t - tau).T`` and
-    ``E(s) = e^{s beta}``.  The deterministic part is shared by every path.
+    ``X(t) = x(t) + J(t)``: ``x(t)``, shared by all paths, is the mean of the
+    model without ``m`` (the ``affine_flow`` call of ``transient_mean``), and
+    ``J(t) = sum_{tau <= t} E(t - tau) S_a E(t - tau).T``, ``E(s) = e^{s beta}``.
     The jump mass is carried between snapshots, ``J_k = E(t_k - t_{k-1})
     J_{k-1} E(.).T + (jumps in (t_{k-1}, t_k])``, so each jump is
     exponentiated once, in one ``mat_exp(beta, lags)`` call per snapshot.
@@ -447,10 +449,11 @@ def _ou_paths(config: SimConfig, snapshot_times, out):
     # a jump enters at the first snapshot at or after its time
     first = np.searchsorted(snapshot_times, tau, side="left")
 
+    jump_free = unvectorize(affine_flow(p.effective_drift().matrix, vectorize(p.b),
+                                        vectorize(config.x0), snapshot_times))
     J = np.zeros((n, d, d))
     t_prev = 0.0
-    for ti, t in enumerate(snapshot_times):
-        t = float(t)
+    for ti, t in enumerate(snapshot_times.tolist()):
         if t > t_prev:
             step = mat_exp((t - t_prev) * beta)
             J = step @ J @ step.T
@@ -460,9 +463,8 @@ def _ou_paths(config: SimConfig, snapshot_times, out):
             # unbuffered and in index order: a path's jumps are summed in
             # time order, untouched by the other paths
             np.add.at(J, owner[new], lag @ p.m.sites[atom[new]] @ np.swapaxes(lag, -1, -2))
-        e = mat_exp(t * beta)
-        x = e @ config.x0 @ e.T + 0.5 * congruence_integral(beta, p.b, t) + J
-        _check_finite(x)  # symmetrize refuses a non-finite matrix
+        x = jump_free[ti] + J
+        _check_finite(x)  # an inf of x(t) or J(t), before symmetrize refuses it
         out[ti] = symmetrize(x)
         _check_finite(out[ti])  # x + x.T can overflow too
         t_prev = t
@@ -522,17 +524,21 @@ def mc_vs_formula(ens: PathEnsemble, p: AffineParams, t) -> np.ndarray:
     one time ``t`` (``(d, d)``) or at each of a vector of times (``(n, d,
     d)``, the analytic means from one :func:`transient_mean` call).
 
-    A zero standard error with a gap below 1e-9 counts as an exact match
-    (z = 0); a zero standard error with a larger gap is flagged as a
+    A zero standard error with a gap below ``1e-9 max(1, |mean|)``, ``|mean|``
+    the largest entry of the analytic mean at that time, counts as an
+    exact match (z = 0): the rounding of the sample mean grows with the
+    mean.  A zero standard error with a larger gap is flagged as a
     deterministic mismatch (z = inf).
     """
     times = np.asarray(t, dtype=float)
     mean, stderr = map(np.array, zip(*(mc_mean(ens, s) for s in times.reshape(-1).tolist())))
-    gap = mean - transient_mean(p, ens.config.x0, times.reshape(-1))
+    target = transient_mean(p, ens.config.x0, times.reshape(-1))
+    gap = mean - target
     z = np.zeros_like(gap)
     ok = stderr > 0
     z[ok] = gap[ok] / stderr[ok]
-    exact = ~ok & (np.abs(gap) < 1e-9)
+    scale = np.maximum(1.0, np.abs(target).max(axis=(1, 2), keepdims=True))
+    exact = ~ok & (np.abs(gap) < 1e-9 * scale)
     z[~ok & ~exact] = np.inf
     return z if times.ndim else z[0]
 

@@ -12,7 +12,7 @@ conventions once:
   ``d <= 3``),
 * the package's one matrix exponential, a scaling-and-squaring Taylor
   kernel that gives ``e^a`` or, in one call, ``e^{s_i a}`` for many
-  multiples of one matrix,
+  multiples of one matrix, and the flow of ``q' = a q + c`` read from it,
 * the orthonormal vectorization of symmetric matrices used to represent
   linear maps on symmetric matrices as ordinary ``D x D`` matrices,
   with ``D = d(d+1)/2``,
@@ -187,6 +187,18 @@ def mat_exp(a, s=None) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"matrix exponential overflowed (s * ||a||_1 up to {z.max():.3e})")
     return out[0] if one else out
+
+
+def affine_flow(a, c, y, times) -> np.ndarray:
+    """``e^{ta} y + integral_0^t e^{sa} c ds``, the solution of ``q' = a q + c``,
+    ``q(0) = y``, at each of ``times``: an ``(n, len(y))`` array, read off one
+    stacked :func:`mat_exp` of the block ``A = [[a, c], [0, 0]]``, as ``e^{tA}
+    = [[e^{ta}, integral_0^t e^{sa} c ds], [0, 1]]``; exact also for a singular
+    ``a``.  A result past the float range comes back unwarned as ``inf``.
+    """
+    eb = mat_exp(np.block([[a, np.reshape(c, (-1, 1))], [np.zeros((1, len(c) + 1))]]), times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return eb[:, :-1, :-1] @ y + eb[:, :-1, -1]
 
 
 def _spectral_project_sqrt(y):

@@ -268,6 +268,35 @@ def test_overflowing_path_exits_6_without_traceback(config_file, tmp_path, capsy
     assert err.startswith("simulation failure: path ") and err.count("\n") == 1
 
 
+def _overflowing_mean(data):
+    """A jump-free exact model whose mean leaves the float range by t = 0.5:
+    ``e^{t beta} x0 e^{t beta.T}`` reaches ``(1 + 900 t^2) e^{-2t} 1e307``."""
+    data = _ou_exact_sim(x0=(1e307 * np.eye(2)).tolist())(data)
+    data["m"]["atoms"] = []
+    data["drift"]["beta"] = [[-1.0, 30.0], [0.0, -1.0]]
+    return data
+
+
+def test_overflowing_mean_exits_3_in_verify_and_6_in_simulate(config_file, tmp_path, capsys):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(_overflowing_mean(json.loads(config_file.read_text()))))
+    # the mean-gap table's transient mean is an OverflowError, not a
+    # ValueError traceback.  The decay certificate and the Laplace table of
+    # this model raise numpy overflow warnings on the way, which are not
+    # what is tested here
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["verify", "--config", str(cfg), "--out-dir", str(tmp_path / "v")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numeric overflow: transient mean left the float range"]
+    # every exact path is that mean: it reaches the path check first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--config", str(cfg), "--snapshots", "0.5,1.0",
+                     "--out-dir", str(tmp_path / "s")]) == 6
+    assert capsys.readouterr().err == "simulation failure: path 0 produced non-finite values\n"
+
+
 def test_simulate_at_fast_mean_reversion(config_file, tmp_path):
     # e^{-t beta.T} overflows for beta = -400 I and t >= 1.8, which the
     # deterministic part of an exact path must never exponentiate
@@ -464,6 +493,21 @@ def test_verify_bounds_and_manifest(config_file, tmp_path):
     assert np.all(table[:, 1] <= table[:, 2])
 
 
+def test_verify_leaves_no_table_of_an_earlier_run(config_file, tmp_path):
+    # a zero-diffusion model writes the mean-gap table, a diffusion model
+    # does not: after both runs into one directory only the second one's
+    # tables are there, each listed in its manifest
+    jumps = tmp_path / "jumps.json"
+    zero_diffusion_params().save(jumps)
+    out_dir = tmp_path / "v"
+    for cfg in (jumps, config_file):
+        assert main(["verify", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    listed = sorted(Path(entry["path"]) for entry in manifest["outputs"])
+    assert listed == sorted(out_dir / name for name in ("dL_table.csv", "psi_bound_table.csv"))
+    assert sorted(out_dir.iterdir()) == sorted(listed + [out_dir / "manifest.json"])
+
+
 def test_verify_tol_reaches_dL_table(config_file, tmp_path, monkeypatch):
     seen = []
     real = cli.dL_table
@@ -584,6 +628,20 @@ def test_simulate_outputs_and_reproducibility(config_file, tmp_path):
     m1 = json.loads((d1 / "manifest.json").read_text())
     m2 = json.loads((d2 / "manifest.json").read_text())
     assert [e["sha256"] for e in m1["outputs"]] == [e["sha256"] for e in m2["outputs"]]
+
+
+def test_failed_simulate_leaves_no_earlier_results(config_file, tmp_path, capsys):
+    out_dir = tmp_path / "s"
+    (out_dir / "keep").mkdir(parents=True)
+    (out_dir / "notes.txt").write_text("not an output")
+    argv = ["--snapshots", "0.5,1.0", "--out-dir", str(out_dir)]
+    assert main(["simulate", "--config", str(config_file), *argv]) == 0
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(_overflowing_site(json.loads(config_file.read_text()))))
+    assert main(["simulate", "--config", str(cfg), *argv]) == 6
+    assert capsys.readouterr().err.startswith("simulation failure: path ")
+    # the outputs and the manifest are gone, and nothing else is
+    assert sorted(path.name for path in out_dir.iterdir()) == ["keep", "notes.txt"]
 
 
 def test_simulate_requires_sim_section(tmp_path, config_file):

@@ -641,9 +641,10 @@ def test_exact_scheme_without_jump_atoms():
     ref, _ = _ou_reference(cfg, [0.5, 2.0])
     assert len(ens.jump_log) == 0
     assert np.max(np.abs(ens.states - ref)) <= 1e-12
-    # with no jumps every path is the deterministic mean
+    # with no jumps every path is the deterministic mean, bit for bit
     for ti, t in enumerate((0.5, 2.0)):
-        assert np.allclose(ens.states[ti], transient_mean(p, cfg.x0, t), atol=1e-12)
+        for state in ens.states[ti]:
+            assert np.array_equal(state, transient_mean(p, cfg.x0, t))
 
 
 def test_deterministic_ensemble_matches_the_mean_exactly():
@@ -659,6 +660,36 @@ def test_deterministic_ensemble_matches_the_mean_exactly():
     for t in times:
         assert np.array_equal(mc_mean(ens, t)[1], np.zeros((2, 2)))
     assert np.array_equal(mc_vs_formula(ens, p, times), np.zeros((4, 2, 2)))
+
+
+def _scaled_jump_free_config():
+    """A jump-free exact model started at a state of order 1e9."""
+    p = AffineParams(dim=2, alpha=np.zeros((2, 2)), b=np.array([[0.3, 0.02], [0.02, 0.2]]),
+                     drift=LinearDrift.lyapunov(np.array([[-1.0, 0.05], [-0.03, -0.8]])))
+    x0 = 1e9 * np.array([[3.1, 0.15], [0.15, 1.05]])
+    return SimConfig(params=p, sigma=np.zeros((2, 2)), x0=x0, horizon=2.0, dt=0.01,
+                     n_paths=200, seed=1, scheme="ou_exact")
+
+
+def test_exact_match_tolerance_scales_with_the_mean():
+    # every path is the mean bit for bit, and the sample mean of 200 copies
+    # rounds by about 1e-6 at this scale: still an exact match, z = 0
+    cfg = _scaled_jump_free_config()
+    times = [0.5, 1.0, 2.0]
+    ens = simulate(cfg, times)
+    gap = np.array([mc_mean(ens, t)[0] for t in times]) - transient_mean(cfg.params, cfg.x0, times)
+    assert np.max(np.abs(gap)) > 1e-9
+    assert np.array_equal(mc_vs_formula(ens, cfg.params, times), np.zeros((3, 2, 2)))
+
+
+def test_deterministic_mismatch_is_flagged_at_any_scale():
+    # the same paths scored against a model that reverts 10% faster: a
+    # zero standard error and a gap far above the rounding, so z = inf
+    cfg = _scaled_jump_free_config()
+    ens = simulate(cfg, [0.5, 1.0, 2.0])
+    other = AffineParams(dim=2, alpha=cfg.params.alpha, b=cfg.params.b,
+                         drift=LinearDrift.lyapunov(1.1 * cfg.params.drift.beta))
+    assert np.all(np.isinf(mc_vs_formula(ens, other, [0.5, 1.0, 2.0])))
 
 
 def test_exact_scheme_snapshot_at_zero_is_start_point():

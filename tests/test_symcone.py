@@ -376,6 +376,24 @@ def test_mat_exp_scaled_rejects_bad_input(a, s):
         mat_exp(a, s)
 
 
+def test_affine_flow_matches_closed_forms():
+    # q' = a q + c: for a = -k I the flow is y e^{-kt} + c (1 - e^{-kt}) / k,
+    # and for a singular a = 0 it is y + c t
+    y, c = np.array([2.0, -1.0, 0.5]), np.array([0.3, 0.1, -0.2])
+    times = np.array([0.0, 0.5, 2.0, 7.0])
+    decay = np.exp(-1.5 * times)[:, None]
+    expect = y * decay + c * (1.0 - decay) / 1.5
+    assert np.allclose(symcone.affine_flow(-1.5 * np.eye(3), c, y, times), expect,
+                       rtol=1e-14, atol=1e-15)
+    assert np.allclose(symcone.affine_flow(np.zeros((3, 3)), c, y, times),
+                       y + c * times[:, None], rtol=1e-14, atol=1e-15)
+    # a flow past the float range is inf, unwarned, for the caller to refuse
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = symcone.affine_flow(np.eye(3), c, np.full(3, 1e308), [0.0, 1.0])
+    assert np.array_equal(out[0], np.full(3, 1e308)) and np.all(np.isinf(out[1]))
+
+
 def test_project_sqrt_psd_extreme_scales():
     # finite rows whose closed-form powers overflow or underflow take eigh:
     # every root is finite and is the root of the eigh path
