@@ -112,9 +112,10 @@ def _semigroup_sup(A: np.ndarray, T0: float) -> tuple[float, float]:
     peak = bound = 1.0
     while len(f):
         peak = max(peak, float(np.max(f)))
-        grow = np.exp(h * mu)
+        with np.errstate(over="ignore"):  # an infinite growth passes no interval
+            grow = np.exp(h * mu)
         ok = f * grow <= _CERT_SLACK * peak
-        bound = max(bound, float(np.max(f[ok], initial=0.0)) * grow)
+        bound = max(bound, float(np.max(f[ok] * grow, initial=0.0)))
         h /= 2.0
         left = X[~ok]
         mid = left @ mat_exp(h * A)
@@ -338,7 +339,10 @@ def transient_laplace(flow: RiccatiTrajectory, x, times) -> np.ndarray:
             ps, ph = flow.u0, 0.0
         else:
             ps, ph = flow.psi_at(t), flow.phi_at(t)
-        out[i] = np.exp(-ph - np.sum(x * ps, axis=(-2, -1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairing = np.sum(x * ps, axis=(-2, -1))
+        # <x, psi> >= 0 on the cone: a pairing past the float range is +inf
+        out[i] = np.exp(-ph - np.where(np.isfinite(pairing), pairing, np.inf))
     return out
 
 

@@ -137,16 +137,6 @@ class ScalarJumpMeasure:
                 np.linalg.norm(sites / scale[:, None, None], axis=(1, 2)))
         return float(self.masses[big] @ logs)
 
-    def draw_atoms(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """``n`` atom indices, atom ``i`` with probability ``masses[i] /
-        total_rate()``: :meth:`atom_index` of ``rng.random(n)``.
-
-        The draws and the indices of ``rng.choice(len(self), size=n,
-        p=masses / total_rate())`` bit for bit, without ``choice``'s checks
-        of ``p`` on every call.
-        """
-        return self.atom_index(rng.random(n))
-
     def atom_index(self, uniforms) -> np.ndarray:
         """The atom each of ``uniforms`` (in ``[0, 1)``) selects: its index
         in the cdf of ``masses / total_rate()`` that ``Generator.choice``

@@ -12,13 +12,15 @@ Two schemes:
   ``mu`` uniforms) holding ``CHUNK_STEPS`` steps of every path between
   them, refilled as the stack steps, plus the jumps as flat arrays, so
   memory does not grow with the horizon beyond the jumps.  Each
-  path draws its normals from its stream and its jumps (``m`` counts,
-  ``m`` atoms, ``mu`` uniforms) from that stream's jumped copy, so every
-  normal is drawn once and the caller reads the ``m`` jumps in one pass
-  up front.  The state and its square root stay packed for the whole run
-  (``symcone.pack``: the ``D = d(d+1)/2`` upper-triangle entries as rows
-  of a ``(D, n)`` array, each row contiguous over the paths) and are
-  unpacked to ``(n, d, d)`` only at snapshot steps.  A step is a fixed
+  path draws its normals from its stream and its jumps from that
+  stream's jumped copy, so every normal is drawn once.  The caller draws
+  the ``m`` jumps up front as ``ou_exact`` does, two calls per path (a
+  Poisson count for the horizon, then the time and atom uniforms), and
+  bins each time into its step.  The state and its square root stay
+  packed for the whole run (``symcone.pack``: the ``D = d(d+1)/2``
+  upper-triangle entries as rows of a ``(D, n)`` array, each row
+  contiguous over the paths) and are unpacked to ``(n, d, d)`` only at
+  snapshot steps.  A step is a fixed
   number of array operations whatever ``n``: one product of the flat
   normals with ``I_d (x) sqrt(dt) sigma^T``, ``d`` broadcast products and
   two gathers for the diffusion term, one ``D x D`` product for the
@@ -97,7 +99,7 @@ _SCHEMES = ("euler_project", "ou_exact")
 
 # steps of random draws the Euler scheme holds at a time, whatever the
 # horizon: one buffer of (paths, CHUNK_STEPS, d, d) normals at 1 thread, two
-# of CHUNK_STEPS // 2 steps above; also the piece in which m counts are drawn
+# of CHUNK_STEPS // 2 steps above
 CHUNK_STEPS = 256
 # the most Euler steps, or expected m jumps per path, a configuration may
 # ask for: past it a run would not end in reasonable time, so it is refused
@@ -233,6 +235,38 @@ def _path_streams(seed: int, path_ids):
         yield rng
 
 
+def _m_jumps(m, horizon: float, rngs):
+    """Each path's compound Poisson ``m`` jumps on ``[0, horizon]``, drawn
+    from its generator in ``rngs`` (not read at rate 0): the flat columns
+    owner (the place in ``rngs``), time as a horizon fraction in ``[0, 1)``
+    and atom, by owner, then time.  A path draws its Poisson count ``k``,
+    then ``2 k`` uniforms in one call: ``k`` unsorted times, then ``k`` that
+    pick the atoms (the values two calls of ``k`` would draw)."""
+    lam = m.total_rate() * horizon
+    counts, draws = [], [np.empty(0)]
+    if lam > 0.0:
+        for rng in rngs:
+            counts.append(rng.poisson(lam))
+            draws.append(rng.random(2 * counts[-1]))
+    counts = np.array(counts, dtype=np.intp)
+    drawn = np.concatenate(draws)
+    # jump i, numbered path by path, has its time uniform at i plus the
+    # jump count of the earlier paths, and its atom uniform its own path's
+    # count later.  Within a path the times are sorted and the k-th
+    # earliest takes the k-th atom drawn
+    owner = np.repeat(np.arange(counts.size), counts)
+    at = np.arange(owner.size) + np.repeat(np.cumsum(counts) - counts, counts)
+    u = drawn[at]
+    atom = m.atom_index(drawn[at + counts[owner]]) if lam > 0.0 else np.empty(0, np.intp)
+    return owner, u[np.lexsort((u, owner))], atom
+
+
+def _jump_steps(u, n_steps: int) -> np.ndarray:
+    """The Euler step of a jump at horizon fraction ``u`` in ``[0, 1)``:
+    ``floor(u n_steps)``, clamped to the last step should the product round up."""
+    return np.minimum((u * n_steps).astype(np.intp), n_steps - 1)
+
+
 def _snapshot_steps(times, dt: float, n_steps: int) -> np.ndarray:
     # the times lie in [0, horizon + 1e-12], and at a tiny dt the 1e-12 can
     # round to step n_steps + 1
@@ -265,13 +299,15 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
     Two generators per path.  ``_path_rng(seed, path)`` holds the normals
     of every step, handed out a buffer of steps at a time.  Its jumped
     copy (``Philox.jumped``, a stream that does not overlap it), taken
-    before any normal is drawn, holds in this order the ``m`` jump counts
-    of every step, the atoms of those jumps and the ``mu`` uniforms of
-    every step; the caller reads every ``m`` jump up front, and the
-    ``mu`` uniforms follow a buffer at a time.  A model with no jump
-    atoms builds no jumped copy.  Drawing in pieces yields the values of
-    one draw, so the sample depends neither on ``CHUNK_STEPS`` nor on
-    ``threads``.
+    before any normal is drawn, holds the path's ``m`` jumps on ``[0,
+    horizon]`` (:func:`_m_jumps`, read by the caller up front), then the
+    ``mu`` uniforms of every step, a buffer at a time.  A jump at horizon
+    fraction ``u`` applies in step :func:`_jump_steps` and is logged at
+    that step's end; given the count the times are i.i.d. uniform, so the
+    step counts are independent Poisson of mean ``m.total_rate() dt``.  A
+    model with no jump atoms builds no jumped copy.  Drawing in pieces
+    yields the values of one draw, so the sample depends neither on
+    ``CHUNK_STEPS`` nor on ``threads``.
 
     ``threads`` counts the caller.  At 1 everything runs inline in one
     buffer of ``CHUNK_STEPS`` steps.  Above 1, ``threads - 1`` worker
@@ -285,7 +321,6 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
     n_steps = config.n_steps
     n = config.n_paths
     n_mu = len(p.mu)
-    m_total = p.m.total_rate()
 
     # the buffers hold CHUNK_STEPS steps between them
     n_buffers = 2 if threads > 1 else 1
@@ -297,23 +332,11 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
     jump_rngs = ([np.random.Generator(rng.bit_generator.jumped()) for rng in normal_rngs]
                  if len(p.m) or n_mu else [])
 
-    # the m jumps as flat (step, path, atom) arrays; the counts are drawn
-    # CHUNK_STEPS steps at a time so that memory stays bounded in the horizon
-    m_jumps = [np.empty((3, 0), dtype=np.intp)]
-    if len(p.m):
-        for pid, rng in enumerate(jump_rngs):
-            steps = [np.empty(0, dtype=np.intp)]
-            for k0 in range(0, n_steps, CHUNK_STEPS):
-                counts = rng.poisson(m_total * dt, min(CHUNK_STEPS, n_steps - k0))
-                hit = np.nonzero(counts)[0]
-                if hit.size:
-                    steps.append(np.repeat(k0 + hit, counts[hit]))
-            steps = np.concatenate(steps)
-            m_jumps.append(np.stack([steps, np.full_like(steps, pid),
-                                     p.m.draw_atoms(rng, steps.size)]))
-    # applied by step; the stable sort keeps path order, then drawing order
-    m_jumps = np.concatenate(m_jumps, axis=1)
-    jumps = [m_jumps[:, np.argsort(m_jumps[0], kind="stable")]]
+    # the m jumps as flat (step, path, atom) arrays, applied by step; the
+    # stable sort keeps path order, then time order
+    m_path, u, m_atom = _m_jumps(p.m, config.horizon, jump_rngs)
+    m_step = _jump_steps(u, n_steps)
+    jumps = [np.stack([m_step, m_path, m_atom])[:, np.argsort(m_step, kind="stable")]]
     m_step, m_path, m_atom = jumps[0]
 
     def fill(buf, lo, hi, c):
@@ -418,34 +441,16 @@ def _ou_paths(config: SimConfig, snapshot_times, out):
     The jump mass is carried between snapshots, ``J_k = E(t_k - t_{k-1})
     J_{k-1} E(.).T + (jumps in (t_{k-1}, t_k])``, so each jump is
     exponentiated once, in one ``mat_exp(beta, lags)`` call per snapshot.
-
-    Each path draws its Poisson jump count ``k``, then ``2 k`` uniforms in
-    one call: the ``k`` unsorted jump times, then the ``k`` uniforms that
-    pick the atoms (the values two calls of ``k`` would draw).
+    The jumps are :func:`_m_jumps` of each path's stream.
     """
     p = config.params
     d = p.dim
     n = config.n_paths
     beta = p.drift.beta
     T = config.horizon
-    lam = p.m.total_rate() * T
 
-    counts = np.zeros(n, dtype=int)
-    draws = [np.empty(0)]
-    if lam > 0.0:
-        for pid, rng in enumerate(_path_streams(config.seed, range(n))):
-            counts[pid] = count = rng.poisson(lam)
-            draws.append(rng.random(2 * count))
-    drawn = np.concatenate(draws)
-    # jump i, numbered path by path, has its time uniform at i plus the
-    # jump count of the earlier paths, and its atom uniform its own path's
-    # count later.  Within a path the times are sorted and the k-th
-    # earliest takes the k-th atom drawn
-    owner = np.repeat(np.arange(n), counts)
-    at = np.arange(owner.size) + np.repeat(np.cumsum(counts) - counts, counts)
-    u = drawn[at]
-    tau = u[np.lexsort((u, owner))] * T
-    atom = p.m.atom_index(drawn[at + counts[owner]]) if lam > 0.0 else np.empty(0, np.intp)
+    owner, u, atom = _m_jumps(p.m, T, _path_streams(config.seed, range(n)))
+    tau = u * T
     # a jump enters at the first snapshot at or after its time
     first = np.searchsorted(snapshot_times, tau, side="left")
 

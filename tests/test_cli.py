@@ -281,11 +281,10 @@ def test_overflowing_mean_exits_3_in_verify_and_6_in_simulate(config_file, tmp_p
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps(_overflowing_mean(json.loads(config_file.read_text()))))
     # the mean-gap table's transient mean is an OverflowError, not a
-    # ValueError traceback.  The decay certificate and the Laplace table of
-    # this model raise numpy overflow warnings on the way, which are not
-    # what is tested here
+    # ValueError traceback, and the decay certificate and the Laplace table
+    # of this model get there with no numpy warning
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(["verify", "--config", str(cfg), "--out-dir", str(tmp_path / "v")]) == 3
     assert capsys.readouterr().err.splitlines() == [
         "numeric overflow: transient mean left the float range"]

@@ -1,5 +1,6 @@
 """Long-time behavior: certificates, moments, stationary law, bounds."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -88,6 +89,22 @@ def test_certificate_M_bounds_dense_sample(rng):
         sampled = np.max(norms)
         assert sampled <= cert.M <= 1.05 * sampled
     assert cert.M > 80.0
+
+
+def test_certificate_of_strongly_non_normal_drift():
+    # ||e^{t(B + delta I)}|| peaks near t = 1000 at 1.2e8, and e^{h mu} of
+    # the first grid overflows: an infinite growth passes no interval, with
+    # no numpy warning
+    p = dataclasses.replace(zero_diffusion_params(rate=1.0), m=ScalarJumpMeasure(),
+                            drift=LinearDrift.lyapunov(np.array([[-1.0, 30.0], [0.0, -1.0]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cert = decay_certificate(p)
+    a = p.effective_drift().matrix + cert.delta * np.eye(3)
+    ts = np.linspace(0.0, 2560.0, 2561)
+    sampled = np.max(np.linalg.norm(scipy.linalg.expm(ts[:, None, None] * a), 2, axis=(-2, -1)))
+    assert sampled <= cert.M <= 1.05 * sampled
+    assert cert.M == pytest.approx(1.23e8, rel=1e-2)
 
 
 def test_not_subcritical_raises():
@@ -379,6 +396,17 @@ def test_transient_laplace_values(rng):
     assert cols.shape == (3, 3)
     assert np.allclose(cols[:, 0], vals, rtol=0.0, atol=1e-9)
     assert np.array_equal(cols[0], np.exp(-np.sum(x * flow.u0, axis=(1, 2))))
+
+
+def test_transient_laplace_of_an_overflowing_pairing_is_zero():
+    # <x, psi> >= 0 on the cone, so a pairing past the float range reads
+    # +inf and the transform 0, never NaN, with no numpy warning
+    p = zero_diffusion_params()
+    flow = solve_riccati(p, 20.0 * np.eye(2), 1.0, tol=1e-10, t_eval=[0.5, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals = transient_laplace(flow, 1e307 * np.eye(2), [0.0, 0.5, 1.0])
+    assert np.array_equal(vals, np.zeros(3))
 
 
 def test_dL_below_bound_and_decaying(rng):

@@ -132,14 +132,14 @@ def test_scalar_jump_measure_log_moment_of_an_overflowing_norm():
 
 
 @pytest.mark.parametrize("masses", [[0.8, 0.5], [0.3], [1e-3, 2.0, 0.7, 1e-9, 5.0]])
-def test_draw_atoms_is_choice(masses):
+def test_atom_index_of_uniforms_is_choice(masses):
     # the same indices as rng.choice, and the stream left where choice leaves it
     d = 2
     m = ScalarJumpMeasure([((k + 1.0) * np.eye(d), w) for k, w in enumerate(masses)])
     p = m.masses / m.total_rate()
     for seed, n in [(0, 0), (1, 1), (2, 7), (3, 5000)]:
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = m.draw_atoms(ours, n)
+        got = m.atom_index(ours.random(n))
         want = theirs.choice(len(m), size=n, p=p)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert ours.random() == theirs.random()

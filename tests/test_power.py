@@ -71,9 +71,15 @@ def _beta_off_diagonal_negated(p: AffineParams) -> AffineParams:
     return dataclasses.replace(p, drift=LinearDrift.lyapunov(beta))
 
 
+def _m_site_halved(p: AffineParams) -> AffineParams:
+    # the Euler scheme reads m through the shared compound Poisson sampler
+    return dataclasses.replace(p, m=ScalarJumpMeasure([(0.5 * s, w) for s, w in p.m.atoms]))
+
+
 ENTRIES = [
     pytest.param(_exact_config, _b_halved, id="ou-exact-b-halved"),
     pytest.param(_euler_config, _beta_off_diagonal_negated, id="euler-beta-off-diagonal-negated"),
+    pytest.param(_euler_config, _m_site_halved, id="euler-m-site-halved"),
 ]
 
 

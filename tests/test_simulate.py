@@ -23,7 +23,14 @@ from affinecone import (
 )
 from affinecone.params import ConfigError
 from affinecone.riccati import congruence_integral
-from affinecone.simulate import JUMP_DTYPE, PathFailureError, _path_rng, _path_streams
+from affinecone.simulate import (
+    JUMP_DTYPE,
+    MAX_STEPS,
+    PathFailureError,
+    _jump_steps,
+    _path_rng,
+    _path_streams,
+)
 from affinecone.symcone import (
     _CLIP_GAP,
     _CLIP_KAPPA,
@@ -369,8 +376,10 @@ def test_euler_memory_is_one_chunk_of_draws():
 def _euler_reference(config, snapshot_times):
     """The Euler scheme with every random draw made up front, all paths in
     one stack: per path all normals from its stream, and from that stream's
-    jumped copy the ``m`` jump counts, the ``m`` atoms and the ``mu``
-    uniforms."""
+    jumped copy the ``m`` jump count on ``[0, horizon]``, the jump times,
+    the ``m`` atoms and the ``mu`` uniforms.  The ``k``-th earliest time
+    takes the ``k``-th atom and applies in step ``floor(u n_steps)``,
+    clamped to the last step, of its horizon fraction ``u``."""
     p = config.params
     d = p.dim
     dt = config.dt
@@ -394,9 +403,10 @@ def _euler_reference(config, snapshot_times):
         jumps = np.random.Generator(rng.bit_generator.jumped())
         normals[j] = rng.standard_normal((n_steps, d, d))
         if len(p.m):
-            m_counts[j] = jumps.poisson(m_total * dt, n_steps)
-            m_choices[j] = jumps.choice(len(p.m), size=int(m_counts[j].sum()),
-                                        p=m_rates / m_total)
+            count = jumps.poisson(m_total * config.horizon)
+            u = np.sort(jumps.random(count))
+            m_choices[j] = jumps.choice(len(p.m), size=count, p=m_rates / m_total)
+            np.add.at(m_counts[j], np.minimum(np.floor(u * n_steps).astype(int), n_steps - 1), 1)
         if len(p.mu):
             mu_uniforms[j] = jumps.random((n_steps, len(p.mu)))
 
@@ -487,9 +497,15 @@ def test_euler_scheme_matches_reference_loop(make):
     assert sources == {source for source, atoms in (("m", p.m), ("mu", p.mu)) if len(atoms)}
 
 
+@pytest.mark.parametrize("n_steps", [1, 3, 200, 2**20, 10**6 + 1, MAX_STEPS])
+def test_largest_uniform_below_one_bins_to_the_last_step(n_steps):
+    steps = _jump_steps(np.array([0.0, np.nextafter(1.0, 0.0)]), n_steps)
+    assert steps.tolist() == [0, n_steps - 1]
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 200, 10**6])
 def test_euler_sample_does_not_depend_on_chunk_steps(monkeypatch, chunk):
-    # 200 steps; at chunk 7 the pieces in which the m counts are drawn leave a remainder
+    # 200 steps; at chunk 7 the buffers of normals and mu uniforms leave a remainder
     cfg = _diffusion_config(n_paths=48, dt=0.005, with_mu=True)
     times = [0.5, 1.0]
     default = simulate(cfg, times)
