@@ -28,8 +28,10 @@ exceeds that ceiling; ``--closed-form`` on a model outside the Wishart
 family; a ``--tol`` outside ``riccati.TOL_RANGE`` (``[1e-12, 1e-3]``); a
 ``--T`` or ``--inflate-delta`` that is not positive and finite; a
 ``--threads`` below 1; and an output file or directory that cannot be
-written.  Exit 3 also covers a matrix exponential, an effective-drift
-matrix (a finite but huge ``drift.beta``) or a transient mean (``verify``'s
+written.  Exit 3 also covers a matrix exponential, a drift map image (of
+a finite but huge ``drift.beta``, in the effective drift, the Riccati
+field or the Euler step), a coefficient of the Riccati field, the field
+at the start value (a huge ``--u``) or a transient mean (``verify``'s
 mean-gap table, of a huge ``sim.x0``) that leaves the float range (an
 ``OverflowError``; config parsing reports its own as exit 2).
 Exit 6 covers a path of either scheme (``euler_project`` or
@@ -40,10 +42,10 @@ and ``verify`` (a bound violated) return a nonzero code themselves.
 
 ``verify`` solves its probe grid as one flow, which serves the transient
 Laplace table, the ``psi`` decay envelope and the stationary exponents.
-``verify`` and ``simulate`` remove from ``--out-dir`` the files they
-write and ``manifest.json`` before their first solve or draw, as
-``stationary`` empties its outputs, so a failed or shorter run leaves no
-results of an earlier one in place.
+Before any config is read, ``main`` removes every file the command may
+write (``--out``, ``--table``, or the command's files and
+``manifest.json`` in ``--out-dir``), so a failed or shorter run leaves
+no results of an earlier one in place.
 """
 
 from __future__ import annotations
@@ -126,13 +128,31 @@ def _write_manifest(out_dir: Path, command: str, config_path: str, seed, outputs
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _clear_outputs(out_dir: Path, outputs) -> None:
-    """Make ``out_dir`` and remove from it the files ``outputs`` and
-    ``manifest.json``, and nothing else, so that a run that fails later,
-    or writes fewer files, leaves no results of an earlier run in place."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path in (*outputs, out_dir / "manifest.json"):
-        path.unlink(missing_ok=True)
+# the files verify and simulate write into --out-dir, besides manifest.json
+OUT_DIR_FILES = {
+    "verify": ("dL_table.csv", "psi_bound_table.csv", "w1_table.csv"),
+    "simulate": ("snapshots.csv", "jumps.csv", "zscores.csv"),
+}
+
+
+def _clear_outputs(args) -> None:
+    """Remove every file the command may write, and nothing else, before
+    its config is read, so that a run that fails, or writes fewer files,
+    leaves no results of an earlier run in place.  ``--out-dir`` is made;
+    an output that cannot be written fails here, before any solve (a
+    device such as ``/dev/null`` is written to, never removed)."""
+    if "out_dir" in args:
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        paths = [out_dir / name for name in (*OUT_DIR_FILES[args.command], "manifest.json")]
+    else:
+        paths = [Path(path) for path in (args.out, getattr(args, "table", None)) if path]
+    for path in paths:
+        if path.resolve() == Path(args.config).resolve():
+            raise ConfigError(f"output {path} is the config")
+        open(path, "a").close()
+        if path.is_file():
+            path.unlink()
 
 
 def _check_flags(args) -> None:
@@ -237,11 +257,6 @@ def cmd_riccati(args) -> int:
 
 def cmd_stationary(args) -> int:
     p, _ = load_params(args.config)
-    # an output that cannot be written fails before the first solve, and
-    # one that can is emptied, so a run that fails later leaves no
-    # results of an earlier run in place
-    for path in filter(None, (args.out, args.table)):
-        open(path, "w").close()
     cert = decay_certificate(p)
     law = InvariantLaw(p, cert)
     gate = log_moment_gate(p)
@@ -275,8 +290,7 @@ def cmd_verify(args) -> int:
     sim = _sim_section(data, required=False)
     x = _cone_matrix(sim["x0"], p.dim, "sim.x0") if "x0" in sim else np.eye(p.dim)
     out_dir = Path(args.out_dir)
-    tables = [out_dir / name for name in ("dL_table.csv", "psi_bound_table.csv", "w1_table.csv")]
-    _clear_outputs(out_dir, tables)
+    tables = [out_dir / name for name in OUT_DIR_FILES["verify"]]
     cert = decay_certificate(p)
     if args.inflate_delta != 1.0:
         # self-test hook: an overstated decay rate must make the bounds fail
@@ -354,11 +368,8 @@ def cmd_simulate(args) -> int:
         snapshots = [float(s) for s in args.snapshots.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--snapshots: {exc}") from exc
-    # an output directory that cannot be made fails before the simulation
     out_dir = Path(args.out_dir)
-    snap_path, jump_path, z_path = (out_dir / name
-                                    for name in ("snapshots.csv", "jumps.csv", "zscores.csv"))
-    _clear_outputs(out_dir, [snap_path, jump_path, z_path])
+    snap_path, jump_path, z_path = (out_dir / name for name in OUT_DIR_FILES["simulate"])
     try:
         ens = simulate(config, snapshots, threads=args.threads)
     except ConfigError as exc:  # snapshot times, refused before any draw
@@ -433,6 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _clear_outputs(args)
         _check_flags(args)
         return args.fn(args)
     except tuple(kind for kind, _, _ in FAILURES) as exc:

@@ -36,7 +36,6 @@ from .symcone import (
     min_eigval,
     pairings,
     psd_tol,
-    sym_basis,
     sym_dim,
     symmetrize,
     unvectorize,
@@ -66,12 +65,6 @@ class SymOperator:
         self.matrix = np.asarray(self.matrix, dtype=float)
         if self.matrix.shape != (D, D):
             raise ValueError(f"operator matrix must be {D}x{D}, got {self.matrix.shape}")
-
-    @classmethod
-    def from_map(cls, dim: int, fn) -> "SymOperator":
-        """Build the matrix of ``fn`` by applying it to each basis element."""
-        cols = [vectorize(fn(e)) for e in sym_basis(dim)]
-        return cls(dim, np.column_stack(cols))
 
     def apply(self, x) -> np.ndarray:
         """Apply to one symmetric matrix or a stack ``(..., d, d)``."""
@@ -183,7 +176,8 @@ class LinearDrift:
 
     Both point inward on the cone boundary for every ``beta``: ``x, u >=
     0`` with ``<x, u> = 0`` gives ``xu = 0``, so ``<beta x + x beta.T, u> =
-    2 tr(beta xu) = 0``; and ``beta x beta.T >= 0``.
+    2 tr(beta xu) = 0``; and ``beta x beta.T >= 0``.  The adjoint of
+    either kind is the same kind with ``beta.T``.
     """
 
     kind: str
@@ -207,23 +201,22 @@ class LinearDrift:
         return cls("congruence", beta=beta)
 
     def apply(self, x) -> np.ndarray:
+        """Apply to one symmetric matrix or a stack ``(..., d, d)``.  An
+        image that leaves the float range (a finite but huge ``beta``)
+        raises ``OverflowError``, with no numpy warning."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "lyapunov":
-            return symmetrize(self.beta @ x + x @ self.beta.T)
-        return symmetrize(self.beta @ x @ self.beta.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.beta @ x
+            out = out + x @ self.beta.T if self.kind == "lyapunov" else out @ self.beta.T
+            out = (out + np.swapaxes(out, -1, -2)) / 2.0
+        if not np.all(np.isfinite(out)):
+            raise OverflowError(f"{self.kind} drift image overflowed")
+        return out
 
     def operator(self, dim: int) -> SymOperator:
-        return SymOperator.from_map(dim, self.apply)
-
-    def adjoint_apply(self, u) -> np.ndarray:
-        """Apply the adjoint map, in closed form, to one symmetric matrix
-        or a stack ``(..., d, d)``."""
-        u = np.asarray(u, dtype=float)
-        if self.kind == "lyapunov":
-            out = self.beta.T @ u + u @ self.beta
-        else:
-            out = self.beta.T @ u @ self.beta
-        return 0.5 * (out + np.swapaxes(out, -1, -2))
+        """The matrix of the map: one stacked ``apply`` of the basis."""
+        basis = unvectorize(np.eye(sym_dim(dim)))
+        return SymOperator(dim, vectorize(self.apply(basis)).T)
 
 
 @dataclass

@@ -13,6 +13,9 @@ with
     R(u) = -2 u alpha u + B_adj(u)
            + sum_i (1 - exp(-<u, site_i>)) weight_i            (mu atoms)
 
+where ``B_adj``, the adjoint of the linear drift, is the drift of the same
+kind with ``beta.T``.
+
 Both equations are integrated jointly on the vectorized state, which
 keeps ``psi`` exactly symmetric by construction and keeps ``phi``
 consistent with the adaptive steps without interpolation.
@@ -26,7 +29,11 @@ model, the linear row of ``F`` from one :func:`riccati_F` call, and the
 jump rows straight from the ``mu`` weights and ``m`` masses.
 ``riccati_R`` and ``riccati_F`` therefore stay the one definition of the
 field, and each step makes only a few array operations on the whole
-stack.  It is integrated with the Dormand-Prince 8(5,3) pair.
+stack.  It is integrated with the Dormand-Prince 8(5,3) pair.  The
+field's exact Jacobian is the derivative of the features times ``M``;
+:func:`riccati_DR` and :func:`riccati_DF` are its ``R`` block and ``F``
+column.  Coefficients that leave the float range, or a field that is not
+finite at the start value, raise ``OverflowError``.
 
 Batches: ``F``, ``R`` and :func:`solve_riccati` take one symmetric
 matrix ``(d, d)`` or a stack of ``n`` probes ``(n, d, d)``.  A stack is
@@ -65,7 +72,6 @@ from .symcone import (
     min_eigval,
     pairings,
     sqrt_psd,
-    sym_basis,
     sym_dim,
     sym_index,
     symmetrize,
@@ -102,35 +108,29 @@ def riccati_R(p: AffineParams, u) -> np.ndarray:
     has the same shape and is exactly symmetric.
     """
     u = np.asarray(u, dtype=float)
-    out = -2.0 * (u @ p.alpha @ u) + p.drift.adjoint_apply(u)
+    out = -2.0 * (u @ p.alpha @ u) + LinearDrift(p.drift.kind, p.drift.beta.T).apply(u)
     if len(p.mu):
         out = out + np.tensordot(1.0 - np.exp(-pairings(u, p.mu.sites)), p.mu.weights, axes=1)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def riccati_DR(p: AffineParams, u) -> SymOperator:
-    """Derivative of ``R`` at ``u`` as an operator on symmetric matrices:
-    ``h -> -2(u alpha h + h alpha u) + B_adj(h) + sum <h, site_i> e^{-<u, site_i>} weight_i``.
+    """Derivative of ``R`` at one symmetric matrix ``u``, as an operator on
+    symmetric matrices: the ``R`` block of :func:`_coordinate_field`'s Jacobian.
 
     At ``u = 0`` this is the adjoint of the effective drift.
     """
-    d = p.dim
-    u = symmetrize(u)
-    ua = u @ p.alpha
-    op = SymOperator.from_map(
-        d, lambda h: -2.0 * symmetrize(ua @ h + h @ ua.T) + p.drift.adjoint_apply(h))
-    # the jump part is sum_i e^{-<u, site_i>} vec(weight_i) vec(site_i)^T
-    sites, weights = (x.reshape(-1, d, d) for x in (p.mu.sites, p.mu.weights))
-    e = np.exp(-pairings(u, sites))
-    return SymOperator(d, op.matrix + vectorize(weights).T @ (e[:, None] * vectorize(sites)))
+    jac = _coordinate_field(p).jacobian(vectorize(symmetrize(u))[None])[0]
+    return SymOperator(p.dim, jac[:, :-1].T)
 
 
 def riccati_DF(p: AffineParams, u) -> np.ndarray:
     """Gradient of ``F`` at ``u`` (or at each of a stack): the matrix ``g``
-    with ``DF(u)(h) = <g, h>``, namely ``b + sum_i w_i e^{-<u, site_i>} site_i``."""
+    with ``DF(u)(h) = <g, h>``, namely ``b + sum_i w_i e^{-<u, site_i>}
+    site_i``, read off the ``F`` column of :func:`_coordinate_field`'s Jacobian."""
     u = symmetrize(u)
-    sites = p.m.sites.reshape(-1, p.dim, p.dim)
-    return p.b + np.tensordot(p.m.masses * np.exp(-pairings(u, sites)), sites, axes=1)
+    v = vectorize(u).reshape(-1, sym_dim(p.dim))
+    return unvectorize(_coordinate_field(p).jacobian(v)[..., -1]).reshape(u.shape)
 
 
 # --- the field in coordinates ------------------------------------------
@@ -138,7 +138,8 @@ def riccati_DF(p: AffineParams, u) -> np.ndarray:
 
 def _coordinate_field(p: AffineParams):
     """The field ``v -> [vec R(u), F(u)]`` on coordinate rows ``v``
-    ``(n, D)``, returned as an ``(n, D + 1)`` array.
+    ``(n, D)``, returned as an ``(n, D + 1)`` array, with its Jacobian
+    attached as ``field.jacobian``.
 
     It is ``[v, v[:, rows] * v[:, cols], 1 - exp(-v @ S.T)] @ M``, with
     ``rows`` and ``cols`` from ``sym_index(D)`` (every monomial
@@ -151,32 +152,47 @@ def _coordinate_field(p: AffineParams):
     ``v_i^2`` and ``R0(E_i + E_j) - R0(E_i) - R0(E_j)`` that of
     ``v_i v_j``.  The linear part of ``F`` is ``F0(E_i)``; the jump rows
     are the ``mu`` weights (in ``R``) and the ``m`` masses (in ``F``).
+    A coefficient that leaves the float range raises ``OverflowError``.
+
+    ``field.jacobian(v)`` is the exact ``(n, D, D + 1)`` Jacobian
+    ``[I, d(v_i v_j)/dv, S.T diag(e^{-S v})] @ M``: row ``k`` of probe
+    ``i`` is the derivative of the field along ``v_k``.
     """
     d = p.dim
     D = sym_dim(d)
-    basis = np.array(sym_basis(d))
+    basis = unvectorize(np.eye(D))
     upper = np.triu_indices(D, k=1)
     smooth = replace(p, m=ScalarJumpMeasure(), mu=MatrixJumpMeasure())
-    vals = vectorize(riccati_R(smooth, np.concatenate(
-        [basis, -basis, basis[upper[0]] + basis[upper[1]]])))
-    plus, minus, pairs = vals[:D], vals[D:2 * D], vals[2 * D:]
     mu_weights, mu_sites, m_sites = (
         vectorize(x.reshape(-1, d, d)) for x in (p.mu.weights, p.mu.sites, p.m.sites))
     jumps = D + sym_dim(D)  # first jump row
 
     M = np.zeros((jumps + len(mu_sites) + len(m_sites), D + 1))
-    M[:D, :D] = 0.5 * (plus - minus)
-    M[D:2 * D, :D] = 0.5 * (plus + minus)
-    M[2 * D:jumps, :D] = pairs - plus[upper[0]] - plus[upper[1]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = vectorize(riccati_R(smooth, np.concatenate(
+            [basis, -basis, basis[upper[0]] + basis[upper[1]]])))
+        plus, minus, pairs = vals[:D], vals[D:2 * D], vals[2 * D:]
+        M[:D, :D] = 0.5 * (plus - minus)
+        M[D:2 * D, :D] = 0.5 * (plus + minus)
+        M[2 * D:jumps, :D] = pairs - plus[upper[0]] - plus[upper[1]]
+        M[:D, D] = riccati_F(smooth, basis)
     M[jumps:jumps + len(mu_sites), :D] = mu_weights
-    M[:D, D] = riccati_F(smooth, basis)
     M[jumps + len(mu_sites):, D] = p.m.masses
+    if not np.all(np.isfinite(M)):
+        raise OverflowError("Riccati field coefficients overflowed")
     S = np.concatenate([mu_sites, m_sites])
     rows, cols, _ = sym_index(D)
+    eye = np.eye(D)
 
     def vector_field(v):
         return np.concatenate([v, v[:, rows] * v[:, cols], 1.0 - np.exp(-(v @ S.T))], axis=1) @ M
 
+    def jacobian(v):
+        quadratic = eye[:, rows] * v[:, None, cols] + eye[:, cols] * v[:, None, rows]
+        return np.concatenate([np.broadcast_to(eye, (len(v), D, D)), quadratic,
+                               S.T * np.exp(-(v @ S.T))[:, None, :]], axis=2) @ M
+
+    vector_field.jacobian = jacobian
     return vector_field
 
 
@@ -292,7 +308,12 @@ def solve_riccati(
         # NaN fails both tests
         if not t_eval.size or not np.all((t_eval >= 0.0) & (t_eval <= T)):
             raise ValueError(f"t_eval must be nonempty, with every time in [0, T = {T:g}]")
-    sol = scipy.integrate.solve_ivp(rhs, (0.0, T), y0, method="DOP853", **kwargs)
+    # a field not finite at y0 gives a NaN first step, which scipy retries
+    # without end; a NaN later shrinks the step until scipy reports underflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(rhs(0.0, y0))):
+            raise OverflowError("Riccati field is not finite at the start value")
+        sol = scipy.integrate.solve_ivp(rhs, (0.0, T), y0, method="DOP853", **kwargs)
     if sol.status == -1:
         last = float(sol.t[-1]) if sol.t.size else 0.0
         raise SolverFailureError(f"integration failed: {sol.message}", last)

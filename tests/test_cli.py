@@ -586,6 +586,89 @@ def test_overflowing_effective_drift_exits_3_without_traceback(config_file, tmp_
     assert err.startswith("numeric overflow:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["stationary", "verify", "simulate", "riccati"])
+def test_overflowing_drift_image_exits_3_without_traceback(config_file, tmp_path, capsys,
+                                                          command):
+    # beta x + x beta.T reaches -inf at x = E_11 for this finite beta: the
+    # drift map refuses it in the effective drift, the Riccati field and the
+    # Euler step alike; validate never applies the drift and passes
+    data = json.loads(config_file.read_text())
+    data["drift"] = {"kind": "lyapunov", "beta": [[-1e308, 0.0], [0.0, -1.0]]}
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(data))
+    argv = {"verify": ["--out-dir", str(tmp_path / "v")],
+            "simulate": ["--snapshots", "0.5", "--out-dir", str(tmp_path / "s")]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["validate", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), *argv.get(command, [])]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric overflow:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("beta, u", [
+    pytest.param([[-1.0, 1e308], [0.0, -1.0]], None, id="field-coefficients"),
+    pytest.param([[-1.0, 1e150], [0.0, -1.0]], None, id="flow"),
+    pytest.param(None, (1e200 * np.eye(2)).tolist(), id="field-at-start"),
+])
+def test_riccati_past_the_float_range_exits_3_and_leaves_no_csv(tmp_path, capsys, beta, u):
+    # each case ends at once, where a NaN first step of the integrator would
+    # never end: coefficients past the float range and a field that is not
+    # finite at the start are refused before integrating, and a flow that
+    # leaves the float range later underflows the step size
+    data = zero_diffusion_params().to_dict()
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "t.csv"
+    argv = ["riccati", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 0
+    assert out.stat().st_size
+    if beta is not None:
+        data["drift"]["beta"] = beta
+        cfg.write_text(json.dumps(data))
+    if u is not None:
+        (tmp_path / "u.json").write_text(json.dumps(u))
+        argv += ["--u", str(tmp_path / "u.json")]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(("numeric overflow:", "solver failure:")) and err.count("\n") == 1
+    assert not out.exists()
+
+
+OUTPUTS = {
+    "validate": ["--out", "r.json"],
+    "riccati": ["--out", "t.csv"],
+    "stationary": ["--out", "r.json", "--table", "t.csv"],
+    "verify": ["--out-dir", "v"],
+    "simulate": ["--snapshots", "0.5", "--out-dir", "s"],
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUTS))
+def test_config_error_leaves_no_earlier_results(config_file, tmp_path, capsys, monkeypatch,
+                                                command):
+    # every command clears its outputs before it reads its config
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *OUTPUTS[command]]
+    assert main([*argv, "--config", str(config_file)]) == 0
+    written = sorted(tmp_path.rglob("*"))
+    assert main([*argv, "--config", str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    left = sorted(tmp_path.rglob("*"))
+    assert left == [path for path in written if path.is_dir() or path == config_file]
+
+
+def test_an_output_that_is_the_config_is_refused(config_file, capsys):
+    text = config_file.read_text()
+    assert main(["validate", "--config", str(config_file), "--out", str(config_file)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert config_file.read_text() == text
+
+
 def test_verify_inflated_rate_self_test_fails(config_file, tmp_path):
     out_dir = tmp_path / "verify_bad"
     code = main(

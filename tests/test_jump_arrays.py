@@ -54,7 +54,7 @@ def _loop_F(p, u):
 
 
 def _loop_R(p, u):
-    out = -2.0 * (u @ p.alpha @ u) + p.drift.adjoint_apply(u)
+    out = -2.0 * (u @ p.alpha @ u) + p.drift.operator(p.dim).adjoint().apply(u)
     for site, weight in p.mu.atoms:
         out = out + (1.0 - np.exp(-inner(u, site))) * weight
     return symmetrize(out)
@@ -68,7 +68,8 @@ def _loop_DF(p, u):
 
 
 def _loop_DR(p, u, h):
-    out = -2.0 * symmetrize(u @ p.alpha @ h + h @ p.alpha @ u) + p.drift.adjoint_apply(h)
+    out = (-2.0 * symmetrize(u @ p.alpha @ h + h @ p.alpha @ u)
+           + p.drift.operator(p.dim).adjoint().apply(h))
     for site, weight in p.mu.atoms:
         out = out + inner(h, site) * np.exp(-inner(u, site)) * weight
     return out

@@ -61,13 +61,24 @@ def test_operator_adjoint_identity(rng):
 
 
 def test_drift_adjoint_apply_closed_forms(rng):
+    # the adjoint of either kind is the same kind with beta.T
     d = 3
     for kind in ("lyapunov", "congruence"):
         beta = rng.standard_normal((d, d))
-        drift = LinearDrift(kind, beta=beta)
-        op_adj = drift.operator(d).adjoint()
+        op_adj = LinearDrift(kind, beta=beta).operator(d).adjoint()
         u = symmetrize(rng.standard_normal((d, d)))
-        assert np.allclose(drift.adjoint_apply(u), op_adj.apply(u), atol=1e-12)
+        assert np.allclose(LinearDrift(kind, beta=beta.T).apply(u), op_adj.apply(u), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["lyapunov", "congruence"])
+def test_drift_image_past_the_float_range_is_an_overflow(kind):
+    # a finite beta whose image at I leaves the float range (-2e308 or 1e616)
+    drift = LinearDrift(kind, beta=[[-1e308, 0.0], [0.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for apply in (drift.apply, lambda x: drift.operator(2)):
+            with pytest.raises(OverflowError, match="drift image overflowed"):
+                apply(np.eye(2))
 
 
 def test_operator_shape_mismatch():

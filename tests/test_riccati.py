@@ -124,6 +124,38 @@ def test_coordinate_field_matches_matrix_form(rng, d, drift, jumps):
         for part, ref in ((got[:, :-1], vectorize(riccati_R(p, us))),
                           (got[:, -1], riccati_F(p, us))):
             assert np.abs(part - ref).max() <= 1e-14 * np.abs(ref).max()
+        # row k of the Jacobian is the central difference of the field along v_k
+        eps = 1e-6 * scale
+        steps = eps * np.eye(sym_dim(d))
+        fd = np.stack([field(vectorize(us) + h) - field(vectorize(us) - h) for h in steps],
+                      axis=1) / (2 * eps)
+        jac = field.jacobian(vectorize(us))
+        assert np.abs(jac - fd).max() <= 1e-7 * np.abs(jac).max()
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    pytest.param(np.eye(2), [[-1.0, 1e308], [0.0, -1.0]], id="huge-beta"),
+    pytest.param(8e307 * np.eye(2), -np.eye(2), id="huge-alpha"),
+])
+def test_coordinate_field_refuses_coefficients_past_the_float_range(alpha, beta):
+    p = AffineParams(dim=2, alpha=alpha, b=np.eye(2), drift=LinearDrift.lyapunov(beta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowError):
+            riccati._coordinate_field(p)
+
+
+def test_solve_refuses_a_start_where_the_field_is_not_finite(rng, monkeypatch):
+    # v_i v_j overflows at 1e200 I: the integrator, which would take a NaN
+    # first step and retry it without end, is never called
+    def never(*args, **kwargs):
+        raise AssertionError("the integrator was called")
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", never)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowError, match="not finite at the start"):
+            solve_riccati(_jump_params(rng), 1e200 * np.eye(2), 1.0)
 
 
 def test_solve_evaluates_the_matrix_form_only_to_build_the_field(rng, monkeypatch):
