@@ -63,7 +63,7 @@ from .symcone import (
     is_psd,
     mat_exp,
     min_eigval,
-    project_sqrt_psd,
+    project_factor_psd,
     psd_tol,
     random_psd,
     sqrt_psd,

@@ -96,9 +96,16 @@ def _semigroup_sup(A: np.ndarray, T0: float) -> tuple[float, float]:
     exponential of the half step.  Once ``h mu <= log(_CERT_SLACK)``
     every interval passes, so the refinement ends.
 
-    Raises ``NotSubcriticalError`` if 64 doublings find no such ``T``.
+    Raises ``NotSubcriticalError`` if 64 doublings find no such ``T``, and
+    ``OverflowError``, with no numpy warning, if ``T0 A`` leaves the float
+    range.
     """
-    E, T = mat_exp(T0 * A), T0
+    with np.errstate(over="ignore"):
+        TA = T0 * A
+    if not np.all(np.isfinite(TA)):
+        raise OverflowError(f"T0 (Bt + delta I) overflowed (T0 = {T0:.3g}, entries up to "
+                            f"{np.abs(A).max():.3e})")
+    E, T = mat_exp(TA), T0
     for _ in range(64):
         if _norm2(E) <= 1.0:
             break

@@ -16,22 +16,24 @@ Two schemes:
   stream's jumped copy, so every normal is drawn once.  The caller draws
   the ``m`` jumps up front as ``ou_exact`` does, two calls per path (a
   Poisson count for the horizon, then the time and atom uniforms), and
-  bins each time into its step.  The state and its square root stay
+  bins each time into its step.  The state and a factor of it stay
   packed for the whole run (``symcone.pack``: the ``D = d(d+1)/2``
   upper-triangle entries as rows of a ``(D, n)`` array, each row
-  contiguous over the paths) and are unpacked to ``(n, d, d)`` only at
-  snapshot steps.  A step is a fixed
-  number of array operations whatever ``n``: one product of the flat
-  normals with ``I_d (x) sqrt(dt) sigma^T``, ``d`` broadcast products and
-  two gathers for the diffusion term, one ``D x D`` product for the
-  drift, one for the ``mu`` rates, one ``np.add.at`` each for the step's
-  ``m`` jumps and ``mu`` hits, and one call of
-  ``symcone.project_sqrt_psd``, which returns the projected state and its
-  square root together, packed: for ``d <= 3`` in closed form on the
-  packed rows, with no eigenvectors, on every matrix well inside the cone
-  and on every matrix with one clearly negative eigenvalue, and through
-  ``eigh`` (unpacked and packed again) only on the other matrices
-  (near-singular, or of extreme scale) and for ``d >= 4``.  ``threads``
+  contiguous over the paths; the factor as the ``d * d`` entries of its
+  full matrix, row-major) and the state is unpacked to ``(n, d, d)``
+  only at snapshot steps.  A step is a fixed number of array operations
+  whatever ``n``: one product of the flat normals with ``I_d (x)
+  sqrt(dt) sigma^T``, ``d`` broadcast products and two gathers for the
+  diffusion term, one ``D x D`` product for the drift, one for the
+  ``mu`` rates, one ``np.add.at`` each for the step's ``m`` jumps and
+  ``mu`` hits, and one call of ``symcone.project_factor_psd``, which
+  returns the projected state and a factor ``F F^T = X`` of it: a
+  Cholesky factorization on the packed rows, ``D`` contiguous row
+  operations and a few more whatever ``d``, for every matrix it exists
+  for, and ``eigh`` only on the others (singular or indefinite matrices,
+  unpacked and packed again).  Any factor serves: ``F = X^{1/2} O``
+  with ``O`` orthogonal, and ``O N`` has the law of ``N``, so the
+  increment has the law it has with the symmetric root.  ``threads``
   counts the caller: above 1 the extra threads fill the next buffer of
   draws while the caller steps through the current one.
 * ``ou_exact`` -- for zero diffusion: the state is the mean of the model
@@ -81,11 +83,10 @@ from .symcone import (
     frobenius,
     mat_exp,
     pack,
-    project_sqrt_psd,
+    project_factor_psd,
     sym_index,
     symmetrize,
     unpack,
-    unpack_index,
     unvectorize,
     vectorize,
 )
@@ -347,19 +348,21 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
             for pid in range(lo, hi):
                 jump_rngs[pid].random(out=uniforms[buf, pid, :c])
 
-    # the state X and its root S are packed (D, n) stacks (symcone.pack),
-    # symmetric by construction.  With N a path's standard normals for the
-    # step, the next state is (I + L dt) X + b dt + M + M^T for M = S G and
-    # G = sqrt(dt) N sigma: L is the drift operator in packed coordinates,
-    # G one product for all paths of the flat normals with I_d (x) sqrt(dt)
-    # sigma^T, M the sum of d broadcast products, and M + M^T two gathers
-    # of M's entries
+    # the state X is a packed (D, n) stack (symcone.pack), symmetric by
+    # construction, and F a (d * d, n) stack of full factors, F F^T = X
+    # (symcone.project_factor_psd).  With N a path's standard normals for
+    # the step, the next state is (I + L dt) X + b dt + M + M^T for M = F G
+    # and G = sqrt(dt) N sigma: L is the drift operator in packed
+    # coordinates, G one product for all paths of the flat normals with
+    # I_d (x) sqrt(dt) sigma^T, M the sum of d broadcast products, and
+    # M + M^T two gathers of M's entries.  M + M^T has the law it has for
+    # the symmetric root X^{1/2}, since F = X^{1/2} O with O orthogonal and
+    # O N has the law of N
     rows, cols, _ = sym_index(d)
     basis = np.eye(len(rows))
     drift_step = basis + pack(p.drift.apply(unpack(basis))) * dt
     b_dt = pack(p.b[None]) * dt
     noise = np.kron(np.eye(d), np.sqrt(dt) * config.sigma.T)
-    full = unpack_index(d)
     upper, lower = rows * d + cols, cols * d + rows
     # the rate of a jump by site_i is <X, weight_i>, in which an
     # off-diagonal packed entry counts twice (an empty measure's atoms are
@@ -372,7 +375,7 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
         snaps.setdefault(k, []).append(ti)
 
     X = np.repeat(pack(config.x0[None]), n, axis=1)
-    _, S = project_sqrt_psd(X)
+    _, F = project_factor_psd(X)
     out[snaps.get(0, [])] = unpack(X)
     warned = False
 
@@ -396,10 +399,10 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
             m_ends = np.searchsorted(m_step, np.arange(k0, k0 + c + 1)).tolist()
             for i, k in enumerate(range(k0, k0 + c)):
                 G = (noise @ step_normals[:, i].reshape(n, d * d).T).reshape(d, d, n)
-                S3 = S[full].reshape(d, d, n)
-                M = S3[:, 0, None] * G[0]
+                F3 = F.reshape(d, d, n)
+                M = F3[:, 0, None] * G[0]
                 for r in range(1, d):
-                    M += S3[:, r, None] * G[r]
+                    M += F3[:, r, None] * G[r]
                 M = M.reshape(d * d, n)
                 Xn = (drift_step @ X + b_dt) + (M[upper] + M[lower])
 
@@ -422,7 +425,7 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
                         jumps.append(np.stack([np.full_like(j, k), j, a]))
 
                 _check_finite(Xn.T)
-                X, S = project_sqrt_psd(Xn)
+                X, F = project_factor_psd(Xn)
                 if k + 1 in snaps:
                     out[snaps[k + 1]] = unpack(X)
     step, path, atom = np.concatenate(jumps, axis=1)

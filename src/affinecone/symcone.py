@@ -7,9 +7,9 @@ conventions once:
 
 * the trace inner product ``<x, y> = tr(x y)`` and its Frobenius norm,
 * a relative tolerance for cone membership (``psd_tol``),
-* spectral operations (square root, and projection onto the cone with
-  the root of the projection for a packed stack, in closed form for
-  ``d <= 3``),
+* spectral operations (the symmetric square root) and, for a packed
+  stack, the projection ``X`` onto the cone with a factor ``F F^T = X``:
+  a packed Cholesky factorization wherever one exists, ``eigh`` elsewhere,
 * the package's one matrix exponential, a scaling-and-squaring Taylor
   kernel that gives ``e^a`` or, in one call, ``e^{s_i a}`` for many
   multiples of one matrix, and the flow of ``q' = a q + c`` read from it,
@@ -201,26 +201,13 @@ def affine_flow(a, c, y, times) -> np.ndarray:
         return eb[:, :-1, :-1] @ y + eb[:, :-1, -1]
 
 
-def _spectral_project_sqrt(y):
-    """The general path: ``eigh``, clip the eigenvalues at zero, rebuild.
-
-    Returns the unclipped eigenvalues (ascending), the projection (``y``
-    itself wherever no eigenvalue is negative) and the root of the
-    projection, for one matrix or a stack ``(..., d, d)``.
-    """
-    w, q = np.linalg.eigh(y)
-    qt = np.swapaxes(q, -1, -2)
-    clipped = np.clip(w, 0.0, None)
-
-    # a + a.T overflows for entries past half the float range; the rebuilt
-    # projection is kept only for an indefinite row, where it is then inf
-    @np.errstate(over="ignore")
-    def rebuild(values):
-        a = (q * values[..., None, :]) @ qt
-        return (a + np.swapaxes(a, -1, -2)) / 2.0
-
-    x = np.where(w[..., :1, None] >= 0.0, y, rebuild(clipped))
-    return w, x, rebuild(np.sqrt(clipped))
+# a + a.T overflows for entries past half the float range; a rebuilt
+# projection is kept only for an indefinite matrix, where it is then inf
+@np.errstate(over="ignore")
+def _rebuild(q, values):
+    """``q diag(values) q.T``, symmetrized, for a stack of eigenvectors ``q``."""
+    a = (q * values[..., None, :]) @ np.swapaxes(q, -1, -2)
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
 def sqrt_psd(x) -> np.ndarray:
@@ -231,183 +218,69 @@ def sqrt_psd(x) -> np.ndarray:
     """
     x = symmetrize(x)
     tol = psd_tol(x)
-    w, _, s = _spectral_project_sqrt(x)
+    w, q = np.linalg.eigh(x)
     if w[0] < -tol:
         raise ConeViolationError(
             f"cannot take PSD square root: min eigenvalue {w[0]:.3e} < -{tol:.3e}"
         )
-    return s
+    return _rebuild(q, np.sqrt(np.clip(w, 0.0, None)))
 
 
-# a row whose smallest eigenvalue exceeds this fraction of its largest is
-# well inside the cone: it is its own projection and is rooted in closed
-# form, which loses at most about 1e-16 / (2 sqrt(_CLOSED_FORM_TAU)) of its
-# scale to rounding
-_CLOSED_FORM_TAU = 1e-6
-# a row with exactly one clearly negative eigenvalue, below -_CLIP_KAPPA
-# times its largest, is projected in closed form by clipping that one
-# eigenvalue (Higham, Linear Algebra Appl. 103, 1988).  For d = 3 the
-# middle eigenvalue must also exceed _CLIP_GAP times the largest: the
-# smallest is computed to about 1e-16 / _CLIP_GAP of the scale, and the
-# root of the projection divides by the square root of the middle one
-_CLIP_KAPPA = 1e-10
-_CLIP_GAP = 1e-3
-# the closed forms square (d = 2) or cube (d = 3) entries, so they take
-# only the rows whose largest entry lies in this range: past its top the
-# powers overflow, below its bottom they underflow and lose their digits
-_CLOSED_FORM_RANGE = (1e-80, 1e80)
+def project_factor_psd(y) -> tuple[np.ndarray, np.ndarray]:
+    """Projection onto the cone and a factor of it, ``Y -> (X, F)`` with
+    ``F F^T = X``, for a packed stack ``(D, n)`` of finite symmetric
+    matrices (see :func:`pack`).  ``X`` is packed; ``F`` is the ``(d * d,
+    n)`` stack of the full factors, row-major, so ``F.reshape(d, d, n)[i,
+    j]`` is entry ``(i, j)`` of every factor.
 
-
-def _in_range(y):
-    scale = np.abs(y).max(axis=0, initial=0.0)
-    return (scale >= _CLOSED_FORM_RANGE[0]) & (scale <= _CLOSED_FORM_RANGE[1])
-
-
-# the identity as a packed column, for d = 2 (rows 00, 11, 01) and d = 3
-# (rows 00, 11, 22, 01, 02, 12)
-_DIAG2 = np.array([1.0, 1.0, 0.0])[:, None]
-_DIAG3 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])[:, None]
-
-
-def _closed_form_sqrt2(y):
-    """Matrices of a packed ``(3, n)`` stack the closed form takes, their
-    projections and the roots of those, packed (the other columns' values
-    are left undefined).
-
-    A matrix inside the cone is its own projection with root ``(Y +
-    sqrt(det) I) / sqrt(tr + 2 sqrt(det))``.  A matrix with eigenvalues
-    ``l1 > 0 > l2`` projects to ``X = l1 (Y - l2 I) / (l1 - l2)``, of rank
-    one, with root ``X / sqrt(l1)``.
-    """
-    a, c, b = y
-    in_range = _in_range(y)
-    det = a * c - b * b
-    mid, radius = (a + c) / 2.0, np.hypot((a - c) / 2.0, b)
-    lam_max, lam_min = mid + radius, mid - radius
-    inside = in_range & (lam_max > 0.0) & (det > _CLOSED_FORM_TAU * lam_max * lam_max)
-    clip = in_range & (lam_max > 0.0) & (lam_min < -_CLIP_KAPPA * lam_max)
-    rd = np.sqrt(det)
-    s = (y + rd * _DIAG2) / np.sqrt(a + c + 2.0 * rd)
-    x = y.copy()
-    if clip.any():
-        cols = np.flatnonzero(clip)
-        l1, l2 = lam_max[cols], lam_min[cols]
-        x[:, cols] = (y[:, cols] - l2 * _DIAG2) * (l1 / (l1 - l2))
-        s[:, cols] = x[:, cols] / np.sqrt(l1)
-    return inside | clip, x, s
-
-
-# the weights of the squared norm of a packed 3x3 matrix, and the three
-# products summed into each packed entry of Y^2
-_NORM3 = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
-_SQUARE_LEFT = np.array([[0, 3, 4, 0, 0, 3], [3, 1, 5, 3, 3, 1], [4, 5, 2, 4, 4, 5]])
-_SQUARE_RIGHT = np.array([[0, 3, 4, 3, 4, 4], [3, 1, 5, 1, 5, 5], [4, 5, 2, 5, 2, 2]])
-_SQRT3 = np.sqrt(3.0)
-_TINY = np.finfo(float).tiny
-
-
-def _closed_form_sqrt3(y):
-    """Matrices of a packed ``(6, n)`` stack the closed form takes, their
-    projections and the roots of those, packed (the other columns' values
-    are left undefined).
-
-    Eigenvalues ``l1 >= l2 >= l3`` by the trigonometric formula for
-    symmetric 3x3 matrices (Smith 1961): ``q + 2 p cos(phi + 2 pi k / 3)``,
-    from one cosine and one sine.  A matrix inside the cone is its own
-    projection.  A matrix with ``l3 < 0 < l2`` projects to ``X = Y - l3
-    P3`` with ``P3 = (Y - l1)(Y - l2) / ((l3 - l1)(l3 - l2))``, the
-    spectral projector of ``l3``, and ``X^2 = Y^2 - l3^2 P3``.  The root is
-    then ``S = [-X^2 + (I1^2 - I2) X + I1 I3 I] / (I1 I2 - I3)`` with ``I1,
-    I2, I3`` the elementary symmetric functions of the roots ``s1, s2, s3``
-    of the eigenvalues of ``X`` (Franca 1989), ``s3 = 0`` for a clipped
-    matrix.  The denominator is ``(s1 + s2)(s1 + s3)(s2 + s3)``: no
-    eigenvalue gap is divided by, so repeated eigenvalues are safe.  Each
-    packed entry is a contiguous row over the stack.
-    """
-    in_range = _in_range(y)
-    q = (y[0] + y[1] + y[2]) / 3.0
-    # B = Y - q I, with p^2 = ||B||^2 / 6 and r = det(B / p) / 2
-    b = y - q * _DIAG3
-    b00, b11, b22, b01, b02, b12 = b
-    sq = b * b
-    p2 = _NORM3 @ sq / 6.0
-    p = np.sqrt(p2)
-    det_b = (b00 * (b11 * b22 - sq[5]) - b11 * sq[4] - b22 * sq[3]
-             + 2.0 * b01 * b02 * b12)
-    # at p = 0 (a multiple of I) det_b is 0 too, and every eigenvalue is q
-    # whatever the angle
-    r = det_b / np.maximum(2.0 * p2 * p, _TINY)
-    phi = np.arccos(np.minimum(np.maximum(r, -1.0), 1.0)) / 3.0
-    # 2 cos(phi + 2 pi / 3) = -cos(phi) - sqrt(3) sin(phi), and at 4 pi / 3
-    # the sine's sign flips
-    pc, ps = p * np.cos(phi), _SQRT3 * p * np.sin(phi)
-    l1, l2, l3 = q + 2.0 * pc, q - pc + ps, q - pc - ps
-    inside = in_range & (l3 > _CLOSED_FORM_TAU * l1)
-    clip = in_range & (l3 < -_CLIP_KAPPA * l1) & (l2 > _CLIP_GAP * l1)
-    # Y^2 as three (6, n) products: one (18, n) product makes temporaries
-    # large enough that the allocator returns them to the system and each
-    # step faults them in again (about seven page faults per step at n =
-    # 1024, against one)
-    x2 = y[_SQUARE_LEFT[0]] * y[_SQUARE_RIGHT[0]]
-    for left, right in zip(_SQUARE_LEFT[1:], _SQUARE_RIGHT[1:]):
-        x2 += y[left] * y[right]
-    x = y.copy()
-    if clip.any():
-        # x and x2 become X and X^2 on the clipped columns, whose smallest
-        # eigenvalue becomes 0
-        cols = np.flatnonzero(clip)
-        c1, c2, c3 = l1[cols], l2[cols], l3[cols]
-        yc, y2c = y[:, cols], x2[:, cols]
-        p3 = (y2c - (c1 + c2) * yc + (c1 * c2) * _DIAG3) / ((c3 - c1) * (c3 - c2))
-        x[:, cols] = yc - c3 * p3
-        x2[:, cols] = y2c - (c3 * c3) * p3
-        l3[cols] = 0.0
-    s1, s2, s3 = np.sqrt(l1), np.sqrt(l2), np.sqrt(l3)
-    i1 = s1 + s2 + s3
-    i2 = s1 * s2 + s1 * s3 + s2 * s3
-    i3 = s1 * s2 * s3
-    s = ((i1 * i1 - i2) * x - x2 + (i1 * i3) * _DIAG3) / (i1 * i2 - i3)
-    return inside | clip, x, s
-
-
-_CLOSED_FORMS = {2: _closed_form_sqrt2, 3: _closed_form_sqrt3}
-
-
-def project_sqrt_psd(y) -> tuple[np.ndarray, np.ndarray]:
-    """Projection onto the cone and its square root, ``Y -> (X, X^{1/2})``,
-    for a packed stack ``(D, n)`` of finite symmetric matrices (see
-    :func:`pack`); both results are packed stacks too.
-
-    For ``d`` of 2 or 3, two kinds of matrix whose largest entry lies in
-    ``_CLOSED_FORM_RANGE`` take a closed form on the packed rows, with no
-    eigenvectors.  A matrix whose smallest eigenvalue exceeds
-    ``_CLOSED_FORM_TAU`` times its largest is its own projection.  A matrix
-    with exactly one eigenvalue below ``-_CLIP_KAPPA`` times its largest
-    (for ``d = 3`` with its middle one above ``_CLIP_GAP`` times the
-    largest) has that eigenvalue clipped.  Every other matrix
-    (near-singular, between those thresholds, or of extreme scale), and
-    every matrix for other ``d``, is unpacked and takes the general path:
-    ``eigh``, eigenvalues clipped at zero, both matrices rebuilt and
-    packed again; a matrix with no negative eigenvalue is still its own
-    projection.  Every operation acts column by column, so a matrix's
-    result does not depend on the rest of the stack.
+    A Cholesky factorization ``Y = L L^T`` runs on the packed rows, one
+    contiguous row over the stack per entry of ``L``, for any ``d``.  A
+    matrix takes it when every pivot is positive (a NaN pivot fails the
+    test too): it is its own projection, ``X = Y``, and ``F = L``.  Every
+    entry of such an ``L`` is finite: a pivot is at most its finite
+    diagonal entry of ``Y``, and each entry ``L_ij`` below the diagonal
+    enters pivot ``i`` as ``-L_ij^2``, so an infinite or NaN one leaves
+    that pivot at ``-inf`` or NaN.  Every other matrix goes to one
+    ``eigh`` call on those matrices alone: with eigenvalues ``w`` and
+    eigenvectors ``q``, ``F = q diag(sqrt(w+))``; ``X = Y`` where no
+    eigenvalue is negative and ``X = q diag(w+) q^T``, symmetrized,
+    elsewhere.  Every operation acts column by column, so a matrix's
+    result does not depend on the rest of the stack.  A zero or negative
+    pivot raises no numpy warning.  ``X`` is ``Y`` itself when every
+    matrix takes the Cholesky factorization.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
         raise ValueError(f"expected a packed (D, n) stack, got shape {y.shape}")
-    closed_form = _CLOSED_FORMS.get(_order(len(y)))
-    if closed_form is None:
-        _, x, s = _spectral_project_sqrt(unpack(y))
-        return pack(x), pack(s)
-    # columns outside the closed form's domain may overflow, divide by zero
-    # or take the root of a negative number; their values are replaced below
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        done, x, s = closed_form(y)
-    if not done.all():
-        rest = np.flatnonzero(~done)
-        _, x_rest, s_rest = _spectral_project_sqrt(unpack(y[:, rest]))
-        x[:, rest], s[:, rest] = pack(x_rest), pack(s_rest)
-    return x, s
+    d, n = _order(len(y)), y.shape[1]
+    at = unpack_index(d).reshape(d, d)  # the packed row of entry (i, j)
+    f = np.zeros((d * d, n))
+    low = f.reshape(d, d, n)
+    pivots = np.empty((d, n))
+    # a refused column may overflow, divide by zero or take the root of a
+    # negative number; its values are replaced below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(d):
+            for i in range(j, d):
+                s = y[at[i, j]]
+                for k in range(j):
+                    s = s - low[i, k] * low[j, k]
+                if i == j:
+                    pivots[j] = s
+                    np.sqrt(s, out=low[j, j])
+                else:
+                    np.divide(s, low[j, j], out=low[i, j])
+        cholesky = np.all(pivots > 0.0, axis=0)
+    if cholesky.all():
+        return y, f
+    rest = np.flatnonzero(~cholesky)
+    refused = unpack(y[:, rest])
+    w, q = np.linalg.eigh(refused)
+    clipped = np.clip(w, 0.0, None)
+    f[:, rest] = (q * np.sqrt(clipped)[:, None, :]).reshape(rest.size, d * d).T
+    x = y.copy()
+    x[:, rest] = pack(np.where(w[:, :1, None] >= 0.0, refused, _rebuild(q, clipped)))
+    return x, f
 
 
 def sym_dim(d: int) -> int:

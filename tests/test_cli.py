@@ -586,6 +586,26 @@ def test_overflowing_effective_drift_exits_3_without_traceback(config_file, tmp_
     assert err.startswith("numeric overflow:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["stationary", "verify"])
+def test_overflowing_semigroup_search_exits_3_without_traceback(config_file, tmp_path, capsys,
+                                                                command):
+    # the effective-drift matrix of this beta is finite, but the decay
+    # certificate's first exponent T0 (Bt + delta I) is not
+    data = json.loads(config_file.read_text())
+    data["drift"] = {"kind": "lyapunov", "beta": [[-1.0, 5e307], [0.0, -1.0]]}
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(data))
+    argv = [command, "--config", str(cfg)]
+    if command == "verify":
+        argv += ["--out-dir", str(tmp_path / "v")]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric overflow:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["stationary", "verify", "simulate", "riccati"])
 def test_overflowing_drift_image_exits_3_without_traceback(config_file, tmp_path, capsys,
                                                           command):

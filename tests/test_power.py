@@ -7,13 +7,17 @@ ensemble scored the same way, must pass.  Seeds, path counts and
 defects are fixed up front at desk scale and are not tuned until a
 defect is caught: a defect an oracle misses is reported, not hidden.
 
-The oracle here is the mean z-test, :func:`mc_vs_formula` with the
-acceptance limit ``|z| <= 4`` at snapshots 0.5, 1 and 2.  The inflated
+The first oracle here is the mean z-test, :func:`mc_vs_formula` with
+the acceptance limit ``|z| <= 4`` at snapshots 0.5, 1 and 2.  The inflated
 decay rate is planted by acceptance criterion 8 and by ``verify
---inflate-delta`` already, and is not repeated here.
+--inflate-delta`` already, and is not repeated here.  The mean does not
+depend on ``alpha``, so it cannot see the factor ``F`` of the Euler step;
+the second oracle, the covariance of one Euler increment, can, and its
+defect is a wrong factor planted in the scheme itself.
 """
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -27,6 +31,9 @@ from affinecone import (
     mc_vs_formula,
     simulate,
 )
+from affinecone.symcone import sym_index
+
+simulate_module = importlib.import_module("affinecone.simulate")
 
 Z_LIMIT = 4.0
 TIMES = [0.5, 1.0, 2.0]
@@ -99,3 +106,56 @@ def test_planted_defect_is_rejected(make, defect):
     config = make()
     wrong = dataclasses.replace(config, params=defect(config.params))
     assert _max_abs_z(wrong, config.params) > Z_LIMIT
+
+
+# --- the covariance of one Euler increment ----------------------------------
+
+
+def _one_step_config():
+    """A ``d = 3`` diffusion without jumps, for one Euler step of a small
+    ``dt`` from a non-diagonal ``x0`` with distinct eigenvalues (about 0.31,
+    0.68 and 1.21), far inside the cone for that step."""
+    sigma = np.array([[0.4, 0.02, -0.03], [0.0, 0.35, 0.01], [0.0, 0.0, 0.3]])
+    alpha = sigma.T @ sigma
+    p = AffineParams(dim=3, alpha=alpha, b=2.5 * alpha,
+                     drift=LinearDrift.lyapunov(-0.8 * np.eye(3)))
+    x0 = np.array([[1.0, 0.3, -0.2], [0.3, 0.7, 0.1], [-0.2, 0.1, 0.5]])
+    return SimConfig(params=p, sigma=sigma, x0=x0, horizon=1e-3, dt=1e-3, n_paths=20000, seed=1)
+
+
+def _increment_max_abs_z(config: SimConfig) -> float:
+    """The largest ``|z|`` of the sample covariance of the upper-triangle
+    entries of one Euler increment against its law.
+
+    Started at ``x`` the increment is Gaussian with ``Cov(dX_ij, dX_kl) =
+    dt (x_ik alpha_jl + x_il alpha_jk + x_jk alpha_il + x_jl alpha_ik)``; a
+    sample covariance of ``n`` Gaussian draws has the standard error
+    ``sqrt((S_aa S_bb + S_ab^2) / n)``.  No path may leave the cone's
+    interior in the step, so the projection changes none of them.
+    """
+    x, a, dt, n = config.x0, config.params.alpha, config.dt, config.n_paths
+    states = simulate(config, [0.0, dt]).states
+    assert np.linalg.eigvalsh(states[1])[:, 0].min() > 0.0
+    rows, cols, _ = sym_index(config.params.dim)
+    i, j, k, l = rows[:, None], cols[:, None], rows[None], cols[None]
+    exact = dt * (x[i, k] * a[j, l] + x[i, l] * a[j, k] + x[j, k] * a[i, l] + x[j, l] * a[i, k])
+    sample = np.cov((states[1] - states[0])[:, rows, cols], rowvar=False)
+    stderr = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2) / n)
+    return float(np.max(np.abs(sample - exact) / stderr))
+
+
+def test_one_step_covariance_clean_run_passes():
+    assert _increment_max_abs_z(_one_step_config()) <= Z_LIMIT
+
+
+def test_transposed_factor_is_rejected(monkeypatch):
+    # F^T in place of F: F^T F is not X for a non-diagonal X
+    project = simulate_module.project_factor_psd
+
+    def transposed(y):
+        x, f = project(y)
+        d = int(np.sqrt(len(f)))
+        return x, f.reshape(d, d, -1).swapaxes(0, 1).reshape(d * d, -1)
+
+    monkeypatch.setattr(simulate_module, "project_factor_psd", transposed)
+    assert _increment_max_abs_z(_one_step_config()) > Z_LIMIT

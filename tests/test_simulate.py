@@ -31,18 +31,10 @@ from affinecone.simulate import (
     _path_rng,
     _path_streams,
 )
-from affinecone.symcone import (
-    _CLIP_GAP,
-    _CLIP_KAPPA,
-    _spectral_project_sqrt,
-    mat_exp,
-    project_sqrt_psd,
-    unpack,
-)
+from affinecone.symcone import mat_exp, project_factor_psd, unpack
 from conftest import zero_diffusion_params
 
 simulate_module = importlib.import_module("affinecone.simulate")
-symcone_module = importlib.import_module("affinecone.symcone")
 
 
 def _diffusion_config(n_paths=512, dt=0.01, seed=11, horizon=1.0, with_mu=False, with_m=True):
@@ -266,36 +258,37 @@ def test_d3_path_count_extension_is_consistent():
     assert np.array_equal(small.jump_log, _first_paths(large.jump_log, 100))
 
 
-def _clearly_singly_indefinite(w):
-    """Rows of ascending eigenvalues ``w`` (d = 3) twice past both thresholds
-    of the closed form that clips one negative eigenvalue."""
-    top = w[:, -1]
-    return (top > 0.0) & (w[:, 0] < -2 * _CLIP_KAPPA * top) & (w[:, 1] > 2 * _CLIP_GAP * top)
+def _lapack_refuses(y):
+    """Whether LAPACK's Cholesky factorization refuses the matrix ``y``."""
+    try:
+        np.linalg.cholesky(y)
+    except np.linalg.LinAlgError:
+        return True
+    return False
 
 
-def test_euler_singly_indefinite_rows_do_not_reach_eigh(monkeypatch):
-    # the Euler step leaves some rows with one negative eigenvalue; the
-    # projection clips those in closed form, and eigh sees only a few
-    # near-singular rows
+def test_euler_eigh_sees_exactly_the_matrices_cholesky_refuses(monkeypatch):
+    # the Euler step leaves some matrices indefinite; eigh sees those and
+    # no matrix that has a Cholesky factor
     stepped, spectral = [], []
+    eigh = np.linalg.eigh
 
     def spy_project(y):
-        stepped.append(np.linalg.eigvalsh(unpack(y)))
-        return project_sqrt_psd(y)
+        stepped.append(unpack(y))
+        return project_factor_psd(y)
 
-    def spy_spectral(y):
-        spectral.append(np.linalg.eigvalsh(y))
-        return _spectral_project_sqrt(y)
+    def spy_eigh(y):
+        spectral.append(y)
+        return eigh(y)
 
-    monkeypatch.setattr(simulate_module, "project_sqrt_psd", spy_project)
-    monkeypatch.setattr(symcone_module, "_spectral_project_sqrt", spy_spectral)
+    monkeypatch.setattr(simulate_module, "project_factor_psd", spy_project)
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
     simulate(_d3_config(n_paths=200), [1.5])
     stepped = np.concatenate(stepped)
-    spectral = np.concatenate(spectral) if spectral else np.empty((0, 3))
-    clipped = _clearly_singly_indefinite(stepped).sum()
-    assert clipped > 1000
-    assert len(spectral) < clipped / 100
-    assert not _clearly_singly_indefinite(spectral).any()
+    refused = stepped[[_lapack_refuses(y) for y in stepped]]
+    assert len(refused) > 1000
+    assert np.array_equal(np.concatenate(spectral), refused)
+    assert np.all(np.linalg.eigvalsh(refused)[:, 0] < 0.0)
 
 
 # --- threads ---------------------------------------------------------------
@@ -373,6 +366,26 @@ def test_euler_memory_is_one_chunk_of_draws():
 # --- Euler scheme against the up-front-draw reference loop ----------------
 
 
+def _reference_projection(y):
+    """The projections of a stack ``y`` of symmetric matrices and factors of
+    them, matrix by matrix: ``y`` and its LAPACK Cholesky factor where
+    LAPACK takes it, else ``q diag(w+) q^T`` and ``q diag(sqrt(w+))`` from
+    ``eigh``."""
+    try:
+        return y, np.linalg.cholesky(y)
+    except np.linalg.LinAlgError:
+        pass
+    x, f = y.copy(), np.empty_like(y)
+    for j, matrix in enumerate(y):
+        try:
+            f[j] = np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            w, q = np.linalg.eigh(matrix)
+            w = np.clip(w, 0.0, None)
+            x[j], f[j] = (q * w) @ q.T, q * np.sqrt(w)
+    return x, f
+
+
 def _euler_reference(config, snapshot_times):
     """The Euler scheme with every random draw made up front, all paths in
     one stack: per path all normals from its stream, and from that stream's
@@ -412,15 +425,12 @@ def _euler_reference(config, snapshot_times):
 
     out = np.empty((len(snapshot_times), n, d, d))
     jump_log = []
-    X = np.broadcast_to(config.x0, (n, d, d)).copy()
-    w, q = np.linalg.eigh(X)
-    w = np.clip(w, 0.0, None)
+    X, F = _reference_projection(np.broadcast_to(config.x0, (n, d, d)).copy())
     consumed = np.zeros(n, dtype=np.int64)
     out[snap_steps == 0] = X
     for k in range(n_steps):
-        sqrtX = (q * np.sqrt(w)[:, None, :]) @ np.transpose(q, (0, 2, 1))
         drift = p.b + beta @ X + X @ beta.T
-        mix = sqrtX @ (normals[:, k] * sqdt) @ config.sigma
+        mix = F @ (normals[:, k] * sqdt) @ config.sigma
         Xn = X + drift * dt + mix + np.transpose(mix, (0, 2, 1))
         t_now = (k + 1) * dt
         for j in np.nonzero(m_counts[:, k])[0]:
@@ -434,10 +444,7 @@ def _euler_reference(config, snapshot_times):
             for j, a in zip(*np.nonzero(mu_uniforms[:, k] < rates)):
                 Xn[j] += mu_sites[a]
                 jump_log.append((j, t_now, "mu", a))
-        Xn = (Xn + np.transpose(Xn, (0, 2, 1))) / 2.0
-        w, q = np.linalg.eigh(Xn)
-        w = np.clip(w, 0.0, None)
-        X = (q * w[:, None, :]) @ np.transpose(q, (0, 2, 1))
+        X, F = _reference_projection((Xn + np.transpose(Xn, (0, 2, 1))) / 2.0)
         out[snap_steps == k + 1] = X
     # path by path; the stable sort keeps each path's jumps in step order
     return out, np.array(sorted(jump_log, key=lambda jump: jump[0]), dtype=JUMP_DTYPE)
@@ -462,8 +469,8 @@ def _d3_config(n_paths=200, seed=7):
 
 
 def _d4_config(n_paths=150, seed=9):
-    # d >= 4 has no closed form: every step unpacks the stack, projects and
-    # roots it through eigh and packs it again
+    # the packed Cholesky factorization runs for any d: as for d = 3, eigh
+    # sees only the matrices it refuses
     d = 4
     sigma = np.triu(np.full((d, d), 0.02)) + np.diag([0.35, 0.3, 0.3, 0.25])
     alpha = sigma.T @ sigma
@@ -484,8 +491,8 @@ def _d4_config(n_paths=150, seed=9):
     lambda: _diffusion_config(n_paths=300, dt=0.005, with_mu=True), _d3_config, _d4_config,
     _mu_only_config, _jump_free_config])
 def test_euler_scheme_matches_reference_loop(make):
-    # the reference projects through eigh; the scheme roots and projects
-    # in closed form, so the states agree to rounding and the jumps exactly
+    # the reference factors each matrix by LAPACK and the scheme on the
+    # packed rows, so the states agree to rounding and the jumps exactly
     cfg = make()
     times = [0.0, 0.25, 0.25, 0.64, 1.0]
     ens = simulate(cfg, times)

@@ -16,7 +16,7 @@ from affinecone import (
     is_psd,
     mat_exp,
     min_eigval,
-    project_sqrt_psd,
+    project_factor_psd,
     psd_tol,
     random_psd,
     sqrt_psd,
@@ -27,15 +27,7 @@ from affinecone import (
     unvectorize,
     vectorize,
 )
-from affinecone.symcone import (
-    _CLIP_GAP,
-    _CLIP_KAPPA,
-    _CLOSED_FORM_TAU,
-    _spectral_project_sqrt,
-    pack,
-    sym_index,
-    unpack,
-)
+from affinecone.symcone import pack, sym_index, unpack
 
 
 def test_symmetrize_output_is_symmetric(rng):
@@ -137,33 +129,23 @@ def test_sqrt_psd_rejects_indefinite():
 
 
 def _spectral_stack(d, rng):
-    """Symmetric stacks built from their spectra: multiples of I, two equal
-    eigenvalues, ranks 0 to d - 1, smallest-to-largest eigenvalue ratios
-    around the closed-form threshold, singly indefinite rows on both sides
-    of the clipping thresholds, indefinite and random rows, at scales from
+    """Symmetric stacks built from their spectra: multiples of I (0 and
+    either sign), two equal eigenvalues, ranks 0 to d - 1, smallest
+    eigenvalues from 1e-4 down to 1e-17 times the largest (where rounding
+    decides the sign of the last Cholesky pivot), one negative eigenvalue
+    of those sizes and larger, indefinite and random rows, at scales from
     1e-6 to 1e6."""
-    # repeated eigenvalues: multiples of I (of either sign), and (d = 3)
-    # two equal ones, the smaller or the larger pair, inside the cone
-    spectra = [np.full(d, c) for c in (0.5, 1e-6, 3e5, -0.5)]
-    if d == 3:
-        spectra += [[a, a, 1.0] for a in (1e-7, 1e-3, 0.5)]
-        spectra += [[a, 1.0, 1.0] for a in (0.0, 1e-7, 1e-3, 0.5)]
+    spectra = [np.full(d, c) for c in (0.0, 0.5, 1e-6, 3e5, -0.5)]
+    for a in (0.0, 1e-7, 1e-3, 0.5):
+        spectra += [np.concatenate([[a, a], rng.uniform(a, 1.0, d - 2)]),
+                    np.concatenate([[a], np.ones(d - 1)])]
     for rank in range(d):
         spectra += [np.concatenate([np.zeros(d - rank), rng.uniform(0.1, 2.0, rank)])
                     for _ in range(20)]
-    for ratio in (0.5, 0.99, 1.01, 2.0):
-        low = ratio * _CLOSED_FORM_TAU
-        spectra += [np.concatenate([[low], rng.uniform(low, 1.0, d - 2), [1.0]])
-                    for _ in range(20)]
-        # one negative eigenvalue around -_CLIP_KAPPA times the largest, and
-        # (d = 3) a middle one around _CLIP_GAP times it; each also with the
-        # sign of the negative one flipped, a cone member
-        clipped = [np.concatenate([[-ratio * _CLIP_KAPPA], rng.uniform(_CLIP_GAP, 1.0, d - 2),
-                                   [1.0]]) for _ in range(20)]
-        if d == 3:
-            clipped += [[-rng.uniform(1e-9, 1.0), ratio * _CLIP_GAP, 1.0] for _ in range(20)]
-            clipped += [[-rng.uniform(1e-9, 1.0), 1.0, 1.0]]
-        spectra += clipped + [np.abs(lam) for lam in clipped]
+    for ratio in (1e-4, 1e-8, 1e-12, 1e-15, 1e-17):
+        small = [np.concatenate([[ratio], rng.uniform(ratio, 1.0, d - 2), [1.0]])
+                 for _ in range(20)]
+        spectra += small + [lam * np.where(np.arange(d) == 0, -1.0, 1.0) for lam in small]
     spectra += [np.concatenate([[-rng.uniform(1e-9, 1.0)], rng.uniform(-1.0, 1.0, d - 1)])
                 for _ in range(60)]
     spectra += [rng.uniform(0.05, 1.0, d) for _ in range(60)]
@@ -176,61 +158,62 @@ def _spectral_stack(d, rng):
     return symmetrize(np.array(stack))
 
 
-def _clearly_singly_indefinite(w):
-    """Rows of ascending eigenvalues ``w`` twice past the thresholds of the
-    closed form that clips one negative eigenvalue (for d = 3 both)."""
-    top = w[:, -1]
-    clear = (top > 0.0) & (w[:, 0] < -2 * _CLIP_KAPPA * top)
-    if w.shape[1] == 3:
-        clear &= w[:, 1] > 2 * _CLIP_GAP * top
-    return clear
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_project_sqrt_psd_matches_eigh(rng, d, monkeypatch):
-    y = _spectral_stack(d, rng)
-    spectral = [np.empty((0, d))]
-
-    def spy(rows):
-        spectral.append(np.linalg.eigvalsh(rows))
-        return _spectral_project_sqrt(rows)
-
-    monkeypatch.setattr(symcone, "_spectral_project_sqrt", spy)
-    packed_x, packed_s = project_sqrt_psd(pack(y))
-    x, s = unpack(packed_x), unpack(packed_s)
-    w_raw, q = np.linalg.eigh(y)
-    w = np.clip(w_raw, 0.0, None)
-    x_ref = (q * w[:, None, :]) @ np.swapaxes(q, 1, 2)
-    s_ref = (q * np.sqrt(w)[:, None, :]) @ np.swapaxes(q, 1, 2)
-    scale = np.maximum(1.0, np.linalg.norm(y, axis=(1, 2)))
-    assert np.all(np.abs(x - x_ref).max(axis=(1, 2)) <= 1e-12 * scale)
-    assert np.all(np.abs(s - s_ref).max(axis=(1, 2)) <= 1e-10 * np.sqrt(scale))
-    # cone members (by eigh, which rows outside the closed form's domain
-    # go through) are their own projection, bit for bit
-    inside = w_raw[:, 0] >= 0.0
-    assert inside.sum() > len(y) // 2
-    assert np.array_equal(x[inside], y[inside])
-    # rows with one clearly negative eigenvalue are clipped in closed form
-    assert _clearly_singly_indefinite(w_raw).sum() >= 40
-    assert not _clearly_singly_indefinite(np.concatenate(spectral)).any()
-    # a row's result does not depend on the rest of the stack
-    for rows in (slice(0, 1), slice(len(y) // 3, len(y) // 2)):
-        part_x, part_s = project_sqrt_psd(pack(y[rows]))
-        assert np.array_equal(part_x, packed_x[:, rows])
-        assert np.array_equal(part_s, packed_s[:, rows])
-
-
-def test_project_sqrt_psd_general_dimension_is_eigh(rng):
-    y = np.array([symmetrize(rng.standard_normal((4, 4))) for _ in range(8)])
-    y[0] = random_psd(4, rng)
-    packed_x, packed_s = project_sqrt_psd(pack(y))
-    assert packed_x.shape == packed_s.shape == (10, 8)
-    x, s = unpack(packed_x), unpack(packed_s)
+def _check_projection(y):
+    """``project_factor_psd`` of the stack ``y`` ``(n, d, d)``, raising no
+    numpy warning, against ``eigh``: the projection to ``1e-12`` of each
+    matrix's largest entry, the cone members (by ``eigh``) bit for bit,
+    ``F F^T = X`` to the same tolerance, and ``F = 0`` for a zero matrix.
+    Returns the packed projection and the factors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        packed_x, f = project_factor_psd(pack(y))
+    n, d = y.shape[:2]
+    assert packed_x.shape == (sym_dim(d), n) and f.shape == (d * d, n)
+    x, factor = unpack(packed_x), f.T.reshape(n, d, d)
     w, q = np.linalg.eigh(y)
-    w = np.clip(w, 0.0, None)
-    assert np.array_equal(x[0], y[0])
-    assert np.allclose(x, (q * w[:, None, :]) @ np.swapaxes(q, 1, 2), atol=1e-12)
-    assert np.allclose(s @ s, x, atol=1e-12)
+    x_ref = (q * np.clip(w, 0.0, None)[:, None, :]) @ np.swapaxes(q, 1, 2)
+    # the largest entry: a Frobenius norm would overflow or underflow
+    scale = np.abs(y).max(axis=(1, 2))
+    assert np.all(np.abs(x - x_ref).max(axis=(1, 2)) <= 1e-12 * scale)
+    inside = w[:, 0] >= 0.0
+    assert np.array_equal(x[inside], y[inside])
+    assert np.all(np.isfinite(factor))
+    assert np.all(np.abs(factor @ np.swapaxes(factor, 1, 2) - x).max(axis=(1, 2))
+                  <= 1e-12 * scale)
+    assert np.all(factor[scale == 0.0] == 0.0)
+    return packed_x, f
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_project_factor_psd_matches_eigh(rng, d):
+    y = _spectral_stack(d, rng)
+    packed_x, f = _check_projection(y)
+    w = np.linalg.eigvalsh(y)
+    assert np.sum(w[:, 0] >= 0.0) > 100 and np.sum(w[:, 0] < 0.0) > 100
+    # a matrix's result does not depend on the rest of the stack
+    for rows in (slice(0, 1), slice(len(y) // 3, len(y) // 2)):
+        part_x, part_f = project_factor_psd(pack(y[rows]))
+        assert np.array_equal(part_x, packed_x[:, rows])
+        assert np.array_equal(part_f, f[:, rows])
+
+
+def test_project_factor_psd_extreme_scales(rng):
+    # the Cholesky factorization works on the square-root scale, so
+    # matrices near the top of the float range or far below 1 neither
+    # overflow nor underflow on the way
+    stacks = [
+        np.stack([1.6e308 * np.eye(3), 1e200 * np.eye(3), np.diag([1e160, 2e160, 3e160]),
+                  np.diag([1e-200, 2e-200, 3e-200]), np.diag([1.0, 2.0, 3.0])]),
+        np.stack([np.array([[1e154, 3e153], [3e153, 2e154]]), np.diag([1e-160, 3e-160]),
+                  np.diag([1.0, 2.0])]),
+    ]
+    for y in stacks:
+        x, _ = _check_projection(y)
+        assert np.array_equal(x, pack(y))
+    for d in (2, 3, 4, 5):
+        y = _spectral_stack(d, rng)
+        for scale in (1e154, 1e-110, 1e-160, 1e-200):
+            _check_projection(scale * y)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -243,7 +226,7 @@ def test_pack_is_the_upper_triangle_in_basis_order(rng, d):
     assert np.array_equal(unpack(packed), y)
     assert np.array_equal(unpack(pack(y[:0])), y[:0])
     with pytest.raises(ValueError):
-        project_sqrt_psd(y)  # a stack of full matrices is not a packed stack
+        project_factor_psd(y)  # a stack of full matrices is not a packed stack
 
 
 def test_trace_norm_bracket_on_random_psd(rng):
@@ -392,25 +375,6 @@ def test_affine_flow_matches_closed_forms():
         warnings.simplefilter("error")
         out = symcone.affine_flow(np.eye(3), c, np.full(3, 1e308), [0.0, 1.0])
     assert np.array_equal(out[0], np.full(3, 1e308)) and np.all(np.isinf(out[1]))
-
-
-def test_project_sqrt_psd_extreme_scales():
-    # finite rows whose closed-form powers overflow or underflow take eigh:
-    # every root is finite and is the root of the eigh path
-    stacks = [
-        np.stack([1.6e308 * np.eye(3), 1e200 * np.eye(3), np.diag([1e160, 2e160, 3e160]),
-                  np.diag([1e-200, 2e-200, 3e-200]), np.diag([1.0, 2.0, 3.0])]),
-        np.stack([np.array([[1e154, 3e153], [3e153, 2e154]]), np.diag([1e-160, 3e-160]),
-                  np.diag([1.0, 2.0])]),
-    ]
-    for y in stacks:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            x, root = (unpack(a) for a in project_sqrt_psd(pack(y)))
-        _, _, ref = _spectral_project_sqrt(y)
-        assert np.all(np.isfinite(root))
-        assert np.array_equal(x, y)
-        assert np.all(np.abs(root - ref) <= 1e-14 * np.abs(ref).max(axis=(1, 2))[:, None, None])
 
 
 def test_psd_tol_scales_with_norm():
