@@ -11,12 +11,14 @@ Two schemes:
   All paths step as one stack.  Cost model: buffers of normals (and of
   ``mu`` uniforms) holding ``CHUNK_STEPS`` steps of every path between
   them, refilled as the stack steps, plus the jumps as flat arrays, so
-  memory does not grow with the horizon beyond the jumps.  Each
-  path draws its normals from its stream and its jumps from that
-  stream's jumped copy, so every normal is drawn once.  The caller draws
-  the ``m`` jumps up front as ``ou_exact`` does, two calls per path (a
-  Poisson count for the horizon, then the time and atom uniforms), and
-  bins each time into its step.  The state and a factor of it stay
+  memory does not grow with the horizon beyond the jumps.  The normals
+  and the ``mu`` uniforms come one stream each per block of
+  ``BLOCK_PATHS`` (64) paths, drawn step-major, so a refill is
+  ``2 ceil(n / 64)`` draw calls whatever ``CHUNK_STEPS``, rather than
+  two per path.  The caller draws the ``m`` jumps up front as
+  ``ou_exact`` does, two calls per path (a Poisson count for the
+  horizon, then the time and atom uniforms) on one re-keyed ``Philox``,
+  and bins each time into its step.  The state and a factor of it stay
   packed for the whole run (``symcone.pack``: the ``D = d(d+1)/2``
   upper-triangle entries as rows of a ``(D, n)`` array, each row
   contiguous over the paths; the factor as the ``d * d`` entries of its
@@ -58,10 +60,14 @@ row taking one value from each column.  ``snapshots.csv`` formats each
 path id and each snapshot time once, so of each row only the state
 entries go through ``%.18e``.
 
-Every path owns an RNG stream keyed by (seed, path index) through a
-counter-based generator, and every stacked operation acts row by row, so
-results are bit-identical whatever the thread count, and the first paths
-of a larger ensemble replicate a smaller one.
+The random draws come from streams keyed by (seed, path index) through
+a counter-based generator (``Philox``): each ``ou_exact`` path owns one,
+and each Euler path its ``m`` stream, while a block of ``BLOCK_PATHS``
+Euler paths shares the stream of its first path (normals) and a jumped
+copy of it (``mu`` uniforms), drawing every slot of the block whatever
+the path count.  Every stacked operation acts row by row, so results are
+bit-identical whatever the thread count, and the first paths of a larger
+ensemble replicate a smaller one.
 """
 
 from __future__ import annotations
@@ -99,9 +105,12 @@ class PathFailureError(RuntimeError):
 _SCHEMES = ("euler_project", "ou_exact")
 
 # steps of random draws the Euler scheme holds at a time, whatever the
-# horizon: one buffer of (paths, CHUNK_STEPS, d, d) normals at 1 thread, two
-# of CHUNK_STEPS // 2 steps above
+# horizon: one buffer of CHUNK_STEPS steps of normals at 1 thread, two of
+# CHUNK_STEPS // 2 steps above
 CHUNK_STEPS = 256
+# paths that share one Euler stream of normals and one of mu uniforms: a
+# layout constant, since changing it changes the sample
+BLOCK_PATHS = 64
 # the most Euler steps, or expected m jumps per path, a configuration may
 # ask for: past it a run would not end in reasonable time, so it is refused
 MAX_STEPS = 10**8
@@ -217,17 +226,21 @@ def _path_rng(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _path_streams(seed: int, path_ids):
+def _path_streams(seed: int, path_ids, jumps: int = 0):
     """For each of ``path_ids`` in turn, a generator drawing the stream of
-    ``_path_rng(seed, path_id)``, valid until the next one is yielded.
+    ``_path_rng(seed, path_id)`` jumped ``jumps`` times
+    (``Philox.jumped(jumps)``), valid until the next one is yielded.
 
     One ``Philox`` is re-keyed through its state, which costs about a
     fifth of building a new one: most of that goes to the ``SeedSequence``
-    reading OS entropy for a seed that the key then overrides.
+    reading OS entropy for a seed that the key then overrides.  A jump
+    adds ``2**128`` to the counter, so a fresh stream jumped ``jumps``
+    times has counter word 2 at ``jumps`` and the others at zero.
     """
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     rng = np.random.Generator(bits)
     state = bits.state  # a fresh stream: zero counter, empty buffer
+    state["state"]["counter"][2] = jumps
     key = state["state"]["key"]
     key[0] = seed & 0xFFFFFFFFFFFFFFFF
     for pid in path_ids:
@@ -297,24 +310,31 @@ def _path_ranges(n: int, parts: int) -> list[tuple[int, int]]:
 def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
     """Step every path as one stack into ``out``; returns the jump columns.
 
-    Two generators per path.  ``_path_rng(seed, path)`` holds the normals
-    of every step, handed out a buffer of steps at a time.  Its jumped
-    copy (``Philox.jumped``, a stream that does not overlap it), taken
-    before any normal is drawn, holds the path's ``m`` jumps on ``[0,
-    horizon]`` (:func:`_m_jumps`, read by the caller up front), then the
-    ``mu`` uniforms of every step, a buffer at a time.  A jump at horizon
-    fraction ``u`` applies in step :func:`_jump_steps` and is logged at
-    that step's end; given the count the times are i.i.d. uniform, so the
-    step counts are independent Poisson of mean ``m.total_rate() dt``.  A
-    model with no jump atoms builds no jumped copy.  Drawing in pieces
-    yields the values of one draw, so the sample depends neither on
-    ``CHUNK_STEPS`` nor on ``threads``.
+    The paths fall into blocks of ``BLOCK_PATHS``: block ``b`` holds paths
+    ``[b BLOCK_PATHS, (b + 1) BLOCK_PATHS)``, the last one padded past
+    ``n``.  ``_path_rng(seed, b BLOCK_PATHS)`` holds the block's normals,
+    step-major (a step's ``BLOCK_PATHS`` matrices, then the next step's),
+    and that stream jumped twice holds the block's ``mu`` uniforms in the
+    same order; the padding slots are drawn and discarded, so a block
+    draws the same values whatever ``n``.  Both are handed out a buffer of
+    steps at a time, one draw call per block and stream.  Path ``p``'s
+    ``m`` jumps on ``[0, horizon]`` come from ``_path_rng(seed, p)``
+    jumped once (:func:`_m_jumps` on :func:`_path_streams`, read by the
+    caller up front).  A jump at horizon fraction ``u`` applies in step
+    :func:`_jump_steps` and is logged at that step's end; given the count
+    the times are i.i.d. uniform, so the step counts are independent
+    Poisson of mean ``m.total_rate() dt``.  Jumped streams do not overlap
+    the stream they come from, so no value is drawn twice.  Drawing in
+    pieces yields the values of one draw, so the sample depends neither
+    on ``CHUNK_STEPS`` nor on ``threads``.
 
     ``threads`` counts the caller.  At 1 everything runs inline in one
     buffer of ``CHUNK_STEPS`` steps.  Above 1, ``threads - 1`` worker
-    threads draw beside the stepping: while the caller steps the draws of
-    one buffer the workers fill the other with the next steps' draws, two
-    buffers of ``CHUNK_STEPS // 2`` steps taking turns.
+    threads, each given a range of blocks, draw beside the stepping:
+    while the caller steps the draws of one buffer the workers fill the
+    other with the next steps' draws, two buffers of ``CHUNK_STEPS // 2``
+    steps taking turns.  A refill is ``ceil(n / BLOCK_PATHS)`` draw calls
+    of normals, and as many of ``mu`` uniforms, whatever the split.
     """
     p = config.params
     d = p.dim
@@ -322,31 +342,32 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
     n_steps = config.n_steps
     n = config.n_paths
     n_mu = len(p.mu)
+    n_blocks = -(-n // BLOCK_PATHS)
 
     # the buffers hold CHUNK_STEPS steps between them
     n_buffers = 2 if threads > 1 else 1
     span = max(1, min(CHUNK_STEPS // n_buffers, n_steps))
-    normals = np.empty((n_buffers, n, span, d, d))
-    uniforms = np.empty((n_buffers, n, span, n_mu))
-    normal_rngs = [_path_rng(config.seed, pid) for pid in range(n)]
+    normals = np.empty((n_buffers, n_blocks, span, BLOCK_PATHS, d, d))
+    uniforms = np.empty((n_buffers, n_blocks, span, BLOCK_PATHS, n_mu))
+    normal_rngs = [_path_rng(config.seed, b * BLOCK_PATHS) for b in range(n_blocks)]
     # jumped while the normal streams are fresh
-    jump_rngs = ([np.random.Generator(rng.bit_generator.jumped()) for rng in normal_rngs]
-                 if len(p.m) or n_mu else [])
+    mu_rngs = ([np.random.Generator(rng.bit_generator.jumped(2)) for rng in normal_rngs]
+               if n_mu else [])
 
     # the m jumps as flat (step, path, atom) arrays, applied by step; the
     # stable sort keeps path order, then time order
-    m_path, u, m_atom = _m_jumps(p.m, config.horizon, jump_rngs)
+    m_path, u, m_atom = _m_jumps(p.m, config.horizon, _path_streams(config.seed, range(n), 1))
     m_step = _jump_steps(u, n_steps)
     jumps = [np.stack([m_step, m_path, m_atom])[:, np.argsort(m_step, kind="stable")]]
     m_step, m_path, m_atom = jumps[0]
 
     def fill(buf, lo, hi, c):
-        """The next ``c`` steps' draws of paths ``lo:hi`` into buffer ``buf``."""
-        for pid in range(lo, hi):
-            normal_rngs[pid].standard_normal(out=normals[buf, pid, :c])
+        """The next ``c`` steps' draws of blocks ``lo:hi`` into buffer ``buf``."""
+        for b in range(lo, hi):
+            normal_rngs[b].standard_normal(out=normals[buf, b, :c])
         if n_mu:
-            for pid in range(lo, hi):
-                jump_rngs[pid].random(out=uniforms[buf, pid, :c])
+            for b in range(lo, hi):
+                mu_rngs[b].random(out=uniforms[buf, b, :c])
 
     # the state X is a packed (D, n) stack (symcone.pack), symmetric by
     # construction, and F a (d * d, n) stack of full factors, F F^T = X
@@ -379,17 +400,18 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
     out[snaps.get(0, [])] = unpack(X)
     warned = False
 
-    with ThreadPoolExecutor(min(threads - 1, n)) if threads > 1 else nullcontext() as pool:
+    with ThreadPoolExecutor(min(threads - 1, n_blocks)) if threads > 1 else nullcontext() as pool:
         def fill_async(k0):
             buf = k0 // span % n_buffers
             c = min(span, n_steps - k0)
-            return [pool.submit(fill, buf, lo, hi, c) for lo, hi in _path_ranges(n, threads - 1)]
+            return [pool.submit(fill, buf, lo, hi, c)
+                    for lo, hi in _path_ranges(n_blocks, threads - 1)]
 
         pending = fill_async(0) if pool and n_steps else []
         for k0 in range(0, n_steps, span):
             c = min(span, n_steps - k0)
             if pool is None:
-                fill(0, 0, n, c)
+                fill(0, 0, n_blocks, c)
             else:
                 for future in pending:
                     future.result()
@@ -398,7 +420,7 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
             step_uniforms = uniforms[k0 // span % n_buffers]
             m_ends = np.searchsorted(m_step, np.arange(k0, k0 + c + 1)).tolist()
             for i, k in enumerate(range(k0, k0 + c)):
-                G = (noise @ step_normals[:, i].reshape(n, d * d).T).reshape(d, d, n)
+                G = (noise @ step_normals[:, i].reshape(-1, d * d)[:n].T).reshape(d, d, n)
                 F3 = F.reshape(d, d, n)
                 M = F3[:, 0, None] * G[0]
                 for r in range(1, d):
@@ -419,7 +441,7 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
                             "reduce dt for accurate thinning"
                         )
                         warned = True
-                    j, a = np.nonzero(step_uniforms[:, i] < rates)
+                    j, a = np.nonzero(step_uniforms[:, i].reshape(-1, n_mu)[:n] < rates)
                     if j.size:
                         np.add.at(Xn.T, j, mu_sites.T[a])
                         jumps.append(np.stack([np.full_like(j, k), j, a]))
@@ -483,8 +505,10 @@ def simulate(config: SimConfig, snapshot_times, threads: int = 1) -> PathEnsembl
     """Run the ensemble and record states at the requested times.
 
     Identical configuration (including seed) yields bit-identical
-    snapshots, for any thread count: each path's randomness comes from its
-    own keyed stream.  Both schemes run every path as one stack.
+    snapshots, for any thread count: the randomness comes from streams
+    keyed by the path index, one per path (``ou_exact``, and the Euler
+    ``m`` jumps) or one per block of ``BLOCK_PATHS`` paths (the Euler
+    normals and ``mu`` uniforms).  Both schemes run every path as one stack.
     ``threads`` (at least 1) counts every working thread, the caller's
     included: ``ou_exact`` runs on the caller alone, and the Euler scheme
     draws on ``threads - 1`` worker threads beside the caller's stepping

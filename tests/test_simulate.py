@@ -24,6 +24,7 @@ from affinecone import (
 from affinecone.params import ConfigError
 from affinecone.riccati import congruence_integral
 from affinecone.simulate import (
+    BLOCK_PATHS,
     JUMP_DTYPE,
     MAX_STEPS,
     PathFailureError,
@@ -226,9 +227,31 @@ def test_path_count_extension_is_consistent():
     assert np.array_equal(small.states, large.states[:, :100])
 
 
+@pytest.mark.parametrize("n_paths", [63, 64, 65, 130])
+def test_path_count_extension_across_block_boundaries(n_paths):
+    # a block draws all BLOCK_PATHS slots whatever the path count, so a
+    # partial block replicates the first paths of a full one
+    times = [0.5, 1.0]
+    small = simulate(_diffusion_config(n_paths=n_paths, with_mu=True), times)
+    large = simulate(_diffusion_config(n_paths=200, with_mu=True), times)
+    assert np.array_equal(small.states, large.states[:, :n_paths])
+    assert np.array_equal(small.jump_log, _first_paths(large.jump_log, n_paths))
+    assert set(small.jump_log["source"].tolist()) == {"m", "mu"}
+
+
+@pytest.mark.parametrize("n_paths, threads", [(5, 4), (65, 3)])
+def test_more_draw_threads_than_blocks_match_one_thread(n_paths, threads):
+    # one block for three workers, and two blocks for two
+    cfg = _diffusion_config(n_paths=n_paths, with_mu=True)
+    one = simulate(cfg, [0.5, 1.0], threads=1)
+    ens = simulate(cfg, [0.5, 1.0], threads=threads)
+    assert np.array_equal(one.states, ens.states)
+    assert np.array_equal(one.jump_log, ens.jump_log)
+
+
 def test_d3_bit_identical_across_thread_counts():
-    # 1100 paths, split over two threads into ranges of 550 and over three
-    # into ranges of 366 and 367
+    # 1100 paths are 18 blocks, the last of 12 paths: one worker draws them
+    # all at two threads, and two workers draw 9 each at three
     cfg = _d3_config(n_paths=1100)
     one = simulate(cfg, [0.5, 1.5], threads=1)
     for threads in (2, 3):
@@ -315,20 +338,45 @@ def test_euler_single_thread_builds_no_pool(monkeypatch):
     assert np.array_equal(one.states, simulate(_d3_config(n_paths=50), [0.5, 1.5], threads=2).states)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_euler_builds_one_stream_per_block(monkeypatch, threads):
+    # the normals and mu uniforms of 300 paths come from ceil(300 / 64) = 5
+    # streams, and the m jumps of every path from one re-keyed generator
+    built, entered = [], []
+
+    def counting_path_rng(seed, path_index):
+        built.append(path_index)
+        return _path_rng(seed, path_index)
+
+    def counting_path_streams(seed, path_ids, jumps=0):
+        entered.append(jumps)
+        return _path_streams(seed, path_ids, jumps)
+
+    monkeypatch.setattr(simulate_module, "_path_rng", counting_path_rng)
+    monkeypatch.setattr(simulate_module, "_path_streams", counting_path_streams)
+    ens = simulate(_diffusion_config(n_paths=300, with_mu=True), [1.0], threads=threads)
+    assert built == [0, 64, 128, 192, 256]
+    assert entered == [1]
+    assert set(ens.jump_log["source"].tolist()) == {"m", "mu"}
+
+
 def test_euler_threads_under_fast_switching_match_one_thread(monkeypatch):
     # more threads than cores, switching as often as the interpreter allows:
-    # a draw lost or written to another path's rows would change the sample
+    # a draw lost or written to another block's rows would change the
+    # sample; 37 paths are one block for one worker, 300 are five blocks
+    # split over four
     monkeypatch.setattr(simulate_module, "CHUNK_STEPS", 16)
-    cfg = _d3_config(n_paths=37)
-    one = simulate(cfg, [0.5, 1.5], threads=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        five = simulate(cfg, [0.5, 1.5], threads=5)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(one.states, five.states)
-    assert np.array_equal(one.jump_log, five.jump_log)
+    for n_paths in (37, 300):
+        cfg = _d3_config(n_paths=n_paths)
+        one = simulate(cfg, [0.5, 1.5], threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            five = simulate(cfg, [0.5, 1.5], threads=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(one.states, five.states)
+        assert np.array_equal(one.jump_log, five.jump_log)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -343,24 +391,26 @@ def test_euler_path_failure_propagates_and_leaves_no_thread(threads):
 
 def test_euler_memory_is_one_chunk_of_draws():
     # at two threads the draws sit in two buffers of half a chunk, so the
-    # peak is no higher than one (n_paths, CHUNK_STEPS) buffer of normals
-    # and of mu uniforms, plus the jumps, the snapshots, two generators
-    # per path and the step's temporaries; two full-chunk buffers would
-    # add 20 MiB
-    cfg = _d3_config(n_paths=1024)
-    n, d, chunk = cfg.n_paths, cfg.params.dim, simulate_module.CHUNK_STEPS
-    assert cfg.n_steps > chunk
-    one_chunk = n * chunk * (d * d + len(cfg.params.mu)) * 8
-    tracemalloc.start()
-    try:
-        ens = simulate(cfg, [cfg.horizon], threads=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    jumps = JUMP_DTYPE.itemsize * len(ens.jump_log)
-    generators = 2 * n * 1024
-    temporaries = 32 * n * d * d * 8
-    assert peak <= one_chunk + jumps + ens.states.nbytes + generators + temporaries
+    # peak is no higher than one chunk of normals and of mu uniforms for
+    # every slot of the blocks, plus the jumps, the snapshots, an allowance
+    # of two generators per path and the step's temporaries; at 1024 paths two
+    # full-chunk buffers would add 20 MiB, and 40 paths fill part of a block
+    for n_paths in (1024, 40):
+        cfg = _d3_config(n_paths=n_paths)
+        n, d, chunk = cfg.n_paths, cfg.params.dim, simulate_module.CHUNK_STEPS
+        assert cfg.n_steps > chunk
+        slots = -(-n // BLOCK_PATHS) * BLOCK_PATHS
+        one_chunk = slots * chunk * (d * d + len(cfg.params.mu)) * 8
+        tracemalloc.start()
+        try:
+            ens = simulate(cfg, [cfg.horizon], threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        jumps = JUMP_DTYPE.itemsize * len(ens.jump_log)
+        generators = 2 * n * 1024
+        temporaries = 32 * n * d * d * 8
+        assert peak <= one_chunk + jumps + ens.states.nbytes + generators + temporaries
 
 
 # --- Euler scheme against the up-front-draw reference loop ----------------
@@ -388,11 +438,13 @@ def _reference_projection(y):
 
 def _euler_reference(config, snapshot_times):
     """The Euler scheme with every random draw made up front, all paths in
-    one stack: per path all normals from its stream, and from that stream's
-    jumped copy the ``m`` jump count on ``[0, horizon]``, the jump times,
-    the ``m`` atoms and the ``mu`` uniforms.  The ``k``-th earliest time
-    takes the ``k``-th atom and applies in step ``floor(u n_steps)``,
-    clamped to the last step, of its horizon fraction ``u``."""
+    one stack: per block of ``BLOCK_PATHS`` paths all normals, step-major,
+    from the stream of its first path and all ``mu`` uniforms from that
+    stream jumped twice; per path, from its own stream jumped once, the
+    ``m`` jump count on ``[0, horizon]``, the jump times and the ``m``
+    atoms.  The ``k``-th earliest time takes the ``k``-th atom and
+    applies in step ``floor(u n_steps)``, clamped to the last step, of its
+    horizon fraction ``u``."""
     p = config.params
     d = p.dim
     dt = config.dt
@@ -408,20 +460,24 @@ def _euler_reference(config, snapshot_times):
     mu_weights = np.array([w for _, w in p.mu.atoms]).reshape(-1, d, d)
 
     normals = np.empty((n, n_steps, d, d))
+    mu_uniforms = np.empty((n, n_steps, len(p.mu)))
+    for lo in range(0, n, BLOCK_PATHS):
+        rng = _path_rng(config.seed, lo)
+        mu_rng = np.random.Generator(rng.bit_generator.jumped(2))
+        block = np.swapaxes(rng.standard_normal((n_steps, BLOCK_PATHS, d, d)), 0, 1)
+        normals[lo:lo + BLOCK_PATHS] = block[:n - lo]
+        if len(p.mu):
+            block = np.swapaxes(mu_rng.random((n_steps, BLOCK_PATHS, len(p.mu))), 0, 1)
+            mu_uniforms[lo:lo + BLOCK_PATHS] = block[:n - lo]
     m_counts = np.zeros((n, n_steps), dtype=np.int64)
     m_choices = [None] * n
-    mu_uniforms = np.empty((n, n_steps, len(p.mu)))
     for j in range(n):
-        rng = _path_rng(config.seed, j)
-        jumps = np.random.Generator(rng.bit_generator.jumped())
-        normals[j] = rng.standard_normal((n_steps, d, d))
+        jumps = np.random.Generator(_path_rng(config.seed, j).bit_generator.jumped())
         if len(p.m):
             count = jumps.poisson(m_total * config.horizon)
             u = np.sort(jumps.random(count))
             m_choices[j] = jumps.choice(len(p.m), size=count, p=m_rates / m_total)
             np.add.at(m_counts[j], np.minimum(np.floor(u * n_steps).astype(int), n_steps - 1), 1)
-        if len(p.mu):
-            mu_uniforms[j] = jumps.random((n_steps, len(p.mu)))
 
     out = np.empty((len(snapshot_times), n, d, d))
     jump_log = []
@@ -527,19 +583,21 @@ def test_euler_sample_does_not_depend_on_chunk_steps(monkeypatch, chunk):
 
 def test_euler_memory_is_bounded_in_the_horizon():
     # past one chunk of steps, quadrupling the horizon may grow the peak
-    # only by the jump log, far below the normals an up-front draw holds
-    n_paths, dt, chunk = 64, 0.01, simulate_module.CHUNK_STEPS
-    peaks = []
-    for n_steps in (chunk, 4 * chunk):
-        cfg = _diffusion_config(n_paths=n_paths, dt=dt, horizon=n_steps * dt, with_mu=True)
-        tracemalloc.start()
-        try:
-            simulate(cfg, [cfg.horizon])
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    upfront_normals = n_paths * 4 * chunk * 2 * 2 * 8
-    assert peaks[1] - peaks[0] < upfront_normals / 4
+    # only by the jump log, far below the normals an up-front draw holds;
+    # for one full block of paths and for part of one
+    dt, chunk = 0.01, simulate_module.CHUNK_STEPS
+    for n_paths in (64, 40):
+        peaks = []
+        for n_steps in (chunk, 4 * chunk):
+            cfg = _diffusion_config(n_paths=n_paths, dt=dt, horizon=n_steps * dt, with_mu=True)
+            tracemalloc.start()
+            try:
+                simulate(cfg, [cfg.horizon])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        upfront_normals = n_paths * 4 * chunk * 2 * 2 * 8
+        assert peaks[1] - peaks[0] < upfront_normals / 4
 
 
 # --- exact scheme against the per-path reference loop ---------------------
@@ -636,15 +694,16 @@ def test_exact_scheme_runs_all_paths_as_one_stack(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63 + 12345, 2**64 - 1])
 def test_path_streams_draw_the_path_rng_streams(seed):
-    # the re-keyed generator draws what a new generator per path draws,
-    # whatever was drawn from the previous path's stream
+    # the re-keyed generator draws what a new generator per path, jumped
+    # as often, draws, whatever was drawn from the previous path's stream
     ids = [0, 1, 5, 2**32 + 3, 2**40, 4]
-    for pid, rng in zip(ids, _path_streams(seed, ids)):
-        ref = _path_rng(seed, pid)
-        for draw in (lambda g: g.standard_normal(5), lambda g: g.poisson(3.3, 4),
-                     lambda g: g.random(7), lambda g: g.poisson(60.0),
-                     lambda g: g.standard_normal((2, 3, 3))):
-            assert np.array_equal(draw(rng), draw(ref))
+    for jumps in (0, 1, 2):
+        for pid, rng in zip(ids, _path_streams(seed, ids, jumps)):
+            ref = np.random.Generator(_path_rng(seed, pid).bit_generator.jumped(jumps))
+            for draw in (lambda g: g.standard_normal(5), lambda g: g.poisson(3.3, 4),
+                         lambda g: g.random(7), lambda g: g.poisson(60.0),
+                         lambda g: g.standard_normal((2, 3, 3))):
+                assert np.array_equal(draw(rng), draw(ref))
 
 
 def test_exact_scheme_path_count_extension_is_consistent():
