@@ -23,17 +23,19 @@ Two schemes:
   upper-triangle entries as rows of a ``(D, n)`` array, each row
   contiguous over the paths; the factor as the ``d * d`` entries of its
   full matrix, row-major) and the state is unpacked to ``(n, d, d)``
-  only at snapshot steps.  A step is a fixed number of array operations
-  whatever ``n``: one product of the flat normals with ``I_d (x)
-  sqrt(dt) sigma^T``, ``d`` broadcast products and two gathers for the
-  diffusion term, one ``D x D`` product for the drift, one for the
-  ``mu`` rates, one ``np.add.at`` each for the step's ``m`` jumps and
-  ``mu`` hits, and one call of ``symcone.project_factor_psd``, which
-  returns the projected state and a factor ``F F^T = X`` of it: a
-  Cholesky factorization on the packed rows, ``D`` contiguous row
-  operations and a few more whatever ``d``, for every matrix it exists
-  for, and ``eigh`` only on the others (singular or indefinite matrices,
-  unpacked and packed again).  Any factor serves: ``F = X^{1/2} O``
+  only at snapshot steps.  A step (``_euler_step``) is a fixed number of
+  array operations whatever ``n``: one product of the flat normals with
+  ``I_d (x) sqrt(dt) sigma^T``, one ``einsum`` for the product ``F G``
+  and one ``np.add`` of two of its gathers for the diffusion term, both
+  into buffers reused from step to step, one ``D x D`` product for the
+  drift, one for the ``mu`` rates, one ``np.add.at`` each for the step's
+  ``m`` jumps and ``mu`` hits, and one call of
+  ``symcone.project_factor_psd``, which returns the projected state and
+  a factor ``F F^T = X`` of it: a Cholesky factorization on the packed
+  rows, ``D`` contiguous row operations and a few more whatever ``d``,
+  for every matrix it exists for, and ``eigh`` only on the others
+  (singular or indefinite matrices, unpacked and packed again).  Any
+  factor serves: ``F = X^{1/2} O``
   with ``O`` orthogonal, and ``O N`` has the law of ``N``, so the
   increment has the law it has with the symmetric root.  ``threads``
   counts the caller: above 1 the extra threads fill the next buffer of
@@ -305,6 +307,95 @@ def _path_ranges(n: int, parts: int) -> list[tuple[int, int]]:
     return [(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
 
 
+@dataclass
+class _StepTerms:
+    """What every Euler step of one model at one ``dt`` reads, in packed
+    coordinates (``D = d(d+1)/2`` rows), and the buffers it writes for a
+    stack of ``n`` paths; built by :func:`_step_terms`."""
+
+    drift_step: np.ndarray  # (D, D): I + L dt, L the drift operator
+    b_dt: np.ndarray  # (D, 1)
+    noise: np.ndarray  # (d * d, d * d): I_d (x) sqrt(dt) sigma^T
+    upper: np.ndarray  # (D,): the flat index i d + j of packed entry (i, j)
+    lower: np.ndarray  # (D,): and that of (j, i)
+    mu_weights_dt: np.ndarray  # (n_mu, D): rows <., weight_a> dt
+    m_sites: np.ndarray  # (D, n_m)
+    mu_sites: np.ndarray  # (D, n_mu)
+    product: np.ndarray  # (d, d, n) buffer of M = F G
+    sym: np.ndarray  # (D, n) buffer of M + M^T
+
+
+def _step_terms(p: AffineParams, sigma, dt: float, n: int) -> _StepTerms:
+    d = p.dim
+    rows, cols, _ = sym_index(d)
+    basis = np.eye(len(rows))
+    return _StepTerms(
+        drift_step=basis + pack(p.drift.apply(unpack(basis))) * dt,
+        b_dt=pack(p.b[None]) * dt,
+        noise=np.kron(np.eye(d), np.sqrt(dt) * sigma.T),
+        upper=rows * d + cols,
+        lower=cols * d + rows,
+        # the rate of a jump by site_a is <X, weight_a>, in which an
+        # off-diagonal packed entry counts twice (an empty measure's atoms
+        # are (0, 0, 0))
+        mu_weights_dt=(pack(p.mu.weights.reshape(-1, d, d)).T
+                       * (dt * np.where(rows == cols, 1.0, 2.0))),
+        m_sites=pack(p.m.sites.reshape(-1, d, d)),
+        mu_sites=pack(p.mu.sites.reshape(-1, d, d)),
+        product=np.empty((d, d, n)),
+        sym=np.empty((len(rows), n)),
+    )
+
+
+def _euler_step(X, F, normals, uniforms, m_path, m_atom, terms: _StepTerms):
+    """One projected Euler step of a stack of ``n`` paths; returns the
+    projected state, its factor, the ``mu`` hits ``(path, atom)`` and the
+    largest ``mu`` jump probability of the step (0 without ``mu``).
+
+    ``X`` is the packed ``(D, n)`` state (:func:`symcone.pack`) and ``F``
+    the ``(d * d, n)`` stack of its factors, ``F F^T = X``
+    (:func:`symcone.project_factor_psd`).  ``normals`` is ``(n, d * d)``,
+    a path's ``d x d`` standard normals ``N`` row-major, and ``uniforms``
+    is ``(n, n_mu)``.  The step's ``m`` jumps are the parallel arrays
+    ``m_path`` and ``m_atom``, each path's in time order.
+
+    With ``G = sqrt(dt) N sigma`` (one product of all the normals with
+    ``terms.noise``) and ``M = F G`` (one ``einsum`` into
+    ``terms.product``), the step is ``Xn = (I + L dt) X + b dt + (M +
+    M^T)``, added in that order into a fresh array: ``M + M^T`` is one
+    ``np.add`` of two gathers of ``M`` into ``terms.sym``.  ``M + M^T`` has
+    the law it has for the symmetric root ``X^{1/2}``, since ``F = X^{1/2}
+    O`` with ``O`` orthogonal and ``O N`` has the law of ``N``.  Then the
+    ``m`` jumps are added, and path ``j`` takes ``mu`` atom ``a`` where
+    ``uniforms[j, a]`` is below ``<X, weight_a> dt``, the intensity of the
+    pre-step state frozen over the step.  A state that is not finite
+    raises :class:`PathFailureError`; every other one is projected onto
+    the cone and factored in one :func:`symcone.project_factor_psd` call,
+    which may return ``Xn`` itself, so ``Xn`` is never a reused buffer.
+    Call it under ``np.errstate(over="ignore", invalid="ignore")``, as
+    :func:`_euler_paths` does, so that an overflow is reported once, by
+    the finite check, and not also as numpy warnings.
+    """
+    d, _, n = terms.product.shape
+    G = (terms.noise @ normals.T).reshape(d, d, n)
+    M = np.einsum("irn,rjn->ijn", F.reshape(d, d, n), G, out=terms.product).reshape(d * d, n)
+    Xn = terms.drift_step @ X
+    Xn += terms.b_dt
+    Xn += np.add(M[terms.upper], M[terms.lower], out=terms.sym)
+    if m_path.size:  # unbuffered, in index order: a path's jumps add up as logged
+        np.add.at(Xn.T, m_path, terms.m_sites.T[m_atom])
+    hits, peak = (np.empty(0, np.intp),) * 2, 0.0
+    if len(terms.mu_weights_dt):
+        rates = (terms.mu_weights_dt @ X).T
+        peak = rates.max()
+        hits = np.nonzero(uniforms < rates)
+        if hits[0].size:
+            np.add.at(Xn.T, hits[0], terms.mu_sites.T[hits[1]])
+    _check_finite(Xn.T)
+    X, F = project_factor_psd(Xn)
+    return X, F, hits, peak
+
+
 # an overflow is reported once, by _check_finite, not also as numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
 def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
@@ -328,6 +419,11 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
     pieces yields the values of one draw, so the sample depends neither
     on ``CHUNK_STEPS`` nor on ``threads``.
 
+    Each step is one :func:`_euler_step` call on the stack, given the
+    step's rows of the buffers (the first ``n`` slots of the blocks) and
+    its ``m`` jumps; the loop around it keeps only the refills, the jump
+    log of the ``mu`` hits, the thinning warning and the snapshots.
+
     ``threads`` counts the caller.  At 1 everything runs inline in one
     buffer of ``CHUNK_STEPS`` steps.  Above 1, ``threads - 1`` worker
     threads, each given a range of blocks, draw beside the stepping:
@@ -343,6 +439,7 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
     n = config.n_paths
     n_mu = len(p.mu)
     n_blocks = -(-n // BLOCK_PATHS)
+    slots = n_blocks * BLOCK_PATHS
 
     # the buffers hold CHUNK_STEPS steps between them
     n_buffers = 2 if threads > 1 else 1
@@ -369,28 +466,7 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
             for b in range(lo, hi):
                 mu_rngs[b].random(out=uniforms[buf, b, :c])
 
-    # the state X is a packed (D, n) stack (symcone.pack), symmetric by
-    # construction, and F a (d * d, n) stack of full factors, F F^T = X
-    # (symcone.project_factor_psd).  With N a path's standard normals for
-    # the step, the next state is (I + L dt) X + b dt + M + M^T for M = F G
-    # and G = sqrt(dt) N sigma: L is the drift operator in packed
-    # coordinates, G one product for all paths of the flat normals with
-    # I_d (x) sqrt(dt) sigma^T, M the sum of d broadcast products, and
-    # M + M^T two gathers of M's entries.  M + M^T has the law it has for
-    # the symmetric root X^{1/2}, since F = X^{1/2} O with O orthogonal and
-    # O N has the law of N
-    rows, cols, _ = sym_index(d)
-    basis = np.eye(len(rows))
-    drift_step = basis + pack(p.drift.apply(unpack(basis))) * dt
-    b_dt = pack(p.b[None]) * dt
-    noise = np.kron(np.eye(d), np.sqrt(dt) * config.sigma.T)
-    upper, lower = rows * d + cols, cols * d + rows
-    # the rate of a jump by site_i is <X, weight_i>, in which an
-    # off-diagonal packed entry counts twice (an empty measure's atoms are
-    # (0, 0, 0))
-    mu_weights_dt = (pack(p.mu.weights.reshape(-1, d, d)).T
-                     * (dt * np.where(rows == cols, 1.0, 2.0)))
-    m_sites, mu_sites = (pack(sites.reshape(-1, d, d)) for sites in (p.m.sites, p.mu.sites))
+    terms = _step_terms(p, config.sigma, dt, n)
     snaps = {}
     for ti, k in enumerate(snap_steps.tolist()):
         snaps.setdefault(k, []).append(ti)
@@ -420,34 +496,18 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
             step_uniforms = uniforms[k0 // span % n_buffers]
             m_ends = np.searchsorted(m_step, np.arange(k0, k0 + c + 1)).tolist()
             for i, k in enumerate(range(k0, k0 + c)):
-                G = (noise @ step_normals[:, i].reshape(-1, d * d)[:n].T).reshape(d, d, n)
-                F3 = F.reshape(d, d, n)
-                M = F3[:, 0, None] * G[0]
-                for r in range(1, d):
-                    M += F3[:, r, None] * G[r]
-                M = M.reshape(d * d, n)
-                Xn = (drift_step @ X + b_dt) + (M[upper] + M[lower])
-
-                lo, hi = m_ends[i], m_ends[i + 1]
-                if lo < hi:  # unbuffered, in index order: a path's jumps add up as logged
-                    np.add.at(Xn.T, m_path[lo:hi], m_sites.T[m_atom[lo:hi]])
-                if n_mu:
-                    # thinning against the pre-step state, intensity frozen
-                    # per step
-                    rates = (mu_weights_dt @ X).T
-                    if not warned and rates.max() > 0.1:
-                        warnings.warn(
-                            "state-dependent jump probability per step exceeded 0.1; "
-                            "reduce dt for accurate thinning"
-                        )
-                        warned = True
-                    j, a = np.nonzero(step_uniforms[:, i].reshape(-1, n_mu)[:n] < rates)
-                    if j.size:
-                        np.add.at(Xn.T, j, mu_sites.T[a])
-                        jumps.append(np.stack([np.full_like(j, k), j, a]))
-
-                _check_finite(Xn.T)
-                X, F = project_factor_psd(Xn)
+                X, F, (j, a), peak = _euler_step(
+                    X, F, step_normals[:, i].reshape(slots, d * d)[:n],
+                    step_uniforms[:, i].reshape(slots, n_mu)[:n],
+                    m_path[m_ends[i]:m_ends[i + 1]], m_atom[m_ends[i]:m_ends[i + 1]], terms)
+                if peak > 0.1 and not warned:
+                    warnings.warn(
+                        "state-dependent jump probability per step exceeded 0.1; "
+                        "reduce dt for accurate thinning"
+                    )
+                    warned = True
+                if j.size:
+                    jumps.append(np.stack([np.full_like(j, k), j, a]))
                 if k + 1 in snaps:
                     out[snaps[k + 1]] = unpack(X)
     step, path, atom = np.concatenate(jumps, axis=1)

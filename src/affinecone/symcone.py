@@ -235,12 +235,13 @@ def project_factor_psd(y) -> tuple[np.ndarray, np.ndarray]:
 
     A Cholesky factorization ``Y = L L^T`` runs on the packed rows, one
     contiguous row over the stack per entry of ``L``, for any ``d``.  A
-    matrix takes it when every pivot is positive (a NaN pivot fails the
-    test too): it is its own projection, ``X = Y``, and ``F = L``.  Every
-    entry of such an ``L`` is finite: a pivot is at most its finite
-    diagonal entry of ``Y``, and each entry ``L_ij`` below the diagonal
-    enters pivot ``i`` as ``-L_ij^2``, so an infinite or NaN one leaves
-    that pivot at ``-inf`` or NaN.  Every other matrix goes to one
+    matrix takes it when every pivot is positive, read off the diagonal
+    of ``L``: ``sqrt(s) > 0`` holds exactly when ``s > 0``, and a NaN
+    pivot fails both.  It is then its own projection, ``X = Y``, and ``F =
+    L``.  Every entry of such an ``L`` is finite: a pivot is at most its
+    finite diagonal entry of ``Y``, and each entry ``L_ij`` below the
+    diagonal enters pivot ``i`` as ``-L_ij^2``, so an infinite or NaN one
+    leaves that pivot at ``-inf`` or NaN.  Every other matrix goes to one
     ``eigh`` call on those matrices alone: with eigenvalues ``w`` and
     eigenvectors ``q``, ``F = q diag(sqrt(w+))``; ``X = Y`` where no
     eigenvalue is negative and ``X = q diag(w+) q^T``, symmetrized,
@@ -256,7 +257,6 @@ def project_factor_psd(y) -> tuple[np.ndarray, np.ndarray]:
     at = unpack_index(d).reshape(d, d)  # the packed row of entry (i, j)
     f = np.zeros((d * d, n))
     low = f.reshape(d, d, n)
-    pivots = np.empty((d, n))
     # a refused column may overflow, divide by zero or take the root of a
     # negative number; its values are replaced below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -266,11 +266,11 @@ def project_factor_psd(y) -> tuple[np.ndarray, np.ndarray]:
                 for k in range(j):
                     s = s - low[i, k] * low[j, k]
                 if i == j:
-                    pivots[j] = s
                     np.sqrt(s, out=low[j, j])
                 else:
                     np.divide(s, low[j, j], out=low[i, j])
-        cholesky = np.all(pivots > 0.0, axis=0)
+    # rows 0, d + 1, ... of f hold the roots of the pivots
+    cholesky = np.all(f[::d + 1] > 0.0, axis=0)
     if cholesky.all():
         return y, f
     rest = np.flatnonzero(~cholesky)

@@ -1,7 +1,9 @@
 """End-to-end command-line runs: exit codes, artifacts, manifests."""
 
+import csv
 import hashlib
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -17,6 +19,7 @@ from affinecone import (
     AffineParams,
     ConeViolationError,
     LinearDrift,
+    MatrixJumpMeasure,
     ScalarJumpMeasure,
     SolverFailureError,
     WishartSpec,
@@ -776,3 +779,134 @@ def test_unused_flags_are_rejected(config_file, tmp_path, command, flag, capsys)
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
 
+
+
+# --- simulate outputs across thread counts and path counts ------------------
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workload_configs(tmp_path_factory):
+    """The configs ``python3 perfbench/workloads.py --seed 1`` writes, by workload name."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass reads the module's namespace
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads.generate(1, tmp_path_factory.mktemp("cfg"))
+
+
+def _config(path, data):
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _simulate_at(config, snapshots, threads, out_root):
+    """``simulate`` of ``config`` at each thread count, with numpy's
+    RuntimeWarnings as errors; returns the output directories."""
+    dirs = []
+    for count in threads:
+        out_dir = out_root / f"{config.stem}-threads-{count}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--config", str(config), "--snapshots", snapshots,
+                         "--out-dir", str(out_dir), "--threads", str(count)]) == 0
+        dirs.append(out_dir)
+    return dirs
+
+
+def _assert_same_outputs(dirs):
+    for name in cli.OUT_DIR_FILES["simulate"]:
+        first = (dirs[0] / name).read_bytes()
+        assert all((out_dir / name).read_bytes() == first for out_dir in dirs[1:]), name
+
+
+def _jump_rows(out_dir):
+    with open(out_dir / "jumps.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _assert_jump_log_ordered(out_dir):
+    # by path_id, then by time
+    keys = [(int(row["path_id"]), float(row["time"])) for row in _jump_rows(out_dir)]
+    assert keys and keys == sorted(keys)
+
+
+def test_exact_simulate_is_the_same_at_every_thread_count(workload_configs, tmp_path):
+    dirs = _simulate_at(workload_configs["verify-jumps-d2"], "0.5,1,2", (1, 2), tmp_path)
+    _assert_same_outputs(dirs)
+    _assert_jump_log_ordered(dirs[0])
+
+
+def test_euler_simulate_is_the_same_at_every_thread_count(workload_configs, tmp_path):
+    # the extra threads draw beside the stepping
+    data = json.loads(workload_configs["euler-jumpdiff-d3"].read_text())
+    data["sim"]["horizon"] = 0.5
+    dirs = _simulate_at(_config(tmp_path / "euler-short.json", data), "0.25,0.5", (1, 2, 3),
+                        tmp_path)
+    _assert_same_outputs(dirs)
+    _assert_jump_log_ordered(dirs[0])
+
+
+def _euler_d2(n_paths=512, m_atoms=True):
+    """A d = 2 Euler model with mu atoms, whose matrices the projection
+    factors by Cholesky or, where that is refused, by eigh."""
+    s = np.array([[0.5, 0.1], [0.0, 0.4]])
+    a = s.T @ s
+    p = AffineParams(dim=2, alpha=a, b=a + 0.3 * np.eye(2),
+                     drift=LinearDrift.lyapunov(-0.8 * np.eye(2)),
+                     m=ScalarJumpMeasure([(np.diag([0.3, 0.1]), 0.5)] if m_atoms else []),
+                     mu=MatrixJumpMeasure([(np.diag([0.4, 0.4]), 0.3 * np.eye(2))]))
+    return {**p.to_dict(), "sim": {"sigma": s.tolist(), "x0": (0.5 * np.eye(2)).tolist(),
+                                   "horizon": 1.0, "dt": 0.01, "n_paths": n_paths, "seed": 11}}
+
+
+@pytest.mark.parametrize("m_atoms, sources", [
+    pytest.param(True, {"m", "mu"}, id="m-and-mu"),
+    # its jump draws are the mu uniforms alone, from each 64-path block's
+    # jumped stream
+    pytest.param(False, {"mu"}, id="mu-only"),
+])
+def test_euler_d2_with_mu_is_the_same_at_every_thread_count(tmp_path, m_atoms, sources):
+    cfg = _config(tmp_path / "euler-d2.json", _euler_d2(m_atoms=m_atoms))
+    dirs = _simulate_at(cfg, "0.5,1", (1, 2), tmp_path)
+    _assert_same_outputs(dirs)
+    assert {row["source"] for row in _jump_rows(dirs[0])} == sources
+
+
+def test_euler_partial_block_replicates_a_full_block(tmp_path):
+    # 100 paths are one full 64-path block of draws and one partial one:
+    # the same outputs at 1, 2 and 3 threads, and the first 64 paths' rows
+    # those of a 64-path run
+    dirs = _simulate_at(_config(tmp_path / "euler-100.json", _euler_d2(n_paths=100)), "0.5,1",
+                        (1, 2, 3), tmp_path)
+    _assert_same_outputs(dirs)
+    full, = _simulate_at(_config(tmp_path / "euler-64.json", _euler_d2(n_paths=64)), "0.5,1",
+                         (1,), tmp_path)
+
+    def first_block(path):
+        with open(path, newline="") as fh:
+            return [row for i, row in enumerate(csv.reader(fh)) if i == 0 or float(row[0]) < 64]
+
+    for name in ("snapshots.csv", "jumps.csv"):
+        assert first_block(dirs[0] / name) == first_block(full / name)
+
+
+def test_euler_d4_is_the_same_at_every_thread_count(tmp_path):
+    # the packed Cholesky factorization runs for every d, and eigh sees
+    # only the matrices it refuses
+    s = np.triu(np.full((4, 4), 0.02)) + np.diag([0.35, 0.3, 0.3, 0.25])
+    a = s.T @ s
+    v = np.array([0.2, 0.1, 0.0, 0.1])
+    p = AffineParams(
+        dim=4, alpha=a, b=3.5 * a,
+        drift=LinearDrift.lyapunov(-0.7 * np.eye(4) + 0.05 * np.triu(np.ones((4, 4)), 1)),
+        m=ScalarJumpMeasure([(np.diag([0.3, 0.2, 0.1, 0.1]), 0.8), (np.outer(v, v), 0.6)]),
+        mu=MatrixJumpMeasure([(np.diag([0.1, 0.05, 0.05, 0.1]), 0.4 * np.eye(4))]))
+    data = {**p.to_dict(), "sim": {"sigma": s.tolist(), "x0": (0.5 * np.eye(4)).tolist(),
+                                   "horizon": 1.0, "dt": 0.005, "n_paths": 300, "seed": 9}}
+    _assert_same_outputs(_simulate_at(_config(tmp_path / "euler-d4.json", data), "0.5,1", (1, 2),
+                                      tmp_path))

@@ -13,7 +13,10 @@ decay rate is planted by acceptance criterion 8 and by ``verify
 --inflate-delta`` already, and is not repeated here.  The mean does not
 depend on ``alpha``, so it cannot see the factor ``F`` of the Euler step;
 the second oracle, the covariance of one Euler increment, can, and its
-defect is a wrong factor planted in the scheme itself.
+defect is a wrong factor planted in the scheme itself.  The third, the
+empirical Laplace transform against the Riccati transform, sees the whole
+law at each snapshot; its defects keep the mean, so the mean z-test passes
+them.
 """
 
 import dataclasses
@@ -24,12 +27,16 @@ import pytest
 
 from affinecone import (
     AffineParams,
+    InvariantLaw,
     LinearDrift,
     ScalarJumpMeasure,
     SimConfig,
     WishartSpec,
+    decay_certificate,
     mc_vs_formula,
     simulate,
+    standard_u_grid,
+    transient_laplace,
 )
 from affinecone.symcone import sym_index
 
@@ -159,3 +166,73 @@ def test_transposed_factor_is_rejected(monkeypatch):
 
     monkeypatch.setattr(simulate_module, "project_factor_psd", transposed)
     assert _increment_max_abs_z(_one_step_config()) > Z_LIMIT
+
+
+# --- the empirical Laplace transform ----------------------------------------
+
+# the chance that a correct sampler fails some test of one run
+FAMILY_LEVEL = 1e-3
+
+
+def _sigma_halved(config: SimConfig) -> SimConfig:
+    # the diffusion alpha / 4 with the same b: the mean does not move
+    p = dataclasses.replace(config.params, alpha=config.params.alpha / 4.0)
+    return dataclasses.replace(config, params=p, sigma=0.5 * config.sigma)
+
+
+def _m_sites_spread(config: SimConfig) -> SimConfig:
+    # each m atom at 4 x its site with a quarter of its mass: int xi m(dxi)
+    # and so the mean do not move
+    m = ScalarJumpMeasure([(4.0 * s, w / 4.0) for s, w in config.params.m.atoms])
+    return dataclasses.replace(config, params=dataclasses.replace(config.params, m=m))
+
+
+LAPLACE_ENTRIES = [
+    pytest.param(_euler_config, _sigma_halved, id="euler-sigma-halved"),
+    pytest.param(_exact_config, _m_sites_spread, id="ou-exact-m-sites-spread"),
+]
+
+
+def _laplace_gap_ratio(config: SimConfig, truth: SimConfig) -> float:
+    """The largest gap between the empirical Laplace transform of
+    ``config``'s ensemble and ``truth``'s transform, in units of its
+    two-sided empirical-Bernstein half-width, over the probes
+    ``standard_u_grid`` and the snapshots ``TIMES``.
+
+    For ``u`` and ``X_t`` in the cone each summand ``e^{-<u, X_t>}`` lies in
+    ``[0, 1]``, so with probability at least ``1 - delta`` the sample mean
+    of ``n`` of them is within ``sqrt(2 V ln(4 / delta) / n) + 7 ln(4 /
+    delta) / (3 (n - 1))`` of the exact ``exp(-phi(t,u) - <x, psi(t,u)>)``,
+    ``V`` the sample variance (Maurer & Pontil 2009, Theorem 4, on each
+    side at ``delta / 2``).  Bonferroni over the tests: ``delta`` is
+    ``FAMILY_LEVEL`` over their number.
+    """
+    law = InvariantLaw(truth.params, decay_certificate(truth.params))
+    us = np.array(standard_u_grid(truth.params.dim))
+    exact = transient_laplace(law.flow(us, 1e-8, TIMES), truth.x0, TIMES)
+    states = simulate(config, TIMES).states
+    summands = np.exp(-np.einsum("tnij,uij->tun", states, us))
+    n = config.n_paths
+    log_term = np.log(4.0 * exact.size / FAMILY_LEVEL)
+    half_width = (np.sqrt(2.0 * summands.var(axis=-1, ddof=1) * log_term / n)
+                  + 7.0 * log_term / (3.0 * (n - 1)))
+    return float(np.max(np.abs(summands.mean(axis=-1) - exact) / half_width))
+
+
+@pytest.mark.parametrize("make, defect", LAPLACE_ENTRIES)
+def test_laplace_clean_run_passes(make, defect):
+    config = make()
+    assert _laplace_gap_ratio(config, config) <= 1.0
+
+
+@pytest.mark.parametrize("make, defect", LAPLACE_ENTRIES)
+def test_laplace_planted_defect_is_rejected(make, defect):
+    config = make()
+    assert _laplace_gap_ratio(defect(config), config) > 1.0
+
+
+@pytest.mark.parametrize("make, defect", LAPLACE_ENTRIES)
+def test_laplace_defect_keeps_the_mean(make, defect):
+    # the mean z-test cannot tell the defect from the true model
+    config = make()
+    assert _max_abs_z(defect(config), config.params) <= Z_LIMIT

@@ -32,7 +32,7 @@ from affinecone.simulate import (
     _path_rng,
     _path_streams,
 )
-from affinecone.symcone import mat_exp, project_factor_psd, unpack
+from affinecone.symcone import mat_exp, pack, project_factor_psd, unpack
 from conftest import zero_diffusion_params
 
 simulate_module = importlib.import_module("affinecone.simulate")
@@ -558,6 +558,45 @@ def test_euler_scheme_matches_reference_loop(make):
     sources = set(ref_log["source"].tolist())
     p = cfg.params
     assert sources == {source for source, atoms in (("m", p.m), ("mu", p.mu)) if len(atoms)}
+
+
+def test_euler_step_matches_the_reference_step():
+    # one step of four d = 3 paths, built by hand: path 0 starts near the
+    # cone's boundary and its normals are large, so its step leaves the
+    # cone and LAPACK refuses its Cholesky factor; path 1 takes both m
+    # atoms and path 3 the first; paths 0 and 2 take the mu atom
+    cfg = _d3_config(n_paths=4)
+    p, sigma, dt = cfg.params, cfg.sigma, cfg.dt
+    d, n = p.dim, 4
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    X = np.stack([(q * [1.0, 0.5, 1e-4]) @ q.T, 0.5 * np.eye(d), np.diag([0.8, 0.6, 0.4]),
+                  np.array([[0.7, 0.2, -0.1], [0.2, 0.5, 0.1], [-0.1, 0.1, 0.3]])])
+    F = np.linalg.cholesky(X)
+    normals = rng.standard_normal((n, d, d)) * np.array([40.0, 1.0, 1.0, 1.0])[:, None, None]
+    m_path, m_atom = np.array([1, 1, 3]), np.array([0, 1, 0])
+    sites = np.array([s for s, _ in p.m.atoms])
+    (mu_site, mu_weight), = p.mu.atoms
+    rates = np.einsum("bij,ij->b", X, mu_weight) * dt
+    uniforms = (rates * np.array([0.5, 1.5, 0.5, 1.5]))[:, None]
+
+    mix = F @ (normals * np.sqrt(dt)) @ sigma
+    beta = p.drift.beta
+    Xn = X + (p.b + beta @ X + X @ beta.T) * dt + mix + np.transpose(mix, (0, 2, 1))
+    np.add.at(Xn, m_path, sites[m_atom])
+    Xn[[0, 2]] += mu_site
+    Xn = (Xn + np.transpose(Xn, (0, 2, 1))) / 2.0
+    assert [_lapack_refuses(y) for y in Xn] == [True, False, False, False]
+    ref_x, ref_f = _reference_projection(Xn)
+
+    terms = simulate_module._step_terms(p, sigma, dt, n)
+    x, f, hits, peak = simulate_module._euler_step(
+        pack(X), F.reshape(n, d * d).T.copy(), normals.reshape(n, d * d), uniforms,
+        m_path, m_atom, terms)
+    assert np.abs(unpack(x) - ref_x).max() <= 1e-12 * np.abs(ref_x).max()
+    assert np.abs(f.T.reshape(n, d, d) - ref_f).max() <= 1e-12 * np.abs(ref_f).max()
+    assert [a.tolist() for a in hits] == [[0, 2], [0, 0]]
+    assert peak == pytest.approx(rates.max(), rel=1e-12)
 
 
 @pytest.mark.parametrize("n_steps", [1, 3, 200, 2**20, 10**6 + 1, MAX_STEPS])
