@@ -38,10 +38,14 @@ def scalar_phi(a: float, beta: float, k: float, u: float, t: float) -> float:
 
 
 def random_wishart(d: int, rng: np.random.Generator, with_jumps: bool = False) -> WishartSpec:
-    """A random admissible pure-diffusion spec with a stable drift."""
+    """A random admissible pure-diffusion spec with a stable drift; a draw
+    whose ``beta`` has an eigenvalue with real part >= 0 is refused with
+    ``ValueError``."""
     g = rng.standard_normal((d, d))
     alpha = g @ g.T / d + 0.05 * np.eye(d)
     beta = -(0.5 + rng.random()) * np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    if np.max(np.linalg.eigvals(beta).real) >= 0.0:
+        raise ValueError(f"random_wishart drew an unstable beta: {beta.tolist()}")
     k = (d - 1) / 2.0 + 0.5 + rng.random()
     m = ScalarJumpMeasure()
     if with_jumps:

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -65,15 +66,15 @@ def test_validate_ok(config_file, capsys):
 
 def test_cli_import_leaves_scipy_unloaded(config_file, tmp_path):
     # scipy is imported only where a flow is solved, so in a fresh
-    # interpreter neither the CLI's import (all that validate needs) nor a
-    # simulate run of either scheme loads it
+    # interpreter neither the CLI's import, nor validate, nor a simulate run
+    # of either scheme loads it
     src = str(Path(affinecone.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = ("import sys, affinecone.cli; "
              "code = affinecone.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
              "sys.exit(code or 10 * any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     data = json.loads(config_file.read_text())
-    runs = [[]]
+    runs = [[], ["validate", "--config", str(config_file)]]
     for name, edit in [("euler", _with_sim(n_paths=50)), ("ou-exact", _ou_exact_sim(n_paths=50))]:
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps(edit(data)))
@@ -98,6 +99,9 @@ def test_parse_error_exit_code(tmp_path):
     broken.write_text("{not json")
     assert main(["validate", "--config", str(broken)]) == 2
     assert main(["riccati", "--config", str(broken)]) == 2
+    empty = tmp_path / "empty.json"
+    empty.write_text("")
+    assert main(["validate", "--config", str(empty)]) == 2
 
 
 def _with(**entries):
@@ -609,13 +613,19 @@ def test_overflowing_semigroup_search_exits_3_without_traceback(config_file, tmp
     assert err.startswith("numeric overflow:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["stationary", "verify", "simulate", "riccati"])
+@pytest.mark.parametrize("command, edit", [
+    pytest.param("stationary", _with(), id="stationary"),
+    pytest.param("verify", _with(), id="verify"),
+    pytest.param("simulate", _with(), id="simulate"),
+    pytest.param("simulate", _ou_exact_sim(), id="simulate-ou-exact"),
+    pytest.param("riccati", _with(), id="riccati"),
+])
 def test_overflowing_drift_image_exits_3_without_traceback(config_file, tmp_path, capsys,
-                                                          command):
+                                                          command, edit):
     # beta x + x beta.T reaches -inf at x = E_11 for this finite beta: the
     # drift map refuses it in the effective drift, the Riccati field and the
-    # Euler step alike; validate never applies the drift and passes
-    data = json.loads(config_file.read_text())
+    # Euler and exact steps alike; validate never applies the drift and passes
+    data = edit(json.loads(config_file.read_text()))
     data["drift"] = {"kind": "lyapunov", "beta": [[-1e308, 0.0], [0.0, -1.0]]}
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps(data))
@@ -630,12 +640,14 @@ def test_overflowing_drift_image_exits_3_without_traceback(config_file, tmp_path
     assert err.startswith("numeric overflow:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("beta, u", [
-    pytest.param([[-1.0, 1e308], [0.0, -1.0]], None, id="field-coefficients"),
-    pytest.param([[-1.0, 1e150], [0.0, -1.0]], None, id="flow"),
-    pytest.param(None, (1e200 * np.eye(2)).tolist(), id="field-at-start"),
+@pytest.mark.parametrize("beta, u, kind", [
+    pytest.param([[-1.0, 1e308], [0.0, -1.0]], None, "numeric overflow:",
+                 id="field-coefficients"),
+    pytest.param([[-1.0, 1e150], [0.0, -1.0]], None, "solver failure:", id="flow"),
+    pytest.param(None, (1e200 * np.eye(2)).tolist(), "numeric overflow:", id="field-at-start"),
 ])
-def test_riccati_past_the_float_range_exits_3_and_leaves_no_csv(tmp_path, capsys, beta, u):
+def test_riccati_past_the_float_range_exits_3_and_leaves_no_csv(tmp_path, capsys, beta, u,
+                                                                kind):
     # each case ends at once, where a NaN first step of the integrator would
     # never end: coefficients past the float range and a field that is not
     # finite at the start are refused before integrating, and a flow that
@@ -658,7 +670,7 @@ def test_riccati_past_the_float_range_exits_3_and_leaves_no_csv(tmp_path, capsys
         warnings.simplefilter("error", RuntimeWarning)
         assert main(argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith(("numeric overflow:", "solver failure:")) and err.count("\n") == 1
+    assert err.startswith(kind) and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -804,16 +816,21 @@ def _config(path, data):
     return path
 
 
+def _run_clean(argv):
+    """``main(argv)`` with numpy's RuntimeWarnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return main(argv)
+
+
 def _simulate_at(config, snapshots, threads, out_root):
     """``simulate`` of ``config`` at each thread count, with numpy's
     RuntimeWarnings as errors; returns the output directories."""
     dirs = []
     for count in threads:
         out_dir = out_root / f"{config.stem}-threads-{count}"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert main(["simulate", "--config", str(config), "--snapshots", snapshots,
-                         "--out-dir", str(out_dir), "--threads", str(count)]) == 0
+        assert _run_clean(["simulate", "--config", str(config), "--snapshots", snapshots,
+                           "--out-dir", str(out_dir), "--threads", str(count)]) == 0
         dirs.append(out_dir)
     return dirs
 
@@ -910,3 +927,96 @@ def test_euler_d4_is_the_same_at_every_thread_count(tmp_path):
                                    "horizon": 1.0, "dt": 0.005, "n_paths": 300, "seed": 9}}
     _assert_same_outputs(_simulate_at(_config(tmp_path / "euler-d4.json", data), "0.5,1", (1, 2),
                                       tmp_path))
+
+
+# --- the seed-1 workload configs through the other commands -----------------
+
+def test_riccati_commands_run_clean_on_the_seed_configs(workload_configs, tmp_path):
+    jumps = workload_configs["verify-jumps-d2"]
+    diffusion = workload_configs["stationary-diffusion-d3"]
+    assert _run_clean(["validate", "--config", str(jumps)]) == 0
+    # a second verify into the same directory, of a model with diffusion,
+    # writes no mean-gap table and leaves none of the first run's behind
+    out_dir = tmp_path / "v"
+    for cfg in (jumps, diffusion):
+        assert _run_clean(["verify", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    assert not (out_dir / "w1_table.csv").exists()
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    paths = [Path(entry["path"]) for entry in manifest["outputs"]]
+    assert len(paths) == 2 and all(path.exists() for path in paths)
+    report, table = tmp_path / "report.json", tmp_path / "table.csv"
+    assert _run_clean(["stationary", "--config", str(diffusion), "--out", str(report),
+                       "--table", str(table)]) == 0
+    assert json.loads(report.read_text())["delta"] > 0
+    assert np.loadtxt(table, delimiter=",", skiprows=1).shape == (9 * 7, 2)
+
+
+def test_validate_decides_K_in_closed_form(workload_configs, tmp_path):
+    # 0 for a congruence beta, max(0, -2c) for lyapunov beta = c I, and null
+    # for any other lyapunov beta, such as the generated one
+    data = json.loads(workload_configs["verify-jumps-d2"].read_text())
+    drifts = {
+        "congruence": ({**data["drift"], "kind": "congruence"}, 0),
+        "scalar": ({"kind": "lyapunov", "beta": (-0.7 * np.eye(2)).tolist()}, 1.4),
+        "generated": (data["drift"], None),
+    }
+    for name, (drift, K) in drifts.items():
+        cfg = _config(tmp_path / f"{name}.json", {**data, "drift": drift})
+        out = tmp_path / f"{name}-gate.json"
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["hypotheses"]["K_sampled"] == K, name
+
+
+@pytest.mark.parametrize("workload, argv, entry, edit, pattern", [
+    pytest.param("verify-jumps-d2", ["validate"], "drift",
+                 lambda data: {"kind": "general", "operator": (-np.eye(3)).tolist()},
+                 r"config error:.*general", id="drift-kind-general"),
+    # sigma.T @ sigma = alpha still holds with a zero row appended
+    pytest.param("euler-jumpdiff-d3", ["simulate", "--snapshots", "0.5"], "sim",
+                 lambda data: {**data["sim"], "sigma": data["sim"]["sigma"] + [[0.0, 0.0, 0.0]]},
+                 r"config error: sim:.*sigma", id="sigma-not-square"),
+])
+def test_a_config_error_names_what_it_refuses(workload_configs, tmp_path, capsys, workload, argv,
+                                              entry, edit, pattern):
+    data = json.loads(workload_configs[workload].read_text())
+    data[entry] = edit(data)
+    cfg = _config(tmp_path / "bad.json", data)
+    if argv[0] == "simulate":
+        argv = argv + ["--out-dir", str(tmp_path / "s")]
+    assert main([*argv, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(pattern, err) and err.count("\n") == 1, err
+
+
+def _jump_free(workload_configs, scale=1.0, n_paths=None):
+    """``verify-jumps-d2`` with no jump atoms, its start state times ``scale``."""
+    data = json.loads(workload_configs["verify-jumps-d2"].read_text())
+    data["m"]["atoms"] = []
+    data["sim"]["x0"] = (scale * np.array(data["sim"]["x0"])).tolist()
+    data["sim"]["n_paths"] = n_paths or data["sim"]["n_paths"]
+    return data
+
+
+@pytest.mark.parametrize("scale, n_paths", [
+    pytest.param(1.0, None, id="seed-x0"),
+    # the sample mean of 200 copies rounds far above 1e-9 but far below the
+    # mean at this scale: the exact-match test is relative
+    pytest.param(1e9, 200, id="x0-times-1e9"),
+])
+def test_jump_free_exact_simulate_logs_no_jump_and_scores_zero(workload_configs, tmp_path, scale,
+                                                               n_paths):
+    # every exact path is the deterministic mean
+    cfg = _config(tmp_path / "no-jumps.json", _jump_free(workload_configs, scale, n_paths))
+    out_dir, = _simulate_at(cfg, "0.5,1,2", (1,), tmp_path)
+    assert (out_dir / "jumps.csv").read_text() == "path_id,time,source,atom_index\n"
+    z = np.loadtxt(out_dir / "zscores.csv", delimiter=",", skiprows=1)[:, 1:]
+    assert z.size and np.all(z == 0.0), z
+
+
+def test_stationary_of_a_strongly_non_normal_drift_runs_clean(workload_configs, tmp_path, capsys):
+    # the semigroup norm of this beta peaks near 1.2e8
+    data = _jump_free(workload_configs)
+    data["drift"]["beta"] = [[-1.0, 30.0], [0.0, -1.0]]
+    cfg = _config(tmp_path / "non-normal.json", data)
+    assert _run_clean(["stationary", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["M"] > 1e8
