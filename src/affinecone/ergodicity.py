@@ -222,15 +222,17 @@ class InvariantLaw:
     The transform is ``exp(-I(u))`` with ``I(u)`` the running cost
     integrated along the Riccati flow from ``u``, up to a horizon fixed in
     advance from the closed-form cost-decay constant :attr:`c_hat` so the
-    neglected tail is below tolerance.  One flow per probe grid
-    (:meth:`flow`) serves the transient transform ``exp(-phi(t,u) - <x,
-    psi(t,u)>)`` and the ``psi`` envelope at its requested times, and the
-    exponents at its end.
+    neglected tail is below tolerance.  Computed exponents are cached per
+    probe under a rounded key.  One flow per probe grid (:meth:`flow`)
+    serves the transient transform ``exp(-phi(t,u) - <x, psi(t,u)>)`` and
+    the ``psi`` envelope at its requested times, and the exponents at its
+    end.
     """
 
     params: AffineParams
     cert: DecayCertificate
     mean: np.ndarray = field(init=False)
+    _cache: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         self.mean = invariant_mean(self.params, self.cert)
@@ -248,23 +250,37 @@ class InvariantLaw:
         """
         return frobenius(_moment_source(self.params)) * self.cert.M
 
-    def exponents(self, us, tol: float = 1e-8) -> np.ndarray:
-        """Truncated integral of the running cost along the flow from each
-        probe of ``us``: ``phi`` at the end of one stacked :meth:`flow` of
-        the nonzero probes, and 0 where ``u = 0``."""
-        us = np.array([symmetrize(u) for u in us])
-        out = np.zeros(len(us))
-        live = np.linalg.norm(us, axis=(1, 2)) > 0.0
-        if np.any(live):
-            out[live] = self.flow(us[live], tol).phi[-1]
-        return out
+    def _key(self, u, tol):
+        # rounding to 1e-12 absolute merges roundoff-level copies of a
+        # probe; adding 0.0 turns -0.0 into 0.0 so both share a key
+        q = np.round(np.asarray(u, dtype=float), 12) + 0.0
+        return (q.tobytes(), float(tol))
 
     def exponent(self, u, tol: float = 1e-8) -> float:
-        """:meth:`exponents` of the one probe ``u``."""
-        return float(self.exponents([u], tol)[0])
+        """Truncated integral of the running cost along the flow from ``u``."""
+        u = symmetrize(u)
+        if frobenius(u) == 0.0:
+            return 0.0
+        key = self._key(u, tol)
+        if key not in self._cache:
+            self.flow([u], tol)
+        return self._cache[key]
+
+    def exponents(self, us, tol: float = 1e-8) -> np.ndarray:
+        """:meth:`exponent` for every probe of ``us``; the probes not yet
+        cached are integrated together as one stacked Riccati flow."""
+        us = [symmetrize(u) for u in us]
+        todo = {}
+        for u in us:
+            key = self._key(u, tol)
+            if frobenius(u) > 0.0 and key not in self._cache:
+                todo.setdefault(key, u)
+        if todo:
+            self.flow(list(todo.values()), tol)
+        return np.array([self.exponent(u, tol) for u in us])
 
     def flow(self, us, tol: float = 1e-8, times=()) -> RiccatiTrajectory:
-        """One stacked Riccati flow of the probes ``us``.
+        """One stacked Riccati flow of the probes ``us``; caches their exponents.
 
         Probe ``u`` needs the horizon
         ``T = max(1, 5/delta, log(max(C ||u|| / (delta tol), 2)) / delta)``,
@@ -272,8 +288,8 @@ class InvariantLaw:
         integral is below ``tol`` (``C`` is :attr:`c_hat`).  The stack is
         solved to the largest of these horizons, or to ``max(times)`` if
         later, at solver tolerance ``tol/100`` clipped to ``[1e-12, 1e-10]``,
-        and kept at the positive ``times`` and at its end, whose ``phi`` are
-        the probes' exponents.  Pass it as ``flow`` to :func:`dL_table`.
+        and kept at the positive ``times`` and at its end, whose ``phi``
+        fills the cache.  Pass it as ``flow`` to :func:`dL_table`.
         """
         us = np.asarray(us, dtype=float)
         norms = np.linalg.norm(us, axis=(1, 2))
@@ -283,7 +299,10 @@ class InvariantLaw:
         T = max(1.0, 5.0 / delta, float(np.max(need)), float(np.max(times, initial=0.0)))
         solver_tol = max(min(1e-10, tol * 1e-2), TOL_RANGE[0])
         t_eval = np.union1d(times[times > 0.0], [T])
-        return solve_riccati(self.params, us, T, tol=solver_tol, t_eval=t_eval)
+        traj = solve_riccati(self.params, us, T, tol=solver_tol, t_eval=t_eval)
+        for u, val in zip(us, traj.phi[-1]):
+            self._cache[self._key(u, tol)] = float(val)
+        return traj
 
     def laplace(self, u, tol: float = 1e-8) -> float:
         """Stationary Laplace transform at ``u``; equals 1 at ``u = 0``."""
@@ -349,16 +368,16 @@ def dL_table(
 
     One stacked flow of the grid serves both transforms: ``flow``, or else
     ``law.flow(grid, tol, times)``.  The transient transform is read at
-    ``times`` (:func:`transient_laplace`) and the stationary exponents are
-    the flow's ``phi`` at its end, the horizon :meth:`InvariantLaw.flow`
-    fixes for tolerance ``tol``.
+    ``times`` (:func:`transient_laplace`) and the stationary exponents, at
+    tolerance ``tol``, come back through the law's cache
+    (:meth:`InvariantLaw.exponents`).
     """
     us = np.asarray(standard_u_grid(p.dim))
     norms = np.linalg.norm(us, axis=(1, 2))
     if flow is None:
         flow = law.flow(us, tol, times)
     lt = transient_laplace(flow, x, times)
-    lp = np.exp(-flow.phi[-1])
+    lp = np.exp(-law.exponents(us, tol))
     return np.max(np.abs(lt - lp) / norms, axis=1)
 
 
