@@ -27,10 +27,12 @@ Euler scheme, a step count ``horizon / dt`` that is not an integer or
 exceeds that ceiling; ``--closed-form`` on a model outside the Wishart
 family; a ``--tol`` outside ``riccati.TOL_RANGE`` (``[1e-12, 1e-3]``); a
 ``--T`` or ``--inflate-delta`` that is not positive and finite; a
-``--threads`` below 1; and an output file or directory that cannot be
-written.  Exit 3 also covers a matrix exponential, a drift map image (of
-a finite but huge ``drift.beta``, in the effective drift, the Riccati
-field or the Euler step), a coefficient of the Riccati field, the field
+``--threads`` below 1; an output file or directory that cannot be
+written; and an output that resolves to an input (``--config``, or a
+``--u`` file) or to another output, refused before any file is removed.
+Exit 3 also covers a matrix exponential, a drift map image (of a finite
+but huge ``drift.beta``, in the effective drift, the Riccati field or
+the Euler step), a coefficient of the Riccati field, the field
 at the start value (a huge ``--u``) or a transient mean (``verify``'s
 mean-gap table, of a huge ``sim.x0``) that leaves the float range (an
 ``OverflowError``; config parsing reports its own as exit 2).
@@ -45,13 +47,14 @@ Laplace table, the ``psi`` decay envelope and the stationary exponents.
 Before any config is read, ``main`` removes every file the command may
 write (``--out``, ``--table``, or the command's files and
 ``manifest.json`` in ``--out-dir``), so a failed or shorter run leaves
-no results of an earlier one in place.
+no results of an earlier one in place.  Every CSV file goes through
+``simulate.write_csv`` (a header line, ``\\n`` line endings) and every
+JSON file or report through ``_write_json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -80,7 +83,14 @@ from .riccati import (
     psi_closed_form_wishart,
     solve_riccati,
 )
-from .simulate import PathFailureError, SimConfig, mc_vs_formula, simulate
+from .simulate import (
+    PathFailureError,
+    SimConfig,
+    mc_vs_formula,
+    simulate,
+    upper_triangle,
+    write_csv,
+)
 from .symcone import ConeViolationError, check_cone, frobenius, symmetrize
 
 EXIT_ADMISSIBILITY = 1
@@ -107,25 +117,26 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_table(path, header, rows) -> None:
-    """One CSV table: the header row, then ``rows``."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+def _write_json(path, payload) -> None:
+    """The one JSON writer: ``payload`` indented, to the file ``path``, or
+    to stdout if ``path`` is None."""
+    text = json.dumps(payload, indent=2)
+    if path:
+        Path(path).write_text(text + "\n")
+    else:
+        print(text)
 
 
 def _write_manifest(out_dir: Path, command: str, config_path: str, seed, outputs,
                     defaults: dict | None = None) -> None:
-    manifest = {
+    _write_json(out_dir / "manifest.json", {
         "command": command,
         "config_path": str(config_path),
         "seed": seed,
         "tool_version": __version__,
         "defaults": defaults or {},
         "outputs": [{"path": str(p), "sha256": _sha256(Path(p))} for p in outputs],
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    })
 
 
 # the files verify and simulate write into --out-dir, besides manifest.json
@@ -140,16 +151,24 @@ def _clear_outputs(args) -> None:
     its config is read, so that a run that fails, or writes fewer files,
     leaves no results of an earlier run in place.  ``--out-dir`` is made;
     an output that cannot be written fails here, before any solve (a
-    device such as ``/dev/null`` is written to, never removed)."""
+    device such as ``/dev/null`` is written to, never removed).  An
+    output that resolves to an input (``--config``, or a ``--u`` file) or
+    to another output is a ``ConfigError``, raised before any file is
+    removed."""
     if "out_dir" in args:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         paths = [out_dir / name for name in (*OUT_DIR_FILES[args.command], "manifest.json")]
     else:
         paths = [Path(path) for path in (args.out, getattr(args, "table", None)) if path]
+    taken = {Path(args.config).resolve(): "the config"}
+    if getattr(args, "u", "identity") != "identity":
+        taken[Path(args.u).resolve()] = "the --u matrix"
     for path in paths:
-        if path.resolve() == Path(args.config).resolve():
-            raise ConfigError(f"output {path} is the config")
+        if path.resolve() in taken:
+            raise ConfigError(f"output {path} is also {taken[path.resolve()]}")
+        taken[path.resolve()] = "another output"
+    for path in paths:
         open(path, "a").close()
         if path.is_file():
             path.unlink()
@@ -224,11 +243,7 @@ def cmd_validate(args) -> int:
     report = p.validate()
     gate = log_moment_gate(p)
     payload = {"validation": report.to_dict(), "hypotheses": dataclasses.asdict(gate)}
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _write_json(args.out, payload)
     if not report.passed:
         print(f"failed clauses: {', '.join(report.failures())}", file=sys.stderr)
         return EXIT_ADMISSIBILITY
@@ -241,7 +256,8 @@ def cmd_riccati(args) -> int:
     spec = _wishart_spec(p) if args.closed_form else None
     traj = solve_riccati(p, u0, args.T, tol=args.tol)
     if args.out:
-        traj.to_csv(args.out)
+        names, psi = upper_triangle(traj.psi, "psi")
+        write_csv(args.out, ["t", "phi", *names], [traj.times, traj.phi, *psi.T], "%.18e")
     print(f"|psi(T, u)| = {frobenius(traj.psi[-1]):.12g}")
     print(f"phi(T, u)   = {traj.phi[-1]:.12g}")
     if spec is not None:
@@ -263,9 +279,8 @@ def cmd_stationary(args) -> int:
 
     grid = standard_u_grid(p.dim)
     exponents = law.exponents(grid, args.tol)
-    table = [(frobenius(u), float(np.exp(-e))) for u, e in zip(grid, exponents)]
 
-    report = {
+    _write_json(args.out, {
         "abscissa": cert.abscissa,
         "delta": cert.delta,
         "M": cert.M,
@@ -274,14 +289,10 @@ def cmd_stationary(args) -> int:
         "invariant_mean": law.mean.tolist(),
         "log_moment": gate.log_moment,
         "K_sampled": gate.K_sampled,
-    }
-    text = json.dumps(report, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    })
     if args.table:
-        _write_table(args.table, ["u_norm", "laplace"], table)
+        write_csv(args.table, ["u_norm", "laplace"],
+                  [np.array([frobenius(u) for u in grid]), np.exp(-exponents)])
     return 0
 
 
@@ -303,32 +314,31 @@ def cmd_verify(args) -> int:
     # one stacked flow of the probe grid feeds both tables and the exponents
     flow = law.flow(standard_u_grid(p.dim), args.tol, times)
     dl = dL_table(p, law, x, times, tol=args.tol, flow=flow)
-    dl_rows = list(zip(times, dl, dL_bound(cert, law.c_hat, x, times)))
+    dl_bound = dL_bound(cert, law.c_hat, x, times)
 
     # decay-envelope table for the Riccati flow
     norms = np.linalg.norm(flow.u0, axis=(1, 2))
-    psi_rows = []
-    for t in times:
+    ratios = np.empty_like(times)
+    for k, t in enumerate(times):
         vals = norms if t == 0.0 else np.linalg.norm(flow.psi_at(t), axis=(1, 2))
         env = cert.M * norms * np.exp(-delta * t) * (1 + 1e-6)
-        psi_rows.append([t, float(np.max(vals / env))])
+        ratios[k] = np.max(vals / env)
 
     outputs = tables[:2]
-    _write_table(outputs[0], ["t", "dL", "dL_bound"], dl_rows)
-    _write_table(outputs[1], ["t", "max_psi_ratio"], psi_rows)
+    write_csv(outputs[0], ["t", "dL", "dL_bound"], [times, dl, dl_bound])
+    write_csv(outputs[1], ["t", "max_psi_ratio"], [times, ratios])
     # the violated rows in table order (dL, psi, W1); the first one is reported
     violations = [f"dL bound violated at t = {t:.6g}: {a:.3e} > {bd:.3e}"
-                  for t, a, bd in dl_rows if a > bd]
+                  for t, a, bd in zip(times, dl, dl_bound) if a > bd]
     violations += [f"psi decay envelope violated at t = {t:.6g} (ratio {r:.6g})"
-                   for t, r in psi_rows if r > 1.0]
+                   for t, r in zip(times, ratios) if r > 1.0]
 
     if frobenius(p.alpha) == 0.0:
         gap, bound, ok = w1_mean_gap_check(p, law, cert, x, times)
-        w1_rows = list(zip(times.tolist(), gap.tolist(), bound.tolist(), ok.tolist()))
         outputs.append(tables[2])
-        _write_table(outputs[2], ["t", "mean_gap", "w1_bound"], [row[:3] for row in w1_rows])
-        violations += [f"mean-gap bound violated at t = {t:.6g}: {gap:.3e} > {bd:.3e}"
-                       for t, gap, bd, ok in w1_rows if not ok]
+        write_csv(outputs[2], ["t", "mean_gap", "w1_bound"], [times, gap, bound])
+        violations += [f"mean-gap bound violated at t = {t:.6g}: {g:.3e} > {bd:.3e}"
+                       for t, g, bd in zip(times[~ok], gap[~ok], bound[~ok])]
 
     # regression slope of the metric decay over [1/delta, 6/delta]
     sel = (times >= 1.0 / delta - 1e-12) & (dl > 0)
@@ -376,10 +386,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--snapshots: {exc}") from exc
     ens.snapshots_to_csv(snap_path)
     ens.jumps_to_csv(jump_path)
-    iu = np.triu_indices(p.dim)
-    z = mc_vs_formula(ens, p, snapshots)[:, iu[0], iu[1]]
-    _write_table(z_path, ["t"] + [f"z_{i + 1}{j + 1}" for i, j in zip(*iu)],
-                 ([t] + row for t, row in zip(snapshots, z.tolist())))
+    names, z = upper_triangle(mc_vs_formula(ens, p, snapshots), "z")
+    write_csv(z_path, ["t", *names], [np.array(snapshots), *z.T])
     _write_manifest(out_dir, "simulate", args.config, seed,
                     [snap_path, jump_path, z_path],
                     defaults={"threads": args.threads})

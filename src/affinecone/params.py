@@ -358,10 +358,6 @@ class AffineParams:
             mu=mu,
         )
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-
 
 def load_params(path, force: bool = False) -> tuple[AffineParams, dict]:
     """Load a parameter file, symmetrize its matrices, and validate.

@@ -231,18 +231,6 @@ class RiccatiTrajectory:
         """``phi`` at a grid time: a float, or an ``(n,)`` array for a stack."""
         return self.phi[grid_index(self.times, t)]
 
-    def to_csv(self, path) -> None:
-        """Columns: t, phi, then the upper triangle of psi row-major."""
-        if self.psi.ndim != 3:
-            raise ValueError("CSV output holds a single-probe trajectory")
-        d = self.psi.shape[1]
-        iu = np.triu_indices(d)
-        header = ["t", "phi"] + [f"psi_{i + 1}{j + 1}" for i, j in zip(*iu)]
-        rows = np.column_stack(
-            [self.times, self.phi, self.psi[:, iu[0], iu[1]]]
-        )
-        np.savetxt(path, rows, delimiter=",", header=",".join(header), comments="")
-
 
 # the tolerances solve_riccati accepts; the CLI checks --tol against it
 TOL_RANGE = (1e-12, 1e-3)

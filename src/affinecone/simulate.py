@@ -57,10 +57,10 @@ Two schemes:
   than a Python loop over matrices.  It runs on one thread; its memory is
   the states and the jumps.
 
-Both CSV writers format a block of ``_CSV_ROWS`` rows with one ``%``, a
-row taking one value from each column.  ``snapshots.csv`` formats each
-path id and each snapshot time once, so of each row only the state
-entries go through ``%.18e``.
+``write_csv``, the one CSV writer (of the CLI's tables too), formats a
+block of ``_CSV_ROWS`` rows with one ``%``, a row taking one value from
+each column.  ``snapshots.csv`` formats each path id and each snapshot
+time once, so of each row only the state entries go through ``%.18e``.
 
 The random draws come from streams keyed by (seed, path index) through
 a counter-based generator (``Philox``): each ``ou_exact`` path owns one,
@@ -190,34 +190,41 @@ class PathEnsemble:
     jump_log: np.ndarray  # JUMP_DTYPE rows by path, then time; in a step m before mu
 
     def snapshots_to_csv(self, path) -> None:
-        """Columns: path_id, t, upper triangle of the state row-major; the bytes
-        of ``np.savetxt(path, rows, delimiter=",")`` with the header line.
-
-        The path ids and the times repeat down the rows, so each is
-        formatted once, and of each row only the state entries go through
-        ``%.18e``."""
-        n_times, n_paths, d, _ = self.states.shape
-        iu = np.triu_indices(d)
-        header = ["path_id", "t"] + [f"x_{i + 1}{j + 1}" for i, j in zip(*iu)]
+        """Columns: path_id, t, upper triangle of the state row-major, each
+        formatted ``%.18e``; the path ids and the times repeat down the rows,
+        so each is formatted once."""
+        n_times, n_paths = self.states.shape[:2]
+        names, values = upper_triangle(self.states, "x")
         ids = np.array(["%.18e" % i for i in range(n_paths)], dtype=object)
         times = np.array(["%.18e" % t for t in self.snapshot_times.tolist()], dtype=object)
-        values = self.states[:, :, iu[0], iu[1]].reshape(n_times * n_paths, -1)
-        _write_csv(path, ",".join(header),
-                   [np.tile(ids, n_times), np.repeat(times, n_paths), *values.T],
-                   "%s,%s," + ",".join(["%.18e"] * iu[0].size) + "\n")
+        write_csv(path, ["path_id", "t", *names],
+                  [np.tile(ids, n_times), np.repeat(times, n_paths),
+                   *values.reshape(n_times * n_paths, -1).T],
+                  ["%s", "%s"] + ["%.18e"] * len(names))
 
     def jumps_to_csv(self, path) -> None:
         """Columns: path_id, time (as ``repr``), source, atom_index."""
-        _write_csv(path, "path_id,time,source,atom_index",
-                   [self.jump_log[name] for name in JUMP_DTYPE.names], "%d,%r,%s,%d\n")
+        write_csv(path, ["path_id", "time", "source", "atom_index"],
+                  [self.jump_log[name] for name in JUMP_DTYPE.names], ["%d", "%r", "%s", "%d"])
 
 
-def _write_csv(path, header: str, columns, line: str) -> None:
-    """``header``, then ``line % row`` for each row, a row taking one value
-    from each of the equally long arrays ``columns``; formatted by one ``%``
-    per ``_CSV_ROWS`` rows instead of row by row."""
+def upper_triangle(stack, prefix: str) -> tuple[list[str], np.ndarray]:
+    """The column names ``{prefix}_ij`` (1-based) of the upper triangle of a
+    ``d x d`` matrix, row-major, and those entries of each matrix of
+    ``stack`` (shape ``(..., d, d)`` to ``(..., d(d+1)/2)``)."""
+    iu = np.triu_indices(stack.shape[-1])
+    return [f"{prefix}_{i + 1}{j + 1}" for i, j in zip(*iu)], stack[..., iu[0], iu[1]]
+
+
+def write_csv(path, names, columns, fmt="%r") -> None:
+    """The one CSV writer: the header line of ``names``, then a line per
+    row, a row taking one value from each of the equally long arrays
+    ``columns``.  ``fmt`` is the ``%`` format of every column, or a list of
+    one per column; lines end in ``\\n``.  Formatted by one ``%`` per
+    ``_CSV_ROWS`` rows instead of row by row."""
+    line = ",".join([fmt] * len(columns) if isinstance(fmt, str) else fmt) + "\n"
     with open(path, "w") as fh:
-        fh.write(header + "\n")
+        fh.write(",".join(names) + "\n")
         for i in range(0, len(columns[0]), _CSV_ROWS):
             parts = [column[i:i + _CSV_ROWS].tolist() for column in columns]
             fh.write(line * len(parts[0]) % tuple(chain.from_iterable(zip(*parts))))

@@ -9,7 +9,14 @@ formulas below are the independent route the solver is tested against.
 import numpy as np
 import pytest
 
-from affinecone import AffineParams, LinearDrift, ScalarJumpMeasure, WishartSpec
+from affinecone import (
+    AffineParams,
+    LinearDrift,
+    MatrixJumpMeasure,
+    ScalarJumpMeasure,
+    SimConfig,
+    WishartSpec,
+)
 
 
 @pytest.fixture
@@ -66,3 +73,48 @@ def zero_diffusion_params(d: int = 2, rate: float = 0.7) -> AffineParams:
         drift=LinearDrift.lyapunov(-rate * np.eye(d)),
         m=ScalarJumpMeasure([(site, 0.8)]),
     )
+
+
+def euler_d2_config(n_paths=512, dt=0.01, seed=11, horizon=1.0, with_mu=False, with_m=True):
+    """A d = 2 jump-diffusion on the projected Euler scheme, with an ``m``
+    atom and, ``with_mu``, a ``mu`` atom, whose matrices the projection
+    factors by Cholesky or, where that is refused, by eigh."""
+    d = 2
+    sigma = np.array([[0.5, 0.1], [0.0, 0.4]])
+    alpha = sigma.T @ sigma
+    m = ScalarJumpMeasure([(np.diag([0.3, 0.1]), 0.5)] if with_m else [])
+    mu = MatrixJumpMeasure()
+    if with_mu:
+        mu = MatrixJumpMeasure([(np.diag([0.4, 0.4]), 0.3 * np.eye(d))])
+    p = AffineParams(
+        dim=d,
+        alpha=alpha,
+        b=(d - 1) * alpha + 0.3 * np.eye(d),
+        drift=LinearDrift.lyapunov(-0.8 * np.eye(d)),
+        m=m,
+        mu=mu,
+    )
+    return SimConfig(params=p, sigma=sigma, x0=0.5 * np.eye(d), horizon=horizon, dt=dt,
+                     n_paths=n_paths, seed=seed)
+
+
+def criterion5_config(dt=0.01, n_paths=2000, seed=1):
+    """The d = 2 jump-diffusion of acceptance criterion 5, whose ``beta``
+    has an off-diagonal entry, on the projected Euler scheme."""
+    sigma = np.array([[0.45, 0.1], [0.0, 0.35]])
+    spec = WishartSpec(
+        alpha=sigma.T @ sigma,
+        beta=-0.9 * np.eye(2) + np.array([[0.0, 0.15], [0.0, 0.0]]),
+        k=1.1,
+        m=ScalarJumpMeasure([(np.diag([0.25, 0.1]), 0.6)]),
+    )
+    return SimConfig(params=spec.to_params(), sigma=sigma, x0=0.4 * np.eye(2), horizon=2.0,
+                     dt=dt, n_paths=n_paths, seed=seed)
+
+
+def config_dict(config: SimConfig) -> dict:
+    """The CLI config of a simulation: its model and its ``sim`` section."""
+    return {**config.params.to_dict(), "sim": {
+        "sigma": config.sigma.tolist(), "x0": config.x0.tolist(), "horizon": config.horizon,
+        "dt": config.dt, "n_paths": config.n_paths, "seed": config.seed,
+        "scheme": config.scheme}}

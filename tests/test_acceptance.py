@@ -47,7 +47,7 @@ from affinecone import (
     vectorize,
     w1_mean_gap_check,
 )
-from conftest import random_wishart, zero_diffusion_params
+from conftest import criterion5_config, random_wishart, zero_diffusion_params
 
 
 def _passed(n: int, detail: str) -> None:
@@ -189,22 +189,11 @@ def test_criterion_4_first_moment_deterministic():
 
 
 def test_criterion_5_first_moment_statistical():
-    d = 2
-    sigma = np.array([[0.45, 0.1], [0.0, 0.35]])
-    spec = WishartSpec(
-        alpha=sigma.T @ sigma,
-        beta=-0.9 * np.eye(d) + np.array([[0.0, 0.15], [0.0, 0.0]]),
-        k=1.1,
-        m=ScalarJumpMeasure([(np.diag([0.25, 0.1]), 0.6)]),
-    )
-    p = spec.to_params()
+    p = criterion5_config().params
     snapshots = [0.5, 1.0, 2.0]
 
     def run(dt, seed):
-        config = SimConfig(
-            params=p, sigma=sigma, x0=0.4 * np.eye(d), horizon=2.0,
-            dt=dt, n_paths=10_000, seed=seed,
-        )
+        config = criterion5_config(dt=dt, n_paths=10_000, seed=seed)
         return simulate(config, snapshots, threads=4)
 
     ens = run(1e-3, 2024)

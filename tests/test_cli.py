@@ -26,10 +26,11 @@ from affinecone import (
     WishartSpec,
     cli,
     ergodicity,
+    load_params,
     solve_riccati,
 )
 from affinecone.cli import main
-from conftest import zero_diffusion_params
+from conftest import config_dict, euler_d2_config, zero_diffusion_params
 
 
 @pytest.fixture
@@ -398,8 +399,7 @@ def test_closed_form_unavailable_writes_nothing(tmp_path, capsys):
     p = AffineParams(dim=d, alpha=np.zeros((d, d)), b=np.zeros((d, d)),
                      drift=LinearDrift.lyapunov(-np.eye(d)),
                      m=ScalarJumpMeasure([(np.diag([0.3, 0.1]), 0.5)]))
-    cfg = tmp_path / "jumps.json"
-    p.save(cfg)
+    cfg = _config(tmp_path / "jumps.json", p.to_dict())
     out = tmp_path / "f.csv"
     assert main(["riccati", "--config", str(cfg), "--closed-form", "--out", str(out)]) == 2
     assert not out.exists()
@@ -502,8 +502,7 @@ def test_verify_leaves_no_table_of_an_earlier_run(config_file, tmp_path):
     # a zero-diffusion model writes the mean-gap table, a diffusion model
     # does not: after both runs into one directory only the second one's
     # tables are there, each listed in its manifest
-    jumps = tmp_path / "jumps.json"
-    zero_diffusion_params().save(jumps)
+    jumps = _config(tmp_path / "jumps.json", zero_diffusion_params().to_dict())
     out_dir = tmp_path / "v"
     for cfg in (jumps, config_file):
         assert main(["verify", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
@@ -688,11 +687,73 @@ def test_config_error_leaves_no_earlier_results(config_file, tmp_path, capsys, m
     assert left == [path for path in written if path.is_dir() or path == config_file]
 
 
-def test_an_output_that_is_the_config_is_refused(config_file, capsys):
-    text = config_file.read_text()
-    assert main(["validate", "--config", str(config_file), "--out", str(config_file)]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
-    assert config_file.read_text() == text
+def test_an_output_that_is_the_config_is_refused(config_file, tmp_path, capsys):
+    # an output that is an input (the config or a --u matrix) or another
+    # output is refused before any file is removed or written
+    u = tmp_path / "u.json"
+    u.write_text(json.dumps(np.eye(2).tolist()))
+    report = tmp_path / "report.json"
+    report.write_text("an earlier report\n")
+    cases = [
+        (["validate", "--out", str(config_file)], config_file),
+        (["riccati", "--u", str(u), "--out", str(u)], u),
+        (["stationary", "--out", str(report), "--table", str(report)], report),
+    ]
+    for argv, kept in cases:
+        text = kept.read_text()
+        assert main([*argv, "--config", str(config_file)]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: output "), argv
+        assert kept.read_text() == text, argv
+
+
+def test_riccati_writes_the_trajectory_csv(config_file, tmp_path):
+    # t, phi, then the upper triangle of psi, each value as %.18e, which
+    # reads back as the float it was
+    out = tmp_path / "traj.csv"
+    assert main(["riccati", "--config", str(config_file), "--T", "1.0", "--tol", "1e-9",
+                 "--out", str(out)]) == 0
+    p, _ = load_params(config_file)
+    traj = solve_riccati(p, np.eye(2), 1.0, tol=1e-9)
+    assert out.read_text().splitlines()[0] == "t,phi,psi_11,psi_12,psi_22"
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert data.shape == (traj.times.size, 2 + 3)
+    assert np.array_equal(data[:, 0], traj.times)
+    assert np.array_equal(data[:, 1], traj.phi)
+    assert np.array_equal(data[:, 2:], traj.psi[:, [0, 0, 1], [0, 1, 1]])
+
+
+def test_every_csv_has_one_header_line_and_no_carriage_return(config_file, tmp_path,
+                                                               monkeypatch):
+    # every command that writes a table writes the same form: a header line
+    # of names, then one line of numbers per row, each ending in "\n"
+    jumps = _config(tmp_path / "jumps.json", _ou_exact_sim()(json.loads(config_file.read_text())))
+    runs = [["validate", "--out", "r.json"], ["riccati", "--out", "traj.csv"],
+            ["stationary", "--out", "r.json", "--table", "laplace.csv"],
+            ["verify", "--out-dir", "v"], ["simulate", "--snapshots", "0.5", "--out-dir", "s"]]
+    for cfg in (config_file, jumps):
+        (tmp_path / cfg.stem).mkdir()
+        monkeypatch.chdir(tmp_path / cfg.stem)
+        for argv in runs:
+            assert main([*argv, "--config", str(cfg)]) == 0, (cfg, argv)
+    # riccati, stationary and simulate write 1, 1 and 3 tables for each
+    # model; verify 2 for the diffusion and 3 for the zero-diffusion one
+    tables = sorted(tmp_path.rglob("*.csv"))
+    assert len(tables) == 2 * (1 + 1 + 3) + 2 + 3
+    for table in tables:
+        text = table.read_bytes().decode()
+        assert "\r" not in text and text.endswith("\n"), table
+        header, *rows = text.splitlines()
+        assert not _is_number(header.split(",")[0]), table
+        assert rows and all(_is_number(row.split(",")[0]) for row in rows), table
+
+
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
 
 
 def test_verify_inflated_rate_self_test_fails(config_file, tmp_path):
@@ -708,8 +769,7 @@ def test_verify_reports_first_violated_row_in_table_order(tmp_path, capsys):
     # with an overstated rate the psi envelope fails earlier in time than the
     # dL bound; the dL table is checked first, so its first violated row is
     # the one stderr line
-    cfg = tmp_path / "jumps.json"
-    zero_diffusion_params().save(cfg)
+    cfg = _config(tmp_path / "jumps.json", zero_diffusion_params().to_dict())
     out_dir = tmp_path / "v"
     assert main(["verify", "--config", str(cfg), "--out-dir", str(out_dir),
                  "--inflate-delta", "1.5"]) == 5
@@ -852,19 +912,6 @@ def test_euler_simulate_is_the_same_at_every_thread_count(workload_configs, tmp_
     _assert_jump_log_ordered(dirs[0])
 
 
-def _euler_d2(n_paths=512, m_atoms=True):
-    """A d = 2 Euler model with mu atoms, whose matrices the projection
-    factors by Cholesky or, where that is refused, by eigh."""
-    s = np.array([[0.5, 0.1], [0.0, 0.4]])
-    a = s.T @ s
-    p = AffineParams(dim=2, alpha=a, b=a + 0.3 * np.eye(2),
-                     drift=LinearDrift.lyapunov(-0.8 * np.eye(2)),
-                     m=ScalarJumpMeasure([(np.diag([0.3, 0.1]), 0.5)] if m_atoms else []),
-                     mu=MatrixJumpMeasure([(np.diag([0.4, 0.4]), 0.3 * np.eye(2))]))
-    return {**p.to_dict(), "sim": {"sigma": s.tolist(), "x0": (0.5 * np.eye(2)).tolist(),
-                                   "horizon": 1.0, "dt": 0.01, "n_paths": n_paths, "seed": 11}}
-
-
 @pytest.mark.parametrize("m_atoms, sources", [
     pytest.param(True, {"m", "mu"}, id="m-and-mu"),
     # its jump draws are the mu uniforms alone, from each 64-path block's
@@ -872,7 +919,8 @@ def _euler_d2(n_paths=512, m_atoms=True):
     pytest.param(False, {"mu"}, id="mu-only"),
 ])
 def test_euler_d2_with_mu_is_the_same_at_every_thread_count(tmp_path, m_atoms, sources):
-    cfg = _config(tmp_path / "euler-d2.json", _euler_d2(m_atoms=m_atoms))
+    cfg = _config(tmp_path / "euler-d2.json",
+                  config_dict(euler_d2_config(with_mu=True, with_m=m_atoms)))
     dirs = _simulate_at(cfg, "0.5,1", (1, 2), tmp_path)
     _assert_same_outputs(dirs)
     assert {row["source"] for row in _jump_rows(dirs[0])} == sources
@@ -882,11 +930,14 @@ def test_euler_partial_block_replicates_a_full_block(tmp_path):
     # 100 paths are one full 64-path block of draws and one partial one:
     # the same outputs at 1, 2 and 3 threads, and the first 64 paths' rows
     # those of a 64-path run
-    dirs = _simulate_at(_config(tmp_path / "euler-100.json", _euler_d2(n_paths=100)), "0.5,1",
-                        (1, 2, 3), tmp_path)
+    def run(n_paths, threads):
+        cfg = _config(tmp_path / f"euler-{n_paths}.json",
+                      config_dict(euler_d2_config(n_paths=n_paths, with_mu=True)))
+        return _simulate_at(cfg, "0.5,1", threads, tmp_path)
+
+    dirs = run(100, (1, 2, 3))
     _assert_same_outputs(dirs)
-    full, = _simulate_at(_config(tmp_path / "euler-64.json", _euler_d2(n_paths=64)), "0.5,1",
-                         (1,), tmp_path)
+    full, = run(64, (1,))
 
     def first_block(path):
         with open(path, newline="") as fh:

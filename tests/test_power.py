@@ -31,7 +31,6 @@ from affinecone import (
     LinearDrift,
     ScalarJumpMeasure,
     SimConfig,
-    WishartSpec,
     decay_certificate,
     mc_vs_formula,
     simulate,
@@ -39,6 +38,7 @@ from affinecone import (
     transient_laplace,
 )
 from affinecone.symcone import sym_index
+from conftest import criterion5_config
 
 simulate_module = importlib.import_module("affinecone.simulate")
 
@@ -61,20 +61,6 @@ def _exact_config():
                      horizon=2.0, dt=0.01, n_paths=2000, seed=1, scheme="ou_exact")
 
 
-def _euler_config():
-    """The jump-diffusion model of acceptance criterion 5, whose ``beta``
-    has an off-diagonal entry, on the projected Euler scheme."""
-    sigma = np.array([[0.45, 0.1], [0.0, 0.35]])
-    spec = WishartSpec(
-        alpha=sigma.T @ sigma,
-        beta=-0.9 * np.eye(2) + np.array([[0.0, 0.15], [0.0, 0.0]]),
-        k=1.1,
-        m=ScalarJumpMeasure([(np.diag([0.25, 0.1]), 0.6)]),
-    )
-    return SimConfig(params=spec.to_params(), sigma=sigma, x0=0.4 * np.eye(2), horizon=2.0,
-                     dt=0.01, n_paths=2000, seed=1)
-
-
 def _b_halved(p: AffineParams) -> AffineParams:
     # the jump-free part of an exact path reads b through the shared flow
     return dataclasses.replace(p, b=0.5 * p.b)
@@ -92,8 +78,9 @@ def _m_site_halved(p: AffineParams) -> AffineParams:
 
 ENTRIES = [
     pytest.param(_exact_config, _b_halved, id="ou-exact-b-halved"),
-    pytest.param(_euler_config, _beta_off_diagonal_negated, id="euler-beta-off-diagonal-negated"),
-    pytest.param(_euler_config, _m_site_halved, id="euler-m-site-halved"),
+    pytest.param(criterion5_config, _beta_off_diagonal_negated,
+                 id="euler-beta-off-diagonal-negated"),
+    pytest.param(criterion5_config, _m_site_halved, id="euler-m-site-halved"),
 ]
 
 
@@ -188,7 +175,7 @@ def _m_sites_spread(config: SimConfig) -> SimConfig:
 
 
 LAPLACE_ENTRIES = [
-    pytest.param(_euler_config, _sigma_halved, id="euler-sigma-halved"),
+    pytest.param(criterion5_config, _sigma_halved, id="euler-sigma-halved"),
     pytest.param(_exact_config, _m_sites_spread, id="ou-exact-m-sites-spread"),
 ]
 

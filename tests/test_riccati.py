@@ -391,19 +391,12 @@ def test_solver_rejects_bad_t_eval(rng, t_eval):
         solve_riccati(_jump_params(rng), np.eye(2), 1.0, t_eval=t_eval)
 
 
-def test_trajectory_lookup_and_csv(tmp_path, rng):
+def test_trajectory_lookup(rng):
     p = _jump_params(rng)
     traj = solve_riccati(p, np.eye(2), 1.0, tol=1e-9, t_eval=[0.25, 0.5, 1.0])
     assert traj.phi_at(0.5) == traj.phi[1]
     with pytest.raises(KeyError):
         traj.psi_at(0.3)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (3, 2 + 3)
-    assert np.allclose(data[:, 0], traj.times)
-    assert np.allclose(data[:, 1], traj.phi)
-    assert np.allclose(data[:, 2], traj.psi[:, 0, 0])
 
 
 def test_wishart_spec_rejects_inadmissible():
@@ -457,8 +450,6 @@ def test_batch_of_one_takes_the_single_matrix_steps(rng):
     assert np.array_equal(batch.psi[:, 0], lone.psi)
     assert np.array_equal(batch.phi[:, 0], lone.phi)
     assert lone.psi.shape == (lone.times.size, 2, 2)
-    with pytest.raises(ValueError):
-        batch.to_csv("unused.csv")
 
 
 def test_stacked_vector_fields_match_per_matrix(rng):

@@ -33,44 +33,17 @@ from affinecone.simulate import (
     _path_streams,
 )
 from affinecone.symcone import mat_exp, pack, project_factor_psd, unpack
-from conftest import zero_diffusion_params
+from conftest import euler_d2_config, zero_diffusion_params
 
 simulate_module = importlib.import_module("affinecone.simulate")
 
 
-def _diffusion_config(n_paths=512, dt=0.01, seed=11, horizon=1.0, with_mu=False, with_m=True):
-    d = 2
-    sigma = np.array([[0.5, 0.1], [0.0, 0.4]])
-    alpha = sigma.T @ sigma
-    m = ScalarJumpMeasure([(np.diag([0.3, 0.1]), 0.5)] if with_m else [])
-    mu = MatrixJumpMeasure()
-    if with_mu:
-        mu = MatrixJumpMeasure([(np.diag([0.4, 0.4]), 0.3 * np.eye(d))])
-    p = AffineParams(
-        dim=d,
-        alpha=alpha,
-        b=(d - 1) * alpha + 0.3 * np.eye(d),
-        drift=LinearDrift.lyapunov(-0.8 * np.eye(d)),
-        m=m,
-        mu=mu,
-    )
-    return SimConfig(
-        params=p,
-        sigma=sigma,
-        x0=0.5 * np.eye(d),
-        horizon=horizon,
-        dt=dt,
-        n_paths=n_paths,
-        seed=seed,
-    )
-
-
 def _mu_only_config(n_paths=300, dt=0.005):
-    return _diffusion_config(n_paths=n_paths, dt=dt, with_mu=True, with_m=False)
+    return euler_d2_config(n_paths=n_paths, dt=dt, with_mu=True, with_m=False)
 
 
 def _jump_free_config(n_paths=300, dt=0.005):
-    return _diffusion_config(n_paths=n_paths, dt=dt, with_m=False)
+    return euler_d2_config(n_paths=n_paths, dt=dt, with_m=False)
 
 
 def _jump_config(n_paths=2048, seed=3):
@@ -91,7 +64,7 @@ def _jump_config(n_paths=2048, seed=3):
 
 
 def test_config_rejects_sigma_alpha_mismatch():
-    cfg = _diffusion_config()
+    cfg = euler_d2_config()
     with pytest.raises(ValueError):
         SimConfig(
             params=cfg.params,
@@ -105,7 +78,7 @@ def test_config_rejects_sigma_alpha_mismatch():
 
 
 def test_config_rejects_exact_scheme_with_diffusion():
-    cfg = _diffusion_config()
+    cfg = euler_d2_config()
     with pytest.raises(ValueError):
         SimConfig(
             params=cfg.params,
@@ -120,7 +93,7 @@ def test_config_rejects_exact_scheme_with_diffusion():
 
 
 def test_config_rejects_unknown_scheme():
-    cfg = _diffusion_config()
+    cfg = euler_d2_config()
     with pytest.raises(ValueError):
         SimConfig(
             params=cfg.params,
@@ -143,13 +116,13 @@ def test_config_rejects_misshapen_start_point():
 
 
 def test_simulate_rejects_off_grid_snapshot():
-    cfg = _diffusion_config(n_paths=4)
+    cfg = euler_d2_config(n_paths=4)
     with pytest.raises(ConfigError):
         simulate(cfg, [0.005])
     with pytest.raises(ConfigError):
         simulate(cfg, [2.0])  # beyond the horizon
     # 1e-12 past the horizon passes the horizon test but is step n_steps + 1
-    tiny = _diffusion_config(n_paths=4, dt=1e-12, horizon=1e-10)
+    tiny = euler_d2_config(n_paths=4, dt=1e-12, horizon=1e-10)
     with pytest.raises(ConfigError, match="step grid"):
         simulate(tiny, [1e-10 + 1e-12])
 
@@ -179,10 +152,10 @@ def test_exact_scheme_reports_a_state_whose_symmetrization_overflows():
 def test_thinning_warns_when_the_step_probability_exceeds_a_tenth(threads):
     # a path's first-step mu probability is <x0, weight> dt = 0.3 dt
     with pytest.warns(UserWarning, match="exceeded 0.1"):
-        simulate(_diffusion_config(n_paths=600, dt=0.5, with_mu=True), [1.0], threads=threads)
+        simulate(euler_d2_config(n_paths=600, dt=0.5, with_mu=True), [1.0], threads=threads)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        simulate(_diffusion_config(n_paths=600, dt=0.01, with_mu=True), [1.0], threads=threads)
+        simulate(euler_d2_config(n_paths=600, dt=0.01, with_mu=True), [1.0], threads=threads)
 
 
 # --- reproducibility -----------------------------------------------------
@@ -194,7 +167,7 @@ def _first_paths(jump_log, n):
 
 
 def test_bit_identical_reruns():
-    cfg = _diffusion_config(n_paths=600)
+    cfg = euler_d2_config(n_paths=600)
     a = simulate(cfg, [0.5, 1.0])
     b = simulate(cfg, [0.5, 1.0])
     assert np.array_equal(a.states, b.states)
@@ -205,7 +178,7 @@ def test_bit_identical_across_thread_counts():
     # an m-only model, and the two sides of the jump draws: mu atoms only,
     # whose uniforms start at the jumped stream's first draw, and no atoms,
     # which builds no jumped stream
-    for cfg in (_diffusion_config(n_paths=1200), _mu_only_config(n_paths=301),
+    for cfg in (euler_d2_config(n_paths=1200), _mu_only_config(n_paths=301),
                 _jump_free_config(n_paths=301)):
         one = simulate(cfg, [0.5, 1.0], threads=1)
         for threads in (2, 4):
@@ -215,15 +188,15 @@ def test_bit_identical_across_thread_counts():
 
 
 def test_seed_changes_output():
-    a = simulate(_diffusion_config(seed=1, n_paths=64), [1.0])
-    b = simulate(_diffusion_config(seed=2, n_paths=64), [1.0])
+    a = simulate(euler_d2_config(seed=1, n_paths=64), [1.0])
+    b = simulate(euler_d2_config(seed=2, n_paths=64), [1.0])
     assert not np.array_equal(a.states, b.states)
 
 
 def test_path_count_extension_is_consistent():
     # the first paths of a larger ensemble replicate the smaller one
-    small = simulate(_diffusion_config(n_paths=100), [1.0])
-    large = simulate(_diffusion_config(n_paths=300), [1.0])
+    small = simulate(euler_d2_config(n_paths=100), [1.0])
+    large = simulate(euler_d2_config(n_paths=300), [1.0])
     assert np.array_equal(small.states, large.states[:, :100])
 
 
@@ -232,8 +205,8 @@ def test_path_count_extension_across_block_boundaries(n_paths):
     # a block draws all BLOCK_PATHS slots whatever the path count, so a
     # partial block replicates the first paths of a full one
     times = [0.5, 1.0]
-    small = simulate(_diffusion_config(n_paths=n_paths, with_mu=True), times)
-    large = simulate(_diffusion_config(n_paths=200, with_mu=True), times)
+    small = simulate(euler_d2_config(n_paths=n_paths, with_mu=True), times)
+    large = simulate(euler_d2_config(n_paths=200, with_mu=True), times)
     assert np.array_equal(small.states, large.states[:, :n_paths])
     assert np.array_equal(small.jump_log, _first_paths(large.jump_log, n_paths))
     assert set(small.jump_log["source"].tolist()) == {"m", "mu"}
@@ -242,7 +215,7 @@ def test_path_count_extension_across_block_boundaries(n_paths):
 @pytest.mark.parametrize("n_paths, threads", [(5, 4), (65, 3)])
 def test_more_draw_threads_than_blocks_match_one_thread(n_paths, threads):
     # one block for three workers, and two blocks for two
-    cfg = _diffusion_config(n_paths=n_paths, with_mu=True)
+    cfg = euler_d2_config(n_paths=n_paths, with_mu=True)
     one = simulate(cfg, [0.5, 1.0], threads=1)
     ens = simulate(cfg, [0.5, 1.0], threads=threads)
     assert np.array_equal(one.states, ens.states)
@@ -320,7 +293,7 @@ def test_euler_eigh_sees_exactly_the_matrices_cholesky_refuses(monkeypatch):
 def _exploding_config(n_paths=64):
     # a growing drift: the state triples every step and leaves the float
     # range after ~650 steps, several buffers of draws into the run
-    cfg = _diffusion_config(n_paths=n_paths, dt=0.01, horizon=10.0, with_mu=True)
+    cfg = euler_d2_config(n_paths=n_paths, dt=0.01, horizon=10.0, with_mu=True)
     p = cfg.params
     p = AffineParams(dim=2, alpha=p.alpha, b=p.b, drift=LinearDrift.lyapunov(100.0 * np.eye(2)),
                      m=p.m, mu=p.mu)
@@ -354,7 +327,7 @@ def test_euler_builds_one_stream_per_block(monkeypatch, threads):
 
     monkeypatch.setattr(simulate_module, "_path_rng", counting_path_rng)
     monkeypatch.setattr(simulate_module, "_path_streams", counting_path_streams)
-    ens = simulate(_diffusion_config(n_paths=300, with_mu=True), [1.0], threads=threads)
+    ens = simulate(euler_d2_config(n_paths=300, with_mu=True), [1.0], threads=threads)
     assert built == [0, 64, 128, 192, 256]
     assert entered == [1]
     assert set(ens.jump_log["source"].tolist()) == {"m", "mu"}
@@ -544,7 +517,7 @@ def _d4_config(n_paths=150, seed=9):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: _diffusion_config(n_paths=300, dt=0.005, with_mu=True), _d3_config, _d4_config,
+    lambda: euler_d2_config(n_paths=300, dt=0.005, with_mu=True), _d3_config, _d4_config,
     _mu_only_config, _jump_free_config])
 def test_euler_scheme_matches_reference_loop(make):
     # the reference factors each matrix by LAPACK and the scheme on the
@@ -608,7 +581,7 @@ def test_largest_uniform_below_one_bins_to_the_last_step(n_steps):
 @pytest.mark.parametrize("chunk", [1, 7, 200, 10**6])
 def test_euler_sample_does_not_depend_on_chunk_steps(monkeypatch, chunk):
     # 200 steps; at chunk 7 the buffers of normals and mu uniforms leave a remainder
-    cfg = _diffusion_config(n_paths=48, dt=0.005, with_mu=True)
+    cfg = euler_d2_config(n_paths=48, dt=0.005, with_mu=True)
     times = [0.5, 1.0]
     default = simulate(cfg, times)
     ref, ref_log = _euler_reference(cfg, times)
@@ -628,7 +601,7 @@ def test_euler_memory_is_bounded_in_the_horizon():
     for n_paths in (64, 40):
         peaks = []
         for n_steps in (chunk, 4 * chunk):
-            cfg = _diffusion_config(n_paths=n_paths, dt=dt, horizon=n_steps * dt, with_mu=True)
+            cfg = euler_d2_config(n_paths=n_paths, dt=dt, horizon=n_steps * dt, with_mu=True)
             tracemalloc.start()
             try:
                 simulate(cfg, [cfg.horizon])
@@ -843,7 +816,7 @@ def test_mc_vs_formula_of_a_time_vector_matches_each_time():
 
 
 def test_euler_scheme_matches_transient_mean():
-    cfg = _diffusion_config(n_paths=4096, dt=0.002)
+    cfg = euler_d2_config(n_paths=4096, dt=0.002)
     ens = simulate(cfg, [1.0], threads=2)
     z = mc_vs_formula(ens, cfg.params, 1.0)
     assert np.all(np.abs(z) < 4.0)
@@ -852,7 +825,7 @@ def test_euler_scheme_matches_transient_mean():
 def test_state_dependent_jumps_shift_the_mean():
     # the thinned state-dependent jumps must reproduce the linearized
     # drift correction that enters the analytic mean
-    cfg = _diffusion_config(n_paths=4096, dt=0.002, with_mu=True)
+    cfg = euler_d2_config(n_paths=4096, dt=0.002, with_mu=True)
     ens = simulate(cfg, [1.0], threads=2)
     z = mc_vs_formula(ens, cfg.params, 1.0)
     assert np.all(np.abs(z) < 4.0)
@@ -879,7 +852,7 @@ def test_mc_mean_stderr_shrinks():
 
 
 def test_states_stay_in_cone():
-    cfg = _diffusion_config(n_paths=256)
+    cfg = euler_d2_config(n_paths=256)
     ens = simulate(cfg, [0.5, 1.0])
     w = np.linalg.eigvalsh(ens.states)
     assert w.min() >= -1e-12
@@ -910,7 +883,7 @@ def _jumps_csv_reference(ref_log, n_paths):
 
 
 @pytest.mark.parametrize("make, reference, sources", [
-    (lambda: _diffusion_config(n_paths=300, dt=0.005, with_mu=True), _euler_reference,
+    (lambda: euler_d2_config(n_paths=300, dt=0.005, with_mu=True), _euler_reference,
      {"m", "mu"}),
     (lambda: _jump_config(n_paths=300), _ou_reference, {"m"}),
 ])
@@ -951,7 +924,7 @@ def _extreme_value_ensemble():
 
 @pytest.mark.parametrize("make", [
     lambda: simulate(_jump_config(n_paths=300), [0.0, 0.5, 1.0]),
-    lambda: simulate(_diffusion_config(n_paths=40, dt=0.05), [0.0, 0.5, 1.0]),
+    lambda: simulate(euler_d2_config(n_paths=40, dt=0.05), [0.0, 0.5, 1.0]),
     _extreme_value_ensemble,
 ])
 def test_snapshot_csv_matches_row_writer(tmp_path, monkeypatch, make):
