@@ -38,9 +38,12 @@ mean-gap table, of a huge ``sim.x0``) that leaves the float range (an
 ``OverflowError``; config parsing reports its own as exit 2).
 Exit 6 covers a path of either scheme (``euler_project`` or
 ``ou_exact``) that leaves the float range; its one stderr line names the
-first such path.  Each command raises; ``main`` maps the exception to
-its code in one table, ``FAILURES``.  Only ``validate`` (clauses failed)
-and ``verify`` (a bound violated) return a nonzero code themselves.
+first such path.  It also covers a run that asks for more memory than
+can be allocated (a ``MemoryError``, such as the states of a huge
+``sim.n_paths``): one stderr line ``out of memory: ...``.  Each command
+raises; ``main`` maps the exception to its code in one table,
+``FAILURES``.  Only ``validate`` (clauses failed) and ``verify`` (a bound
+violated) return a nonzero code themselves.
 
 ``verify`` solves its probe grid as one flow, which serves the transient
 Laplace table, the ``psi`` decay envelope and the stationary exponents.
@@ -110,11 +113,18 @@ FAILURES = (
     (ConeViolationError, EXIT_SOLVER, "solver failure"),
     (OverflowError, EXIT_SOLVER, "numeric overflow"),
     (PathFailureError, EXIT_SIMULATION, "simulation failure"),
+    (MemoryError, EXIT_SIMULATION, "out of memory"),
 )
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The file's SHA-256, read 256 KiB at a time: an output grows with
+    the path count, so it is never held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 18):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _write_json(path, payload) -> None:

@@ -9,16 +9,22 @@ Two schemes:
   thinned with the intensity refreshed once per step (piecewise-constant
   approximation, warned about when the per-step probability is large).
   All paths step as one stack.  Cost model: buffers of normals (and of
-  ``mu`` uniforms) holding ``CHUNK_STEPS`` steps of every path between
-  them, refilled as the stack steps, plus the jumps as flat arrays, so
-  memory does not grow with the horizon beyond the jumps.  The normals
-  and the ``mu`` uniforms come one stream each per block of
+  ``mu`` uniforms) holding ``CHUNK_STEPS`` (64) steps of every path
+  between them, refilled as the stack steps, plus the jumps as flat
+  arrays, so memory does not grow with the horizon beyond the jumps.
+  The draws take ``CHUNK_STEPS * ceil(n / 64) * 64 * (d^2 + n_mu) * 8``
+  bytes (5.2 MB at 1024 paths, ``d = 3`` and one ``mu`` atom).  The
+  normals and the ``mu`` uniforms come one stream each per block of
   ``BLOCK_PATHS`` (64) paths, drawn step-major, so a refill is
   ``2 ceil(n / 64)`` draw calls whatever ``CHUNK_STEPS``, rather than
-  two per path.  The caller draws the ``m`` jumps up front as
-  ``ou_exact`` does, two calls per path (a Poisson count for the
-  horizon, then the time and atom uniforms) on one re-keyed ``Philox``,
-  and bins each time into its step.  The state and a factor of it stay
+  two per path; a longer span buys no speed, only memory.  The span is
+  a step count, not a byte budget: sized by bytes it would shrink as
+  ``n`` grows, and the draw calls per step, each taking the interpreter
+  lock from the stepping thread, would grow with ``n``.  The caller
+  draws the ``m`` jumps up front as ``ou_exact`` does, two calls per
+  path (a Poisson count for the horizon, then the time and atom
+  uniforms) on one re-keyed ``Philox``, and bins each time into its
+  step.  The state and a factor of it stay
   packed for the whole run (``symcone.pack``: the ``D = d(d+1)/2``
   upper-triangle entries as rows of a ``(D, n)`` array, each row
   contiguous over the paths; the factor as the ``d * d`` entries of its
@@ -108,8 +114,11 @@ _SCHEMES = ("euler_project", "ou_exact")
 
 # steps of random draws the Euler scheme holds at a time, whatever the
 # horizon: one buffer of CHUNK_STEPS steps of normals at 1 thread, two of
-# CHUNK_STEPS // 2 steps above
-CHUNK_STEPS = 256
+# CHUNK_STEPS // 2 steps above, CHUNK_STEPS * ceil(n / 64) * 64 * (d^2 +
+# n_mu) * 8 bytes in all.  A refill is 2 ceil(n / 64) draw calls whatever
+# the span, so a longer one buys no speed; a fixed step count, not a byte
+# budget, keeps the draw calls per step from growing with n
+CHUNK_STEPS = 64
 # paths that share one Euler stream of normals and one of mu uniforms: a
 # layout constant, since changing it changes the sample
 BLOCK_PATHS = 64
@@ -436,8 +445,12 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
     threads, each given a range of blocks, draw beside the stepping:
     while the caller steps the draws of one buffer the workers fill the
     other with the next steps' draws, two buffers of ``CHUNK_STEPS // 2``
-    steps taking turns.  A refill is ``ceil(n / BLOCK_PATHS)`` draw calls
-    of normals, and as many of ``mu`` uniforms, whatever the split.
+    steps taking turns.  Either way the buffers hold ``CHUNK_STEPS *
+    slots * (d^2 + n_mu)`` floats, ``slots = ceil(n / BLOCK_PATHS)
+    BLOCK_PATHS``.  A refill is ``ceil(n / BLOCK_PATHS)`` draw calls of
+    normals, and as many of ``mu`` uniforms, whatever the split and the
+    span; so the span is a fixed step count, since one sized by bytes
+    would make the draw calls per step grow with ``n``.
     """
     p = config.params
     d = p.dim

@@ -459,6 +459,14 @@ def test_stationary_report(config_file, tmp_path):
     assert np.loadtxt(table, delimiter=",", skiprows=1).shape[1] == 2
 
 
+@pytest.mark.parametrize("size", [0, 1 << 18, (5 << 18) // 2 + 3])
+def test_manifest_digest_of_a_file_read_in_blocks(tmp_path, size):
+    # empty, one block exactly, and two blocks and part of a third
+    path = tmp_path / "out.csv"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_failed_stationary_leaves_no_earlier_results(config_file, tmp_path, capsys):
     out, table = tmp_path / "stat.json", tmp_path / "stat.csv"
     argv = ["--out", str(out), "--table", str(table)]
@@ -810,6 +818,24 @@ def test_failed_simulate_leaves_no_earlier_results(config_file, tmp_path, capsys
     assert capsys.readouterr().err.startswith("simulation failure: path ")
     # the outputs and the manifest are gone, and nothing else is
     assert sorted(path.name for path in out_dir.iterdir()) == ["keep", "notes.txt"]
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_with_sim(n_paths=10**13), id="euler"),
+    pytest.param(_ou_exact_sim(n_paths=10**13), id="ou-exact"),
+])
+def test_out_of_memory_exits_6_without_traceback(config_file, tmp_path, capsys, edit):
+    # the states of 10^13 paths are hundreds of TiB, past any address
+    # space, so the request is refused at once and nothing is allocated
+    out_dir = tmp_path / "s"
+    argv = ["--snapshots", "0.5,1.0", "--out-dir", str(out_dir)]
+    assert main(["simulate", "--config", str(config_file), *argv]) == 0
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(edit(json.loads(config_file.read_text()))))
+    assert main(["simulate", "--config", str(cfg), *argv]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
+    assert list(out_dir.iterdir()) == []
 
 
 def test_simulate_requires_sim_section(tmp_path, config_file):

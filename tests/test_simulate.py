@@ -362,28 +362,42 @@ def test_euler_path_failure_propagates_and_leaves_no_thread(threads):
     assert threading.active_count() == before
 
 
+def _euler_peak(cfg, threads):
+    """The traced peak of one Euler run and its ensemble."""
+    tracemalloc.start()
+    try:
+        ens = simulate(cfg, [cfg.horizon], threads=threads)
+        return tracemalloc.get_traced_memory()[1], ens
+    finally:
+        tracemalloc.stop()
+
+
 def test_euler_memory_is_one_chunk_of_draws():
     # at two threads the draws sit in two buffers of half a chunk, so the
     # peak is no higher than one chunk of normals and of mu uniforms for
     # every slot of the blocks, plus the jumps, the snapshots, an allowance
-    # of two generators per path and the step's temporaries; at 1024 paths two
-    # full-chunk buffers would add 20 MiB, and 40 paths fill part of a block
+    # of 8 KiB for each generator (two per block and the re-keyed Philox of
+    # the m jumps) and the step's temporaries; at 1024 paths two full-chunk
+    # buffers would add another chunk (5 MiB), and 40 paths fill part of a block
     for n_paths in (1024, 40):
         cfg = _d3_config(n_paths=n_paths)
         n, d, chunk = cfg.n_paths, cfg.params.dim, simulate_module.CHUNK_STEPS
         assert cfg.n_steps > chunk
-        slots = -(-n // BLOCK_PATHS) * BLOCK_PATHS
-        one_chunk = slots * chunk * (d * d + len(cfg.params.mu)) * 8
-        tracemalloc.start()
-        try:
-            ens = simulate(cfg, [cfg.horizon], threads=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        blocks = -(-n // BLOCK_PATHS)
+        one_chunk = blocks * BLOCK_PATHS * chunk * (d * d + len(cfg.params.mu)) * 8
+        peak, ens = _euler_peak(cfg, threads=2)
         jumps = JUMP_DTYPE.itemsize * len(ens.jump_log)
-        generators = 2 * n * 1024
+        generators = (2 * blocks + 1) * 8 * 1024
         temporaries = 32 * n * d * d * 8
         assert peak <= one_chunk + jumps + ens.states.nbytes + generators + temporaries
+
+
+def test_euler_draws_of_1024_paths_stay_under_8_mib():
+    # d = 3 and one mu atom at two threads: 64 steps of draws are 5 MiB,
+    # and the rest of the run under 1 MiB; a 256-step span would hold 20 MiB
+    cfg = _d3_config(n_paths=1024)
+    assert len(cfg.params.mu) == 1
+    assert _euler_peak(cfg, threads=2)[0] < 8 * 2**20
 
 
 # --- Euler scheme against the up-front-draw reference loop ----------------
