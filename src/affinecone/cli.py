@@ -11,25 +11,20 @@ byte.  Exit codes partition failure causes disjointly:
     6  simulation failure
 
 Exit 2 covers a config that cannot be read or parsed into a parameter
-set; an unknown drift kind; a ``drift.beta`` with an entry that is not
-finite; a ``--u`` matrix or ``sim.x0`` that is unreadable, not ``dim x
-dim``, non-finite or outside the cone; a
-``sim.sigma`` that is not ``dim x dim`` (even when ``sigma.T @ sigma``
-equals ``alpha``); a ``sim`` section that is not a JSON object (for
-``verify`` and ``simulate`` alike), missing (for ``simulate``) or
-malformed; snapshot times that are not finite, negative, past the
-horizon or off the step grid (refused before any path is drawn); a
-``sim.n_paths`` or ``sim.seed`` that is a bool or has a fractional part;
-a ``sim.dt`` that is not positive and finite, a ``sim.horizon`` that is
-negative or not finite, an expected ``m`` jump count per path (total
-rate times horizon) above ``simulate.MAX_STEPS`` (10^8), or, for the
-Euler scheme, a step count ``horizon / dt`` that is not an integer or
-exceeds that ceiling; ``--closed-form`` on a model outside the Wishart
-family; a ``--tol`` outside ``riccati.TOL_RANGE`` (``[1e-12, 1e-3]``); a
-``--T`` or ``--inflate-delta`` that is not positive and finite; a
-``--threads`` below 1; an output file or directory that cannot be
-written; and an output that resolves to an input (``--config``, or a
+set (an unknown drift kind, a ``drift.beta`` entry that is not finite);
+a ``--u`` matrix or ``sim.x0`` that is unreadable, not ``dim x dim``,
+non-finite or outside the cone; a ``sim`` section that is not a JSON
+object (for ``verify`` too), missing (for ``simulate``) or malformed;
+``--closed-form`` on a model outside the Wishart family; and an output
+that cannot be written, or that resolves to an input (``--config``, a
 ``--u`` file) or to another output, refused before any file is removed.
+Every other argument is checked once, by the function that reads it,
+before any flow is solved or path drawn: ``SimConfig`` (the ``sim``
+entries and ``--seed``; ``n_paths`` and the seed integers, the seed in
+``[0, 2**64)``), ``simulate`` (``--threads`` at least 1, the snapshot
+times), ``solve_riccati`` and ``InvariantLaw.flow`` (``--T`` positive
+and finite, ``--tol`` in ``riccati.TOL_RANGE``) and ``cmd_verify``
+(``--inflate-delta`` at least 1, with ``0.5 / delta`` a normal float).
 Exit 3 also covers a matrix exponential, a drift map image (of a finite
 but huge ``drift.beta``, in the effective drift, the Riccati field or
 the Euler step), a coefficient of the Riccati field, the field
@@ -79,7 +74,6 @@ from .ergodicity import (
 )
 from .params import AdmissibilityError, AffineParams, ConfigError, load_params
 from .riccati import (
-    TOL_RANGE,
     SolverFailureError,
     WishartSpec,
     phi_closed_form_mbajd,
@@ -184,20 +178,6 @@ def _clear_outputs(args) -> None:
             path.unlink()
 
 
-def _check_flags(args) -> None:
-    """``ConfigError`` for ``--tol`` outside ``TOL_RANGE``, ``--T`` or
-    ``--inflate-delta`` not positive and finite (NaN fails both tests), or
-    ``--threads`` below 1."""
-    lo, hi = TOL_RANGE
-    if not lo <= getattr(args, "tol", lo) <= hi:
-        raise ConfigError(f"--tol must lie in [{lo:g}, {hi:g}], got {args.tol:g}")
-    for flag, name in (("--T", "T"), ("--inflate-delta", "inflate_delta")):
-        if not 0.0 < getattr(args, name, 1.0) < np.inf:
-            raise ConfigError(f"{flag} must be positive and finite, got {getattr(args, name):g}")
-    if getattr(args, "threads", 1) < 1:
-        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-
-
 def _cone_matrix(value, dim: int, name: str) -> np.ndarray:
     """A ``dim x dim`` matrix on the cone, symmetrized, from a nested list
     or (given a ``Path``) a JSON file holding one; ``ConfigError`` if not."""
@@ -222,14 +202,6 @@ def _sim_section(data: dict, required: bool) -> dict:
     if not isinstance(sim, dict):
         raise ConfigError(f"sim: must be a JSON object, got {type(sim).__name__}")
     return sim
-
-
-def _sim_int(value, name: str) -> int:
-    """``int(value)``, refusing what ``int`` would truncate or coerce:
-    a bool, or a float with a fractional part (or NaN or infinite)."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _wishart_spec(p: AffineParams) -> WishartSpec:
@@ -314,8 +286,13 @@ def cmd_verify(args) -> int:
     tables = [out_dir / name for name in OUT_DIR_FILES["verify"]]
     cert = decay_certificate(p)
     if args.inflate_delta != 1.0:
-        # self-test hook: an overstated decay rate must make the bounds fail
-        cert = dataclasses.replace(cert, delta=cert.delta * args.inflate_delta)
+        # self-test hook: an overstated decay rate must make the bounds fail;
+        # the time grid steps by 0.5 / delta (NaN fails both tests)
+        delta = cert.delta * args.inflate_delta
+        if not (args.inflate_delta > 1.0 and 0.5 / delta >= np.finfo(float).tiny):
+            raise ConfigError("--inflate-delta must be at least 1 and leave 0.5 / delta "
+                              f"a normal float, got {args.inflate_delta:g}")
+        cert = dataclasses.replace(cert, delta=delta)
     law = InvariantLaw(p, cert)
 
     delta = cert.delta
@@ -350,10 +327,12 @@ def cmd_verify(args) -> int:
         violations += [f"mean-gap bound violated at t = {t:.6g}: {g:.3e} > {bd:.3e}"
                        for t, g, bd in zip(times[~ok], gap[~ok], bound[~ok])]
 
-    # regression slope of the metric decay over [1/delta, 6/delta]
+    # regression slope of the metric decay over [1/delta, 6/delta], fitted
+    # in units of 1/delta: at a large --inflate-delta the squares of the
+    # times themselves underflow
     sel = (times >= 1.0 / delta - 1e-12) & (dl > 0)
     if np.count_nonzero(sel) >= 2:
-        slope = np.polyfit(times[sel], np.log(dl[sel]), 1)[0]
+        slope = np.polyfit(delta * times[sel], np.log(dl[sel]), 1)[0] * delta
         print(f"log-dL regression slope = {slope:.6g} (delta = {delta:.6g})")
 
     _write_manifest(out_dir, "verify", args.config, None, outputs,
@@ -369,15 +348,14 @@ def cmd_simulate(args) -> int:
     p, data = load_params(args.config)
     sim = _sim_section(data, required=True)
     try:
-        seed = args.seed if args.seed is not None else _sim_int(sim.get("seed", 0), "seed")
         config = SimConfig(
             params=p,
             sigma=np.asarray(sim["sigma"], dtype=float),
             x0=_cone_matrix(sim["x0"], p.dim, "sim.x0"),
             horizon=float(sim["horizon"]),
             dt=float(sim["dt"]),
-            n_paths=_sim_int(sim["n_paths"], "n_paths"),
-            seed=seed,
+            n_paths=sim["n_paths"],
+            seed=sim.get("seed", 0) if args.seed is None else args.seed,
             scheme=sim.get("scheme", "euler_project"),
         )
     except ConfigError:  # sim.x0, already named
@@ -392,13 +370,14 @@ def cmd_simulate(args) -> int:
     snap_path, jump_path, z_path = (out_dir / name for name in OUT_DIR_FILES["simulate"])
     try:
         ens = simulate(config, snapshots, threads=args.threads)
-    except ConfigError as exc:  # snapshot times, refused before any draw
-        raise ConfigError(f"--snapshots: {exc}") from exc
+    except ConfigError as exc:  # the thread count or a snapshot time, refused before any draw
+        flag = "--threads" if str(exc).startswith("threads") else "--snapshots"
+        raise ConfigError(f"{flag}: {exc}") from exc
     ens.snapshots_to_csv(snap_path)
     ens.jumps_to_csv(jump_path)
     names, z = upper_triangle(mc_vs_formula(ens, p, snapshots), "z")
     write_csv(z_path, ["t", *names], [np.array(snapshots), *z.T])
-    _write_manifest(out_dir, "simulate", args.config, seed,
+    _write_manifest(out_dir, "simulate", args.config, config.seed,
                     [snap_path, jump_path, z_path],
                     defaults={"threads": args.threads})
     print(f"simulated {config.n_paths} paths; outputs in {out_dir}")
@@ -463,7 +442,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _clear_outputs(args)
-        _check_flags(args)
         return args.fn(args)
     except tuple(kind for kind, _, _ in FAILURES) as exc:
         code, prefix = next((c, pre) for kind, c, pre in FAILURES if isinstance(exc, kind))

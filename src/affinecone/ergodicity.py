@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import AffineParams, SymOperator
+from .params import AffineParams, ConfigError, SymOperator
 from .riccati import TOL_RANGE, RiccatiTrajectory, solve_riccati
 from .symcone import (
     affine_flow,
@@ -289,8 +289,11 @@ class InvariantLaw:
         solved to the largest of these horizons, or to ``max(times)`` if
         later, at solver tolerance ``tol/100`` clipped to ``[1e-12, 1e-10]``,
         and kept at the positive ``times`` and at its end, whose ``phi``
-        fills the cache.  Pass it as ``flow`` to :func:`dL_table`.
+        fills the cache.  Pass it as ``flow`` to :func:`dL_table`.  A
+        ``tol`` outside ``TOL_RANGE`` (NaN too) is a ``ConfigError``.
         """
+        if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
+            raise ConfigError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {tol:g}")
         us = np.asarray(us, dtype=float)
         norms = np.linalg.norm(us, axis=(1, 2))
         delta = self.cert.delta

@@ -49,7 +49,8 @@ class AdmissibilityError(ValueError):
 
 class ConfigError(ValueError):
     """A config could not be read, does not describe a parameter set, or
-    asks for a run the model cannot honour (snapshot times off its grid)."""
+    asks for a run that cannot be made (snapshot times off its grid, a
+    ``tol`` or horizon the solver refuses, fewer than one thread)."""
 
 
 @dataclass
@@ -289,8 +290,10 @@ class AffineParams:
         clauses["scalar_jumps_integrable"] = ClauseResult(
             True, f"{len(self.m)} atoms, total rate {self.m.total_rate():.3e}"
         )
-        tr_moment = float(np.linalg.norm(self.mu.sites, axis=(1, 2))
-                          @ np.trace(self.mu.weights, axis1=1, axis2=2))
+        # a huge site or weight reads inf, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr_moment = float(np.linalg.norm(self.mu.sites, axis=(1, 2))
+                              @ np.trace(self.mu.weights, axis1=1, axis2=2))
         clauses["matrix_jumps_first_moment"] = ClauseResult(
             True, f"{len(self.mu)} atoms, ||site|| tr(weight) sum = {tr_moment:.3e}"
         )

@@ -59,6 +59,7 @@ import numpy as np
 
 from .params import (
     AffineParams,
+    ConfigError,
     LinearDrift,
     MatrixJumpMeasure,
     ScalarJumpMeasure,
@@ -232,7 +233,7 @@ class RiccatiTrajectory:
         return self.phi[grid_index(self.times, t)]
 
 
-# the tolerances solve_riccati accepts; the CLI checks --tol against it
+# the tolerances solve_riccati and InvariantLaw.flow accept
 TOL_RANGE = (1e-12, 1e-3)
 
 
@@ -270,10 +271,11 @@ def solve_riccati(
     """
     import scipy.integrate  # deferred: commands that solve no flow skip loading scipy
 
+    # NaN fails each test
     if not 0.0 < T < np.inf:
-        raise ValueError("horizon T must be positive and finite")
+        raise ConfigError(f"horizon T must be positive and finite, got {T:g}")
     if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
-        raise ValueError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
+        raise ConfigError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {tol:g}")
     u0 = np.asarray(u0, dtype=float)
     single = u0.ndim == 2
     stack = u0[None] if single else u0

@@ -141,6 +141,8 @@ class SimConfig:
     exceed ``MAX_STEPS`` (10^8).  For ``euler_project`` the step count
     ``n_steps = horizon / dt`` must be an integer no larger than
     ``MAX_STEPS``; ``ou_exact`` ignores ``dt`` and leaves ``n_steps`` at None.
+    ``n_paths`` (at least 1) and ``seed`` (in ``[0, 2**64)``, the streams'
+    key word) are stored as ``int``; a bool or a non-integral float is refused.
     """
 
     params: AffineParams
@@ -166,8 +168,15 @@ class SimConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not 0.0 <= self.horizon < np.inf:
             raise ValueError(f"horizon must be nonnegative and finite, got {self.horizon!r}")
+        for name in ("n_paths", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if self.n_paths < 1:
-            raise ValueError("n_paths must be at least 1")
+            raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not self.params.m.total_rate() * self.horizon <= MAX_STEPS:
             raise ValueError(f"m rate x horizon exceeds {MAX_STEPS:.0e} expected jumps per path")
         if self.params.drift.kind != "lyapunov":
@@ -240,7 +249,7 @@ def write_csv(path, names, columns, fmt="%r") -> None:
 
 
 def _path_rng(seed: int, path_index: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(path_index)])
+    key = np.array([np.uint64(seed), np.uint64(path_index)])
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -260,7 +269,7 @@ def _path_streams(seed: int, path_ids, jumps: int = 0):
     state = bits.state  # a fresh stream: zero counter, empty buffer
     state["state"]["counter"][2] = jumps
     key = state["state"]["key"]
-    key[0] = seed & 0xFFFFFFFFFFFFFFFF
+    key[0] = seed
     for pid in path_ids:
         key[1] = pid
         bits.state = state
@@ -592,11 +601,12 @@ def simulate(config: SimConfig, snapshot_times, threads: int = 1) -> PathEnsembl
     ``threads`` (at least 1) counts every working thread, the caller's
     included: ``ou_exact`` runs on the caller alone, and the Euler scheme
     draws on ``threads - 1`` worker threads beside the caller's stepping
-    (at 1 it builds no pool).  Snapshot times not in ``[0, horizon]`` or
-    (Euler) off the step grid are refused before any draw (``ConfigError``).
+    (at 1 it builds no pool).  A ``threads`` below 1, and snapshot times
+    not in ``[0, horizon]`` or (Euler) off the step grid, are refused
+    before any draw (``ConfigError``).
     """
     if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     snapshot_times = np.asarray(sorted(float(t) for t in snapshot_times))
     if snapshot_times.size == 0:
         raise ConfigError("at least one snapshot time is required")

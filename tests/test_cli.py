@@ -122,6 +122,7 @@ def _ou_exact_sim(**entries):
 
 NOT_PSD = [[1.0, 0.0], [0.0, -1.0]]
 NAN_BETA = {"kind": "lyapunov", "beta": [[float("nan"), 0.0], [0.0, -1.0]]}
+MU_ATOM = {"atoms": [{"site": (0.1 * np.eye(2)).tolist(), "weight": (0.1 * np.eye(2)).tolist()}]}
 
 
 @pytest.mark.parametrize("argv, edit, u, pattern", [
@@ -132,6 +133,8 @@ NAN_BETA = {"kind": "lyapunov", "beta": [[float("nan"), 0.0], [0.0, -1.0]]}
     pytest.param(["riccati"], None, np.eye(3).tolist(), None, id="u-wrong-shape"),
     pytest.param(["simulate", "--snapshots", "2.0"], None, None, None, id="snapshot-past-horizon"),
     pytest.param(["simulate", "--snapshots", "0.005"], None, None, None, id="snapshot-off-grid"),
+    pytest.param(["simulate", "--snapshots", "0.5,abc"], None, None, r"config error: --snapshots: ",
+                 id="snapshot-not-a-number"),
     pytest.param(["verify"], _with_sim(x0=np.eye(3).tolist()), None, None, id="x0-wrong-shape"),
     pytest.param(["riccati"], None, NOT_PSD, None, id="u-not-psd"),
     pytest.param(["riccati"], None, [[1.0, float("nan")], [float("nan"), 1.0]],
@@ -158,8 +161,22 @@ NAN_BETA = {"kind": "lyapunov", "beta": [[float("nan"), 0.0], [0.0, -1.0]]}
                  id="inflate-delta-negative"),
     pytest.param(["verify", "--inflate-delta", "nan"], None, None, None, id="inflate-delta-nan"),
     pytest.param(["verify", "--inflate-delta", "inf"], None, None, None, id="inflate-delta-inf"),
-    pytest.param(["simulate", "--snapshots", "1.0", "--threads", "0"], None, None, None,
-                 id="threads-0"),
+    # an understated rate, or one whose time grid 0.5 / delta is subnormal
+    pytest.param(["verify", "--inflate-delta", "0.5"], None, None, None, id="inflate-delta-0.5"),
+    pytest.param(["verify", "--inflate-delta", "1e-6"], None, None, None, id="inflate-delta-1e-6"),
+    pytest.param(["verify", "--inflate-delta", "1e-300"], None, None, None,
+                 id="inflate-delta-1e-300"),
+    pytest.param(["verify", "--inflate-delta", "1e308"], None, None, None,
+                 id="inflate-delta-1e308"),
+    pytest.param(["riccati", "--closed-form"], _with(mu=MU_ATOM), None,
+                 r"config error: --closed-form requires .*no matrix jumps",
+                 id="closed-form-with-mu"),
+    pytest.param(["riccati", "--closed-form"],
+                 lambda data: {**data, "b": (np.array(data["b"]) + np.diag([0.1, 0.0])).tolist()},
+                 None, r"config error: --closed-form requires b proportional",
+                 id="closed-form-b-not-proportional"),
+    pytest.param(["simulate", "--snapshots", "1.0", "--threads", "0"], None, None,
+                 r"config error: --threads: ", id="threads-0"),
     pytest.param(["simulate", "--snapshots", "1.0", "--threads", "-1"], None, None,
                  None, id="threads-negative"),
     pytest.param(["simulate", "--snapshots", "1.0"], _with_sim(n_paths=100.9), None,
@@ -170,6 +187,21 @@ NAN_BETA = {"kind": "lyapunov", "beta": [[float("nan"), 0.0], [0.0, -1.0]]}
                  None, id="seed-fractional"),
     pytest.param(["simulate", "--snapshots", "1.0"], _with_sim(seed=False), None,
                  None, id="seed-bool"),
+    # the streams are keyed by a 64-bit word, so these would alias 2**64 - 1 and 0
+    pytest.param(["simulate", "--snapshots", "1.0"], _with_sim(seed=-1), None,
+                 None, id="seed-negative"),
+    pytest.param(["simulate", "--snapshots", "1.0"], _with_sim(seed=2**64), None,
+                 None, id="seed-2-to-the-64"),
+    pytest.param(["simulate", "--snapshots", "1.0", "--seed", "-1"], None, None,
+                 r"config error: sim: .*seed", id="seed-flag-negative"),
+    pytest.param(["simulate", "--snapshots", "1.0"], _with_sim(n_paths=0), None,
+                 r"config error: sim: .*n_paths", id="n-paths-zero"),
+    pytest.param(["simulate", "--snapshots", "1.0"],
+                 _with(drift={"kind": "congruence", "beta": (0.5 * np.eye(2)).tolist()}), None,
+                 r"config error: sim: .*lyapunov", id="drift-congruence"),
+    pytest.param(["simulate", "--snapshots", "1.0"],
+                 lambda data: {**_ou_exact_sim()(data), "mu": MU_ATOM}, None,
+                 r"config error: sim: .*state-dependent", id="ou-exact-with-mu"),
     pytest.param(["simulate", "--snapshots", "0.5"], _with_sim(dt=float("inf")), None,
                  None, id="dt-inf"),
     pytest.param(["simulate", "--snapshots", "0.5"], _with_sim(dt=1e-320), None,
@@ -221,6 +253,33 @@ def test_bad_input_exits_2_without_traceback(config_file, tmp_path, capsys, argv
         assert err.startswith(("config error: sim: ", "config error: sim.x0: "))
     if pattern is not None:
         assert re.match(pattern, err), err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["stationary", "--tol", "0"], id="stationary-tol"),
+    pytest.param(["verify", "--tol", "0", "--out-dir", "v"], id="verify-tol"),
+    pytest.param(["verify", "--inflate-delta", "0.5", "--out-dir", "v"], id="verify-inflate-delta"),
+    pytest.param(["riccati", "--T", "-1"], id="riccati-T"),
+    pytest.param(["simulate", "--snapshots", "1.0", "--threads", "0", "--out-dir", "s"],
+                 id="simulate-threads"),
+    pytest.param(["simulate", "--snapshots", "1.0", "--seed", "-1", "--out-dir", "s"],
+                 id="simulate-seed"),
+])
+def test_a_bad_argument_is_refused_before_any_flow_or_path(config_file, tmp_path, capsys,
+                                                          monkeypatch, argv):
+    # each argument is checked once, by the library function that reads it,
+    # and still before the integrator runs or a stream draws
+    def fail(*args, **kwargs):
+        raise AssertionError("a flow was solved or a path drawn before the arguments were checked")
+
+    simulate_module = importlib.import_module("affinecone.simulate")
+    monkeypatch.setattr("scipy.integrate.solve_ivp", fail)
+    monkeypatch.setattr(simulate_module, "_path_rng", fail)
+    monkeypatch.setattr(simulate_module, "_path_streams", fail)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--config", str(config_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("edit", [
@@ -681,6 +740,39 @@ OUTPUTS = {
 }
 
 
+def test_riccati_of_a_flow_that_leaves_the_cone_exits_3_and_leaves_no_csv(tmp_path, capsys,
+                                                                          monkeypatch):
+    # a planted field, d/dt of every coordinate of psi -1, drives psi = I -
+    # t M below the cone; solve_riccati checks the flow after integrating
+    monkeypatch.setattr("affinecone.riccati._coordinate_field",
+                        lambda p: lambda v: np.full((len(v), v.shape[1] + 1), -1.0))
+    cfg = _config(tmp_path / "model.json", zero_diffusion_params().to_dict())
+    out = tmp_path / "t.csv"
+    out.write_text("t,phi\n")
+    capsys.readouterr()
+    assert main(["riccati", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: psi left the cone at t = ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_huge_mu_atom_is_reported_without_a_numpy_warning(config_file, tmp_path, capsys):
+    # ||1e200 I|| overflows: validate reports the first-moment clause as inf
+    # in valid JSON, and stationary exits 3 with the one overflow line of
+    # the effective drift
+    huge = (1e200 * np.eye(2)).tolist()
+    cfg = _config(tmp_path / "model.json", {**json.loads(config_file.read_text()),
+                                            "mu": {"atoms": [{"site": huge, "weight": huge}]}})
+    capsys.readouterr()
+    assert main(["validate", "--config", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    clause = json.loads(out)["validation"]["clauses"]["matrix_jumps_first_moment"]
+    assert clause["detail"].endswith("= inf") and err == ""
+    assert main(["stationary", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric overflow: effective drift") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", list(OUTPUTS))
 def test_config_error_leaves_no_earlier_results(config_file, tmp_path, capsys, monkeypatch,
                                                 command):
@@ -771,6 +863,18 @@ def test_verify_inflated_rate_self_test_fails(config_file, tmp_path):
          "--inflate-delta", "1.5"]
     )
     assert code == 5
+
+
+@pytest.mark.parametrize("factor", ["1e6", "1e300"])
+def test_verify_inflated_far_past_the_rate_exits_5_without_traceback(config_file, tmp_path,
+                                                                    capsys, factor):
+    # the time grid shrinks to multiples of 0.5 / delta; the slope fit is
+    # made in units of 1/delta, so squares of the times never underflow
+    argv = ["verify", "--config", str(config_file), "--out-dir", str(tmp_path / "v"),
+            "--inflate-delta", factor]
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert "violated" in err and err.count("\n") == 1
 
 
 def test_verify_reports_first_violated_row_in_table_order(tmp_path, capsys):

@@ -39,6 +39,7 @@ from affinecone import (
     transient_mean,
     w1_mean_gap_check,
 )
+from affinecone.params import ConfigError
 from conftest import random_wishart, zero_diffusion_params
 from test_acceptance import _random_subcritical
 
@@ -286,6 +287,17 @@ def test_exponents_fill_the_cache_and_skip_zero():
     assert vals[1] == 0.0 and vals[0] == vals[2]
     assert len(law._cache) == 1
     assert law.exponent(us[0]) == vals[0]
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, 1.0])
+def test_exponent_refuses_a_tol_outside_the_solver_range(tol):
+    # a NaN tolerance used to give the tol = 1 value; now every exponent
+    # tolerance is checked where the flow is set up
+    p = zero_diffusion_params()
+    law = InvariantLaw(p, decay_certificate(p))
+    with pytest.raises(ConfigError, match="tol"):
+        law.exponent(np.eye(2), tol=tol)
+    assert not law._cache
 
 
 def test_cache_key_does_not_overflow():

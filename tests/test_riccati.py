@@ -30,6 +30,7 @@ from affinecone import (
     solve_riccati,
     symmetrize,
 )
+from affinecone.params import ConfigError
 from affinecone.symcone import sym_dim, vectorize
 from conftest import random_wishart, scalar_phi, scalar_psi, zero_diffusion_params
 
@@ -373,10 +374,13 @@ def test_double_failure_raises_with_last_good_time(rng, monkeypatch):
 
 def test_solver_argument_validation(rng):
     p = _jump_params(rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         solve_riccati(p, np.eye(2), 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         solve_riccati(p, np.eye(2), 1.0, tol=1e-2)
+    for T, tol in ((float("nan"), 1e-9), (float("inf"), 1e-9), (1.0, float("nan"))):
+        with pytest.raises(ConfigError):
+            solve_riccati(p, np.eye(2), T, tol=tol)
 
 
 @pytest.mark.parametrize("t_eval", [

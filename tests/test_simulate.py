@@ -115,6 +115,45 @@ def test_config_rejects_misshapen_start_point():
                       n_paths=8, seed=0, scheme="ou_exact")
 
 
+@pytest.mark.parametrize("entry", [
+    pytest.param({"n_paths": True}, id="n-paths-bool"),
+    pytest.param({"n_paths": 2.5}, id="n-paths-fractional"),
+    pytest.param({"n_paths": 0}, id="n-paths-zero"),
+    pytest.param({"seed": 3.7}, id="seed-fractional"),
+    pytest.param({"seed": float("nan")}, id="seed-nan"),
+    pytest.param({"seed": float("inf")}, id="seed-inf"),
+    # the streams are keyed by a 64-bit word: these would alias 2**64 - 1 and 0
+    pytest.param({"seed": -1}, id="seed-negative"),
+    pytest.param({"seed": 2**64}, id="seed-2-to-the-64"),
+])
+def test_config_refuses_a_bad_path_count_or_seed(entry):
+    cfg = euler_d2_config()
+    fields = dict(params=cfg.params, sigma=cfg.sigma, x0=cfg.x0, horizon=1.0, dt=0.01,
+                  n_paths=8, seed=0)
+    with pytest.raises(ValueError, match=next(iter(entry))):
+        SimConfig(**{**fields, **entry})
+
+
+def test_config_stores_an_integral_path_count_and_seed_as_int():
+    cfg = euler_d2_config()
+    config = SimConfig(params=cfg.params, sigma=cfg.sigma, x0=cfg.x0, horizon=1.0, dt=0.01,
+                       n_paths=8.0, seed=np.uint64(2**64 - 1))
+    assert (config.n_paths, config.seed) == (8, 2**64 - 1)
+    assert type(config.n_paths) is int and type(config.seed) is int
+
+
+def test_simulate_refuses_fewer_than_one_thread_before_any_draw():
+    with pytest.raises(ConfigError, match="threads"):
+        simulate(euler_d2_config(n_paths=4), [0.5], threads=0)
+
+
+def test_mc_mean_of_one_path_has_zero_standard_error():
+    # one path has no spread to measure: no ddof = 1 warning, and the mean is its state
+    ens = simulate(euler_d2_config(n_paths=1), [0.5, 1.0])
+    mean, stderr = mc_mean(ens, 1.0)
+    assert np.array_equal(mean, ens.states[1, 0]) and not np.any(stderr)
+
+
 def test_simulate_rejects_off_grid_snapshot():
     cfg = euler_d2_config(n_paths=4)
     with pytest.raises(ConfigError):
