@@ -22,9 +22,9 @@ Every other argument is checked once, by the function that reads it,
 before any flow is solved or path drawn: ``SimConfig`` (the ``sim``
 entries and ``--seed``; ``n_paths`` and the seed integers, the seed in
 ``[0, 2**64)``), ``simulate`` (``--threads`` at least 1, the snapshot
-times), ``solve_riccati`` and ``InvariantLaw.flow`` (``--T`` positive
-and finite, ``--tol`` in ``riccati.TOL_RANGE``) and ``cmd_verify``
-(``--inflate-delta`` at least 1, with ``0.5 / delta`` a normal float).
+times), ``solve_riccati`` (``--T`` positive and finite, ``riccati --tol``)
+and ``InvariantLaw`` when built (``--tol``), both against ``TOL_RANGE``,
+and ``cmd_verify`` (``--inflate-delta`` at least 1, ``0.5 / delta`` normal).
 Exit 3 also covers a matrix exponential, a drift map image (of a finite
 but huge ``drift.beta``, in the effective drift, the Riccati field or
 the Euler step), a coefficient of the Riccati field, the field
@@ -40,8 +40,9 @@ raises; ``main`` maps the exception to its code in one table,
 ``FAILURES``.  Only ``validate`` (clauses failed) and ``verify`` (a bound
 violated) return a nonzero code themselves.
 
-``verify`` solves its probe grid as one flow, which serves the transient
-Laplace table, the ``psi`` decay envelope and the stationary exponents.
+``stationary`` and ``verify`` read every stationary quantity from one
+``InvariantLaw``; ``verify`` solves its probe grid as one flow, which serves
+the transient Laplace table, the ``psi`` decay envelope and the exponents.
 Before any config is read, ``main`` removes every file the command may
 write (``--out``, ``--table``, or the command's files and
 ``manifest.json`` in ``--out-dir``), so a failed or shorter run leaves
@@ -256,11 +257,11 @@ def cmd_riccati(args) -> int:
 def cmd_stationary(args) -> int:
     p, _ = load_params(args.config)
     cert = decay_certificate(p)
-    law = InvariantLaw(p, cert)
+    law = InvariantLaw(p, cert, args.tol)
     gate = log_moment_gate(p)
 
     grid = standard_u_grid(p.dim)
-    exponents = law.exponents(grid, args.tol)
+    exponents = law.exponents(grid)
 
     _write_json(args.out, {
         "abscissa": cert.abscissa,
@@ -293,15 +294,15 @@ def cmd_verify(args) -> int:
             raise ConfigError("--inflate-delta must be at least 1 and leave 0.5 / delta "
                               f"a normal float, got {args.inflate_delta:g}")
         cert = dataclasses.replace(cert, delta=delta)
-    law = InvariantLaw(p, cert)
+    law = InvariantLaw(p, cert, args.tol)
 
     delta = cert.delta
     times = np.arange(0.0, 6.01, 0.5) / delta
 
     # one stacked flow of the probe grid feeds both tables and the exponents
-    flow = law.flow(standard_u_grid(p.dim), args.tol, times)
-    dl = dL_table(p, law, x, times, tol=args.tol, flow=flow)
-    dl_bound = dL_bound(cert, law.c_hat, x, times)
+    flow = law.flow(standard_u_grid(p.dim), times)
+    dl = dL_table(law, x, times, flow=flow)
+    dl_bound = dL_bound(law, x, times)
 
     # decay-envelope table for the Riccati flow
     norms = np.linalg.norm(flow.u0, axis=(1, 2))
@@ -321,19 +322,19 @@ def cmd_verify(args) -> int:
                    for t, r in zip(times, ratios) if r > 1.0]
 
     if frobenius(p.alpha) == 0.0:
-        gap, bound, ok = w1_mean_gap_check(p, law, cert, x, times)
+        gap, bound, ok = w1_mean_gap_check(law, x, times)
         outputs.append(tables[2])
         write_csv(outputs[2], ["t", "mean_gap", "w1_bound"], [times, gap, bound])
         violations += [f"mean-gap bound violated at t = {t:.6g}: {g:.3e} > {bd:.3e}"
                        for t, g, bd in zip(times[~ok], gap[~ok], bound[~ok])]
 
-    # regression slope of the metric decay over [1/delta, 6/delta], fitted
-    # in units of 1/delta: at a large --inflate-delta the squares of the
-    # times themselves underflow
-    sel = (times >= 1.0 / delta - 1e-12) & (dl > 0)
+    # regression slope of the metric decay over [1/delta, 6/delta], fitted and
+    # printed in units of delta: in time units a large --inflate-delta underflows
+    # the squared times and scales the fit's rounding noise by delta
+    sel = (times >= (1.0 - 1e-12) / delta) & (dl > 0)
     if np.count_nonzero(sel) >= 2:
-        slope = np.polyfit(delta * times[sel], np.log(dl[sel]), 1)[0] * delta
-        print(f"log-dL regression slope = {slope:.6g} (delta = {delta:.6g})")
+        slope = np.polyfit(delta * times[sel], np.log(dl[sel]), 1)[0]
+        print(f"log-dL regression slope = {slope:.6g} delta (delta = {delta:.6g})")
 
     _write_manifest(out_dir, "verify", args.config, None, outputs,
                     defaults={"tol": args.tol, "inflate_delta": args.inflate_delta})

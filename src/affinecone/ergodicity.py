@@ -6,7 +6,7 @@ is strictly negative; the operator semigroup then decays like
 computes transient and stationary first moments, evaluates the
 stationary Laplace transform by truncated integration of the running
 cost along the Riccati flow, and provides two computable convergence
-diagnostics:
+diagnostics, both read from one :class:`InvariantLaw`:
 
 * a Laplace-transform metric (sup over a documented grid of cone
   directions of the normalized transform gap) together with an
@@ -217,24 +217,30 @@ def invariant_mean(p: AffineParams, cert: DecayCertificate) -> np.ndarray:
 
 @dataclass
 class InvariantLaw:
-    """Stationary distribution, queried through its Laplace transform.
+    """Stationary distribution of ``params``, queried through its Laplace
+    transform at tolerance ``tol``; every bound reads its model, decay pair
+    ``cert`` and tolerance from here.  A ``tol`` outside ``TOL_RANGE`` (NaN
+    too) is a ``ConfigError``, raised before the stationary mean is solved.
 
     The transform is ``exp(-I(u))`` with ``I(u)`` the running cost
     integrated along the Riccati flow from ``u``, up to a horizon fixed in
     advance from the closed-form cost-decay constant :attr:`c_hat` so the
-    neglected tail is below tolerance.  Computed exponents are cached per
-    probe under a rounded key.  One flow per probe grid (:meth:`flow`)
-    serves the transient transform ``exp(-phi(t,u) - <x, psi(t,u)>)`` and
-    the ``psi`` envelope at its requested times, and the exponents at its
-    end.
+    neglected tail is below ``tol``.  Exponents are cached per probe under
+    a rounded key.  One flow per probe grid (:meth:`flow`) serves the
+    transient transform ``exp(-phi(t,u) - <x, psi(t,u)>)`` and the ``psi``
+    envelope at its requested times, and the exponents at its end.
     """
 
     params: AffineParams
     cert: DecayCertificate
+    tol: float = 1e-8
     mean: np.ndarray = field(init=False)
     _cache: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self):
+        if not TOL_RANGE[0] <= self.tol <= TOL_RANGE[1]:
+            raise ConfigError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], "
+                              f"got {self.tol:g}")
         self.mean = invariant_mean(self.params, self.cert)
 
     @property
@@ -250,36 +256,35 @@ class InvariantLaw:
         """
         return frobenius(_moment_source(self.params)) * self.cert.M
 
-    def _key(self, u, tol):
+    def _key(self, u):
         # rounding to 1e-12 absolute merges roundoff-level copies of a
         # probe; adding 0.0 turns -0.0 into 0.0 so both share a key
-        q = np.round(np.asarray(u, dtype=float), 12) + 0.0
-        return (q.tobytes(), float(tol))
+        return (np.round(np.asarray(u, dtype=float), 12) + 0.0).tobytes()
 
-    def exponent(self, u, tol: float = 1e-8) -> float:
+    def exponent(self, u) -> float:
         """Truncated integral of the running cost along the flow from ``u``."""
         u = symmetrize(u)
         if frobenius(u) == 0.0:
             return 0.0
-        key = self._key(u, tol)
+        key = self._key(u)
         if key not in self._cache:
-            self.flow([u], tol)
+            self.flow([u])
         return self._cache[key]
 
-    def exponents(self, us, tol: float = 1e-8) -> np.ndarray:
+    def exponents(self, us) -> np.ndarray:
         """:meth:`exponent` for every probe of ``us``; the probes not yet
         cached are integrated together as one stacked Riccati flow."""
         us = [symmetrize(u) for u in us]
         todo = {}
         for u in us:
-            key = self._key(u, tol)
+            key = self._key(u)
             if frobenius(u) > 0.0 and key not in self._cache:
                 todo.setdefault(key, u)
         if todo:
-            self.flow(list(todo.values()), tol)
-        return np.array([self.exponent(u, tol) for u in us])
+            self.flow(list(todo.values()))
+        return np.array([self.exponent(u) for u in us])
 
-    def flow(self, us, tol: float = 1e-8, times=()) -> RiccatiTrajectory:
+    def flow(self, us, times=()) -> RiccatiTrajectory:
         """One stacked Riccati flow of the probes ``us``; caches their exponents.
 
         Probe ``u`` needs the horizon
@@ -289,14 +294,11 @@ class InvariantLaw:
         solved to the largest of these horizons, or to ``max(times)`` if
         later, at solver tolerance ``tol/100`` clipped to ``[1e-12, 1e-10]``,
         and kept at the positive ``times`` and at its end, whose ``phi``
-        fills the cache.  Pass it as ``flow`` to :func:`dL_table`.  A
-        ``tol`` outside ``TOL_RANGE`` (NaN too) is a ``ConfigError``.
+        fills the cache.  Pass it as ``flow`` to :func:`dL_table`.
         """
-        if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
-            raise ConfigError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {tol:g}")
         us = np.asarray(us, dtype=float)
         norms = np.linalg.norm(us, axis=(1, 2))
-        delta = self.cert.delta
+        delta, tol = self.cert.delta, self.tol
         need = np.log(np.maximum(self.c_hat * norms / (delta * tol), 2.0)) / delta
         times = np.asarray(times, dtype=float)
         T = max(1.0, 5.0 / delta, float(np.max(need)), float(np.max(times, initial=0.0)))
@@ -304,12 +306,12 @@ class InvariantLaw:
         t_eval = np.union1d(times[times > 0.0], [T])
         traj = solve_riccati(self.params, us, T, tol=solver_tol, t_eval=t_eval)
         for u, val in zip(us, traj.phi[-1]):
-            self._cache[self._key(u, tol)] = float(val)
+            self._cache[self._key(u)] = float(val)
         return traj
 
-    def laplace(self, u, tol: float = 1e-8) -> float:
+    def laplace(self, u) -> float:
         """Stationary Laplace transform at ``u``; equals 1 at ``u = 0``."""
-        return float(np.exp(-self.exponent(u, tol)))
+        return float(np.exp(-self.exponent(u)))
 
 
 # --- Laplace-metric diagnostics -----------------------------------------
@@ -356,71 +358,61 @@ def transient_laplace(flow: RiccatiTrajectory, x, times) -> np.ndarray:
     return out
 
 
-def dL_table(
-    p: AffineParams,
-    law: InvariantLaw,
-    x,
-    times,
-    tol: float = 1e-8,
-    flow: RiccatiTrajectory | None = None,
-) -> np.ndarray:
+def dL_table(law: InvariantLaw, x, times, flow: RiccatiTrajectory | None = None) -> np.ndarray:
     """Laplace-metric values at each time: the maximum over
     :func:`standard_u_grid` of ``|L_t(u) - L_pi(u)| / ||u||``.  A lower
     approximation of the sup over the cone, relative to the documented
     grid.
 
     One stacked flow of the grid serves both transforms: ``flow``, or else
-    ``law.flow(grid, tol, times)``.  The transient transform is read at
+    ``law.flow(grid, times)``.  The transient transform is read at
     ``times`` (:func:`transient_laplace`) and the stationary exponents, at
-    tolerance ``tol``, come back through the law's cache
+    the law's tolerance, come back through its cache
     (:meth:`InvariantLaw.exponents`).
     """
-    us = np.asarray(standard_u_grid(p.dim))
+    us = np.asarray(standard_u_grid(law.params.dim))
     norms = np.linalg.norm(us, axis=(1, 2))
     if flow is None:
-        flow = law.flow(us, tol, times)
-    lt = transient_laplace(flow, x, times)
-    lp = np.exp(-law.exponents(us, tol))
-    return np.max(np.abs(lt - lp) / norms, axis=1)
+        flow = law.flow(us, times)
+    gaps = transient_laplace(flow, x, times) - np.exp(-law.exponents(us))
+    return np.max(np.abs(gaps) / norms, axis=1)
 
 
-def dL_bound(cert: DecayCertificate, C_hat: float, x, t) -> np.ndarray:
+def dL_bound(law: InvariantLaw, x, t) -> np.ndarray:
     """Exponential upper bound ``C (1 + ||x||) e^{-delta t}`` on the
-    Laplace metric at each time of ``t``, with ``C = 2 max(M, C_hat /
-    delta)`` and ``C_hat`` the cost-decay constant ``||DF(0)|| M``
-    (:attr:`InvariantLaw.c_hat`); both constants hold for all ``t``, as
-    ``M`` is proven."""
-    C = 2.0 * max(cert.M, C_hat / cert.delta)
-    return C * (1.0 + frobenius(x)) * np.exp(-cert.delta * np.asarray(t, dtype=float))
+    Laplace metric at each time of ``t``, with ``C = 2 max(M, c_hat /
+    delta)``, ``(M, delta)`` the law's certificate and ``c_hat`` its
+    cost-decay constant (:attr:`InvariantLaw.c_hat`); both constants hold
+    for all ``t``, as ``M`` is proven."""
+    C = 2.0 * max(law.cert.M, law.c_hat / law.cert.delta)
+    return C * (1.0 + frobenius(x)) * np.exp(-law.cert.delta * np.asarray(t, dtype=float))
 
 
 # --- Wasserstein sandwich ------------------------------------------------
 
 
-def w1_mean_gap_check(p: AffineParams, law: InvariantLaw, cert: DecayCertificate, x, t):
+def w1_mean_gap_check(law: InvariantLaw, x, t):
     """Mean-gap sandwich for the transport-distance bound (zero diffusion).
 
-    Returns ``(gap, bound, ok)`` where ``gap`` is the first-moment gap
-    (a lower bound on the Wasserstein-1 distance, since unit-norm linear
-    functionals are 1-Lipschitz) and ``bound`` is
-    ``sqrt(d) M e^{-delta t} (||x|| + sqrt(d) ||stationary mean||)``;
-    the trace-norm bracket upper-bounds the stationary norm moment by
-    ``sqrt(d)`` times the norm of the stationary mean.  For one time ``t``
-    the three are a float, a float and a bool; for a vector of times they
-    are arrays, one entry per time, from one :func:`transient_mean` call.
+    Returns ``(gap, bound, ok)`` where ``gap`` is the first-moment gap of
+    the law's model started at ``x`` (a lower bound on the Wasserstein-1
+    distance, since unit-norm linear functionals are 1-Lipschitz) and
+    ``bound`` is ``sqrt(d) M e^{-delta t} (||x|| + sqrt(d) ||stationary
+    mean||)``, ``(M, delta)`` the law's certificate; the trace-norm
+    bracket upper-bounds the stationary norm moment by ``sqrt(d)`` times
+    the norm of the stationary mean.  For one time ``t`` the three are a
+    float, a float and a bool; for a vector of times they are arrays, one
+    entry per time, from one :func:`transient_mean` call.
     """
+    p, cert = law.params, law.cert
     if frobenius(p.alpha) != 0.0:
         raise HypothesisViolatedError("mean-gap sandwich requires zero diffusion")
     d = p.dim
     t = np.asarray(t, dtype=float)
     diffs = transient_mean(p, x, t) - law.mean
     gap = np.array([frobenius(diff) for diff in diffs.reshape(-1, d, d)]).reshape(t.shape)
-    bound = (
-        np.sqrt(d)
-        * cert.M
-        * np.exp(-cert.delta * t)
-        * (frobenius(x) + np.sqrt(d) * frobenius(law.mean))
-    )
+    bound = (np.sqrt(d) * cert.M * np.exp(-cert.delta * t)
+             * (frobenius(x) + np.sqrt(d) * frobenius(law.mean)))
     ok = gap <= bound + 1e-9
     if t.ndim:
         return gap, bound, ok

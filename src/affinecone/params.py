@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -51,6 +52,16 @@ class ConfigError(ValueError):
     """A config could not be read, does not describe a parameter set, or
     asks for a run that cannot be made (snapshot times off its grid, a
     ``tol`` or horizon the solver refuses, fewer than one thread)."""
+
+
+def as_integer(name: str, value) -> int:
+    """The config integer ``value`` (an integer, or an integral float) as an
+    ``int``; a bool, a string, a NaN, an infinity or a fraction is refused."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():  # False for NaN and inf
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -353,7 +364,7 @@ class AffineParams:
             ]
         )
         return cls(
-            dim=int(data["dim"]),
+            dim=as_integer("dim", data["dim"]),
             alpha=np.asarray(data["alpha"], dtype=float),
             b=np.asarray(data["b"], dtype=float),
             drift=drift,

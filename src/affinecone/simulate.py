@@ -89,7 +89,7 @@ from itertools import chain
 import numpy as np
 
 from .ergodicity import InvariantLaw, decay_certificate, transient_mean, w1_mean_gap_check
-from .params import AffineParams, ConfigError
+from .params import AffineParams, ConfigError, as_integer
 from .riccati import grid_index
 from .symcone import (
     affine_flow,
@@ -142,7 +142,7 @@ class SimConfig:
     ``n_steps = horizon / dt`` must be an integer no larger than
     ``MAX_STEPS``; ``ou_exact`` ignores ``dt`` and leaves ``n_steps`` at None.
     ``n_paths`` (at least 1) and ``seed`` (in ``[0, 2**64)``, the streams'
-    key word) are stored as ``int``; a bool or a non-integral float is refused.
+    key word) are stored as ``int`` (:func:`~affinecone.params.as_integer`).
     """
 
     params: AffineParams
@@ -169,10 +169,7 @@ class SimConfig:
         if not 0.0 <= self.horizon < np.inf:
             raise ValueError(f"horizon must be nonnegative and finite, got {self.horizon!r}")
         for name in ("n_paths", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
+            setattr(self, name, as_integer(name, getattr(self, name)))
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
         if not 0 <= self.seed < 2**64:
@@ -673,8 +670,7 @@ def ergodic_sweep(config: SimConfig, times, threads: int = 1) -> list[dict]:
     mean gap, and the transport-bound sandwich when the diffusion is zero.
     """
     p, x0 = config.params, config.x0
-    cert = decay_certificate(p)
-    law = InvariantLaw(p, cert)
+    law = InvariantLaw(p, decay_certificate(p))
     ens = simulate(config, times, threads=threads)
     times = np.asarray(times, dtype=float)
     rows = []
@@ -688,7 +684,7 @@ def ergodic_sweep(config: SimConfig, times, threads: int = 1) -> list[dict]:
             "mc_gap_to_invariant": frobenius(mean - law.mean),
         })
     if frobenius(p.alpha) == 0.0:
-        w1 = w1_mean_gap_check(p, law, cert, x0, times)
+        w1 = w1_mean_gap_check(law, x0, times)
         for row, gap, bound, ok in zip(rows, *(col.tolist() for col in w1)):
             row.update({"w1_gap": gap, "w1_bound": bound, "w1_ok": ok})
     return rows

@@ -231,11 +231,11 @@ def test_criterion_6_invariant_laplace():
 
     assert law.laplace(np.zeros((2, 2))) == 1.0, "criterion 6: L(0) = 1"
 
-    tol = 1e-8
+    tol = law.tol
     worst = 0.0
     horizons = {}
     for u in standard_u_grid(2):
-        got = law.exponent(u, tol=tol)
+        got = law.exponent(u)
         r = sqrt_psd(u)
         ref = spec.k * np.linalg.slogdet(np.eye(2) + r @ sig_inf @ r)[1]
         worst = max(worst, abs(got - ref))
@@ -263,12 +263,12 @@ def test_criterion_7_dL_decay():
     slopes = []
     for p in (random_wishart(2, rng).to_params(), zero_diffusion_params(rate=0.9)):
         cert = decay_certificate(p)
-        law = InvariantLaw(p, cert)
+        law = InvariantLaw(p, cert, tol=1e-9)
         x = random_psd(2, rng) + 0.2 * np.eye(2)
         delta = cert.delta
         times = np.arange(0.0, 6.01, 0.5) / delta
-        dl = dL_table(p, law, x, times, tol=1e-9)
-        bounds = dL_bound(cert, law.c_hat, x, times)
+        dl = dL_table(law, x, times)
+        bounds = dL_bound(law, x, times)
         assert np.all(dl <= bounds), (
             f"criterion 7: dL exceeded bound, max ratio {np.max(dl / bounds):.3f}"
         )
@@ -291,7 +291,7 @@ def test_criterion_8_w1_sandwich():
     x = np.diag([3.0, 1.0])
     times = np.arange(0.0, 6.01, 0.5) / cert.delta
     for t in times:
-        gap, bound, ok = w1_mean_gap_check(p, law, cert, x, float(t))
+        gap, bound, ok = w1_mean_gap_check(law, x, float(t))
         assert ok, f"criterion 8: sandwich failed at t={t:.3f} ({gap:.3e} > {bound:.3e})"
 
     # self-test: an overstated decay rate must break the bound somewhere
@@ -301,9 +301,10 @@ def test_criterion_8_w1_sandwich():
         abscissa=cert.abscissa, delta=1.5 * cert.delta, M=cert.M,
         grid_T=cert.grid_T, lyapunov_v=cert.lyapunov_v,
     )
+    inflated_law = InvariantLaw(p, inflated)
     broke = False
     for t in times:
-        gap, bound, ok = w1_mean_gap_check(p, law, inflated, x, float(t))
+        gap, bound, ok = w1_mean_gap_check(inflated_law, x, float(t))
         if not ok:
             broke = True
             break

@@ -127,6 +127,10 @@ MU_ATOM = {"atoms": [{"site": (0.1 * np.eye(2)).tolist(), "weight": (0.1 * np.ey
 
 @pytest.mark.parametrize("argv, edit, u, pattern", [
     pytest.param(["validate"], _with(dim=None), None, None, id="dim-null"),
+    pytest.param(["validate"], _with(dim=2.5), None, r"config error: .*dim must be an integer",
+                 id="dim-fractional"),
+    pytest.param(["validate"], _with(dim="2"), None, r"config error: .*dim must be an integer",
+                 id="dim-string"),
     pytest.param(["validate"], lambda data: [data], None, None, id="top-level-list"),
     pytest.param(["validate"], _with(drift="lyapunov"), None, None, id="drift-string"),
     pytest.param(["riccati"], None, "missing", None, id="u-missing-file"),
@@ -187,6 +191,10 @@ MU_ATOM = {"atoms": [{"site": (0.1 * np.eye(2)).tolist(), "weight": (0.1 * np.ey
                  None, id="seed-fractional"),
     pytest.param(["simulate", "--snapshots", "1.0"], _with_sim(seed=False), None,
                  None, id="seed-bool"),
+    pytest.param(["simulate", "--snapshots", "1.0"], _with_sim(n_paths="50"), None,
+                 r"config error: sim: .*n_paths must be an integer", id="n-paths-string"),
+    pytest.param(["simulate", "--snapshots", "1.0"], _with_sim(seed="7"), None,
+                 r"config error: sim: .*seed must be an integer", id="seed-string"),
     # the streams are keyed by a 64-bit word, so these would alias 2**64 - 1 and 0
     pytest.param(["simulate", "--snapshots", "1.0"], _with_sim(seed=-1), None,
                  None, id="seed-negative"),
@@ -583,9 +591,9 @@ def test_verify_tol_reaches_dL_table(config_file, tmp_path, monkeypatch):
     seen = []
     real = cli.dL_table
 
-    def spy(*args, **kwargs):
-        seen.append(kwargs["tol"])
-        return real(*args, **kwargs)
+    def spy(law, *args, **kwargs):
+        seen.append(law.tol)
+        return real(law, *args, **kwargs)
 
     monkeypatch.setattr(cli, "dL_table", spy)
     code = main(["verify", "--config", str(config_file), "--out-dir", str(tmp_path / "v"),
@@ -869,12 +877,16 @@ def test_verify_inflated_rate_self_test_fails(config_file, tmp_path):
 def test_verify_inflated_far_past_the_rate_exits_5_without_traceback(config_file, tmp_path,
                                                                     capsys, factor):
     # the time grid shrinks to multiples of 0.5 / delta; the slope fit is
-    # made in units of 1/delta, so squares of the times never underflow
+    # made in units of 1/delta, so squares of the times never underflow,
+    # and printed in units of delta, where the metric, flat over the fit's
+    # window at such a rate, reads a slope of about 0
     argv = ["verify", "--config", str(config_file), "--out-dir", str(tmp_path / "v"),
             "--inflate-delta", factor]
     assert main(argv) == 5
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "violated" in err and err.count("\n") == 1
+    slope = re.match(r"log-dL regression slope = (\S+) delta ", out)
+    assert slope and abs(float(slope[1])) < 1e-3, out
 
 
 def test_verify_reports_first_violated_row_in_table_order(tmp_path, capsys):

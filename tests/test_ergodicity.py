@@ -233,10 +233,10 @@ def _wishart_invariant_laplace(spec, u):
 def test_invariant_laplace_matches_wishart_determinant(rng):
     spec = random_wishart(2, rng)
     p = spec.to_params()
-    law = InvariantLaw(p, decay_certificate(p))
+    law = InvariantLaw(p, decay_certificate(p), tol=1e-9)
     for _ in range(4):
         u = random_psd(2, rng)
-        got = law.laplace(u, tol=1e-9)
+        got = law.laplace(u)
         assert got == pytest.approx(_wishart_invariant_laplace(spec, u), abs=1e-7)
 
 
@@ -252,10 +252,10 @@ def test_invariant_laplace_horizon_stability(rng):
     spec = random_wishart(2, rng)
     p = spec.to_params()
     u = random_psd(2, rng)
-    law1 = InvariantLaw(p, decay_certificate(p))
-    law2 = InvariantLaw(p, decay_certificate(p))
-    a = law1.exponent(u, tol=1e-6)
-    b = law2.exponent(u, tol=1e-9)
+    law1 = InvariantLaw(p, decay_certificate(p), tol=1e-6)
+    law2 = InvariantLaw(p, decay_certificate(p), tol=1e-9)
+    a = law1.exponent(u)
+    b = law2.exponent(u)
     assert abs(a - b) < 1e-6
 
 
@@ -273,9 +273,9 @@ def test_exponents_match_per_probe_exponent(rng):
     cert = decay_certificate(p)
     grid = standard_u_grid(2)
     tol = 1e-8
-    batched = InvariantLaw(p, cert).exponents(grid, tol)
-    lone = InvariantLaw(p, cert)
-    per_probe = [lone.exponent(u, tol) for u in grid]
+    batched = InvariantLaw(p, cert, tol).exponents(grid)
+    lone = InvariantLaw(p, cert, tol)
+    per_probe = [lone.exponent(u) for u in grid]
     assert np.max(np.abs(batched - per_probe)) <= tol
 
 
@@ -290,14 +290,18 @@ def test_exponents_fill_the_cache_and_skip_zero():
 
 
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, 1.0])
-def test_exponent_refuses_a_tol_outside_the_solver_range(tol):
-    # a NaN tolerance used to give the tol = 1 value; now every exponent
-    # tolerance is checked where the flow is set up
+def test_exponent_refuses_a_tol_outside_the_solver_range(tol, monkeypatch):
+    # a NaN tolerance used to give the tol = 1 value; now the law checks its
+    # one tolerance when it is built, before the stationary mean is solved
     p = zero_diffusion_params()
-    law = InvariantLaw(p, decay_certificate(p))
+    cert = decay_certificate(p)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the stationary mean was solved before tol was checked")
+
+    monkeypatch.setattr(ergodicity, "invariant_mean", fail)
     with pytest.raises(ConfigError, match="tol"):
-        law.exponent(np.eye(2), tol=tol)
-    assert not law._cache
+        InvariantLaw(p, cert, tol=tol)
 
 
 def test_cache_key_does_not_overflow():
@@ -305,8 +309,8 @@ def test_cache_key_does_not_overflow():
     law = InvariantLaw(p, decay_certificate(p))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a = law._key(1e7 * np.eye(2), 1e-8)
-        b = law._key(2e7 * np.eye(2), 1e-8)
+        a = law._key(1e7 * np.eye(2))
+        b = law._key(2e7 * np.eye(2))
     assert a != b
 
 
@@ -327,7 +331,8 @@ def test_c_hat_is_closed_form_and_query_independent():
 def test_exponents_make_one_solve_that_meets_tol(monkeypatch):
     p = zero_diffusion_params(rate=0.7)
     cert = decay_certificate(p)
-    law = InvariantLaw(p, cert)
+    tol = 1e-8
+    law = InvariantLaw(p, cert, tol)
     horizons = []
 
     def spy(params, u0, T, **kwargs):
@@ -336,8 +341,7 @@ def test_exponents_make_one_solve_that_meets_tol(monkeypatch):
 
     monkeypatch.setattr(ergodicity, "solve_riccati", spy)
     grid = standard_u_grid(2)
-    tol = 1e-8
-    law.exponents(grid, tol)
+    law.exponents(grid)
     assert len(horizons) == 1
     norms = np.linalg.norm(grid, axis=(1, 2))
     tail = law.c_hat * norms * np.exp(-cert.delta * horizons[0]) / cert.delta
@@ -430,8 +434,8 @@ def test_dL_below_bound_and_decaying(rng):
     law = InvariantLaw(p, cert)
     x = random_psd(2, rng)
     times = np.array([0.0, 1.0, 2.0, 4.0]) / cert.delta
-    dl = dL_table(p, law, x, times)
-    bounds = dL_bound(cert, law.c_hat, x, times)
+    dl = dL_table(law, x, times)
+    bounds = dL_bound(law, x, times)
     assert np.all(dl <= bounds)
     assert dl[1] > dl[3]
 
@@ -447,8 +451,30 @@ def test_dL_table_solves_its_grid_once(monkeypatch):
         return solve_riccati(*args, **kwargs)
 
     monkeypatch.setattr(ergodicity, "solve_riccati", spy)
-    dL_table(p, law, np.diag([3.0, 1.0]), np.array([0.0, 1.0, 3.0]) / cert.delta)
+    dL_table(law, np.diag([3.0, 1.0]), np.array([0.0, 1.0, 3.0]) / cert.delta)
     assert len(calls) == 1
+
+
+def test_dL_table_reads_a_law_flow_with_no_further_solve(monkeypatch):
+    # the flow and the table share the law's one tolerance, so the flow's
+    # exponents fill the cache the table reads
+    p = zero_diffusion_params()
+    cert = decay_certificate(p)
+    law = InvariantLaw(p, cert, tol=1e-9)
+    grid = standard_u_grid(2)
+    times = np.array([0.0, 1.0, 3.0]) / cert.delta
+    flow = law.flow(grid, times)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return solve_riccati(*args, **kwargs)
+
+    monkeypatch.setattr(ergodicity, "solve_riccati", spy)
+    table = dL_table(law, np.diag([3.0, 1.0]), times, flow=flow)
+    assert calls == []
+    assert np.array_equal(table, dL_table(InvariantLaw(p, cert, tol=1e-9),
+                                          np.diag([3.0, 1.0]), times))
 
 
 @pytest.mark.parametrize("late", [0.5, 2.0])
@@ -458,7 +484,7 @@ def test_flow_stops_at_times_and_ends_at_the_later_horizon(late):
     grid = standard_u_grid(2)
     horizon = law.flow(grid).times[-1]
     times = np.array([0.0, 0.1, late]) * horizon
-    traj = law.flow(grid, 1e-8, times)
+    traj = law.flow(grid, times)
     assert np.all(np.isin(times[times > 0], traj.times))
     assert traj.times[-1] == max(horizon, times[-1])
     assert traj.psi.shape == (len(traj.times), len(grid), 2, 2)
@@ -469,10 +495,10 @@ def test_exponents_after_a_verify_flow_match_a_fresh_law(rng):
     cert = decay_certificate(p)
     grid = standard_u_grid(2)
     tol = 1e-8
-    law = InvariantLaw(p, cert)
-    law.flow(grid, tol, np.arange(0.0, 6.01, 0.5) / cert.delta)
-    read = law.exponents(grid, tol)
-    fresh = InvariantLaw(p, cert).exponents(grid, tol)
+    law = InvariantLaw(p, cert, tol)
+    law.flow(grid, np.arange(0.0, 6.01, 0.5) / cert.delta)
+    read = law.exponents(grid)
+    fresh = InvariantLaw(p, cert, tol).exponents(grid)
     assert np.max(np.abs(read - fresh)) <= tol
 
 
@@ -482,7 +508,7 @@ def test_w1_sandwich_zero_diffusion():
     law = InvariantLaw(p, cert)
     x = np.diag([3.0, 1.0])
     for t in (0.0, 0.5, 2.0):
-        gap, bound, ok = w1_mean_gap_check(p, law, cert, x, t)
+        gap, bound, ok = w1_mean_gap_check(law, x, t)
         assert ok
         assert gap >= 0 and bound > 0
 
@@ -493,9 +519,9 @@ def test_w1_sandwich_of_a_time_vector_matches_each_time():
     law = InvariantLaw(p, cert)
     x = np.diag([3.0, 1.0])
     times = np.arange(0.0, 6.01, 0.5) / cert.delta
-    gap, bound, ok = w1_mean_gap_check(p, law, cert, x, times)
+    gap, bound, ok = w1_mean_gap_check(law, x, times)
     for row in zip(times.tolist(), gap.tolist(), bound.tolist(), ok.tolist()):
-        want = w1_mean_gap_check(p, law, cert, x, row[0])
+        want = w1_mean_gap_check(law, x, row[0])
         assert row[1:] == pytest.approx(want, rel=1e-14, abs=0.0)
         assert isinstance(want[0], float) and isinstance(want[2], bool)
 
@@ -506,7 +532,7 @@ def test_w1_sandwich_rejects_diffusion(rng):
     cert = decay_certificate(p)
     law = InvariantLaw(p, cert)
     with pytest.raises(HypothesisViolatedError):
-        w1_mean_gap_check(p, law, cert, np.eye(2), 1.0)
+        w1_mean_gap_check(law, np.eye(2), 1.0)
 
 
 # --- hypothesis gate -----------------------------------------------------

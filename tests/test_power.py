@@ -196,7 +196,7 @@ def _laplace_gap_ratio(config: SimConfig, truth: SimConfig) -> float:
     """
     law = InvariantLaw(truth.params, decay_certificate(truth.params))
     us = np.array(standard_u_grid(truth.params.dim))
-    exact = transient_laplace(law.flow(us, 1e-8, TIMES), truth.x0, TIMES)
+    exact = transient_laplace(law.flow(us, TIMES), truth.x0, TIMES)
     states = simulate(config, TIMES).states
     summands = np.exp(-np.einsum("tnij,uij->tun", states, us))
     n = config.n_paths
