@@ -376,8 +376,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"{flag}: {exc}") from exc
     ens.snapshots_to_csv(snap_path)
     ens.jumps_to_csv(jump_path)
-    names, z = upper_triangle(mc_vs_formula(ens, p, snapshots), "z")
-    write_csv(z_path, ["t", *names], [np.array(snapshots), *z.T])
+    names, z = upper_triangle(mc_vs_formula(ens, p, ens.snapshot_times), "z")
+    write_csv(z_path, ["t", *names], [ens.snapshot_times, *z.T])
     _write_manifest(out_dir, "simulate", args.config, config.seed,
                     [snap_path, jump_path, z_path],
                     defaults={"threads": args.threads})
@@ -431,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None,
                     help="Monte Carlo seed (overrides the config's sim.seed)")
     sp.add_argument("--threads", type=int, default=1,
-                    help="working threads, this one included: above 1 the Euler scheme "
-                         "draws on the others while this one steps all paths")
+                    help="at least 1; above 1 the Euler scheme draws on one worker thread "
+                         "while this one steps all paths, whatever the count")
     sp.add_argument("--snapshots", required=True, help="comma-separated times")
     sp.add_argument("--out-dir", required=True)
     sp.set_defaults(fn=cmd_simulate)

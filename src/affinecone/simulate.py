@@ -8,10 +8,11 @@ Two schemes:
   jumps arrive as a compound Poisson stream; state-dependent jumps are
   thinned with the intensity refreshed once per step (piecewise-constant
   approximation, warned about when the per-step probability is large).
-  All paths step as one stack.  Cost model: buffers of normals (and of
-  ``mu`` uniforms) holding ``CHUNK_STEPS`` (64) steps of every path
-  between them, refilled as the stack steps, plus the jumps as flat
-  arrays, so memory does not grow with the horizon beyond the jumps.
+  All paths step as one stack.  Cost model: two buffers of normals (and
+  of ``mu`` uniforms), each of ``CHUNK_STEPS // 2`` (32) steps of every
+  path, one refilled while the stack steps through the other, plus the
+  jumps as flat arrays, so memory does not grow with the horizon beyond
+  the jumps.
   The draws take ``CHUNK_STEPS * ceil(n / 64) * 64 * (d^2 + n_mu) * 8``
   bytes (5.2 MB at 1024 paths, ``d = 3`` and one ``mu`` atom).  The
   normals and the ``mu`` uniforms come one stream each per block of
@@ -44,8 +45,9 @@ Two schemes:
   factor serves: ``F = X^{1/2} O``
   with ``O`` orthogonal, and ``O N`` has the law of ``N``, so the
   increment has the law it has with the symmetric root.  ``threads``
-  counts the caller: above 1 the extra threads fill the next buffer of
-  draws while the caller steps through the current one.
+  counts the caller: at 1 the caller fills the next buffer before it
+  steps through the current one, and above 1 one worker thread fills it
+  while the caller steps, whatever the count.
 * ``ou_exact`` -- for zero diffusion: the state is the mean of the model
   without ``m`` plus the transported jumps, with jump times drawn exactly
   (uniform order statistics given a Poisson count).  The path law is
@@ -81,7 +83,7 @@ ensemble replicate a smaller one.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain
@@ -113,11 +115,11 @@ class PathFailureError(RuntimeError):
 _SCHEMES = ("euler_project", "ou_exact")
 
 # steps of random draws the Euler scheme holds at a time, whatever the
-# horizon: one buffer of CHUNK_STEPS steps of normals at 1 thread, two of
-# CHUNK_STEPS // 2 steps above, CHUNK_STEPS * ceil(n / 64) * 64 * (d^2 +
-# n_mu) * 8 bytes in all.  A refill is 2 ceil(n / 64) draw calls whatever
-# the span, so a longer one buys no speed; a fixed step count, not a byte
-# budget, keeps the draw calls per step from growing with n
+# horizon: two buffers of CHUNK_STEPS // 2 steps at every thread count,
+# CHUNK_STEPS * ceil(n / 64) * 64 * (d^2 + n_mu) * 8 bytes in all.  A
+# refill is 2 ceil(n / 64) draw calls whatever the span, so a longer one
+# buys no speed; a fixed step count, not a byte budget, keeps the draw
+# calls per step from growing with n
 CHUNK_STEPS = 64
 # paths that share one Euler stream of normals and one of mu uniforms: a
 # layout constant, since changing it changes the sample
@@ -322,11 +324,12 @@ def _check_finite(states) -> None:
         raise PathFailureError(f"path {row} produced non-finite values")
 
 
-def _path_ranges(n: int, parts: int) -> list[tuple[int, int]]:
-    """``min(parts, n)`` consecutive ranges ``(lo, hi)`` covering ``range(n)``,
-    in order, of sizes differing by at most one."""
-    parts = min(parts, n)
-    return [(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+def _run_now(fn, *args) -> Future:
+    """``fn(*args)`` run on the calling thread, as a finished ``Future``: the
+    ``submit`` of an Euler run with no draw worker."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
 
 
 @dataclass
@@ -446,15 +449,16 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
     its ``m`` jumps; the loop around it keeps only the refills, the jump
     log of the ``mu`` hits, the thinning warning and the snapshots.
 
-    ``threads`` counts the caller.  At 1 everything runs inline in one
-    buffer of ``CHUNK_STEPS`` steps.  Above 1, ``threads - 1`` worker
-    threads, each given a range of blocks, draw beside the stepping:
-    while the caller steps the draws of one buffer the workers fill the
-    other with the next steps' draws, two buffers of ``CHUNK_STEPS // 2``
-    steps taking turns.  Either way the buffers hold ``CHUNK_STEPS *
-    slots * (d^2 + n_mu)`` floats, ``slots = ceil(n / BLOCK_PATHS)
-    BLOCK_PATHS``.  A refill is ``ceil(n / BLOCK_PATHS)`` draw calls of
-    normals, and as many of ``mu`` uniforms, whatever the split and the
+    The draws sit in two buffers of ``CHUNK_STEPS // 2`` steps taking
+    turns, ``CHUNK_STEPS * slots * (d^2 + n_mu)`` floats between them,
+    ``slots = ceil(n / BLOCK_PATHS) BLOCK_PATHS``.  One refill loop serves
+    every ``threads``: each span of steps first waits for its buffer, then
+    hands the other buffer the next span's draws (``fill``), then steps.
+    At ``threads`` 1 ``fill`` runs on the caller, before the stepping;
+    above 1 it runs on one worker thread (``ThreadPoolExecutor(1)``)
+    beside it, whatever the count, since one worker's draws take well
+    under one span's stepping.  A refill is ``ceil(n / BLOCK_PATHS)``
+    draw calls of normals, and as many of ``mu`` uniforms, whatever the
     span; so the span is a fixed step count, since one sized by bytes
     would make the draw calls per step grow with ``n``.
     """
@@ -467,11 +471,10 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
     n_blocks = -(-n // BLOCK_PATHS)
     slots = n_blocks * BLOCK_PATHS
 
-    # the buffers hold CHUNK_STEPS steps between them
-    n_buffers = 2 if threads > 1 else 1
-    span = max(1, min(CHUNK_STEPS // n_buffers, n_steps))
-    normals = np.empty((n_buffers, n_blocks, span, BLOCK_PATHS, d, d))
-    uniforms = np.empty((n_buffers, n_blocks, span, BLOCK_PATHS, n_mu))
+    # two buffers of CHUNK_STEPS // 2 steps, one stepped while the other fills
+    span = max(1, min(CHUNK_STEPS // 2, n_steps))
+    normals = np.empty((2, n_blocks, span, BLOCK_PATHS, d, d))
+    uniforms = np.empty((2, n_blocks, span, BLOCK_PATHS, n_mu))
     normal_rngs = [_path_rng(config.seed, b * BLOCK_PATHS) for b in range(n_blocks)]
     # jumped while the normal streams are fresh
     mu_rngs = ([np.random.Generator(rng.bit_generator.jumped(2)) for rng in normal_rngs]
@@ -484,13 +487,14 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
     jumps = [np.stack([m_step, m_path, m_atom])[:, np.argsort(m_step, kind="stable")]]
     m_step, m_path, m_atom = jumps[0]
 
-    def fill(buf, lo, hi, c):
-        """The next ``c`` steps' draws of blocks ``lo:hi`` into buffer ``buf``."""
-        for b in range(lo, hi):
-            normal_rngs[b].standard_normal(out=normals[buf, b, :c])
-        if n_mu:
-            for b in range(lo, hi):
-                mu_rngs[b].random(out=uniforms[buf, b, :c])
+    def fill(k0):
+        """Every block's draws of the steps from ``k0`` (``span`` of them, or
+        to the horizon) into buffer ``k0 // span % 2``."""
+        buf, c = k0 // span % 2, min(span, n_steps - k0)
+        for rng, block in zip(normal_rngs, normals[buf]):
+            rng.standard_normal(out=block[:c])
+        for rng, block in zip(mu_rngs, uniforms[buf]):
+            rng.random(out=block[:c])
 
     terms = _step_terms(p, config.sigma, dt, n)
     snaps = {}
@@ -502,29 +506,20 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
     out[snaps.get(0, [])] = unpack(X)
     warned = False
 
-    with ThreadPoolExecutor(min(threads - 1, n_blocks)) if threads > 1 else nullcontext() as pool:
-        def fill_async(k0):
-            buf = k0 // span % n_buffers
-            c = min(span, n_steps - k0)
-            return [pool.submit(fill, buf, lo, hi, c)
-                    for lo, hi in _path_ranges(n_blocks, threads - 1)]
-
-        pending = fill_async(0) if pool and n_steps else []
+    with ThreadPoolExecutor(1) if threads > 1 else nullcontext() as pool:
+        submit = pool.submit if pool else _run_now
+        pending = submit(fill, 0)
         for k0 in range(0, n_steps, span):
             c = min(span, n_steps - k0)
-            if pool is None:
-                fill(0, 0, n_blocks, c)
-            else:
-                for future in pending:
-                    future.result()
-                pending = fill_async(k0 + span) if k0 + span < n_steps else []
-            step_normals = normals[k0 // span % n_buffers]
-            step_uniforms = uniforms[k0 // span % n_buffers]
+            pending.result()
+            if k0 + span < n_steps:
+                pending = submit(fill, k0 + span)
+            buf = k0 // span % 2
             m_ends = np.searchsorted(m_step, np.arange(k0, k0 + c + 1)).tolist()
             for i, k in enumerate(range(k0, k0 + c)):
                 X, F, (j, a), peak = _euler_step(
-                    X, F, step_normals[:, i].reshape(slots, d * d)[:n],
-                    step_uniforms[:, i].reshape(slots, n_mu)[:n],
+                    X, F, normals[buf, :, i].reshape(slots, d * d)[:n],
+                    uniforms[buf, :, i].reshape(slots, n_mu)[:n],
                     m_path[m_ends[i]:m_ends[i + 1]], m_atom[m_ends[i]:m_ends[i + 1]], terms)
                 if peak > 0.1 and not warned:
                     warnings.warn(
@@ -595,16 +590,17 @@ def simulate(config: SimConfig, snapshot_times, threads: int = 1) -> PathEnsembl
     keyed by the path index, one per path (``ou_exact``, and the Euler
     ``m`` jumps) or one per block of ``BLOCK_PATHS`` paths (the Euler
     normals and ``mu`` uniforms).  Both schemes run every path as one stack.
-    ``threads`` (at least 1) counts every working thread, the caller's
-    included: ``ou_exact`` runs on the caller alone, and the Euler scheme
-    draws on ``threads - 1`` worker threads beside the caller's stepping
-    (at 1 it builds no pool).  A ``threads`` below 1, and snapshot times
+    ``threads`` (at least 1) counts the caller: ``ou_exact`` runs on the
+    caller alone, and above 1 the Euler scheme draws on one worker thread
+    beside the caller's stepping, whatever the count (at 1 it builds no
+    pool and draws on the caller).  A ``threads`` below 1, and snapshot times
     not in ``[0, horizon]`` or (Euler) off the step grid, are refused
     before any draw (``ConfigError``).
     """
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
-    snapshot_times = np.asarray(sorted(float(t) for t in snapshot_times))
+    # adding 0.0 turns -0.0 into 0.0, which the outputs would print signed
+    snapshot_times = np.asarray(sorted(float(t) + 0.0 for t in snapshot_times))
     if snapshot_times.size == 0:
         raise ConfigError("at least one snapshot time is required")
     if not np.all((snapshot_times >= 0.0) & (snapshot_times <= config.horizon + 1e-12)):
@@ -668,6 +664,8 @@ def ergodic_sweep(config: SimConfig, times, threads: int = 1) -> list[dict]:
 
     Returns one row per time with the Monte Carlo mean gap, the analytic
     mean gap, and the transport-bound sandwich when the diffusion is zero.
+    ``threads`` is :func:`simulate`'s: above 1, one worker thread draws the
+    Euler scheme's normals beside the stepping.
     """
     p, x0 = config.params, config.x0
     law = InvariantLaw(p, decay_certificate(p))

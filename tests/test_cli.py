@@ -386,6 +386,16 @@ def test_simulate_at_fast_mean_reversion(config_file, tmp_path):
     assert snapshots.shape == (150, 5) and np.all(np.isfinite(snapshots))
 
 
+def test_a_negative_zero_snapshot_time_is_written_as_zero(config_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config_file), "--snapshots=-0.0,1",
+                 "--out-dir", str(out)]) == 0
+    for name in ("snapshots.csv", "zscores.csv"):
+        with open(out / name, newline="") as fh:
+            times = {row["t"] for row in csv.DictReader(fh)}
+        assert len(times) == 2 and not any(t.startswith("-") for t in times), name
+
+
 @pytest.mark.parametrize("x0", [
     pytest.param(NOT_PSD, id="not-psd"),
     pytest.param([[1.0, float("nan")], [float("nan"), 1.0]], id="not-finite"),

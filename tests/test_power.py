@@ -16,7 +16,12 @@ the second oracle, the covariance of one Euler increment, can, and its
 defect is a wrong factor planted in the scheme itself.  The third, the
 empirical Laplace transform against the Riccati transform, sees the whole
 law at each snapshot; its defects keep the mean, so the mean z-test passes
-them.
+them.  The fourth is the paper's theorem end to end: at a burn-in ``T``
+where the proven rate bound ``dL_bound`` is at most ``BURN_IN_DL``, the
+empirical Laplace transform of ``X_T`` must lie within ``BURN_IN_DL ||u||``
+plus its sampling error of the stationary transform.  An inflated decay
+rate shortens that ``T`` but goes unseen: the bound is loose, and the law
+is near the stationary one long before it says so.
 """
 
 import dataclasses
@@ -31,6 +36,7 @@ from affinecone import (
     LinearDrift,
     ScalarJumpMeasure,
     SimConfig,
+    dL_bound,
     decay_certificate,
     mc_vs_formula,
     simulate,
@@ -161,10 +167,14 @@ def test_transposed_factor_is_rejected(monkeypatch):
 FAMILY_LEVEL = 1e-3
 
 
-def _sigma_halved(config: SimConfig) -> SimConfig:
-    # the diffusion alpha / 4 with the same b: the mean does not move
-    p = dataclasses.replace(config.params, alpha=config.params.alpha / 4.0)
-    return dataclasses.replace(config, params=p, sigma=0.5 * config.sigma)
+def _sigma_scaled(factor: float):
+    """The defect ``sigma -> factor sigma``: the diffusion ``factor**2 alpha``
+    with the same ``b``, so the mean does not move and, for ``factor < 1``,
+    the model stays admissible."""
+    def defect(config: SimConfig) -> SimConfig:
+        p = dataclasses.replace(config.params, alpha=factor**2 * config.params.alpha)
+        return dataclasses.replace(config, params=p, sigma=factor * config.sigma)
+    return defect
 
 
 def _m_sites_spread(config: SimConfig) -> SimConfig:
@@ -175,34 +185,41 @@ def _m_sites_spread(config: SimConfig) -> SimConfig:
 
 
 LAPLACE_ENTRIES = [
-    pytest.param(criterion5_config, _sigma_halved, id="euler-sigma-halved"),
+    pytest.param(criterion5_config, _sigma_scaled(0.5), id="euler-sigma-halved"),
     pytest.param(_exact_config, _m_sites_spread, id="ou-exact-m-sites-spread"),
 ]
 
 
-def _laplace_gap_ratio(config: SimConfig, truth: SimConfig) -> float:
-    """The largest gap between the empirical Laplace transform of
-    ``config``'s ensemble and ``truth``'s transform, in units of its
-    two-sided empirical-Bernstein half-width, over the probes
-    ``standard_u_grid`` and the snapshots ``TIMES``.
+def _bernstein_half_width(summands, n_tests: int) -> np.ndarray:
+    """The two-sided empirical-Bernstein half-width of the mean over the
+    last axis of ``summands``, one of ``n_tests`` tests sharing
+    ``FAMILY_LEVEL``.
 
     For ``u`` and ``X_t`` in the cone each summand ``e^{-<u, X_t>}`` lies in
     ``[0, 1]``, so with probability at least ``1 - delta`` the sample mean
     of ``n`` of them is within ``sqrt(2 V ln(4 / delta) / n) + 7 ln(4 /
-    delta) / (3 (n - 1))`` of the exact ``exp(-phi(t,u) - <x, psi(t,u)>)``,
-    ``V`` the sample variance (Maurer & Pontil 2009, Theorem 4, on each
-    side at ``delta / 2``).  Bonferroni over the tests: ``delta`` is
-    ``FAMILY_LEVEL`` over their number.
+    delta) / (3 (n - 1))`` of its expectation, ``V`` the sample variance
+    (Maurer & Pontil 2009, Theorem 4, on each side at ``delta / 2``).
+    Bonferroni over the tests: ``delta`` is ``FAMILY_LEVEL / n_tests``.
     """
+    n = summands.shape[-1]
+    log_term = np.log(4.0 * n_tests / FAMILY_LEVEL)
+    return (np.sqrt(2.0 * summands.var(axis=-1, ddof=1) * log_term / n)
+            + 7.0 * log_term / (3.0 * (n - 1)))
+
+
+def _laplace_gap_ratio(config: SimConfig, truth: SimConfig) -> float:
+    """The largest gap between the empirical Laplace transform of
+    ``config``'s ensemble and ``truth``'s exact transient transform
+    ``exp(-phi(t,u) - <x, psi(t,u)>)``, in units of its half-width
+    (:func:`_bernstein_half_width`), over the probes ``standard_u_grid``
+    and the snapshots ``TIMES``."""
     law = InvariantLaw(truth.params, decay_certificate(truth.params))
     us = np.array(standard_u_grid(truth.params.dim))
     exact = transient_laplace(law.flow(us, TIMES), truth.x0, TIMES)
     states = simulate(config, TIMES).states
     summands = np.exp(-np.einsum("tnij,uij->tun", states, us))
-    n = config.n_paths
-    log_term = np.log(4.0 * exact.size / FAMILY_LEVEL)
-    half_width = (np.sqrt(2.0 * summands.var(axis=-1, ddof=1) * log_term / n)
-                  + 7.0 * log_term / (3.0 * (n - 1)))
+    half_width = _bernstein_half_width(summands, exact.size)
     return float(np.max(np.abs(summands.mean(axis=-1) - exact) / half_width))
 
 
@@ -223,3 +240,60 @@ def test_laplace_defect_keeps_the_mean(make, defect):
     # the mean z-test cannot tell the defect from the true model
     config = make()
     assert _max_abs_z(defect(config), config.params) <= Z_LIMIT
+
+
+# --- the stationary law at a certified burn-in ------------------------------
+
+# the proven Laplace-metric distance to the stationary law at the burn-in
+BURN_IN_DL = 1e-3
+
+
+def _certified_burn_in(law: InvariantLaw, config: SimConfig) -> float:
+    """The first multiple ``T`` of ``config.dt`` at which ``dL_bound(law,
+    config.x0, T)`` is at most ``BURN_IN_DL``."""
+    C = dL_bound(law, config.x0, 0.0)
+    T = config.dt * np.ceil(np.log(C / BURN_IN_DL) / (law.cert.delta * config.dt))
+    assert dL_bound(law, config.x0, T) <= BURN_IN_DL < dL_bound(law, config.x0, T - config.dt)
+    return float(T)
+
+
+def _stationary_gap_ratio(config: SimConfig, truth: SimConfig) -> float:
+    """The largest gap between the empirical Laplace transform of
+    ``config``'s ensemble at ``truth``'s certified burn-in ``T`` and the
+    stationary transform ``exp(-I(u))`` of ``truth``, over the probes
+    ``standard_u_grid``, in units of the allowance: the half-width
+    (:func:`_bernstein_half_width`) plus ``BURN_IN_DL ||u||``.
+
+    The rate theorem bounds ``|E e^{-<u, X_T>} - exp(-I(u))|`` by
+    ``dL_bound(law, x0, T) ||u||``, so a correct sampler of ``truth``
+    exceeds the allowance with probability at most ``FAMILY_LEVEL``.
+    """
+    law = InvariantLaw(truth.params, decay_certificate(truth.params))
+    T = _certified_burn_in(law, truth)
+    us = np.array(standard_u_grid(truth.params.dim))
+    exact = np.exp(-law.exponents(us))
+    states = simulate(dataclasses.replace(config, horizon=T), [T]).states[0]
+    summands = np.exp(-np.einsum("nij,uij->un", states, us))
+    allowance = (_bernstein_half_width(summands, len(us))
+                 + BURN_IN_DL * np.linalg.norm(us, axis=(1, 2)))
+    return float(np.max(np.abs(summands.mean(axis=-1) - exact) / allowance))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(criterion5_config, id="euler"),
+    pytest.param(_exact_config, id="ou-exact"),
+])
+def test_stationary_clean_run_passes(make):
+    config = make()
+    assert _stationary_gap_ratio(config, config) <= 1.0
+
+
+@pytest.mark.parametrize("defect", [
+    pytest.param(_sigma_scaled(0.5), id="euler-sigma-halved"),
+    pytest.param(_sigma_scaled(0.7), id="euler-sigma-0.7"),
+])
+def test_stationary_planted_defect_is_rejected(defect):
+    # the defects keep the mean and stay admissible: only the law's shape
+    # tells them from the stationary law
+    config = criterion5_config()
+    assert _stationary_gap_ratio(defect(config), config) > 1.0

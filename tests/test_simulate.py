@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -253,7 +254,8 @@ def test_path_count_extension_across_block_boundaries(n_paths):
 
 @pytest.mark.parametrize("n_paths, threads", [(5, 4), (65, 3)])
 def test_more_draw_threads_than_blocks_match_one_thread(n_paths, threads):
-    # one block for three workers, and two blocks for two
+    # one block, and two blocks, for the one draw worker that any threads
+    # above 1 gets
     cfg = euler_d2_config(n_paths=n_paths, with_mu=True)
     one = simulate(cfg, [0.5, 1.0], threads=1)
     ens = simulate(cfg, [0.5, 1.0], threads=threads)
@@ -263,7 +265,7 @@ def test_more_draw_threads_than_blocks_match_one_thread(n_paths, threads):
 
 def test_d3_bit_identical_across_thread_counts():
     # 1100 paths are 18 blocks, the last of 12 paths: one worker draws them
-    # all at two threads, and two workers draw 9 each at three
+    # all, at two threads and at three
     cfg = _d3_config(n_paths=1100)
     one = simulate(cfg, [0.5, 1.5], threads=1)
     for threads in (2, 3):
@@ -350,6 +352,23 @@ def test_euler_single_thread_builds_no_pool(monkeypatch):
     assert np.array_equal(one.states, simulate(_d3_config(n_paths=50), [0.5, 1.5], threads=2).states)
 
 
+@pytest.mark.parametrize("threads", [2, 3, 5, 10**6])
+def test_euler_draws_on_one_worker_whatever_the_thread_count(monkeypatch, threads):
+    # one pool of one worker above 1 thread, never one per block or per
+    # thread asked for; the spy builds a single worker whatever it is asked
+    built = []
+
+    def spy_pool(max_workers=None, **kwargs):
+        built.append(max_workers)
+        return ThreadPoolExecutor(1)
+
+    monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", spy_pool)
+    ens = simulate(_d3_config(n_paths=300), [0.5, 1.5], threads=threads)
+    monkeypatch.undo()
+    assert built == [1]
+    assert np.array_equal(ens.states, simulate(_d3_config(n_paths=300), [0.5, 1.5]).states)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_euler_builds_one_stream_per_block(monkeypatch, threads):
     # the normals and mu uniforms of 300 paths come from ceil(300 / 64) = 5
@@ -373,10 +392,10 @@ def test_euler_builds_one_stream_per_block(monkeypatch, threads):
 
 
 def test_euler_threads_under_fast_switching_match_one_thread(monkeypatch):
-    # more threads than cores, switching as often as the interpreter allows:
-    # a draw lost or written to another block's rows would change the
-    # sample; 37 paths are one block for one worker, 300 are five blocks
-    # split over four
+    # more threads asked for than cores, switching as often as the
+    # interpreter allows: a draw lost or written to another block's rows
+    # would change the sample; 37 paths are one block and 300 are five,
+    # all drawn by the one worker beside the stepping
     monkeypatch.setattr(simulate_module, "CHUNK_STEPS", 16)
     for n_paths in (37, 300):
         cfg = _d3_config(n_paths=n_paths)
