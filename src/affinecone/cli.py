@@ -22,9 +22,11 @@ Every other argument is checked once, by the function that reads it,
 before any flow is solved or path drawn: ``SimConfig`` (the ``sim``
 entries and ``--seed``; ``n_paths`` and the seed integers, the seed in
 ``[0, 2**64)``), ``simulate`` (``--threads`` at least 1, the snapshot
-times), ``solve_riccati`` (``--T`` positive and finite, ``riccati --tol``)
-and ``InvariantLaw`` when built (``--tol``), both against ``TOL_RANGE``,
-and ``cmd_verify`` (``--inflate-delta`` at least 1, ``0.5 / delta`` normal).
+times), ``solve_riccati`` (``--T`` positive, finite and at most
+``MAX_STEPS / max(1, rho)``, ``rho`` the effective drift's spectral
+radius; ``riccati --tol``) and ``InvariantLaw`` when built (``--tol``),
+both against ``TOL_RANGE``, and ``cmd_verify`` (``--inflate-delta`` at
+least 1, ``0.5 / delta`` normal).
 Exit 3 also covers a matrix exponential, a drift map image (of a finite
 but huge ``drift.beta``, in the effective drift, the Riccati field or
 the Euler step), a coefficient of the Riccati field, the field
@@ -308,7 +310,7 @@ def cmd_verify(args) -> int:
     norms = np.linalg.norm(flow.u0, axis=(1, 2))
     ratios = np.empty_like(times)
     for k, t in enumerate(times):
-        vals = norms if t == 0.0 else np.linalg.norm(flow.psi_at(t), axis=(1, 2))
+        vals = np.linalg.norm(flow.psi_at(t), axis=(1, 2))
         env = cert.M * norms * np.exp(-delta * t) * (1 + 1e-6)
         ratios[k] = np.max(vals / env)
 

@@ -294,13 +294,21 @@ class InvariantLaw:
         solved to the largest of these horizons, or to ``max(times)`` if
         later, at solver tolerance ``tol/100`` clipped to ``[1e-12, 1e-10]``,
         and kept at the positive ``times`` and at its end, whose ``phi``
-        fills the cache.  Pass it as ``flow`` to :func:`dL_table`.
+        fills the cache; time 0 is read from the start values
+        (:class:`~affinecone.riccati.RiccatiTrajectory`).  A negative or
+        non-finite time is a ``ConfigError`` that names it, and a horizon
+        :func:`~affinecone.riccati.solve_riccati` refuses (past
+        ``MAX_STEPS / max(1, rho)``) is one too.  Pass the flow as ``flow``
+        to :func:`dL_table`.
         """
+        times = np.asarray(times, dtype=float)
+        bad = times[~((times >= 0.0) & (times < np.inf))]  # NaN fails both tests
+        if bad.size:
+            raise ConfigError(f"flow times must be nonnegative and finite, got {bad[0]:g}")
         us = np.asarray(us, dtype=float)
         norms = np.linalg.norm(us, axis=(1, 2))
         delta, tol = self.cert.delta, self.tol
         need = np.log(np.maximum(self.c_hat * norms / (delta * tol), 2.0)) / delta
-        times = np.asarray(times, dtype=float)
         T = max(1.0, 5.0 / delta, float(np.max(need)), float(np.max(times, initial=0.0)))
         solver_tol = max(min(1e-10, tol * 1e-2), TOL_RANGE[0])
         t_eval = np.union1d(times[times > 0.0], [T])
@@ -337,7 +345,9 @@ def standard_u_grid(dim: int) -> list[np.ndarray]:
 
 def transient_laplace(flow: RiccatiTrajectory, x, times) -> np.ndarray:
     """``exp(-phi(t,u) - <x, psi(t,u)>)`` at the requested times, read from
-    ``flow``, one Riccati flow solved at the positive entries of ``times``.
+    ``flow`` through :meth:`~affinecone.riccati.RiccatiTrajectory.psi_at`
+    and ``phi_at``: ``t = 0`` gives ``exp(-<x, u>)``, and any other time
+    must be a row of the flow (else ``KeyError``).
 
     The probes ``u`` are the flow's start values ``flow.u0``: for one matrix
     the result has shape ``(len(times),)``, for a stack of ``n`` probes
@@ -347,14 +357,10 @@ def transient_laplace(flow: RiccatiTrajectory, x, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     out = np.empty(times.shape + flow.u0.shape[:-2])
     for i, t in enumerate(times):
-        if t == 0.0:
-            ps, ph = flow.u0, 0.0
-        else:
-            ps, ph = flow.psi_at(t), flow.phi_at(t)
         with np.errstate(over="ignore", invalid="ignore"):
-            pairing = np.sum(x * ps, axis=(-2, -1))
+            pairing = np.sum(x * flow.psi_at(t), axis=(-2, -1))
         # <x, psi> >= 0 on the cone: a pairing past the float range is +inf
-        out[i] = np.exp(-ph - np.where(np.isfinite(pairing), pairing, np.inf))
+        out[i] = np.exp(-flow.phi_at(t) - np.where(np.isfinite(pairing), pairing, np.inf))
     return out
 
 
@@ -364,17 +370,18 @@ def dL_table(law: InvariantLaw, x, times, flow: RiccatiTrajectory | None = None)
     approximation of the sup over the cone, relative to the documented
     grid.
 
-    One stacked flow of the grid serves both transforms: ``flow``, or else
-    ``law.flow(grid, times)``.  The transient transform is read at
-    ``times`` (:func:`transient_laplace`) and the stationary exponents, at
-    the law's tolerance, come back through its cache
-    (:meth:`InvariantLaw.exponents`).
+    One stacked flow of the grid serves both transforms: ``flow``, which
+    must come from ``law.flow`` at every positive time of ``times``, or
+    else ``law.flow(standard_u_grid(d), times)``.  The probes and their
+    norms are read from ``flow.u0``, in whatever order it holds them.  The
+    transient transform is read at ``times`` (:func:`transient_laplace`)
+    and the stationary exponents, at the law's tolerance, come back
+    through its cache (:meth:`InvariantLaw.exponents`).
     """
-    us = np.asarray(standard_u_grid(law.params.dim))
-    norms = np.linalg.norm(us, axis=(1, 2))
     if flow is None:
-        flow = law.flow(us, times)
-    gaps = transient_laplace(flow, x, times) - np.exp(-law.exponents(us))
+        flow = law.flow(standard_u_grid(law.params.dim), times)
+    norms = np.linalg.norm(flow.u0, axis=(1, 2))
+    gaps = transient_laplace(flow, x, times) - np.exp(-law.exponents(flow.u0))
     return np.max(np.abs(gaps) / norms, axis=1)
 
 

@@ -44,6 +44,12 @@ from .symcone import (
 )
 
 
+# the most steps a run may ask for (Euler steps, expected m jumps per path,
+# integrator steps of a Riccati flow): past it a run would not end in
+# reasonable time, so it is refused
+MAX_STEPS = 10**8
+
+
 class AdmissibilityError(ValueError):
     """A parameter set failed validation."""
 

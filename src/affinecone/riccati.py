@@ -58,6 +58,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .params import (
+    MAX_STEPS,
     AffineParams,
     ConfigError,
     LinearDrift,
@@ -202,9 +203,11 @@ def _coordinate_field(p: AffineParams):
 
 def grid_index(times, t: float) -> int:
     """Index of ``t`` in the time grid ``times``, matched to within
-    ``1e-9 max(1, |t|)``; ``KeyError`` if no grid time is that close."""
+    ``1e-9 max(1, |t|)``; ``KeyError`` if no grid time is that close, and
+    for a NaN or infinite ``t``, which is never a grid time."""
     i = int(np.argmin(np.abs(times - t)))
-    if abs(times[i] - t) > 1e-9 * max(1.0, abs(t)):
+    # NaN fails the first test; an infinite t, whose allowance is infinite, the second
+    if not abs(times[i] - t) <= 1e-9 * max(1.0, abs(t)) < np.inf:
         raise KeyError(f"time {t} is not on the grid")
     return i
 
@@ -218,6 +221,11 @@ class RiccatiTrajectory:
     ``phi`` is ``(N,)``; for a stack they carry a probe axis after the time
     axis: ``u0`` is ``(n, d, d)``, ``psi`` is ``(N, n, d, d)`` and ``phi``
     is ``(N, n)``.
+
+    :meth:`psi_at` and :meth:`phi_at` are the one way a time is read: at
+    the start time 0 they give ``u0`` and a zero cost (``psi(0, u) = u``,
+    ``phi(0, u) = 0``), whether or not 0 is a row of ``times``; any other
+    time must be a row, matched by :func:`grid_index`, else ``KeyError``.
     """
 
     u0: np.ndarray
@@ -226,11 +234,14 @@ class RiccatiTrajectory:
     phi: np.ndarray
 
     def psi_at(self, t: float) -> np.ndarray:
-        return self.psi[grid_index(self.times, t)]
+        """``psi`` at ``t``: ``(d, d)``, or ``(n, d, d)`` for a stack."""
+        i = grid_index(np.append(0.0, self.times), t)
+        return self.psi[i - 1] if i else self.u0
 
     def phi_at(self, t: float) -> float | np.ndarray:
-        """``phi`` at a grid time: a float, or an ``(n,)`` array for a stack."""
-        return self.phi[grid_index(self.times, t)]
+        """``phi`` at ``t``: a float, or an ``(n,)`` array for a stack."""
+        i = grid_index(np.append(0.0, self.times), t)
+        return self.phi[i - 1] if i else np.zeros(self.phi.shape[1:])[()]
 
 
 # the tolerances solve_riccati and InvariantLaw.flow accept
@@ -265,9 +276,14 @@ def solve_riccati(
     ``t_eval`` (nonempty, sorted, in ``[0, T]``) is given.  The flow always
     runs to ``T``: ``psi`` only approaches the fixed point 0, and at
     ``tol >= 1e-10`` levels off at the integrator's noise floor (1e-13 to
-    1e-12).  Cone membership of every output ``psi`` is enforced within
-    the shared tolerance plus a solver-accuracy allowance scaled by that
-    probe's start norm.
+    1e-12), where the steps grow linearly in ``T``: about 0.16 per unit of
+    ``T rho``, ``rho`` the spectral radius of the effective drift.  So a
+    ``T`` above ``MAX_STEPS / max(1, rho)`` is refused with ``ConfigError``,
+    as is a ``T`` not positive and finite or a ``tol`` outside
+    ``TOL_RANGE``; ``rho`` is read once the field is built, so a
+    coefficient overflow is still an ``OverflowError``.  Cone membership
+    of every output ``psi`` is enforced within the shared tolerance plus a
+    solver-accuracy allowance scaled by that probe's start norm.
     """
     import scipy.integrate  # deferred: commands that solve no flow skip loading scipy
 
@@ -287,6 +303,10 @@ def solve_riccati(
     D = sym_dim(d)
     y0 = np.column_stack([vectorize(stack), np.zeros(n)]).ravel()
     vector_field = _coordinate_field(p)
+    rho = float(np.max(np.abs(p.effective_drift().eigenvalues())))
+    if not T <= MAX_STEPS / max(1.0, rho):  # T * rho may overflow
+        raise ConfigError(f"horizon T = {T:g} exceeds {MAX_STEPS:.0e} / max(1, rho) with "
+                          f"rho = {rho:.6g}, the spectral radius of the effective drift")
 
     def rhs(t, y):
         return vector_field(y.reshape(n, D + 1)[:, :D]).ravel()

@@ -91,7 +91,7 @@ from itertools import chain
 import numpy as np
 
 from .ergodicity import InvariantLaw, decay_certificate, transient_mean, w1_mean_gap_check
-from .params import AffineParams, ConfigError, as_integer
+from .params import MAX_STEPS, AffineParams, ConfigError, as_integer
 from .riccati import grid_index
 from .symcone import (
     affine_flow,
@@ -124,9 +124,6 @@ CHUNK_STEPS = 64
 # paths that share one Euler stream of normals and one of mu uniforms: a
 # layout constant, since changing it changes the sample
 BLOCK_PATHS = 64
-# the most Euler steps, or expected m jumps per path, a configuration may
-# ask for: past it a run would not end in reasonable time, so it is refused
-MAX_STEPS = 10**8
 # rows formatted per write: one write per row is slow, and one for the whole
 # array holds every value as a Python float and its text at once
 _CSV_ROWS = 2048

@@ -268,6 +268,8 @@ def test_bad_input_exits_2_without_traceback(config_file, tmp_path, capsys, argv
     pytest.param(["verify", "--tol", "0", "--out-dir", "v"], id="verify-tol"),
     pytest.param(["verify", "--inflate-delta", "0.5", "--out-dir", "v"], id="verify-inflate-delta"),
     pytest.param(["riccati", "--T", "-1"], id="riccati-T"),
+    # past MAX_STEPS / max(1, rho) the flow would never end
+    pytest.param(["riccati", "--T", "1e308"], id="riccati-T-above-ceiling"),
     pytest.param(["simulate", "--snapshots", "1.0", "--threads", "0", "--out-dir", "s"],
                  id="simulate-threads"),
     pytest.param(["simulate", "--snapshots", "1.0", "--seed", "-1", "--out-dir", "s"],

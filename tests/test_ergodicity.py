@@ -40,6 +40,7 @@ from affinecone import (
     w1_mean_gap_check,
 )
 from affinecone.params import ConfigError
+from affinecone.riccati import RiccatiTrajectory
 from conftest import random_wishart, zero_diffusion_params
 from test_acceptance import _random_subcritical
 
@@ -475,6 +476,32 @@ def test_dL_table_reads_a_law_flow_with_no_further_solve(monkeypatch):
     assert calls == []
     assert np.array_equal(table, dL_table(InvariantLaw(p, cert, tol=1e-9),
                                           np.diag([3.0, 1.0]), times))
+
+
+def test_dL_table_reads_its_probes_from_the_flow():
+    # the probes and their norms come from flow.u0, so the grid's flow with
+    # its probes in reverse order gives the same table bit for bit
+    p = zero_diffusion_params()
+    cert = decay_certificate(p)
+    law = InvariantLaw(p, cert)
+    x = np.diag([3.0, 1.0])
+    times = np.array([0.0, 1.0, 3.0]) / cert.delta
+    table = dL_table(law, x, times)
+    flow = law.flow(standard_u_grid(2), times)
+    reverse = RiccatiTrajectory(flow.u0[::-1], flow.times, flow.psi[:, ::-1], flow.phi[:, ::-1])
+    assert np.array_equal(dL_table(law, x, times, flow=reverse), table)
+    # solved afresh in reverse order, the stack's shared error norm sums its
+    # rows in another order, so the table moves only by rounding
+    reverse = law.flow(standard_u_grid(2)[::-1], times)
+    assert np.allclose(dL_table(law, x, times, flow=reverse), table, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
+def test_flow_refuses_a_negative_or_non_finite_time(t):
+    p = zero_diffusion_params()
+    law = InvariantLaw(p, decay_certificate(p))
+    with pytest.raises(ConfigError, match=f"flow times must be nonnegative and finite, got {t:g}"):
+        law.flow(standard_u_grid(2), [t, 1.0])
 
 
 @pytest.mark.parametrize("late", [0.5, 2.0])

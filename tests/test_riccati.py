@@ -30,7 +30,7 @@ from affinecone import (
     solve_riccati,
     symmetrize,
 )
-from affinecone.params import ConfigError
+from affinecone.params import MAX_STEPS, ConfigError
 from affinecone.symcone import sym_dim, vectorize
 from conftest import random_wishart, scalar_phi, scalar_psi, zero_diffusion_params
 
@@ -401,6 +401,44 @@ def test_trajectory_lookup(rng):
     assert traj.phi_at(0.5) == traj.phi[1]
     with pytest.raises(KeyError):
         traj.psi_at(0.3)
+    # the start time reads u0 and a zero cost, for one probe and for a
+    # stack, whether or not 0 is a row of the grid
+    stack = np.array([np.eye(2), random_psd(2, rng)])
+    for u0 in (random_psd(2, rng), stack):
+        for t_eval in ([0.0, 0.5, 1.0], [0.5, 1.0], None):
+            flow = solve_riccati(p, u0, 1.0, tol=1e-9, t_eval=t_eval)
+            assert np.array_equal(flow.psi_at(0.0), flow.u0)
+            assert np.array_equal(flow.phi_at(0.0), np.zeros(u0.shape[:-2]))
+            assert np.shape(flow.phi_at(0.0)) == np.shape(flow.phi_at(1.0))
+            assert np.array_equal(flow.psi_at(1.0), flow.psi[-1])
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_grid_index_refuses_a_time_that_is_not_finite(rng, t):
+    # NaN matches no row, and an infinite time's allowance is no allowance
+    with pytest.raises(KeyError):
+        riccati.grid_index(np.array([0.0, 0.5, 1.0]), t)
+    flow = solve_riccati(_jump_params(rng), np.eye(2), 1.0, t_eval=[0.5, 1.0])
+    for read in (flow.psi_at, flow.phi_at):
+        with pytest.raises(KeyError):
+            read(t)
+
+
+def test_solver_refuses_a_horizon_past_the_step_ceiling(rng, monkeypatch):
+    # once psi reaches the noise floor the steps grow linearly in T rho, so
+    # past MAX_STEPS / max(1, rho) a flow would not end: refused before any step
+    def fail(*args, **kwargs):
+        raise AssertionError("the integrator ran")
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", fail)
+    p = _jump_params(rng)
+    rho = float(np.max(np.abs(p.effective_drift().eigenvalues())))
+    ceiling = MAX_STEPS / max(1.0, rho)
+    for T in (1e308, ceiling * (1.0 + 1e-12)):
+        with pytest.raises(ConfigError, match="spectral radius of the effective drift"):
+            solve_riccati(p, np.eye(2), T)
+    with pytest.raises(AssertionError, match="integrator ran"):
+        solve_riccati(p, np.eye(2), ceiling)
 
 
 def test_wishart_spec_rejects_inadmissible():

@@ -155,6 +155,13 @@ def test_mc_mean_of_one_path_has_zero_standard_error():
     assert np.array_equal(mean, ens.states[1, 0]) and not np.any(stderr)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), 0.3])
+def test_mc_mean_refuses_a_time_that_is_not_a_snapshot(t):
+    ens = simulate(euler_d2_config(n_paths=4), [0.5, 1.0])
+    with pytest.raises(KeyError):
+        mc_mean(ens, t)
+
+
 def test_simulate_rejects_off_grid_snapshot():
     cfg = euler_d2_config(n_paths=4)
     with pytest.raises(ConfigError):
