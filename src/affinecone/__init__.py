@@ -19,6 +19,7 @@ from .ergodicity import (
     decay_certificate,
     invariant_mean,
     log_moment_gate,
+    psi_envelope,
     spectral_abscissa,
     standard_u_grid,
     transient_laplace,
@@ -98,6 +99,7 @@ __all__ = [
     "mc_vs_formula",
     "phi_closed_form_mbajd",
     "psi_closed_form_wishart",
+    "psi_envelope",
     "riccati_R",
     "semiflow_check",
     "simulate",

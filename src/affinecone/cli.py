@@ -44,7 +44,8 @@ violated) return a nonzero code themselves.
 
 ``stationary`` and ``verify`` read every stationary quantity from one
 ``InvariantLaw``; ``verify`` solves its probe grid as one flow, which serves
-the transient Laplace table, the ``psi`` decay envelope and the exponents.
+the transient Laplace table, the ``psi`` decay envelope and the exponents,
+and reads each bound from ``ergodicity`` as a ``(value, bound, ok)`` triple.
 Before any config is read, ``main`` removes every file the command may
 write (``--out``, ``--table``, or the command's files and
 ``manifest.json`` in ``--out-dir``), so a failed or shorter run leaves
@@ -72,6 +73,7 @@ from .ergodicity import (
     dL_table,
     decay_certificate,
     log_moment_gate,
+    psi_envelope,
     standard_u_grid,
     w1_mean_gap_check,
 )
@@ -266,11 +268,7 @@ def cmd_stationary(args) -> int:
     exponents = law.exponents(grid)
 
     _write_json(args.out, {
-        "abscissa": cert.abscissa,
-        "delta": cert.delta,
-        "M": cert.M,
-        "grid_T": cert.grid_T,
-        "lyapunov_v": None if cert.lyapunov_v is None else cert.lyapunov_v.tolist(),
+        **dataclasses.asdict(cert),
         "invariant_mean": law.mean.tolist(),
         "log_moment": gate.log_moment,
         "K_sampled": gate.K_sampled,
@@ -297,38 +295,28 @@ def cmd_verify(args) -> int:
                               f"a normal float, got {args.inflate_delta:g}")
         cert = dataclasses.replace(cert, delta=delta)
     law = InvariantLaw(p, cert, args.tol)
-
     delta = cert.delta
     times = np.arange(0.0, 6.01, 0.5) / delta
 
-    # one stacked flow of the probe grid feeds both tables and the exponents
+    # one stacked flow of the probe grid feeds the dL and psi tables and the exponents
     flow = law.flow(standard_u_grid(p.dim), times)
-    dl = dL_table(law, x, times, flow=flow)
-    dl_bound = dL_bound(law, x, times)
-
-    # decay-envelope table for the Riccati flow
-    norms = np.linalg.norm(flow.u0, axis=(1, 2))
-    ratios = np.empty_like(times)
-    for k, t in enumerate(times):
-        vals = np.linalg.norm(flow.psi_at(t), axis=(1, 2))
-        env = cert.M * norms * np.exp(-delta * t) * (1 + 1e-6)
-        ratios[k] = np.max(vals / env)
-
-    outputs = tables[:2]
-    write_csv(outputs[0], ["t", "dL", "dL_bound"], [times, dl, dl_bound])
-    write_csv(outputs[1], ["t", "max_psi_ratio"], [times, ratios])
-    # the violated rows in table order (dL, psi, W1); the first one is reported
-    violations = [f"dL bound violated at t = {t:.6g}: {a:.3e} > {bd:.3e}"
-                  for t, a, bd in zip(times, dl, dl_bound) if a > bd]
-    violations += [f"psi decay envelope violated at t = {t:.6g} (ratio {r:.6g})"
-                   for t, r in zip(times, ratios) if r > 1.0]
-
+    dl, dl_bound = dL_table(law, x, times, flow=flow), dL_bound(law, x, times)
+    # (table, header, (value, bound, ok), message of a violated row) in table
+    # order; a table writes the columns its header names
+    checks = [
+        (tables[0], ["t", "dL", "dL_bound"], (dl, dl_bound, ~(dl > dl_bound)),
+         "dL bound violated at t = {t:.6g}: {value:.3e} > {bound:.3e}"),
+        (tables[1], ["t", "max_psi_ratio"], psi_envelope(law, flow, times),
+         "psi decay envelope violated at t = {t:.6g} (ratio {value:.6g})"),
+    ]
     if frobenius(p.alpha) == 0.0:
-        gap, bound, ok = w1_mean_gap_check(law, x, times)
-        outputs.append(tables[2])
-        write_csv(outputs[2], ["t", "mean_gap", "w1_bound"], [times, gap, bound])
-        violations += [f"mean-gap bound violated at t = {t:.6g}: {g:.3e} > {bd:.3e}"
-                       for t, g, bd in zip(times[~ok], gap[~ok], bound[~ok])]
+        checks.append((tables[2], ["t", "mean_gap", "w1_bound"], w1_mean_gap_check(law, x, times),
+                       "mean-gap bound violated at t = {t:.6g}: {value:.3e} > {bound:.3e}"))
+    violations = []  # the violated rows in table order; the first one is reported
+    for path, header, (value, bound, ok), message in checks:
+        write_csv(path, header, [times, value, bound][:len(header)])
+        violations += [message.format(t=times[i], value=value[i], bound=bound[i])
+                       for i in np.flatnonzero(~ok)]
 
     # regression slope of the metric decay over [1/delta, 6/delta], fitted and
     # printed in units of delta: in time units a large --inflate-delta underflows
@@ -338,7 +326,7 @@ def cmd_verify(args) -> int:
         slope = np.polyfit(delta * times[sel], np.log(dl[sel]), 1)[0]
         print(f"log-dL regression slope = {slope:.6g} delta (delta = {delta:.6g})")
 
-    _write_manifest(out_dir, "verify", args.config, None, outputs,
+    _write_manifest(out_dir, "verify", args.config, None, [path for path, *_ in checks],
                     defaults={"tol": args.tol, "inflate_delta": args.inflate_delta})
     if violations:
         print(violations[0], file=sys.stderr)

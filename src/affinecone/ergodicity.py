@@ -14,6 +14,10 @@ diagnostics, both read from one :class:`InvariantLaw`:
 * a mean-gap sandwich for the Wasserstein-1 bound in the zero-diffusion
   case: any unit-norm linear functional is 1-Lipschitz, so the first
   moment gap is a certified lower bound on the transport distance.
+
+:func:`psi_envelope` checks the Riccati flow against its proven decay
+envelope.  It and :func:`w1_mean_gap_check` return ``(value, bound, ok)``
+per time, as ``dL_table`` and ``dL_bound`` give the metric's value and bound.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ from .symcone import (
     frobenius,
     is_psd,
     mat_exp,
-    min_eigval,
-    psd_tol,
     sym_basis,
     symmetrize,
     unvectorize,
@@ -60,16 +62,13 @@ class DecayCertificate:
     the operator 2-norm in the orthonormal coordinates; it is at most
     ``_CERT_SLACK`` above the largest computed value.
     ``grid_T`` is the ``T`` of the proof, a time with
-    ``||exp(T (Bt + delta I))|| <= 1`` (see :func:`_semigroup_sup`).  When
-    present, ``lyapunov_v`` is a strictly positive definite witness with
-    strictly negative-definite drift image.
+    ``||exp(T (Bt + delta I))|| <= 1`` (see :func:`_semigroup_sup`).
     """
 
     abscissa: float
     delta: float
     M: float
     grid_T: float
-    lyapunov_v: np.ndarray | None = None
 
 
 # the proven M exceeds the largest computed norm by at most this factor
@@ -140,7 +139,8 @@ def decay_certificate(p: AffineParams) -> DecayCertificate:
     Raises
     ------
     NotSubcriticalError
-        If the spectral abscissa of the effective drift is nonnegative.
+        If the spectral abscissa of the effective drift is nonnegative, or
+        so close to 0 that the margin leaves no positive ``delta``.
     """
     op = p.effective_drift()
     absc = spectral_abscissa(op)
@@ -148,22 +148,13 @@ def decay_certificate(p: AffineParams) -> DecayCertificate:
         raise NotSubcriticalError(f"spectral abscissa {absc:.6g} >= 0")
     margin = max(1e-8, 1e-3 * abs(absc))
     delta = -absc - margin
+    if delta <= 0.0:
+        raise NotSubcriticalError(f"spectral abscissa {absc:.6g} lies within the margin "
+                                  f"{margin:.3g} of 0: no decay rate delta > 0 is proven")
     A = op.matrix + delta * np.eye(len(op.matrix))
     M, grid_T = _semigroup_sup(A, 10.0 / abs(absc))
     M *= 1.0 + _CERT_ROUNDING
-
-    # Lyapunov witness: solve adjoint-drift(v) = -identity and keep v only
-    # if both positivity conditions hold strictly
-    v = None
-    try:
-        rhs = -vectorize(np.eye(p.dim))
-        vv = unvectorize(np.linalg.solve(op.adjoint().matrix, rhs))
-        image = -op.adjoint().apply(vv)
-        if min_eigval(vv) > psd_tol(vv) and min_eigval(image) > psd_tol(image):
-            v = symmetrize(vv)
-    except np.linalg.LinAlgError:
-        v = None
-    return DecayCertificate(abscissa=absc, delta=delta, M=M, grid_T=grid_T, lyapunov_v=v)
+    return DecayCertificate(abscissa=absc, delta=delta, M=M, grid_T=grid_T)
 
 
 # --- first moments ------------------------------------------------------
@@ -393,6 +384,24 @@ def dL_bound(law: InvariantLaw, x, t) -> np.ndarray:
     for all ``t``, as ``M`` is proven."""
     C = 2.0 * max(law.cert.M, law.c_hat / law.cert.delta)
     return C * (1.0 + frobenius(x)) * np.exp(-law.cert.delta * np.asarray(t, dtype=float))
+
+
+def psi_envelope(law: InvariantLaw, flow: RiccatiTrajectory, times):
+    """``(ratio, bound, ok)`` at each time: the largest ``||psi(t, u)|| / (M
+    ||u|| e^{-delta t} (1 + 1e-6))`` over the probes ``flow.u0`` (a stack),
+    ``(M, delta)`` the law's certificate and ``1e-6`` an allowance for the
+    solver's error; the bound 1, proven as ``psi(t, u) <= e^{t B_eff*} u``
+    (:attr:`InvariantLaw.c_hat`); and ``ok``, false exactly where the ratio
+    exceeds 1.  A time other than 0 must be a row of the flow, else
+    ``KeyError`` (:meth:`~affinecone.riccati.RiccatiTrajectory.psi_at`)."""
+    times = np.asarray(times, dtype=float)
+    norms = np.linalg.norm(flow.u0, axis=(1, 2))
+    ratios = np.empty_like(times)
+    for k, t in enumerate(times):
+        vals = np.linalg.norm(flow.psi_at(t), axis=(1, 2))
+        env = law.cert.M * norms * np.exp(-law.cert.delta * t) * (1 + 1e-6)
+        ratios[k] = np.max(vals / env)
+    return ratios, np.ones_like(ratios), ~(ratios > 1.0)
 
 
 # --- Wasserstein sandwich ------------------------------------------------

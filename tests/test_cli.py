@@ -563,13 +563,21 @@ def test_failed_stationary_leaves_no_earlier_results(config_file, tmp_path, caps
         assert not path.exists() or path.stat().st_size == 0, path
 
 
-def test_criticality_exit_code(tmp_path, config_file):
+def test_criticality_exit_code(tmp_path, config_file, capsys):
     data = json.loads(config_file.read_text())
-    data["drift"]["beta"] = [[0.0, 0.0], [0.0, 0.0]]
-    crit = tmp_path / "crit.json"
-    crit.write_text(json.dumps(data))
-    assert main(["stationary", "--config", str(crit)]) == 4
-    assert main(["verify", "--config", str(crit), "--out-dir", str(tmp_path / "v")]) == 4
+    # a zero drift, and one whose abscissa -5e-9 lies within the margin 1e-8
+    # of 0, which would leave a negative decay rate
+    for beta in (0.0, -2.5e-9):
+        data["drift"]["beta"] = (beta * np.eye(2)).tolist()
+        crit = tmp_path / "crit.json"
+        crit.write_text(json.dumps(data))
+        assert main(["stationary", "--config", str(crit)]) == 4
+        assert main(["verify", "--config", str(crit), "--out-dir", str(tmp_path / "v")]) == 4
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = out.err.splitlines()
+        assert len(err) == 2 and all(line.startswith("not subcritical: spectral abscissa")
+                                     for line in err), err
 
 
 def test_verify_bounds_and_manifest(config_file, tmp_path):

@@ -27,6 +27,7 @@ from affinecone import (
     mat_exp,
     phi_closed_form_mbajd,
     psi_closed_form_wishart,
+    psi_envelope,
     random_psd,
     riccati_DF,
     riccati_F,
@@ -55,8 +56,6 @@ def test_certificate_for_scaled_identity_drift():
     assert cert.abscissa == pytest.approx(-1.4, abs=1e-12)
     assert cert.delta == pytest.approx(1.4 - 1e-3 * 1.4, abs=1e-9)
     assert 1.0 < cert.M <= 1.1
-    assert cert.lyapunov_v is not None
-    assert np.linalg.eigvalsh(cert.lyapunov_v)[0] > 0
 
 
 def test_certificate_bounds_semigroup_norm(rng):
@@ -122,6 +121,16 @@ def test_not_subcritical_raises():
         drift=LinearDrift.lyapunov(np.zeros((d, d))),
     )
     with pytest.raises(NotSubcriticalError):
+        decay_certificate(p)
+
+
+def test_certificate_refuses_an_abscissa_within_the_margin():
+    # the abscissa -5e-9 is below 0, but the margin max(1e-8, 1e-3 |abscissa|)
+    # would leave delta = -5e-9, a decay rate that proves nothing
+    p = dataclasses.replace(zero_diffusion_params(d=1), m=ScalarJumpMeasure(),
+                            drift=LinearDrift.lyapunov(np.array([[-2.5e-9]])))
+    assert spectral_abscissa(p.effective_drift()) == pytest.approx(-5e-9, rel=1e-12)
+    with pytest.raises(NotSubcriticalError, match="abscissa -5e-09 lies within the margin 1e-08"):
         decay_certificate(p)
 
 
@@ -494,6 +503,45 @@ def test_dL_table_reads_its_probes_from_the_flow():
     # rows in another order, so the table moves only by rounding
     reverse = law.flow(standard_u_grid(2)[::-1], times)
     assert np.allclose(dL_table(law, x, times, flow=reverse), table, rtol=0.0, atol=1e-12)
+
+
+def test_psi_envelope_matches_the_inline_envelope():
+    p = zero_diffusion_params()
+    cert = decay_certificate(p)
+    law = InvariantLaw(p, cert)
+    times = np.arange(0.0, 6.01, 0.5) / cert.delta
+    flow = law.flow(standard_u_grid(2), times)
+    ratio, bound, ok = psi_envelope(law, flow, times)
+    # the largest ratio to M ||u|| e^{-delta t} (1 + 1e-6), time by time
+    norms = np.linalg.norm(flow.u0, axis=(1, 2))
+    want = np.empty_like(times)
+    for k, t in enumerate(times):
+        vals = np.linalg.norm(flow.psi_at(t), axis=(1, 2))
+        env = cert.M * norms * np.exp(-cert.delta * t) * (1 + 1e-6)
+        want[k] = np.max(vals / env)
+    assert np.array_equal(ratio, want)
+    assert np.array_equal(bound, np.ones_like(times))
+    assert ok.dtype == bool and ok.all()
+
+
+def test_psi_envelope_of_an_inflated_rate_fails_where_the_ratio_exceeds_1():
+    p = zero_diffusion_params()
+    cert = decay_certificate(p)
+    law = InvariantLaw(p, dataclasses.replace(cert, delta=1.5 * cert.delta))
+    times = np.arange(0.0, 6.01, 0.5) / law.cert.delta
+    ratio, bound, ok = psi_envelope(law, law.flow(standard_u_grid(2), times), times)
+    assert np.array_equal(ok, ratio <= 1.0)
+    # t = 0 holds (psi = u), and the flow outruns the inflated envelope later
+    assert ok[0] and not ok.all()
+
+
+def test_psi_envelope_refuses_a_time_off_the_flow():
+    p = zero_diffusion_params()
+    cert = decay_certificate(p)
+    law = InvariantLaw(p, cert)
+    flow = law.flow(standard_u_grid(2), [1.0])
+    with pytest.raises(KeyError):
+        psi_envelope(law, flow, [0.0, 1.0, 0.5])
 
 
 @pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
