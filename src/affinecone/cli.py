@@ -11,7 +11,9 @@ byte.  Exit codes partition failure causes disjointly:
     6  simulation failure
 
 Exit 2 covers a config that cannot be read or parsed into a parameter
-set (an unknown drift kind, a ``drift.beta`` entry that is not finite);
+set (an unknown drift kind, a ``drift.beta`` entry that is not finite, a
+model matrix whose symmetric part overflows); a bool or a string where a
+number is expected, in the model, the ``sim`` section or ``--u``;
 a ``--u`` matrix or ``sim.x0`` that is unreadable, not ``dim x dim``,
 non-finite or outside the cone; a ``sim`` section that is not a JSON
 object (for ``verify`` too), missing (for ``simulate``) or malformed;
@@ -32,7 +34,12 @@ but huge ``drift.beta``, in the effective drift, the Riccati field or
 the Euler step), a coefficient of the Riccati field, the field
 at the start value (a huge ``--u``) or a transient mean (``verify``'s
 mean-gap table, of a huge ``sim.x0``) that leaves the float range (an
-``OverflowError``; config parsing reports its own as exit 2).
+``OverflowError``; config parsing reports its own as exit 2), and
+``InvariantLaw.flow``'s refusal of its own horizon (``stationary`` and
+``verify`` pass none) when ``c_hat ||u|| / (delta tol)`` overflows or
+the drift is too stiff to integrate in ``MAX_STEPS`` steps.  Exit 4
+also covers a decay rate so slow that the flow would need more than
+``MAX_STEPS`` steps.
 Exit 6 covers a path of either scheme (``euler_project`` or
 ``ou_exact``) that leaves the float range; its one stderr line names the
 first such path.  It also covers a run that asks for more memory than
@@ -77,7 +84,7 @@ from .ergodicity import (
     standard_u_grid,
     w1_mean_gap_check,
 )
-from .params import AdmissibilityError, AffineParams, ConfigError, load_params
+from .params import AdmissibilityError, AffineParams, ConfigError, as_float, as_matrix, load_params
 from .riccati import (
     SolverFailureError,
     WishartSpec,
@@ -93,7 +100,7 @@ from .simulate import (
     upper_triangle,
     write_csv,
 )
-from .symcone import ConeViolationError, check_cone, frobenius, symmetrize
+from .symcone import ConeViolationError, check_cone, frobenius
 
 EXIT_ADMISSIBILITY = 1
 EXIT_PARSE = 2
@@ -189,13 +196,12 @@ def _cone_matrix(value, dim: int, name: str) -> np.ndarray:
     try:
         if isinstance(value, Path):
             value = json.loads(value.read_text())
-        x = symmetrize(np.asarray(value, dtype=float))
+        x = as_matrix("matrix", value)
         if x.shape != (dim, dim):
             raise ValueError(f"expected shape ({dim}, {dim}), got {x.shape}")
-        check_cone(x)
+        return check_cone(x)
     except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
-    return x
 
 
 def _sim_section(data: dict, required: bool) -> dict:
@@ -341,10 +347,10 @@ def cmd_simulate(args) -> int:
     try:
         config = SimConfig(
             params=p,
-            sigma=np.asarray(sim["sigma"], dtype=float),
+            sigma=as_matrix("sigma", sim["sigma"]),
             x0=_cone_matrix(sim["x0"], p.dim, "sim.x0"),
-            horizon=float(sim["horizon"]),
-            dt=float(sim["dt"]),
+            horizon=as_float("horizon", sim["horizon"]),
+            dt=as_float("dt", sim["dt"]),
             n_paths=sim["n_paths"],
             seed=sim.get("seed", 0) if args.seed is None else args.seed,
             scheme=sim.get("scheme", "euler_project"),

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import AffineParams, ConfigError, SymOperator
-from .riccati import TOL_RANGE, RiccatiTrajectory, solve_riccati
+from .params import MAX_STEPS, AffineParams, ConfigError, SymOperator
+from .riccati import TOL_RANGE, RiccatiTrajectory, SolverFailureError, solve_riccati
 from .symcone import (
     affine_flow,
     frobenius,
@@ -197,7 +197,6 @@ def invariant_mean(p: AffineParams, cert: DecayCertificate) -> np.ndarray:
         raise RuntimeError(
             "effective drift is singular despite a subcriticality certificate"
         ) from exc
-    mean = symmetrize(mean)
     if not is_psd(mean):
         raise RuntimeError("stationary mean left the cone (internal inconsistency)")
     return mean
@@ -216,10 +215,11 @@ class InvariantLaw:
     The transform is ``exp(-I(u))`` with ``I(u)`` the running cost
     integrated along the Riccati flow from ``u``, up to a horizon fixed in
     advance from the closed-form cost-decay constant :attr:`c_hat` so the
-    neglected tail is below ``tol``.  Exponents are cached per probe under
-    a rounded key.  One flow per probe grid (:meth:`flow`) serves the
-    transient transform ``exp(-phi(t,u) - <x, psi(t,u)>)`` and the ``psi``
-    envelope at its requested times, and the exponents at its end.
+    neglected tail is below ``tol``.  :meth:`flow` caches the exponent of
+    each probe it solves under the probe's exact bytes (``-0.0`` read as
+    ``0.0``), and :meth:`exponent` reads it.  One flow per probe grid serves
+    the transient transform ``exp(-phi(t,u) - <x, psi(t,u)>)`` and the
+    ``psi`` envelope at its requested times, and the exponents at its end.
     """
 
     params: AffineParams
@@ -247,32 +247,25 @@ class InvariantLaw:
         """
         return frobenius(_moment_source(self.params)) * self.cert.M
 
-    def _key(self, u):
-        # rounding to 1e-12 absolute merges roundoff-level copies of a
-        # probe; adding 0.0 turns -0.0 into 0.0 so both share a key
-        return (np.round(np.asarray(u, dtype=float), 12) + 0.0).tobytes()
-
     def exponent(self, u) -> float:
         """Truncated integral of the running cost along the flow from ``u``."""
         u = symmetrize(u)
         if frobenius(u) == 0.0:
             return 0.0
-        key = self._key(u)
+        key = (u + 0.0).tobytes()
         if key not in self._cache:
             self.flow([u])
         return self._cache[key]
 
     def exponents(self, us) -> np.ndarray:
-        """:meth:`exponent` for every probe of ``us``; the probes not yet
-        cached are integrated together as one stacked Riccati flow."""
-        us = [symmetrize(u) for u in us]
-        todo = {}
-        for u in us:
-            key = self._key(u)
-            if frobenius(u) > 0.0 and key not in self._cache:
-                todo.setdefault(key, u)
-        if todo:
-            self.flow(list(todo.values()))
+        """:meth:`exponent` for every probe of the stack ``us``; the nonzero
+        probes not yet cached are integrated together as one stacked Riccati
+        flow, each once."""
+        us = symmetrize(us)
+        distinct = {(u + 0.0).tobytes(): u for u in us if frobenius(u) > 0.0}
+        new = [u for key, u in distinct.items() if key not in self._cache]
+        if new:
+            self.flow(new)
         return np.array([self.exponent(u) for u in us])
 
     def flow(self, us, times=()) -> RiccatiTrajectory:
@@ -287,25 +280,42 @@ class InvariantLaw:
         and kept at the positive ``times`` and at its end, whose ``phi``
         fills the cache; time 0 is read from the start values
         (:class:`~affinecone.riccati.RiccatiTrajectory`).  A negative or
-        non-finite time is a ``ConfigError`` that names it, and a horizon
-        :func:`~affinecone.riccati.solve_riccati` refuses (past
-        ``MAX_STEPS / max(1, rho)``) is one too.  Pass the flow as ``flow``
-        to :func:`dL_table`.
+        non-finite time is a ``ConfigError`` that names it.  A horizon
+        :func:`~affinecone.riccati.solve_riccati` would refuse is refused by
+        its cause: past ``MAX_STEPS`` (a decay rate too slow) with
+        ``NotSubcriticalError``, and past ``MAX_STEPS / rho`` alone (a drift
+        too stiff, ``rho`` its spectral radius) with ``SolverFailureError``;
+        an overflowing ``C ||u|| / (delta tol)`` raises ``OverflowError``.
+        Pass the flow as ``flow`` to :func:`dL_table`.
         """
         times = np.asarray(times, dtype=float)
         bad = times[~((times >= 0.0) & (times < np.inf))]  # NaN fails both tests
         if bad.size:
             raise ConfigError(f"flow times must be nonnegative and finite, got {bad[0]:g}")
         us = np.asarray(us, dtype=float)
-        norms = np.linalg.norm(us, axis=(1, 2))
         delta, tol = self.cert.delta, self.tol
-        need = np.log(np.maximum(self.c_hat * norms / (delta * tol), 2.0)) / delta
+        with np.errstate(over="ignore"):
+            scale = self.c_hat * np.linalg.norm(us, axis=(1, 2)) / (delta * tol)
+        if not np.all(np.isfinite(scale)):
+            raise OverflowError(f"c_hat ||u|| / (delta tol) overflowed, with c_hat = "
+                                f"{self.c_hat:.6g} and delta = {delta:.6g}")
+        need = np.log(np.maximum(scale, 2.0)) / delta
         T = max(1.0, 5.0 / delta, float(np.max(need)), float(np.max(times, initial=0.0)))
+        if T > MAX_STEPS:
+            raise NotSubcriticalError(
+                f"spectral abscissa {self.cert.abscissa:.6g} leaves the decay rate delta = "
+                f"{delta:.6g}: the flow would need more than {MAX_STEPS:.0e} steps")
         solver_tol = max(min(1e-10, tol * 1e-2), TOL_RANGE[0])
         t_eval = np.union1d(times[times > 0.0], [T])
-        traj = solve_riccati(self.params, us, T, tol=solver_tol, t_eval=t_eval)
-        for u, val in zip(us, traj.phi[-1]):
-            self._cache[self._key(u)] = float(val)
+        try:
+            traj = solve_riccati(self.params, us, T, tol=solver_tol, t_eval=t_eval)
+        except ConfigError as exc:  # T <= MAX_STEPS and tol pass, so T rho passed MAX_STEPS
+            rho = np.max(np.abs(self.params.effective_drift().eigenvalues()))
+            raise SolverFailureError(f"the effective drift, of spectral radius rho = {rho:.6g}, "
+                                     f"is too stiff to integrate in {MAX_STEPS:.0e} steps",
+                                     None) from exc
+        for u, val in zip(traj.u0 + 0.0, traj.phi[-1].tolist()):  # -0.0 keyed as 0.0
+            self._cache[u.tobytes()] = val
         return traj
 
     def laplace(self, u) -> float:

@@ -70,6 +70,29 @@ def as_integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def as_float(name: str, value) -> float:
+    """The config number ``value`` as a ``float``; a bool, a string or any
+    other value that is not a real number is refused (``float`` would read
+    ``True`` as 1.0 and ``"0.8"`` as 0.8)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def as_matrix(name: str, value) -> np.ndarray:
+    """The config matrix ``value``, nested lists of numbers, as a float
+    array; each entry is read by :func:`as_float`, since ``np.asarray``
+    takes ``[[True, 0]]`` for an integer matrix."""
+    entries = [value]
+    while entries:
+        entry = entries.pop()
+        if isinstance(entry, list):
+            entries.extend(entry)
+        else:
+            as_float(f"{name} entry", entry)
+    return np.asarray(value, dtype=float)
+
+
 @dataclass
 class SymOperator:
     """A linear map on symmetric ``d x d`` matrices, stored as its matrix
@@ -98,12 +121,10 @@ class SymOperator:
 def _atom_stack(matrices, nonzero: bool = False) -> np.ndarray:
     """PSD (and, if asked, nonzero) matrices, symmetrized, as one
     ``(n, d, d)`` stack; ``(0, 0, 0)`` when there are none."""
-    stack = symmetrize(np.asarray(matrices, dtype=float)) if matrices else np.empty((0, 0, 0))
-    for x in stack:
-        if nonzero and frobenius(x) == 0.0:
-            raise ValueError("jump sites must be nonzero")
-        check_cone(x)  # also refuses anything but square matrices
-    return stack
+    stack = [check_cone(x) for x in matrices]  # also refuses anything but square matrices
+    if nonzero and any(frobenius(x) == 0.0 for x in stack):
+        raise ValueError("jump sites must be nonzero")
+    return np.array(stack) if stack else np.empty((0, 0, 0))
 
 
 class ScalarJumpMeasure:
@@ -355,24 +376,28 @@ class AffineParams:
     @classmethod
     def from_dict(cls, data: dict) -> "AffineParams":
         drift_spec = data["drift"]
-        # the kind is checked before beta is read: an unknown kind is named
-        drift = LinearDrift(drift_spec["kind"], beta=drift_spec.get("beta"))
+        # a missing beta is left to LinearDrift, which names an unknown kind first
+        beta = drift_spec.get("beta")
+        drift = LinearDrift(drift_spec["kind"],
+                            beta=None if beta is None else as_matrix("drift.beta", beta))
         m = ScalarJumpMeasure(
             [
-                (np.asarray(a["site"], dtype=float), float(a["mass"]))
-                for a in data.get("m", {}).get("atoms", [])
+                (as_matrix(f"m atom {i} site", a["site"]),
+                 as_float(f"m atom {i} mass", a["mass"]))
+                for i, a in enumerate(data.get("m", {}).get("atoms", []))
             ]
         )
         mu = MatrixJumpMeasure(
             [
-                (np.asarray(a["site"], dtype=float), np.asarray(a["weight"], dtype=float))
-                for a in data.get("mu", {}).get("atoms", [])
+                (as_matrix(f"mu atom {i} site", a["site"]),
+                 as_matrix(f"mu atom {i} weight", a["weight"]))
+                for i, a in enumerate(data.get("mu", {}).get("atoms", []))
             ]
         )
         return cls(
             dim=as_integer("dim", data["dim"]),
-            alpha=np.asarray(data["alpha"], dtype=float),
-            b=np.asarray(data["b"], dtype=float),
+            alpha=as_matrix("alpha", data["alpha"]),
+            b=as_matrix("b", data["b"]),
             drift=drift,
             m=m,
             mu=mu,

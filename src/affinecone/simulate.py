@@ -101,7 +101,6 @@ from .symcone import (
     pack,
     project_factor_psd,
     sym_index,
-    symmetrize,
     unpack,
     unvectorize,
     vectorize,
@@ -156,10 +155,9 @@ class SimConfig:
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=float)
-        self.x0 = symmetrize(self.x0)
-        if self.x0.shape != (self.params.dim, self.params.dim):
+        if np.shape(self.x0) != (self.params.dim, self.params.dim):
             raise ValueError("x0 must be dim x dim")
-        check_cone(self.x0)
+        self.x0 = check_cone(self.x0)
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         # each test fails on NaN, so a NaN step or horizon is refused too
@@ -572,9 +570,8 @@ def _ou_paths(config: SimConfig, snapshot_times, out):
             # time order, untouched by the other paths
             np.add.at(J, owner[new], lag @ p.m.sites[atom[new]] @ np.swapaxes(lag, -1, -2))
         x = jump_free[ti] + J
-        _check_finite(x)  # an inf of x(t) or J(t), before symmetrize refuses it
-        out[ti] = symmetrize(x)
-        _check_finite(out[ti])  # x + x.T can overflow too
+        out[ti] = (x + np.swapaxes(x, -1, -2)) / 2.0
+        _check_finite(out[ti])  # an inf of x(t) or J(t), or of x + x.T
         t_prev = t
     return owner, tau, "m", atom
 
@@ -628,7 +625,7 @@ def mc_mean(ens: PathEnsemble, t: float) -> tuple[np.ndarray, np.ndarray]:
         stderr[np.ptp(states, axis=0) == 0.0] = 0.0
     else:
         stderr = np.zeros_like(mean)
-    return symmetrize(mean), stderr
+    return mean, stderr
 
 
 def mc_vs_formula(ens: PathEnsemble, p: AffineParams, t) -> np.ndarray:

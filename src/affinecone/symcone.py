@@ -38,19 +38,20 @@ class ConeViolationError(ValueError):
 
 
 def symmetrize(a) -> np.ndarray:
-    """Return ``(a + a.T) / 2`` as a float array.
-
-    Construction-time symmetrization: upstream ODE steps and matrix
-    products introduce asymmetry at roundoff level, which we remove
-    rather than reject.  A stack ``(..., d, d)`` is symmetrized matrix by
-    matrix.
+    """Return ``(a + a.T) / 2`` as a float array: the one entry check of a
+    symmetric matrix, which removes roundoff-level asymmetry rather than
+    reject it.  A stack ``(..., d, d)`` is symmetrized matrix by matrix.  A
+    matrix that is not square, or whose symmetric part is not finite,
+    raises ``ValueError``, with no numpy warning.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return (a + np.swapaxes(a, -1, -2)) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = (a + np.swapaxes(a, -1, -2)) / 2.0
+    if not np.all(np.isfinite(sym)):
+        raise ValueError("matrix entries and their symmetric part must be finite")
+    return sym
 
 
 def inner(x, y) -> float:
@@ -95,22 +96,25 @@ def is_psd(x) -> bool:
     return min_eigval(x) >= -psd_tol(x)
 
 
-def check_cone(x) -> float:
-    """Validate cone membership and return the eigenvalue floor found.
+def check_cone(x) -> np.ndarray:
+    """The symmetric part of the one matrix ``x`` (:func:`symmetrize`),
+    checked to lie in the cone.
 
     Raises
     ------
     ConeViolationError
-        If the smallest eigenvalue is below ``-psd_tol(x)``.
+        If its smallest eigenvalue is below ``-psd_tol(x)``.
     """
     x = symmetrize(x)
+    if x.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {x.shape}")
     tol = psd_tol(x)
-    floor = min_eigval(x)
+    floor = float(np.linalg.eigvalsh(x)[0])
     if floor < -tol:
         raise ConeViolationError(
             f"matrix is not positive semidefinite: min eigenvalue {floor:.3e} < -{tol:.3e}"
         )
-    return floor
+    return x
 
 
 def trace_norm_bracket(x) -> tuple[bool, bool]:

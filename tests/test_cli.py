@@ -237,6 +237,28 @@ MU_ATOM = {"atoms": [{"site": (0.1 * np.eye(2)).tolist(), "weight": (0.1 * np.ey
     pytest.param(["simulate", "--snapshots", "0.5"],
                  _with(m={"atoms": [{"site": np.eye(2).tolist(), "mass": 1e300}]}), None,
                  None, id="jumps-above-ceiling"),
+    # a bool or a string is not read as a number, in the model or the sim section
+    pytest.param(["simulate", "--snapshots", "1.0"], _with_sim(horizon=True), None,
+                 r"config error: sim: .*horizon must be a number", id="horizon-bool"),
+    pytest.param(["simulate", "--snapshots", "1.0"], _with_sim(dt="0.01"), None,
+                 r"config error: sim: .*dt must be a number", id="dt-string"),
+    pytest.param(["simulate", "--snapshots", "1.0"], _with_sim(sigma=[[0.5, 0.1], [False, 0.4]]),
+                 None, r"config error: sim: .*sigma entry must be a number", id="sigma-bool"),
+    pytest.param(["verify"], _with_sim(x0=[["0.5", 0.0], [0.0, 0.5]]), None,
+                 r"config error: sim.x0: .*must be a number", id="x0-string"),
+    pytest.param(["riccati"], None, [[True, 0.0], [0.0, True]], r"config error: --u: .*number",
+                 id="u-bool"),
+    pytest.param(["validate"], _with(alpha=[[False, False], [False, False]]), None,
+                 r"config error: .*alpha entry must be a number", id="alpha-bool"),
+    pytest.param(["validate"], _with(drift={"kind": "lyapunov", "beta": [[-1, 0], [0, "-1"]]}),
+                 None, r"config error: .*drift.beta entry must be a number", id="beta-string"),
+    pytest.param(["validate"], _with(m={"atoms": [{"site": np.eye(2).tolist(), "mass": "0.8"}]}),
+                 None, r"config error: .*m atom 0 mass must be a number", id="mass-string"),
+    pytest.param(["validate"], _with(m={"atoms": [{"site": np.eye(2).tolist(), "mass": True}]}),
+                 None, r"config error: .*m atom 0 mass must be a number", id="mass-bool"),
+    pytest.param(["validate"], _with(mu={"atoms": [{**MU_ATOM["atoms"][0], "weight": True}]}),
+                 None, r"config error: .*mu atom 0 weight entry must be a number",
+                 id="mu-weight-bool"),
 ])
 def test_bad_input_exits_2_without_traceback(config_file, tmp_path, capsys, argv, edit, u,
                                             pattern):
@@ -261,6 +283,21 @@ def test_bad_input_exits_2_without_traceback(config_file, tmp_path, capsys, argv
         assert err.startswith(("config error: sim: ", "config error: sim.x0: "))
     if pattern is not None:
         assert re.match(pattern, err), err
+
+
+@pytest.mark.parametrize("entry", ["alpha", "b"])
+def test_a_matrix_whose_symmetric_part_overflows_exits_2_in_every_command(config_file, tmp_path,
+                                                                         capsys, entry):
+    # 1e308 + 1e308 overflows in (x + x.T) / 2, so the matrix is refused where it enters
+    data = json.loads(config_file.read_text())
+    data[entry] = (1e308 * np.eye(2)).tolist()
+    cfg = str(_config(tmp_path / "huge.json", data))
+    for argv in (["validate"], ["riccati"], ["stationary"],
+                 ["verify", "--out-dir", str(tmp_path / "v")],
+                 ["simulate", "--snapshots", "1.0", "--out-dir", str(tmp_path / "s")]):
+        assert main([*argv, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, (argv, err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -565,9 +602,10 @@ def test_failed_stationary_leaves_no_earlier_results(config_file, tmp_path, caps
 
 def test_criticality_exit_code(tmp_path, config_file, capsys):
     data = json.loads(config_file.read_text())
-    # a zero drift, and one whose abscissa -5e-9 lies within the margin 1e-8
-    # of 0, which would leave a negative decay rate
-    for beta in (0.0, -2.5e-9):
+    # a zero drift, one whose abscissa -5e-9 lies within the margin 1e-8 of
+    # 0, which would leave a negative decay rate, and one whose decay rate
+    # 5e-9 would need a flow of more than MAX_STEPS steps
+    for beta in (0.0, -2.5e-9, -7.5e-9):
         data["drift"]["beta"] = (beta * np.eye(2)).tolist()
         crit = tmp_path / "crit.json"
         crit.write_text(json.dumps(data))
@@ -1146,6 +1184,30 @@ def test_riccati_commands_run_clean_on_the_seed_configs(workload_configs, tmp_pa
                  "--table", str(table)]) == 0
     assert json.loads(report.read_text())["delta"] > 0
     assert np.loadtxt(table, delimiter=",", skiprows=1).shape == (9 * 7, 2)
+
+
+@pytest.mark.parametrize("command", ["stationary", "verify"])
+@pytest.mark.parametrize("edit, prefix", [
+    # c_hat ||u|| / (delta tol) leaves the float range
+    pytest.param(lambda data: data["m"]["atoms"][0].update(mass=1e300),
+                 "numeric overflow: c_hat", id="huge-jump-mass"),
+    pytest.param(lambda data: data["m"]["atoms"][0].update(site=(1e300 * np.eye(2)).tolist()),
+                 "numeric overflow: c_hat", id="huge-jump-site"),
+    # rho = 2e200 leaves no steps for even the shortest horizon, T = 1
+    pytest.param(lambda data: data["drift"].update(beta=(-1e200 * np.eye(2)).tolist()),
+                 "solver failure: the effective drift", id="huge-drift"),
+])
+def test_a_horizon_the_law_chose_is_refused_by_its_cause(workload_configs, tmp_path, capsys,
+                                                         command, edit, prefix):
+    # the user passed no horizon, so none is named, and no config is blamed
+    data = json.loads(workload_configs["verify-jumps-d2"].read_text())
+    edit(data)
+    argv = [command, "--config", str(_config(tmp_path / "model.json", data))]
+    if command == "verify":
+        argv += ["--out-dir", str(tmp_path / "v")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1 and "horizon" not in err, err
 
 
 def test_validate_decides_K_in_closed_form(workload_configs, tmp_path):

@@ -44,6 +44,7 @@ from affinecone.params import ConfigError
 from affinecone.riccati import RiccatiTrajectory
 from conftest import random_wishart, zero_diffusion_params
 from test_acceptance import _random_subcritical
+from test_power import _exact_config
 
 
 # --- decay certificate ---------------------------------------------------
@@ -319,9 +320,26 @@ def test_cache_key_does_not_overflow():
     law = InvariantLaw(p, decay_certificate(p))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a = law._key(1e7 * np.eye(2))
-        b = law._key(2e7 * np.eye(2))
+        a, b = law.exponents([1e7 * np.eye(2), 2e7 * np.eye(2)])
     assert a != b
+
+
+def test_cache_keeps_probes_apart_below_roundoff_scale():
+    # the probes 1e-13 I and 4e-13 I are two cache entries: their exponents,
+    # nearly linear in u there, differ by a factor 4, and the dL of a flow of
+    # both is that of the larger single-probe table
+    p = _exact_config().params
+    small, large = 1e-13 * np.eye(2), 4e-13 * np.eye(2)
+    law = InvariantLaw(p, decay_certificate(p))
+    a, b = law.exponents([small, large])
+    assert b / a == pytest.approx(4.0, rel=0.05)
+    x, times = _exact_config().x0, [1.0]
+
+    def dL(us):
+        fresh = InvariantLaw(p, law.cert)
+        return dL_table(fresh, x, times, flow=fresh.flow(us, times))[0]
+
+    assert dL([small, large]) == pytest.approx(max(dL([small]), dL([large])), rel=0.05)
 
 
 def test_c_hat_is_closed_form_and_query_independent():

@@ -259,6 +259,8 @@ def test_congruence_integral_scalar_and_quad(rng):
         ]
     )
     assert np.allclose(congruence_integral(b2, x2, t), ref, atol=1e-9)
+    with pytest.raises(ValueError, match="nonnegative"):
+        congruence_integral(beta, x, -1.0)
 
 
 @pytest.mark.parametrize("beta", [
@@ -291,6 +293,9 @@ def test_wishart_closed_form_at_fast_mean_reversion():
         assert np.array_equal(psi_closed_form_wishart(w, u, 2.0), np.zeros((2, 2)))
         phi = phi_closed_form_mbajd(w, u, 2.0)
     assert phi == pytest.approx(np.log((1.0 + 0.6 / 400.0) * (1.0 + 1.5 / 400.0)), rel=1e-14)
+    for closed_form in (psi_closed_form_wishart, phi_closed_form_mbajd):
+        with pytest.raises(ValueError, match="nonnegative"):
+            closed_form(w, u, -1.0)
 
 
 # --- flow structure ------------------------------------------------------
@@ -302,6 +307,9 @@ def test_semiflow_property(rng):
     assert semiflow_check(p, u, 0.8, 0.5, tol=1e-11) < 1e-8
     assert semiflow_check(p, u, 0.0, 1.0) == 0.0
     assert semiflow_check(p, u, 1.0, 0.0) == 0.0
+    for t, s in ((-1.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            semiflow_check(p, u, t, s)
 
 
 def test_trajectory_stays_in_cone(rng):

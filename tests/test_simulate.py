@@ -168,6 +168,8 @@ def test_simulate_rejects_off_grid_snapshot():
         simulate(cfg, [0.005])
     with pytest.raises(ConfigError):
         simulate(cfg, [2.0])  # beyond the horizon
+    with pytest.raises(ConfigError, match="at least one"):
+        simulate(cfg, [])
     # 1e-12 past the horizon passes the horizon test but is step n_steps + 1
     tiny = euler_d2_config(n_paths=4, dt=1e-12, horizon=1e-10)
     with pytest.raises(ConfigError, match="step grid"):

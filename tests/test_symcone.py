@@ -66,6 +66,8 @@ def test_inner_is_trace_product(rng):
     x = symmetrize(rng.standard_normal((3, 3)))
     y = symmetrize(rng.standard_normal((3, 3)))
     assert inner(x, y) == pytest.approx(np.trace(x @ y), abs=1e-12)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        inner(x, np.eye(2))
 
 
 def test_vectorize_isometry(rng):
@@ -77,6 +79,8 @@ def test_vectorize_isometry(rng):
         assert vx.shape == (sym_dim(d),)
         assert float(vx @ vy) == pytest.approx(inner(x, y), rel=1e-13, abs=1e-13)
         assert np.allclose(unvectorize(vx), x, atol=1e-14)
+    with pytest.raises(ValueError, match=r"d\(d\+1\)/2"):
+        unvectorize(np.zeros(4))
 
 
 def test_sym_basis_orthonormal():
