@@ -346,23 +346,19 @@ def standard_u_grid(dim: int) -> list[np.ndarray]:
 
 def transient_laplace(flow: RiccatiTrajectory, x, times) -> np.ndarray:
     """``exp(-phi(t,u) - <x, psi(t,u)>)`` at the requested times, read from
-    ``flow`` through :meth:`~affinecone.riccati.RiccatiTrajectory.psi_at`
-    and ``phi_at``: ``t = 0`` gives ``exp(-<x, u>)``, and any other time
-    must be a row of the flow (else ``KeyError``).
+    ``flow`` in one :meth:`~affinecone.riccati.RiccatiTrajectory.at` call:
+    ``t = 0`` gives ``exp(-<x, u>)``, and any other time must be a row of
+    the flow (else ``KeyError``).
 
     The probes ``u`` are the flow's start values ``flow.u0``: for one matrix
     the result has shape ``(len(times),)``, for a stack of ``n`` probes
     ``(len(times), n)``.
     """
-    x = symmetrize(x)
-    times = np.asarray(times, dtype=float)
-    out = np.empty(times.shape + flow.u0.shape[:-2])
-    for i, t in enumerate(times):
-        with np.errstate(over="ignore", invalid="ignore"):
-            pairing = np.sum(x * flow.psi_at(t), axis=(-2, -1))
-        # <x, psi> >= 0 on the cone: a pairing past the float range is +inf
-        out[i] = np.exp(-flow.phi_at(t) - np.where(np.isfinite(pairing), pairing, np.inf))
-    return out
+    psi, phi = flow.at(np.asarray(times, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairing = np.sum(symmetrize(x) * psi, axis=(-2, -1))
+    # <x, psi> >= 0 on the cone: a pairing past the float range is +inf
+    return np.exp(-phi - np.where(np.isfinite(pairing), pairing, np.inf))
 
 
 def dL_table(law: InvariantLaw, x, times, flow: RiccatiTrajectory | None = None) -> np.ndarray:
@@ -403,14 +399,12 @@ def psi_envelope(law: InvariantLaw, flow: RiccatiTrajectory, times):
     solver's error; the bound 1, proven as ``psi(t, u) <= e^{t B_eff*} u``
     (:attr:`InvariantLaw.c_hat`); and ``ok``, false exactly where the ratio
     exceeds 1.  A time other than 0 must be a row of the flow, else
-    ``KeyError`` (:meth:`~affinecone.riccati.RiccatiTrajectory.psi_at`)."""
+    ``KeyError`` (:meth:`~affinecone.riccati.RiccatiTrajectory.at`)."""
     times = np.asarray(times, dtype=float)
     norms = np.linalg.norm(flow.u0, axis=(1, 2))
-    ratios = np.empty_like(times)
-    for k, t in enumerate(times):
-        vals = np.linalg.norm(flow.psi_at(t), axis=(1, 2))
-        env = law.cert.M * norms * np.exp(-law.cert.delta * t) * (1 + 1e-6)
-        ratios[k] = np.max(vals / env)
+    vals = np.linalg.norm(flow.at(times)[0], axis=(-2, -1))
+    env = law.cert.M * norms * np.exp(-law.cert.delta * times)[:, None] * (1 + 1e-6)
+    ratios = np.max(vals / env, axis=1)
     return ratios, np.ones_like(ratios), ~(ratios > 1.0)
 
 

@@ -201,14 +201,17 @@ def _coordinate_field(p: AffineParams):
 # --- numeric solution ---------------------------------------------------
 
 
-def grid_index(times, t: float) -> int:
-    """Index of ``t`` in the time grid ``times``, matched to within
-    ``1e-9 max(1, |t|)``; ``KeyError`` if no grid time is that close, and
-    for a NaN or infinite ``t``, which is never a grid time."""
-    i = int(np.argmin(np.abs(times - t)))
+def grid_index(grid, t):
+    """Index in the time grid ``grid`` of ``t``, one time or an array, each
+    matched to within ``1e-9 max(1, |t|)``; ``KeyError`` naming the first
+    time no grid time is that close, which a NaN or infinite one never is."""
+    t = np.asarray(t)
+    i = np.argmin(np.abs(np.subtract.outer(grid, t)), axis=0)
+    allowance = 1e-9 * np.maximum(1.0, np.abs(t))
     # NaN fails the first test; an infinite t, whose allowance is infinite, the second
-    if not abs(times[i] - t) <= 1e-9 * max(1.0, abs(t)) < np.inf:
-        raise KeyError(f"time {t} is not on the grid")
+    missed = ~((np.abs(grid[i] - t) <= allowance) & (allowance < np.inf))
+    if missed.any():
+        raise KeyError(f"time {t[missed][0]} is not on the grid")
     return i
 
 
@@ -222,10 +225,9 @@ class RiccatiTrajectory:
     axis: ``u0`` is ``(n, d, d)``, ``psi`` is ``(N, n, d, d)`` and ``phi``
     is ``(N, n)``.
 
-    :meth:`psi_at` and :meth:`phi_at` are the one way a time is read: at
-    the start time 0 they give ``u0`` and a zero cost (``psi(0, u) = u``,
-    ``phi(0, u) = 0``), whether or not 0 is a row of ``times``; any other
-    time must be a row, matched by :func:`grid_index`, else ``KeyError``.
+    :meth:`at` is the one way a time is read: time 0 gives ``u0`` and a zero
+    cost (``psi(0, u) = u``, ``phi(0, u) = 0``) whether or not 0 is a row of
+    ``times``; any other time must be a row (:func:`grid_index`), else ``KeyError``.
     """
 
     u0: np.ndarray
@@ -233,15 +235,12 @@ class RiccatiTrajectory:
     psi: np.ndarray
     phi: np.ndarray
 
-    def psi_at(self, t: float) -> np.ndarray:
-        """``psi`` at ``t``: ``(d, d)``, or ``(n, d, d)`` for a stack."""
-        i = grid_index(np.append(0.0, self.times), t)
-        return self.psi[i - 1] if i else self.u0
-
-    def phi_at(self, t: float) -> float | np.ndarray:
-        """``phi`` at ``t``: a float, or an ``(n,)`` array for a stack."""
-        i = grid_index(np.append(0.0, self.times), t)
-        return self.phi[i - 1] if i else np.zeros(self.phi.shape[1:])[()]
+    def at(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """``(psi, phi)`` at ``times``, one time or an array of them, each
+        with a leading time axis of the shape of ``times``."""
+        i = grid_index(np.append(0.0, self.times), times)
+        return (np.concatenate([self.u0[None], self.psi])[i],
+                np.concatenate([np.zeros((1,) + self.phi.shape[1:]), self.phi])[i])
 
 
 # the tolerances solve_riccati and InvariantLaw.flow accept

@@ -33,10 +33,9 @@ Two schemes:
   only at snapshot steps.  A step (``_euler_step``) is a fixed number of
   array operations whatever ``n``: one product of the flat normals with
   ``I_d (x) sqrt(dt) sigma^T``, one ``einsum`` for the product ``F G``
-  and one ``np.add`` of two of its gathers for the diffusion term, both
-  into buffers reused from step to step, one ``D x D`` product for the
-  drift, one for the ``mu`` rates, one ``np.add.at`` each for the step's
-  ``m`` jumps and ``mu`` hits, and one call of
+  and one sum of two of its gathers for the diffusion term, one ``D x
+  D`` product for the drift, one for the ``mu`` rates, one ``np.add.at``
+  each for the step's ``m`` jumps and ``mu`` hits, and one call of
   ``symcone.project_factor_psd``, which returns the projected state and
   a factor ``F F^T = X`` of it: a Cholesky factorization on the packed
   rows, ``D`` contiguous row operations and a few more whatever ``d``,
@@ -82,6 +81,7 @@ ensemble replicate a smaller one.
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
@@ -305,10 +305,10 @@ def _jump_steps(u, n_steps: int) -> np.ndarray:
 def _snapshot_steps(times, dt: float, n_steps: int) -> np.ndarray:
     # the times lie in [0, horizon + 1e-12], and at a tiny dt the 1e-12 can
     # round to step n_steps + 1
-    steps = np.asarray([int(round(t / dt)) for t in times])
-    for t, k in zip(times, steps):
-        if abs(k * dt - t) > 1e-9 * max(1.0, t) or k > n_steps:
-            raise ConfigError(f"snapshot time {t} is not on the step grid")
+    steps = np.rint(times / dt).astype(np.intp)
+    off = (np.abs(steps * dt - times) > 1e-9 * np.maximum(1.0, times)) | (steps > n_steps)
+    if off.any():
+        raise ConfigError(f"snapshot time {times[off][0]} is not on the step grid")
     return steps
 
 
@@ -330,8 +330,7 @@ def _run_now(fn, *args) -> Future:
 @dataclass
 class _StepTerms:
     """What every Euler step of one model at one ``dt`` reads, in packed
-    coordinates (``D = d(d+1)/2`` rows), and the buffers it writes for a
-    stack of ``n`` paths; built by :func:`_step_terms`."""
+    coordinates (``D = d(d+1)/2`` rows); built by :func:`_step_terms`."""
 
     drift_step: np.ndarray  # (D, D): I + L dt, L the drift operator
     b_dt: np.ndarray  # (D, 1)
@@ -341,11 +340,9 @@ class _StepTerms:
     mu_weights_dt: np.ndarray  # (n_mu, D): rows <., weight_a> dt
     m_sites: np.ndarray  # (D, n_m)
     mu_sites: np.ndarray  # (D, n_mu)
-    product: np.ndarray  # (d, d, n) buffer of M = F G
-    sym: np.ndarray  # (D, n) buffer of M + M^T
 
 
-def _step_terms(p: AffineParams, sigma, dt: float, n: int) -> _StepTerms:
+def _step_terms(p: AffineParams, sigma, dt: float) -> _StepTerms:
     d = p.dim
     rows, cols, _ = sym_index(d)
     basis = np.eye(len(rows))
@@ -362,8 +359,6 @@ def _step_terms(p: AffineParams, sigma, dt: float, n: int) -> _StepTerms:
                        * (dt * np.where(rows == cols, 1.0, 2.0))),
         m_sites=pack(p.m.sites.reshape(-1, d, d)),
         mu_sites=pack(p.mu.sites.reshape(-1, d, d)),
-        product=np.empty((d, d, n)),
-        sym=np.empty((len(rows), n)),
     )
 
 
@@ -380,10 +375,9 @@ def _euler_step(X, F, normals, uniforms, m_path, m_atom, terms: _StepTerms):
     ``m_path`` and ``m_atom``, each path's in time order.
 
     With ``G = sqrt(dt) N sigma`` (one product of all the normals with
-    ``terms.noise``) and ``M = F G`` (one ``einsum`` into
-    ``terms.product``), the step is ``Xn = (I + L dt) X + b dt + (M +
-    M^T)``, added in that order into a fresh array: ``M + M^T`` is one
-    ``np.add`` of two gathers of ``M`` into ``terms.sym``.  ``M + M^T`` has
+    ``terms.noise``) and ``M = F G`` (one ``einsum``), the step is ``Xn =
+    (I + L dt) X + b dt + (M + M^T)``, added in that order into a fresh
+    array: ``M + M^T`` is the sum of two gathers of ``M``.  ``M + M^T`` has
     the law it has for the symmetric root ``X^{1/2}``, since ``F = X^{1/2}
     O`` with ``O`` orthogonal and ``O N`` has the law of ``N``.  Then the
     ``m`` jumps are added, and path ``j`` takes ``mu`` atom ``a`` where
@@ -391,17 +385,17 @@ def _euler_step(X, F, normals, uniforms, m_path, m_atom, terms: _StepTerms):
     pre-step state frozen over the step.  A state that is not finite
     raises :class:`PathFailureError`; every other one is projected onto
     the cone and factored in one :func:`symcone.project_factor_psd` call,
-    which may return ``Xn`` itself, so ``Xn`` is never a reused buffer.
+    which may return ``Xn`` itself.
     Call it under ``np.errstate(over="ignore", invalid="ignore")``, as
     :func:`_euler_paths` does, so that an overflow is reported once, by
     the finite check, and not also as numpy warnings.
     """
-    d, _, n = terms.product.shape
+    d, n = math.isqrt(len(F)), X.shape[1]
     G = (terms.noise @ normals.T).reshape(d, d, n)
-    M = np.einsum("irn,rjn->ijn", F.reshape(d, d, n), G, out=terms.product).reshape(d * d, n)
+    M = np.einsum("irn,rjn->ijn", F.reshape(d, d, n), G).reshape(d * d, n)
     Xn = terms.drift_step @ X
     Xn += terms.b_dt
-    Xn += np.add(M[terms.upper], M[terms.lower], out=terms.sym)
+    Xn += M[terms.upper] + M[terms.lower]
     if m_path.size:  # unbuffered, in index order: a path's jumps add up as logged
         np.add.at(Xn.T, m_path, terms.m_sites.T[m_atom])
     hits, peak = (np.empty(0, np.intp),) * 2, 0.0
@@ -491,7 +485,7 @@ def _euler_paths(config: SimConfig, snap_steps, out, threads: int):
         for rng, block in zip(mu_rngs, uniforms[buf]):
             rng.random(out=block[:c])
 
-    terms = _step_terms(p, config.sigma, dt, n)
+    terms = _step_terms(p, config.sigma, dt)
     snaps = {}
     for ti, k in enumerate(snap_steps.tolist()):
         snaps.setdefault(k, []).append(ti)
@@ -613,25 +607,33 @@ def simulate(config: SimConfig, snapshot_times, threads: int = 1) -> PathEnsembl
                         states=out, jump_log=jump_log)
 
 
-def mc_mean(ens: PathEnsemble, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise sample mean and standard error across paths at time ``t``;
-    the standard error of an entry equal on every path is 0."""
+def mc_mean(ens: PathEnsemble, t) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise sample mean and standard error across paths at ``t``, one
+    snapshot time or an array of them (``KeyError`` for any other), in one
+    reduction over the path axis.  The standard error of an entry equal on
+    every path is 0.  An entry whose plain mean or standard deviation
+    overflows is computed, unwarned, on its sample over its largest ``|value|``."""
     states = ens.states[grid_index(ens.snapshot_times, t)]
-    mean = states.mean(axis=0)
-    n = states.shape[0]
-    if n > 1:
-        stderr = states.std(axis=0, ddof=1) / np.sqrt(n)
+    n = states.shape[-3]
+    ddof = min(1, n - 1)  # a lone path has no spread to measure
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = states.mean(axis=-3), states.std(axis=-3, ddof=ddof)
+        wide = ~(np.isfinite(mean) & np.isfinite(std))
+        if wide.any():  # a scale of 1 leaves the other entries' bytes alone
+            scale = np.where(wide, np.abs(states).max(axis=-3), 1.0)
+            scaled = states / np.expand_dims(scale, -3)
+            mean, std = scaled.mean(axis=-3) * scale, scaled.std(axis=-3, ddof=ddof) * scale
+        stderr = std / np.sqrt(n)
         # where the paths agree, std measures only the rounding of the mean
-        stderr[np.ptp(states, axis=0) == 0.0] = 0.0
-    else:
-        stderr = np.zeros_like(mean)
+        stderr[np.ptp(states, axis=-3) == 0.0] = 0.0
     return mean, stderr
 
 
 def mc_vs_formula(ens: PathEnsemble, p: AffineParams, t) -> np.ndarray:
     """Entrywise z-scores of the sample mean against the analytic mean, at
     one time ``t`` (``(d, d)``) or at each of a vector of times (``(n, d,
-    d)``, the analytic means from one :func:`transient_mean` call).
+    d)``), the sample means from one :func:`mc_mean` call and the analytic
+    ones from one :func:`transient_mean` call.
 
     A zero standard error with a gap below ``1e-9 max(1, |mean|)``, ``|mean|``
     the largest entry of the analytic mean at that time, counts as an
@@ -639,17 +641,16 @@ def mc_vs_formula(ens: PathEnsemble, p: AffineParams, t) -> np.ndarray:
     mean.  A zero standard error with a larger gap is flagged as a
     deterministic mismatch (z = inf).
     """
-    times = np.asarray(t, dtype=float)
-    mean, stderr = map(np.array, zip(*(mc_mean(ens, s) for s in times.reshape(-1).tolist())))
-    target = transient_mean(p, ens.config.x0, times.reshape(-1))
+    mean, stderr = mc_mean(ens, t)
+    target = transient_mean(p, ens.config.x0, t)
     gap = mean - target
     z = np.zeros_like(gap)
     ok = stderr > 0
     z[ok] = gap[ok] / stderr[ok]
-    scale = np.maximum(1.0, np.abs(target).max(axis=(1, 2), keepdims=True))
+    scale = np.maximum(1.0, np.abs(target).max(axis=(-2, -1), keepdims=True))
     exact = ~ok & (np.abs(gap) < 1e-9 * scale)
     z[~ok & ~exact] = np.inf
-    return z if times.ndim else z[0]
+    return z
 
 
 def ergodic_sweep(config: SimConfig, times, threads: int = 1) -> list[dict]:
@@ -665,18 +666,12 @@ def ergodic_sweep(config: SimConfig, times, threads: int = 1) -> list[dict]:
     law = InvariantLaw(p, decay_certificate(p))
     ens = simulate(config, times, threads=threads)
     times = np.asarray(times, dtype=float)
-    rows = []
-    for t, target in zip(times.tolist(), transient_mean(p, x0, times)):
-        mean, stderr = mc_mean(ens, t)
-        rows.append({
-            "t": t,
-            "mc_gap_to_transient": frobenius(mean - target),
-            "stderr_norm": frobenius(stderr),
-            "transient_gap_to_invariant": frobenius(target - law.mean),
-            "mc_gap_to_invariant": frobenius(mean - law.mean),
-        })
+    mean, stderr = mc_mean(ens, times)
+    target = transient_mean(p, x0, times)
+    gaps = {"mc_gap_to_transient": mean - target, "stderr_norm": stderr,
+            "transient_gap_to_invariant": target - law.mean, "mc_gap_to_invariant": mean - law.mean}
+    with np.errstate(over="ignore"):  # a norm past the float range is inf, as frobenius gives
+        columns = {"t": times, **{k: np.linalg.norm(x, axis=(-2, -1)) for k, x in gaps.items()}}
     if frobenius(p.alpha) == 0.0:
-        w1 = w1_mean_gap_check(law, x0, times)
-        for row, gap, bound, ok in zip(rows, *(col.tolist() for col in w1)):
-            row.update({"w1_gap": gap, "w1_bound": bound, "w1_ok": ok})
-    return rows
+        columns["w1_gap"], columns["w1_bound"], columns["w1_ok"] = w1_mean_gap_check(law, x0, times)
+    return [dict(zip(columns, row)) for row in zip(*(col.tolist() for col in columns.values()))]

@@ -198,11 +198,18 @@ def affine_flow(a, c, y, times) -> np.ndarray:
     ``q(0) = y``, at each of ``times``: an ``(n, len(y))`` array, read off one
     stacked :func:`mat_exp` of the block ``A = [[a, c], [0, 0]]``, as ``e^{tA}
     = [[e^{ta}, integral_0^t e^{sa} c ds], [0, 1]]``; exact also for a singular
-    ``a``.  A result past the float range comes back unwarned as ``inf``.
+    ``a``.  A ``c`` whose 1-norm outweighs ``a``'s would set the norm
+    :func:`mat_exp` scales by and lose ``a``, so it enters over the power of
+    two that brings it within twice ``a``'s, and the integral is multiplied
+    back.  A result past the float range comes back unwarned as ``inf``.
     """
-    eb = mat_exp(np.block([[a, np.reshape(c, (-1, 1))], [np.zeros((1, len(c) + 1))]]), times)
+    a = np.asarray(a, dtype=float)
+    c = np.asarray(c, dtype=float)
+    a_norm = np.abs(a).sum(axis=0).max(initial=0.0)
+    k = max(0, int(np.frexp(np.abs(c).sum())[1] - np.frexp(a_norm)[1]))
+    eb = mat_exp(np.block([[a, np.ldexp(c, -k)[:, None]], [np.zeros((1, len(c) + 1))]]), times)
     with np.errstate(over="ignore", invalid="ignore"):
-        return eb[:, :-1, :-1] @ y + eb[:, :-1, -1]
+        return eb[:, :-1, :-1] @ y + np.ldexp(eb[:, :-1, -1], k)
 
 
 # a + a.T overflows for entries past half the float range; a rebuilt

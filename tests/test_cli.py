@@ -1251,6 +1251,18 @@ def test_jump_free_exact_simulate_logs_no_jump_and_scores_zero(workload_configs,
     assert z.size and np.all(z == 0.0), z
 
 
+def test_simulate_of_a_jump_site_near_the_float_limit_scores_clean(workload_configs, tmp_path,
+                                                                   capsys):
+    # the states reach about 1e300: the plain sample standard deviation
+    # overflows, and the source of the analytic mean outweighs its drift
+    data = json.loads(workload_configs["verify-jumps-d2"].read_text())
+    data["m"]["atoms"][0]["site"] = (1e300 * np.eye(2)).tolist()
+    out_dir, = _simulate_at(_config(tmp_path / "huge-site.json", data), "0.5,1,2", (1,), tmp_path)
+    assert capsys.readouterr().err == ""
+    z = np.loadtxt(out_dir / "zscores.csv", delimiter=",", skiprows=1)[:, 1:]
+    assert z.shape == (3, 3) and np.all(np.abs(z) <= 4.0), z
+
+
 def test_stationary_of_a_strongly_non_normal_drift_runs_clean(workload_configs, tmp_path, capsys):
     # the semigroup norm of this beta peaks near 1.2e8
     data = _jump_free(workload_configs)

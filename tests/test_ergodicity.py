@@ -42,6 +42,7 @@ from affinecone import (
 )
 from affinecone.params import ConfigError
 from affinecone.riccati import RiccatiTrajectory
+from affinecone.symcone import affine_flow, unvectorize, vectorize
 from conftest import random_wishart, zero_diffusion_params
 from test_acceptance import _random_subcritical
 from test_power import _exact_config
@@ -203,6 +204,26 @@ def test_transient_mean_refuses_negative_or_nan_times(times):
     p = zero_diffusion_params()
     with pytest.raises(ValueError):
         transient_mean(p, np.eye(2), times)
+
+
+@pytest.mark.parametrize("s", [1e16, 1e300])
+def test_transient_mean_keeps_the_drift_when_the_source_dominates(s):
+    # a jump site s times larger makes the source outweigh the drift; the
+    # mean is linear in the source, so it is s times the flow of the source
+    # over s, plus e^{t Bt} x
+    w = np.array([0.4, 0.3])
+    p = AffineParams(dim=2, alpha=np.zeros((2, 2)), b=np.array([[0.3, 0.02], [0.02, 0.2]]),
+                     drift=LinearDrift.lyapunov(np.array([[-1.0, 0.05], [-0.03, -0.8]])),
+                     m=ScalarJumpMeasure([(s * np.diag([0.5, 0.2]), 0.8), (np.outer(w, w), 0.5)]))
+    x = np.array([[3.1, 0.15], [0.15, 1.05]])
+    times = np.array([0.0, 0.5, 1.0, 2.0, 10.0])
+    B = p.effective_drift().matrix
+    c = vectorize(p.b + p.m.first_moment(2))
+    zero = np.zeros(len(c))
+    want = unvectorize(s * affine_flow(B, c / s, zero, times)
+                       + affine_flow(B, zero, vectorize(x), times))
+    got = transient_mean(p, x, times)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_mean_gap_identity(rng):
@@ -534,7 +555,7 @@ def test_psi_envelope_matches_the_inline_envelope():
     norms = np.linalg.norm(flow.u0, axis=(1, 2))
     want = np.empty_like(times)
     for k, t in enumerate(times):
-        vals = np.linalg.norm(flow.psi_at(t), axis=(1, 2))
+        vals = np.linalg.norm(flow.at(t)[0], axis=(1, 2))
         env = cert.M * norms * np.exp(-cert.delta * t) * (1 + 1e-6)
         want[k] = np.max(vals / env)
     assert np.array_equal(ratio, want)

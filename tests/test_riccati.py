@@ -283,6 +283,16 @@ def test_congruence_integral_matches_lyapunov_form(beta):
             assert np.linalg.norm(got - ref, 2) <= 1e-14 * np.linalg.norm(ref, 2)
 
 
+@pytest.mark.parametrize("s", [1e16, 1e300])
+def test_congruence_integral_is_linear_in_a_dominant_source(s):
+    # a source s x far above beta in norm must not wash beta out
+    beta = np.array([[-1.0, 0.05], [-0.03, -0.8]])
+    x = np.array([[0.5, 0.1], [0.1, 0.3]])
+    want = s * congruence_integral(beta, x, 1.0)
+    got = congruence_integral(beta, s * x, 1.0)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_wishart_closed_form_at_fast_mean_reversion():
     # at t = 2 the closed forms no longer overflow: S_2 = alpha / 400, so
     # psi = e^{-800} (...) = 0 and phi = k log det(I + u / 400)
@@ -406,19 +416,20 @@ def test_solver_rejects_bad_t_eval(rng, t_eval):
 def test_trajectory_lookup(rng):
     p = _jump_params(rng)
     traj = solve_riccati(p, np.eye(2), 1.0, tol=1e-9, t_eval=[0.25, 0.5, 1.0])
-    assert traj.phi_at(0.5) == traj.phi[1]
+    assert traj.at(0.5)[1] == traj.phi[1]
     with pytest.raises(KeyError):
-        traj.psi_at(0.3)
+        traj.at(0.3)
     # the start time reads u0 and a zero cost, for one probe and for a
     # stack, whether or not 0 is a row of the grid
     stack = np.array([np.eye(2), random_psd(2, rng)])
     for u0 in (random_psd(2, rng), stack):
         for t_eval in ([0.0, 0.5, 1.0], [0.5, 1.0], None):
             flow = solve_riccati(p, u0, 1.0, tol=1e-9, t_eval=t_eval)
-            assert np.array_equal(flow.psi_at(0.0), flow.u0)
-            assert np.array_equal(flow.phi_at(0.0), np.zeros(u0.shape[:-2]))
-            assert np.shape(flow.phi_at(0.0)) == np.shape(flow.phi_at(1.0))
-            assert np.array_equal(flow.psi_at(1.0), flow.psi[-1])
+            psi, phi = flow.at(0.0)
+            assert np.array_equal(psi, flow.u0)
+            assert np.array_equal(phi, np.zeros(u0.shape[:-2]))
+            assert np.shape(phi) == np.shape(flow.at(1.0)[1])
+            assert np.array_equal(flow.at(1.0)[0], flow.psi[-1])
 
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
@@ -427,9 +438,33 @@ def test_grid_index_refuses_a_time_that_is_not_finite(rng, t):
     with pytest.raises(KeyError):
         riccati.grid_index(np.array([0.0, 0.5, 1.0]), t)
     flow = solve_riccati(_jump_params(rng), np.eye(2), 1.0, t_eval=[0.5, 1.0])
-    for read in (flow.psi_at, flow.phi_at):
-        with pytest.raises(KeyError):
-            read(t)
+    with pytest.raises(KeyError):
+        flow.at(t)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), 0.3])
+def test_grid_index_of_a_vector_names_its_first_time_off_the_grid(t):
+    grid = np.array([0.0, 0.5, 1.0])
+    assert riccati.grid_index(grid, [1.0, 0.0, 0.5, 0.0]).tolist() == [2, 0, 1, 0]
+    with pytest.raises(KeyError, match=f"time {t} is not on the grid"):
+        riccati.grid_index(grid, [0.5, t, 1.0, 0.7])
+
+
+def test_at_reads_every_time_in_one_call(rng):
+    # time 0, a row of no grid here, reads u0 and a zero cost wherever it
+    # stands; every row is the one-time read of its time
+    p = _jump_params(rng)
+    times = [0.0, 0.5, 0.0, 1.0]
+    for u0 in (random_psd(2, rng), np.array([np.eye(2), random_psd(2, rng)])):
+        flow = solve_riccati(p, u0, 1.0, tol=1e-9, t_eval=[0.25, 0.5, 1.0])
+        psi, phi = flow.at(times)
+        assert psi.shape == (4, *flow.u0.shape) and phi.shape == (4, *flow.u0.shape[:-2])
+        for k, t in enumerate(times):
+            one_psi, one_phi = flow.at(t)
+            assert np.array_equal(psi[k], one_psi) and np.array_equal(phi[k], one_phi)
+        assert np.array_equal(psi[[0, 2]], [flow.u0, flow.u0]) and not np.any(phi[[0, 2]])
+        assert np.array_equal(psi[[1, 3]], flow.psi[[1, 2]])
+        assert np.array_equal(phi[[1, 3]], flow.phi[[1, 2]])
 
 
 def test_solver_refuses_a_horizon_past_the_step_ceiling(rng, monkeypatch):
@@ -480,7 +515,7 @@ def test_stacked_solve_matches_per_probe_solves(rng, build):
     n, d = len(probes), p.dim
     assert flow.psi.shape == (times.size, n, d, d)
     assert flow.phi.shape == (times.size, n)
-    assert flow.phi_at(1.0).shape == (n,)
+    assert flow.at(1.0)[1].shape == (n,)
     for i, u in enumerate(probes):
         lone = solve_riccati(p, u, 4.0, tol=tol, t_eval=times)
         assert np.max(np.abs(flow.psi[:, i] - lone.psi)) <= 10 * tol

@@ -28,6 +28,7 @@ from affinecone.simulate import (
     BLOCK_PATHS,
     JUMP_DTYPE,
     MAX_STEPS,
+    PathEnsemble,
     PathFailureError,
     _jump_steps,
     _path_rng,
@@ -153,6 +154,27 @@ def test_mc_mean_of_one_path_has_zero_standard_error():
     ens = simulate(euler_d2_config(n_paths=1), [0.5, 1.0])
     mean, stderr = mc_mean(ens, 1.0)
     assert np.array_equal(mean, ens.states[1, 0]) and not np.any(stderr)
+
+
+def test_mc_mean_of_a_time_vector_stacks_each_time():
+    ens = simulate(euler_d2_config(n_paths=100, with_mu=True), [0.0, 0.5, 1.0])
+    times = [1.0, 0.0, 0.5, 1.0]
+    mean, stderr = mc_mean(ens, times)
+    assert mean.shape == stderr.shape == (4, 2, 2)
+    for k, t in enumerate(times):
+        one_mean, one_stderr = mc_mean(ens, t)
+        assert np.array_equal(mean[k], one_mean) and np.array_equal(stderr[k], one_stderr)
+
+
+def test_mc_mean_of_states_near_the_float_limit_is_finite():
+    # the plain standard deviation squares entries near 1e300 and overflows;
+    # those entries are computed on the sample over its largest |value|
+    ens = simulate(euler_d2_config(n_paths=8), [0.5, 1.0])
+    huge = PathEnsemble(ens.config, ens.snapshot_times, 1e300 * ens.states, ens.jump_log)
+    mean, stderr = mc_mean(huge, [0.5, 1.0])
+    want_mean, want_stderr = mc_mean(ens, [0.5, 1.0])
+    np.testing.assert_allclose(mean, 1e300 * want_mean, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(stderr, 1e300 * want_stderr, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), 0.3])
@@ -643,7 +665,7 @@ def test_euler_step_matches_the_reference_step():
     assert [_lapack_refuses(y) for y in Xn] == [True, False, False, False]
     ref_x, ref_f = _reference_projection(Xn)
 
-    terms = simulate_module._step_terms(p, sigma, dt, n)
+    terms = simulate_module._step_terms(p, sigma, dt)
     x, f, hits, peak = simulate_module._euler_step(
         pack(X), F.reshape(n, d * d).T.copy(), normals.reshape(n, d * d), uniforms,
         m_path, m_atom, terms)
